@@ -1,10 +1,10 @@
 """Command-line front end: graph6 and incidence I/O plus JSON reporting.
 
-Every analysis subcommand writes one JSON document to stdout and exits 0
-when no asserted check failed, 1 when one did, and 2 on usage errors
-(malformed arguments or input files), which never emit partial JSON.  The
-two producer subcommands, `build` and `graph-to-pq`, emit raw graph6 and
-incidence text respectively so they can be piped into the checkers.
+Every analysis subcommand is one row of ANALYSES, run by one driver that
+writes one JSON document to stdout and exits 0 when no asserted check
+failed, 1 when one did, and 2 on usage errors (malformed arguments or input
+files, an out-of-range --vertex or --base), which never emit partial JSON.
+The producers `build` and `graph-to-pq` emit raw graph6 and incidence text.
 
 Reports are byte-identical across runs for the same input; wall-clock
 timing is only included when requested with --timing.
@@ -17,7 +17,9 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from srgpq.automorphism import (
@@ -50,6 +52,7 @@ from srgpq.localstats import (
     verify_star,
 )
 from srgpq.params import (
+    FamilyInfo,
     ParameterError,
     PqParams,
     SrgParams,
@@ -67,7 +70,6 @@ GRAPH6_HEADER = ">>graph6<<"
 MAX_GRAPH6_VERTICES = 1 << 14
 
 DIOPHANTINE_REFERENCE = ((1, 1), (2, 3), (3, 4), (10, 7))
-DEFAULT_DIOPHANTINE_MAX = 10**6
 
 
 class Graph6Error(ValueError):
@@ -180,35 +182,6 @@ def _jsonable(value):
     return value
 
 
-def _check_entry(report: CheckReport) -> dict:
-    return {
-        "name": report.name,
-        "severity": report.severity,
-        "passed": report.passed,
-        "details": _jsonable(report.details),
-        "witness": _jsonable(report.witness),
-    }
-
-
-def _emit(args, command: str, checks: list[CheckReport], results: dict,
-          graph: Optional[Graph] = None, started: Optional[float] = None) -> int:
-    echo = getattr(args, "_argv", None)
-    document = {"command": list(echo) if echo is not None else [command],
-                "results": _jsonable(results)}
-    if graph is not None:
-        canonical = serialize_graph6(graph)
-        document["input"] = {
-            "vertices": graph.nu,
-            "edges": graph.edge_count,
-            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        }
-    document["checks"] = [_check_entry(report) for report in checks]
-    if getattr(args, "timing", False) and started is not None:
-        document["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    print(json.dumps(document, indent=2, sort_keys=True))
-    return 1 if any(report.severity == ASSERTED_FAIL for report in checks) else 0
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -217,8 +190,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(path: str) -> Graph:
-    text = _read_text(path)
-    for line in text.splitlines():
+    for line in _read_text(path).splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             return parse_graph6(stripped)
@@ -226,34 +198,19 @@ def _load_graph(path: str) -> Graph:
 
 
 def _spectrum_results(params: SrgParams) -> dict:
-    report = spectrum_of(params)
+    spectrum = spectrum_of(params)
     family = detect_family(params)
-    results = {
-        "srg_params": params,
-        "spectrum": {
-            "r": report.r,
-            "s_eig": report.s_eig,
-            "f": report.f,
-            "g": report.g,
-            "delta_squared": report.delta_squared,
-            "is_conference": report.is_conference,
-            "integral": report.integral,
-        },
-        "family": None
-        if family is None
-        else {"n": family.n, "lam": family.lam, "kind": family.kind},
-        "pq_params": srg_to_pq_params(params),
-    }
     try:
-        bound = fixed_point_bound(params)
-        results["fixed_point_bound"] = {
-            "value": bound.value,
-            "quarter_nu": bound.quarter_nu,
-            "within_quarter": bound.within_quarter,
-        }
+        bound = asdict(fixed_point_bound(params))
     except ParameterError:
-        results["fixed_point_bound"] = None
-    return results
+        bound = None
+    return {
+        "srg_params": params,
+        "spectrum": asdict(spectrum),
+        "family": None if family is None else asdict(family),
+        "pq_params": srg_to_pq_params(params),
+        "fixed_point_bound": bound,
+    }
 
 
 def _spectrum_consistency_check(params: SrgParams) -> CheckReport:
@@ -272,448 +229,258 @@ def _spectrum_consistency_check(params: SrgParams) -> CheckReport:
     )
 
 
-def _cmd_feasibility(args) -> int:
-    started = time.perf_counter()
+def _parameter_report(parse) -> tuple[list[CheckReport], dict]:
+    """Checks and results for parse() -> (SrgParams, validity details); it may raise ParameterError."""
     try:
+        params, details = parse()
+    except ParameterError as exc:
+        failure = CheckReport(
+            name="parameters-valid",
+            passed=False,
+            asserted=True,
+            witness={"error": str(exc)},
+        )
+        return [failure], {}
+    checks = [
+        CheckReport(name="parameters-valid", passed=True, asserted=True, details=details),
+        _spectrum_consistency_check(params),
+    ]
+    return checks, _spectrum_results(params)
+
+
+def _error_check(name: str, asserted: bool, details: dict, exc: Exception) -> CheckReport:
+    """A failed check whose witness is the exception that stopped the computation."""
+    return CheckReport(
+        name=name,
+        passed=False,
+        asserted=asserted,
+        details=details,
+        witness={"error_type": type(exc).__name__, "error": str(exc)},
+    )
+
+
+def _not_applicable(name: str, reason: str, **details) -> CheckReport:
+    """A diagnostic check for an analysis whose hypotheses the input does not meet."""
+    details = {"not_applicable": reason, **details}
+    return CheckReport(name=name, passed=False, asserted=False, details=details)
+
+
+def _family_context(g: Graph) -> tuple[CheckReport, Optional[FamilyInfo]]:
+    """The preconditions check of the family analyses, and the family member or None."""
+    params, witness = is_srg_report(g)
+    family = None
+    details = {"requirement": "strongly-regular"}
+    if params is not None:
+        ok, diamond = is_diamond_free(g)
+        family = detect_family(params) if ok else None
+        details = {"params": params}
+        if not ok:
+            details["requirement"] = "diamond-free"
+            witness = {"induced_diamond": list(diamond)}
+        elif family is None:
+            details["requirement"] = "family-member"
+            witness = {"error": "mu is not of the form n(n+1) matching nu and k"}
+        else:
+            details["family"] = asdict(family)
+    check = CheckReport(
+        name="preconditions", passed=family is not None, asserted=True, details=details, witness=witness
+    )
+    return check, family
+
+
+# Analyses: (args, input, family member or None) -> (checks, results).  They
+# call the library through this module's globals at call time, so perfbench's
+# tracer, which patches those names, sees every call.
+
+
+def _feasibility(args, _input, _family):
+    def parse():
         params = SrgParams(args.nu, args.k, args.lam, args.mu)
-    except ParameterError as exc:
-        failure = CheckReport(
-            name="parameters-valid",
-            passed=False,
-            asserted=True,
-            details={},
-            witness={"error": str(exc)},
-        )
-        return _emit(args, "feasibility", [failure], {}, started=started)
-    checks = [
-        CheckReport(name="parameters-valid", passed=True, asserted=True,
-                    details={"params": list(params.as_tuple())}),
-        _spectrum_consistency_check(params),
-    ]
-    return _emit(args, "feasibility", checks, _spectrum_results(params), started=started)
+        return params, {"params": params}
+
+    return _parameter_report(parse)
 
 
-def _cmd_pq_params(args) -> int:
-    started = time.perf_counter()
-    try:
+def _pq_params(args, _input, _family):
+    def parse():
         pq = PqParams(args.s, args.t, args.mu)
-        params = pq_to_srg(pq)
-    except ParameterError as exc:
-        failure = CheckReport(
-            name="parameters-valid",
-            passed=False,
-            asserted=True,
-            details={},
-            witness={"error": str(exc)},
-        )
-        return _emit(args, "pq-params", [failure], {}, started=started)
-    checks = [
-        CheckReport(
-            name="parameters-valid",
-            passed=True,
-            asserted=True,
-            details={
-                "pq_params": list(pq.as_tuple()),
-                "generalized_quadrangle": pq.is_generalized_quadrangle,
-            },
-        ),
-        _spectrum_consistency_check(params),
-    ]
-    return _emit(args, "pq-params", checks, _spectrum_results(params), started=started)
+        return pq_to_srg(pq), {"pq_params": pq, "generalized_quadrangle": pq.is_generalized_quadrangle}
+
+    return _parameter_report(parse)
 
 
-def _cmd_build(args) -> int:
-    builders = {"rook4": build_rook4, "shrikhande": build_shrikhande, "gq35": build_gq35}
-    print(serialize_graph6(builders[args.name]()))
-    return 0
-
-
-def _cmd_check_srg(args) -> int:
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
+def _check_srg(args, g: Graph, _family):
     params, witness = is_srg_report(g)
     check = CheckReport(
         name="strongly-regular",
         passed=params is not None,
         asserted=True,
-        details={} if params is None else {"params": list(params.as_tuple())},
+        details={} if params is None else {"params": params},
         witness=witness,
     )
-    results = {"srg_params": params}
-    if params is not None:
-        results.update(_spectrum_results(params))
-    return _emit(args, "check-srg", [check], results, graph=g, started=started)
+    return [check], {"srg_params": None} if params is None else _spectrum_results(params)
 
 
-def _cmd_check_diamond_free(args) -> int:
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
+def _check_diamond_free(args, g: Graph, _family):
     ok, witness = is_diamond_free(g)
     check = CheckReport(
         name="diamond-free",
         passed=ok,
         asserted=True,
-        details={},
         witness=None if ok else {"induced_diamond": list(witness)},
     )
-    return _emit(args, "check-diamond-free", [check], {"diamond_free": ok}, graph=g, started=started)
+    return [check], {"diamond_free": ok}
 
 
-def _family_context(g: Graph, checks: list[CheckReport]):
-    """Validate the diamond-free family-member preconditions shared by the analyses."""
-    params, witness = is_srg_report(g)
-    if params is None:
-        checks.append(
-            CheckReport(
-                name="preconditions",
-                passed=False,
-                asserted=True,
-                details={"requirement": "strongly-regular"},
-                witness=witness,
-            )
-        )
-        return None
-    ok, diamond_witness = is_diamond_free(g)
-    if not ok:
-        checks.append(
-            CheckReport(
-                name="preconditions",
-                passed=False,
-                asserted=True,
-                details={"requirement": "diamond-free", "params": list(params.as_tuple())},
-                witness={"induced_diamond": list(diamond_witness)},
-            )
-        )
-        return None
-    family = detect_family(params)
-    if family is None:
-        checks.append(
-            CheckReport(
-                name="preconditions",
-                passed=False,
-                asserted=True,
-                details={"requirement": "family-member", "params": list(params.as_tuple())},
-                witness={"error": "mu is not of the form n(n+1) matching nu and k"},
-            )
-        )
-        return None
-    checks.append(
-        CheckReport(
-            name="preconditions",
-            passed=True,
-            asserted=True,
-            details={
-                "params": list(params.as_tuple()),
-                "family": {"n": family.n, "lam": family.lam, "kind": family.kind},
-            },
-        )
+def _local_stats(args, g: Graph, family: FamilyInfo):
+    if family.n <= 0 or family.lam > family.n:
+        return [_not_applicable("m-spectrum", "needs n > 0 and lam <= n", n=family.n)], {}
+    vertices = [args.vertex] if args.vertex is not None else range(g.nu)
+    pairs = ((u, v) for u in vertices for v in range(g.nu) if v != u and not g.adjacent(u, v))
+    histogram: dict[tuple[int, ...], int] = {}
+    failure = None
+    for u, v in pairs:
+        try:
+            spectrum = m_spectrum(g, family, u, v)
+        except LocalStatsError as exc:
+            failure = {"u": u, "v": v, "error": str(exc)}
+            break
+        histogram[spectrum.counts] = histogram.get(spectrum.counts, 0) + 1
+    m0_values = [counts[0] for counts in histogram]
+    results = {
+        "m_spectrum_histogram": {
+            " ".join(map(str, counts)): count for counts, count in sorted(histogram.items())
+        },
+        "m0_range": [min(m0_values), max(m0_values)] if m0_values else [None, None],
+    }
+    check = CheckReport(
+        name="m-spectrum",
+        passed=failure is None,
+        asserted=family.n >= 3,
+        details={"pairs_checked": sum(histogram.values())},
+        witness=failure,
     )
-    return params, family
+    return [check], results
 
 
-def _cmd_local_stats(args) -> int:
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
-    checks: list[CheckReport] = []
-    context = _family_context(g, checks)
-    results: dict = {}
-    if context is not None:
-        params, family = context
-        vertices = [args.vertex] if args.vertex is not None else list(range(g.nu))
-        if args.vertex is not None:
-            g.check_vertex(args.vertex)
-        if family.n <= 0 or family.lam > family.n:
-            checks.append(
-                CheckReport(
-                    name="m-spectrum",
-                    passed=False,
-                    asserted=False,
-                    details={"not_applicable": "needs n > 0 and lam <= n", "n": family.n},
-                )
-            )
-        else:
-            histogram: dict[tuple[int, ...], int] = {}
-            m0_min = m0_max = None
-            failure = None
-            pairs = 0
-            for u in vertices:
-                for v in range(g.nu):
-                    if v == u or g.adjacent(u, v):
-                        continue
-                    try:
-                        spectrum = m_spectrum(g, family, u, v)
-                    except LocalStatsError as exc:
-                        failure = {"u": u, "v": v, "error": str(exc)}
-                        break
-                    pairs += 1
-                    histogram[spectrum.counts] = histogram.get(spectrum.counts, 0) + 1
-                    m0 = spectrum.counts[0]
-                    m0_min = m0 if m0_min is None else min(m0_min, m0)
-                    m0_max = m0 if m0_max is None else max(m0_max, m0)
-                if failure:
-                    break
-            results["m_spectrum_histogram"] = {
-                " ".join(map(str, counts)): count for counts, count in sorted(histogram.items())
-            }
-            results["m0_range"] = [m0_min, m0_max]
-            checks.append(
-                CheckReport(
-                    name="m-spectrum",
-                    passed=failure is None,
-                    asserted=family.n >= 3,
-                    details={"pairs_checked": pairs},
-                    witness=failure,
-                )
-            )
-    return _emit(args, "local-stats", checks, results, graph=g, started=started)
+def _check_con(args, g: Graph, family: FamilyInfo):
+    report = check_condition_con(g, family)
+    return [report], {"m0_min": report.details["m0_min"], "m0_max": report.details["m0_max"]}
 
 
-def _cmd_check_con(args) -> int:
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
-    checks: list[CheckReport] = []
-    context = _family_context(g, checks)
-    results: dict = {}
-    if context is not None:
-        _, family = context
-        report = check_condition_con(g, family)
-        checks.append(report)
-        results["m0_min"] = report.details["m0_min"]
-        results["m0_max"] = report.details["m0_max"]
-    return _emit(args, "check-con", checks, results, graph=g, started=started)
-
-
-def _cmd_check_eq_pq(args) -> int:
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
-    checks: list[CheckReport] = []
-    context = _family_context(g, checks)
-    results: dict = {}
-    if context is not None:
-        _, family = context
-        try:
-            report = verify_eq_pq(g, family)
-            checks.append(report)
-            results["triples_checked"] = report.details.get("triples_checked")
-        except LocalStatsError as exc:
-            checks.append(
-                CheckReport(
-                    name="eq-pq",
-                    passed=False,
-                    asserted=False,
-                    details={"not_applicable": str(exc)},
-                )
-            )
-    return _emit(args, "check-eq-pq", checks, results, graph=g, started=started)
-
-
-def _cmd_check_star(args) -> int:
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
-    checks: list[CheckReport] = []
-    context = _family_context(g, checks)
-    results: dict = {}
-    if context is not None:
-        _, family = context
-        try:
-            inv_failures = []
-            star_failures = []
-            asserted = None
-            for u in range(g.nu):
-                inv_report = verify_inv_formula(g, family, u)
-                star_report = verify_star(g, family, u)
-                asserted = inv_report.asserted
-                if not inv_report.passed:
-                    inv_failures.append({"u": u, "witness": inv_report.witness})
-                if not star_report.passed:
-                    star_failures.append({"u": u, "witness": star_report.witness})
-            checks.append(
-                CheckReport(
-                    name="inv-formula",
-                    passed=not inv_failures,
-                    asserted=bool(asserted),
-                    details={"vertices_checked": g.nu, "failures": len(inv_failures)},
-                    witness=inv_failures[0] if inv_failures else None,
-                )
-            )
-            checks.append(
-                CheckReport(
-                    name="star-identity",
-                    passed=not star_failures,
-                    asserted=bool(asserted),
-                    details={"vertices_checked": g.nu, "failures": len(star_failures)},
-                    witness=star_failures[0] if star_failures else None,
-                )
-            )
-            results["vertices_checked"] = g.nu
-        except LocalStatsError as exc:
-            checks.append(
-                CheckReport(
-                    name="star-identity",
-                    passed=False,
-                    asserted=False,
-                    details={"not_applicable": str(exc)},
-                )
-            )
-    return _emit(args, "check-star", checks, results, graph=g, started=started)
-
-
-def _cmd_sigma(args) -> int:
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
-    checks: list[CheckReport] = []
-    results: dict = {}
-    context = _family_context(g, checks)
-    if context is not None:
-        _, family = context
-        asserted = family.n >= 3 and family.lam == 2
-        try:
-            sigma_family = canonical_sigma_family(g, family, z=args.base)
-        except (SigmaConstructionError, LocalStatsError, GraphError) as exc:
-            checks.append(
-                CheckReport(
-                    name="sigma-family",
-                    passed=False,
-                    asserted=asserted,
-                    details={"base": args.base},
-                    witness={"error_type": type(exc).__name__, "error": str(exc)},
-                )
-            )
-            return _emit(args, "sigma", checks, results, graph=g, started=started)
-        orders = sorted({sigma.order() for sigma in sigma_family.values()})
-        fixed_counts = sorted({len(sigma.fixed_points()) for sigma in sigma_family.values()})
-        checks.append(
-            CheckReport(
-                name="sigma-family",
-                passed=orders == [3] and fixed_counts == [1],
-                asserted=asserted,
-                details={"base": args.base, "orders": orders, "fixed_point_counts": fixed_counts},
-            )
-        )
-        checks.append(verify_inverse_law(sigma_family, asserted=asserted))
-        checks.append(verify_involution_property(sigma_family, asserted=asserted))
-        # one line per permutation: the image array of sigma_u at index u
-        results["sigma_images"] = [
-            " ".join(map(str, sigma_family[u].images)) for u in range(g.nu)
-        ]
-    return _emit(args, "sigma", checks, results, graph=g, started=started)
-
-
-def _cmd_group(args) -> int:
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
-    checks: list[CheckReport] = []
-    results: dict = {}
-    context = _family_context(g, checks)
-    if context is not None:
-        params, family = context
-        asserted = family.n >= 3 and family.lam == 2
-        try:
-            sigma_family = canonical_sigma_family(g, family, z=args.base)
-            report = generate_gamma(sigma_family, family, cap=args.cap)
-        except (SigmaConstructionError, LocalStatsError, GraphError, ClosureCapError) as exc:
-            checks.append(
-                CheckReport(
-                    name="gamma-closure",
-                    passed=False,
-                    asserted=asserted,
-                    details={},
-                    witness={"error_type": type(exc).__name__, "error": str(exc)},
-                )
-            )
-            return _emit(args, "group", checks, results, graph=g, started=started)
-        base = family.n * family.n + 3 * family.n - family.lam
-        results.update(
-            {
-                "order": report.order,
-                "abelian": report.abelian,
-                "transitive": report.transitive,
-                "orbit_sizes": list(report.orbit_sizes),
-                "element_order_histogram": {
-                    str(order): count for order, count in sorted(report.element_order_histogram.items())
-                },
-                "fixed_point_histogram": {
-                    str(count): freq for count, freq in sorted(report.fixed_point_histogram.items())
-                },
-                "order_power_of_two": report.order_power_of_two,
-                "sqrt_nu": base,
-                "sqrt_nu_power_of_two": base > 0 and base & (base - 1) == 0,
-            }
-        )
-        checks.append(
-            CheckReport(
-                name="gamma-properties",
-                passed=report.abelian and report.transitive,
-                asserted=asserted,
-                details={"order": report.order},
-            )
-        )
-        checks.append(
-            CheckReport(
-                name="fixed-point-bound",
-                passed=report.bound_satisfied,
-                asserted=True,  # the spectral bound holds for any nontrivial automorphism
-                details={
-                    "bound": report.bound,
-                    "max_nonidentity_fixed_points": report.max_nonidentity_fixed_points,
-                },
-            )
-        )
-    return _emit(args, "group", checks, results, graph=g, started=started)
-
-
-def _cmd_related(args) -> int:
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
-    checks: list[CheckReport] = []
-    results: dict = {}
-    context = _family_context(g, checks)
-    if context is not None:
-        _, family = context
-        asserted = family.n >= 3 and family.lam == 2
-        kinds = {"clique": 0, "independent-with-M0": 0}
-        sets = set()
-        witness = None
-        for x in range(g.nu):
-            for y in range(x + 1, g.nu):
-                try:
-                    result = related_set(g, family, x, y)
-                except RelatedSetError as exc:
-                    witness = {"pair": [x, y], "error": str(exc)}
-                    break
-                if result.members not in sets:
-                    sets.add(result.members)
-                    kinds[result.kind] += 1
-            if witness:
-                break
-        checks.append(
-            CheckReport(
-                name="related-partition",
-                passed=witness is None,
-                asserted=asserted,
-                details={"sets": len(sets), "by_kind": kinds},
-                witness=witness,
-            )
-        )
-        results["related_sets"] = len(sets)
-        results["by_kind"] = kinds
-    return _emit(args, "related", checks, results, graph=g, started=started)
-
-
-def _cmd_graph_to_pq(args) -> int:
-    g = _load_graph(args.graph)
+def _check_eq_pq(args, g: Graph, family: FamilyInfo):
     try:
-        incidence = graph_to_pq(g)
-    except (GeometryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sys.stdout.write(format_incidence(incidence))
-    return 0
+        report = verify_eq_pq(g, family)
+    except LocalStatsError as exc:
+        return [_not_applicable("eq-pq", str(exc))], {}
+    return [report], {"triples_checked": report.details.get("triples_checked")}
 
 
-def _cmd_pq_axioms(args) -> int:
-    started = time.perf_counter()
-    incidence = parse_incidence(_read_text(args.incidence_file))
+def _check_star(args, g: Graph, family: FamilyInfo):
+    failures = {"inv-formula": [], "star-identity": []}
+    try:
+        for u in range(g.nu):
+            for report in (verify_inv_formula(g, family, u), verify_star(g, family, u)):
+                if not report.passed:
+                    failures[report.name].append({"u": u, "witness": report.witness})
+    except LocalStatsError as exc:
+        return [_not_applicable("star-identity", str(exc))], {}
+    checks = [
+        CheckReport(
+            name=name,
+            passed=not found,
+            asserted=family.in_resolvent_regime,
+            details={"vertices_checked": g.nu, "failures": len(found)},
+            witness=found[0] if found else None,
+        )
+        for name, found in failures.items()
+    ]
+    return checks, {"vertices_checked": g.nu}
+
+
+SIGMA_ERRORS = (SigmaConstructionError, LocalStatsError, GraphError)
+GAMMA_RESULTS = ("order", "abelian", "transitive", "orbit_sizes", "element_order_histogram",
+                 "fixed_point_histogram", "order_power_of_two")
+
+
+def _sigma(args, g: Graph, family: FamilyInfo):
+    asserted = family.in_triple_regime
+    try:
+        sigma_family = canonical_sigma_family(g, family, z=args.base)
+    except SIGMA_ERRORS as exc:
+        return [_error_check("sigma-family", asserted, {"base": args.base}, exc)], {}
+    orders = sorted({sigma.order() for sigma in sigma_family.values()})
+    fixed_counts = sorted({len(sigma.fixed_points()) for sigma in sigma_family.values()})
+    checks = [
+        CheckReport(
+            name="sigma-family",
+            passed=orders == [3] and fixed_counts == [1],
+            asserted=asserted,
+            details={"base": args.base, "orders": orders, "fixed_point_counts": fixed_counts},
+        ),
+        verify_inverse_law(sigma_family, asserted=asserted),
+        verify_involution_property(sigma_family, asserted=asserted),
+    ]
+    # one line per permutation: the image array of sigma_u at index u
+    images = [" ".join(map(str, sigma_family[u].images)) for u in range(g.nu)]
+    return checks, {"sigma_images": images}
+
+
+def _group(args, g: Graph, family: FamilyInfo):
+    asserted = family.in_triple_regime
+    try:
+        sigma_family = canonical_sigma_family(g, family, z=args.base)
+        report = generate_gamma(sigma_family, family, cap=args.cap)
+    except SIGMA_ERRORS + (ClosureCapError,) as exc:
+        return [_error_check("gamma-closure", asserted, {}, exc)], {}
+    results = {name: getattr(report, name) for name in GAMMA_RESULTS}
+    base = family.n * family.n + 3 * family.n - family.lam
+    results["sqrt_nu"] = base
+    results["sqrt_nu_power_of_two"] = base > 0 and base & (base - 1) == 0
+    checks = [
+        CheckReport(
+            name="gamma-properties",
+            passed=report.abelian and report.transitive,
+            asserted=asserted,
+            details={"order": report.order},
+        ),
+        CheckReport(
+            name="fixed-point-bound",
+            passed=report.bound_satisfied,
+            asserted=True,  # the spectral bound holds for any nontrivial automorphism
+            details={
+                "bound": report.bound,
+                "max_nonidentity_fixed_points": report.max_nonidentity_fixed_points,
+            },
+        ),
+    ]
+    return checks, results
+
+
+def _related(args, g: Graph, family: FamilyInfo):
+    kinds = {"clique": 0, "independent-with-M0": 0}
+    sets = set()
+    witness = None
+    for x, y in combinations(range(g.nu), 2):
+        try:
+            result = related_set(g, family, x, y)
+        except RelatedSetError as exc:
+            witness = {"pair": [x, y], "error": str(exc)}
+            break
+        if result.members not in sets:
+            sets.add(result.members)
+            kinds[result.kind] += 1
+    check = CheckReport(
+        name="related-partition",
+        passed=witness is None,
+        asserted=family.in_triple_regime,
+        details={"sets": len(sets), "by_kind": kinds},
+        witness=witness,
+    )
+    return [check], {"related_sets": len(sets), "by_kind": kinds}
+
+
+def _pq_axioms(args, incidence, _family):
     report = verify_pq_axioms(incidence)
     results = {
         "points": incidence.num_points,
@@ -728,11 +495,10 @@ def _cmd_pq_axioms(args) -> int:
         details={} if report.ok else {"violated_axiom": report.violated_axiom},
         witness=report.witness,
     )
-    return _emit(args, "pq-axioms", [check], results, started=started)
+    return [check], results
 
 
-def _cmd_diophantine(args) -> int:
-    started = time.perf_counter()
+def _diophantine(args, _input, _family):
     solutions = solve_diophantine_17(args.max)
     expected = [pair for pair in DIOPHANTINE_REFERENCE if pair[0] <= args.max]
     check = CheckReport(
@@ -742,11 +508,10 @@ def _cmd_diophantine(args) -> int:
         details={"n_max": args.max, "solutions": solutions},
         witness=None if solutions == expected else {"solutions": solutions, "expected": expected},
     )
-    return _emit(args, "diophantine", [check], {"solutions": solutions}, started=started)
+    return [check], {"solutions": solutions}
 
 
-def _cmd_certificate(args) -> int:
-    started = time.perf_counter()
+def _certificate(args, _input, _family):
     system = pq_3_35_20_certificate()
     results = {
         "unknowns": list(system.unknowns),
@@ -765,7 +530,6 @@ def _cmd_certificate(args) -> int:
             name="back-substitution",
             passed=system.substitution_is_identical(),
             asserted=True,
-            details={},
         ),
         CheckReport(
             name="nonexistence-certificate",
@@ -774,7 +538,110 @@ def _cmd_certificate(args) -> int:
             details={"conclusion": "no diamond-free SRG(676, 108, 2, 20), no PQ(3, 35, 20)"},
         ),
     ]
-    return _emit(args, "certificate-pq-3-35-20", checks, results, started=started)
+    return checks, results
+
+
+# Input kinds: what the driver loads before the analysis runs.  FAMILY is a
+# graph that must also pass the diamond-free family-member preconditions.
+GRAPH, FAMILY, INCIDENCE = "graph", "family", "incidence"
+
+# Integer options: flag -> (default, help).  Any other argument name in the
+# table is a required positional integer.
+OPTIONS = {
+    "--vertex": (None, "restrict to one base vertex"),
+    "--base": (0, "normalization base vertex"),
+    "--cap": (1 << 16, "closure element cap"),
+    "--max": (10**6, "largest n searched"),
+}
+
+# (name, analysis, input kind or None, help, integer arguments)
+ANALYSES = (
+    ("feasibility", _feasibility, None, "spectrum/family/bound calculus for SRG parameters",
+     ("nu", "k", "lam", "mu")),
+    ("pq-params", _pq_params, None, "collinearity parameters of a partial quadrangle",
+     ("s", "t", "mu")),
+    ("check-srg", _check_srg, GRAPH, "strong regularity with parameters", ()),
+    ("check-diamond-free", _check_diamond_free, GRAPH, "diamond-freeness with witness", ()),
+    ("check-con", _check_con, FAMILY, "the non-neighbor condition m_0 >= 1", ()),
+    ("check-eq-pq", _check_eq_pq, FAMILY, "the p/q identity over all triples", ()),
+    ("check-star", _check_star, FAMILY, "the exact resolvent and rank identities", ()),
+    ("related", _related, FAMILY, "the partition into related 4-sets", ()),
+    ("local-stats", _local_stats, FAMILY, "m-spectrum distributions over non-adjacent pairs",
+     ("--vertex",)),
+    ("sigma", _sigma, FAMILY, "build and verify the canonical automorphism family", ("--base",)),
+    ("group", _group, FAMILY, "generate and analyze the quotient group closure", ("--base", "--cap")),
+    ("pq-axioms", _pq_axioms, INCIDENCE,
+     "verify the partial-quadrangle axioms of an incidence file", ()),
+    ("diophantine", _diophantine, None, "solve (2n+3)^2 = 2^(t+2) + 17 by exhaustion", ("--max",)),
+    ("certificate-pq-3-35-20", _certificate, None, "the exact nonexistence certificate", ()),
+)
+
+
+def _analyze(args) -> int:
+    """Run one JSON subcommand: load and check its input, analyze, emit the report."""
+    started = time.perf_counter()
+    source = None
+    if args.kind == INCIDENCE:
+        source = parse_incidence(_read_text(args.incidence_file))
+    elif args.kind is not None:
+        source = _load_graph(args.graph)
+        for vertex in (getattr(args, "vertex", None), getattr(args, "base", None)):
+            if vertex is not None:
+                source.check_vertex(vertex)  # an out-of-range vertex is a usage error
+    checks: list[CheckReport] = []
+    results: dict = {}
+    family = None
+    if args.kind == FAMILY:
+        precondition, family = _family_context(source)
+        checks.append(precondition)
+    if args.kind != FAMILY or family is not None:
+        found, results = args.analysis(args, source, family)
+        checks.extend(found)
+
+    document = {"command": args._argv, "results": _jsonable(results)}
+    if isinstance(source, Graph):
+        document["input"] = {
+            "vertices": source.nu,
+            "edges": source.edge_count,
+            "sha256": hashlib.sha256(serialize_graph6(source).encode()).hexdigest(),
+        }
+    document["checks"] = [
+        {
+            "name": report.name,
+            "severity": report.severity,
+            "passed": report.passed,
+            "details": _jsonable(report.details),
+            "witness": _jsonable(report.witness),
+        }
+        for report in checks
+    ]
+    if args.timing:
+        document["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+    print(json.dumps(document, indent=2, sort_keys=True))
+    return 1 if any(report.severity == ASSERTED_FAIL for report in checks) else 0
+
+
+BUILDERS = {"rook4": build_rook4, "shrikhande": build_shrikhande, "gq35": build_gq35}
+
+
+def _build(args) -> int:
+    print(serialize_graph6(BUILDERS[args.name]()))
+    return 0
+
+
+def _graph_to_pq(args) -> int:
+    g = _load_graph(args.graph)
+    try:
+        incidence = graph_to_pq(g)
+    except (GeometryError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write(format_incidence(incidence))
+    return 0
+
+
+def _add_graph_argument(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("graph", nargs="?", default="-", help="graph6 file, or - for stdin")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -785,68 +652,40 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help_text):
+    sub = subparsers.add_parser("build", help="emit a built-in witness graph as graph6")
+    sub.add_argument("name", choices=list(BUILDERS))
+    sub.set_defaults(handler=_build)
+    sub = subparsers.add_parser(
+        "graph-to-pq", help="emit the incidence structure of a diamond-free SRG")
+    _add_graph_argument(sub)
+    sub.set_defaults(handler=_graph_to_pq)
+
+    for name, analysis, kind, help_text, arguments in ANALYSES:
         sub = subparsers.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
-        return sub
-
-    sub = add("feasibility", _cmd_feasibility, "spectrum/family/bound calculus for SRG parameters")
-    for field in ("nu", "k", "lam", "mu"):
-        sub.add_argument(field, type=int)
-
-    sub = add("pq-params", _cmd_pq_params, "collinearity parameters of a partial quadrangle")
-    for field in ("s", "t", "mu"):
-        sub.add_argument(field, type=int)
-
-    sub = add("build", _cmd_build, "emit a built-in witness graph as graph6")
-    sub.add_argument("name", choices=["rook4", "shrikhande", "gq35"])
-
-    for name, handler, help_text in [
-        ("check-srg", _cmd_check_srg, "strong regularity with parameters"),
-        ("check-diamond-free", _cmd_check_diamond_free, "diamond-freeness with witness"),
-        ("check-con", _cmd_check_con, "the non-neighbor condition m_0 >= 1"),
-        ("check-eq-pq", _cmd_check_eq_pq, "the p/q identity over all triples"),
-        ("check-star", _cmd_check_star, "the exact resolvent and rank identities"),
-        ("related", _cmd_related, "the partition into related 4-sets"),
-        ("graph-to-pq", _cmd_graph_to_pq, "emit the incidence structure of a diamond-free SRG"),
-    ]:
-        sub = add(name, handler, help_text)
-        sub.add_argument("graph", nargs="?", default="-", help="graph6 file, or - for stdin")
-
-    sub = add("local-stats", _cmd_local_stats, "m-spectrum distributions over non-adjacent pairs")
-    sub.add_argument("graph", nargs="?", default="-")
-    sub.add_argument("--vertex", type=int, default=None, help="restrict to one base vertex")
-
-    sub = add("sigma", _cmd_sigma, "build and verify the canonical automorphism family")
-    sub.add_argument("graph", nargs="?", default="-")
-    sub.add_argument("--base", type=int, default=0, help="normalization base vertex")
-
-    sub = add("group", _cmd_group, "generate and analyze the quotient group closure")
-    sub.add_argument("graph", nargs="?", default="-")
-    sub.add_argument("--base", type=int, default=0)
-    sub.add_argument("--cap", type=int, default=1 << 16, help="closure element cap")
-
-    sub = add("pq-axioms", _cmd_pq_axioms, "verify the partial-quadrangle axioms of an incidence file")
-    sub.add_argument("incidence_file")
-
-    sub = add("diophantine", _cmd_diophantine, "solve (2n+3)^2 = 2^(t+2) + 17 by exhaustion")
-    sub.add_argument("--max", type=int, default=DEFAULT_DIOPHANTINE_MAX)
-
-    add("certificate-pq-3-35-20", _cmd_certificate, "the exact nonexistence certificate")
+        if kind == INCIDENCE:
+            sub.add_argument("incidence_file")
+        elif kind is not None:
+            _add_graph_argument(sub)
+        for argument in arguments:
+            if argument in OPTIONS:
+                default, option_help = OPTIONS[argument]
+                sub.add_argument(argument, type=int, default=default, help=option_help)
+            else:
+                sub.add_argument(argument, type=int)
+        sub.set_defaults(handler=_analyze, analysis=analysis, kind=kind)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     args._argv = list(argv) if argv is not None else list(sys.argv[1:])
     try:
         return args.handler(args)
-    except (Graph6Error, GeometryError, ParameterError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # Graph6Error, GeometryError, ParameterError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,16 +99,6 @@ def _require_positive_slope(fam: FamilyInfo) -> int:
     return slope
 
 
-def _resolvent_hypotheses_met(fam: FamilyInfo) -> bool:
-    # the p/q and block-matrix identities are derived for g = k and lam <= n-1
-    return fam.n >= 1 and fam.lam <= fam.n - 1
-
-
-def _triple_machinery_asserted(fam: FamilyInfo) -> bool:
-    # independent-triple regularity claims are proved for lam = 2 members with n >= 3
-    return fam.n >= 3 and fam.lam == 2
-
-
 def pair_stats(g: Graph, u: int, v: int, w: int) -> PairStats:
     """Exact p and q for vertices v, w outside the closed neighborhood of u.
 
@@ -167,14 +157,14 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
                     return CheckReport(
                         name="eq-pq",
                         passed=False,
-                        asserted=_resolvent_hypotheses_met(fam),
+                        asserted=fam.in_resolvent_regime,
                         details={"triples_checked": triples},
                         witness=witness,
                     )
     return CheckReport(
         name="eq-pq",
         passed=True,
-        asserted=_resolvent_hypotheses_met(fam),
+        asserted=fam.in_resolvent_regime,
         details={
             "triples_checked": triples,
             "adjacent_target": adjacent_target,
@@ -412,7 +402,7 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     return CheckReport(
         name="psi-regularity",
         passed=violations == 0,
-        asserted=_triple_machinery_asserted(fam),
+        asserted=fam.in_triple_regime,
         details={
             "base_vertex": u,
             "r_distribution": {str(r): c for r, c in sorted(r_distribution.items())},
@@ -501,7 +491,7 @@ def verify_inv_formula(
     return CheckReport(
         name="inv-formula",
         passed=witness is None,
-        asserted=_resolvent_hypotheses_met(fam),
+        asserted=fam.in_resolvent_regime,
         details={"dimension": size, "scalar": scalar, "degenerate": scalar == 0},
         witness=witness,
     )
@@ -543,7 +533,7 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     return CheckReport(
         name="star-identity",
         passed=witness is None,
-        asserted=_resolvent_hypotheses_met(fam),
+        asserted=fam.in_resolvent_regime,
         details={
             "base_vertex": u,
             "outside_block": len(outside),

@@ -133,6 +133,16 @@ class FamilyInfo:
     def srg_params(self) -> SrgParams:
         return SrgParams(*family_parameter_tuple(self.n, self.lam))
 
+    @property
+    def in_triple_regime(self) -> bool:
+        """The independent-triple, sigma-family and Gamma claims are proved here: lam = 2, n >= 3."""
+        return self.n >= 3 and self.lam == 2
+
+    @property
+    def in_resolvent_regime(self) -> bool:
+        """The p/q and block-matrix identities are derived here: g = k and lam <= n - 1."""
+        return self.n >= 1 and self.lam <= self.n - 1
+
 
 @dataclass(frozen=True)
 class FixedPointBound:

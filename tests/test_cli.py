@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srgpq.cli import Graph6Error, parse_graph6, run, serialize_graph6
-from srgpq.geometry import build_gq35, build_rook4
+from srgpq.geometry import build_gq35, build_rook4, build_shrikhande
 from srgpq.graphcore import Graph
 
 
@@ -126,8 +126,6 @@ def test_check_srg_failure_exit_code(capsys, tmp_path):
 def test_check_diamond_free_command(capsys, tmp_path):
     code, report, _ = _run_json(capsys, ["check-diamond-free", _graph_file(tmp_path, build_rook4())])
     assert code == 0 and report["results"]["diamond_free"] is True
-    from srgpq.geometry import build_shrikhande
-
     code, report, _ = _run_json(
         capsys, ["check-diamond-free", _graph_file(tmp_path, build_shrikhande())]
     )
@@ -276,6 +274,26 @@ def test_usage_errors_return_2(capsys, tmp_path):
     bad.write_text("not graph6 at all\x01\n")
     code, out, err = _run(capsys, ["check-srg", str(bad)])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("builder", [build_gq35, build_shrikhande])
+@pytest.mark.parametrize(
+    "command, option, vertex",
+    [
+        ("sigma", "--base", "999"),
+        ("sigma", "--base", "-1"),
+        ("group", "--base", "999"),
+        ("group", "--base", "-1"),
+        ("local-stats", "--vertex", "999"),
+        ("local-stats", "--vertex", "-1"),
+    ],
+)
+def test_out_of_range_vertex_is_a_usage_error(capsys, tmp_path, builder, command, option, vertex):
+    # checked before the preconditions, so a non-member (Shrikhande) exits 2 as well
+    path = _graph_file(tmp_path, builder())
+    code, out, err = _run(capsys, [command, path, option, vertex])
+    assert code == 2 and out == ""
+    assert f"vertex {vertex} out of range" in err
 
 
 def test_reports_are_deterministic(capsys, tmp_path):

@@ -119,6 +119,23 @@ def test_family_reconstruction_round_trip_examples():
         assert detect_family(info.srg_params()) == info
 
 
+@pytest.mark.parametrize(
+    "n, lam, triple, resolvent",
+    [
+        (-2, 2, False, False),
+        (2, 2, False, False),
+        (3, 2, True, True),
+        (4, 2, True, True),
+        (4, 1, False, True),
+        (3, 3, False, False),
+    ],
+)
+def test_family_regimes(n, lam, triple, resolvent):
+    info = FamilyInfo.from_n_lam(n, lam)
+    assert info.in_triple_regime is triple
+    assert info.in_resolvent_regime is resolvent
+
+
 def test_pq_to_srg_examples():
     assert pq_to_srg(PqParams(3, 35, 20)) == SrgParams(676, 108, 2, 20)
     assert pq_to_srg(PqParams(3, 5, 6)) == SrgParams(64, 18, 2, 6)
