@@ -17,7 +17,7 @@ from math import lcm
 from typing import Optional
 
 from srgpq.graphcore import Graph, bits, phi_partition
-from srgpq.localstats import _m0_set, matched_pairs, psi_partition
+from srgpq.localstats import _m0_mask, matched_pairs, psi_partition
 from srgpq.params import FamilyInfo, fixed_point_bound
 from srgpq.reports import CheckReport
 
@@ -141,13 +141,14 @@ def automorphism_witness(g: Graph, perm: Permutation) -> Optional[tuple[int, int
     """First pair whose adjacency is not preserved, or None."""
     if len(perm) != g.nu:
         raise ValueError("permutation length does not match the graph")
-    for x in range(g.nu):
+    rows, images = g.rows, perm.images
+    for x, row in enumerate(rows):
         image_row = 0
-        for y in bits(g.row(x)):
-            image_row |= 1 << perm(y)
-        if image_row != g.row(perm(x)):
-            difference = image_row ^ g.row(perm(x))
-            return (perm(x), next(bits(difference)))
+        for y in bits(row):
+            image_row |= 1 << images[y]
+        if image_row != rows[images[x]]:
+            difference = image_row ^ rows[images[x]]
+            return (images[x], next(bits(difference)))
     return None
 
 
@@ -312,10 +313,10 @@ def _related_members(g: Graph, x: int, y: int) -> tuple[int, int, int, int]:
                 f"common neighbors {a}, {b} of edge ({x}, {y}) are not adjacent"
             )
         return tuple(sorted((x, y, a, b)))
-    m0 = _m0_set(g, x, y)
-    if len(m0) != 2:
-        raise RelatedSetError(f"M_0({x}, {y}) has size {len(m0)}, need 2")
-    return tuple(sorted((x, y) + m0))
+    m0 = _m0_mask(g, x, y)
+    if m0.bit_count() != 2:
+        raise RelatedSetError(f"M_0({x}, {y}) has size {m0.bit_count()}, need 2")
+    return tuple(bits(m0 | (1 << x) | (1 << y)))
 
 
 def verify_involution_property(

@@ -42,7 +42,7 @@ from srgpq.geometry import (
     parse_incidence,
     verify_pq_axioms,
 )
-from srgpq.graphcore import Graph, GraphError, is_diamond_free, is_srg_report
+from srgpq.graphcore import Graph, GraphError, bits, is_diamond_free, is_srg_report
 from srgpq.localstats import (
     LocalStatsError,
     check_condition_con,
@@ -144,20 +144,23 @@ def parse_graph6(text: str) -> Graph:
     return Graph(rows)
 
 
+def _size_prefix(nu: int) -> list[int]:
+    """The shortest graph6 vertex-count prefix for nu, as 6-bit values."""
+    if nu <= 62:
+        return [nu]
+    if nu <= 258047:
+        return [63, nu >> 12 & 63, nu >> 6 & 63, nu & 63]
+    return [63, 63] + [nu >> shift & 63 for shift in (30, 24, 18, 12, 6, 0)]
+
+
 def serialize_graph6(g: Graph) -> str:
     """Canonical graph6 encoding of a graph (no header)."""
     nu = g.nu
-    if nu <= 62:
-        prefix = [nu]
-    elif nu <= 258047:
-        prefix = [63, nu >> 12 & 63, nu >> 6 & 63, nu & 63]
-    else:
-        prefix = [63, 63] + [nu >> shift & 63 for shift in (30, 24, 18, 12, 6, 0)]
+    prefix = _size_prefix(nu)
     chunks = []
     accumulator = 0
     filled = 0
-    for j in range(1, nu):
-        row_j = g.row(j)
+    for j, row_j in enumerate(g.rows[1:], start=1):
         for i in range(j):
             accumulator = accumulator << 1 | (row_j >> i & 1)
             filled += 1
@@ -189,12 +192,27 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load_graph(path: str) -> Graph:
+def _graph6_line(path: str) -> str:
+    """The first line of the input that is neither blank nor a comment, stripped."""
     for line in _read_text(path).splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            return parse_graph6(stripped)
+            return stripped
     raise Graph6Error("no graph6 line found in input", 0)
+
+
+def _canonical_sha256(g: Graph, line: str) -> str:
+    """SHA-256 of the canonical graph6 encoding of g, parsed from line.
+
+    A line without header whose size prefix is the shortest one for its
+    vertex count is that encoding already: parse_graph6 accepted every data
+    character and checked the padding bits are zero.  Any other line is
+    re-encoded.
+    """
+    canonical_length = len(_size_prefix(g.nu)) + (g.nu * (g.nu - 1) // 2 + 5) // 6
+    if line.startswith(GRAPH6_HEADER) or len(line) != canonical_length:
+        line = serialize_graph6(g)
+    return hashlib.sha256(line.encode()).hexdigest()
 
 
 def _spectrum_results(params: SrgParams) -> dict:
@@ -336,7 +354,8 @@ def _local_stats(args, g: Graph, family: FamilyInfo):
     if family.n <= 0 or family.lam > family.n:
         return [_not_applicable("m-spectrum", "needs n > 0 and lam <= n", n=family.n)], {}
     vertices = [args.vertex] if args.vertex is not None else range(g.nu)
-    pairs = ((u, v) for u in vertices for v in range(g.nu) if v != u and not g.adjacent(u, v))
+    rows, full = g.rows, (1 << g.nu) - 1
+    pairs = ((u, v) for u in vertices for v in bits(full & ~(rows[u] | 1 << u)))
     histogram: dict[tuple[int, ...], int] = {}
     failure = None
     for u, v in pairs:
@@ -584,7 +603,8 @@ def _analyze(args) -> int:
     if args.kind == INCIDENCE:
         source = parse_incidence(_read_text(args.incidence_file))
     elif args.kind is not None:
-        source = _load_graph(args.graph)
+        line = _graph6_line(args.graph)
+        source = parse_graph6(line)
         for vertex in (getattr(args, "vertex", None), getattr(args, "base", None)):
             if vertex is not None:
                 source.check_vertex(vertex)  # an out-of-range vertex is a usage error
@@ -603,7 +623,7 @@ def _analyze(args) -> int:
         document["input"] = {
             "vertices": source.nu,
             "edges": source.edge_count,
-            "sha256": hashlib.sha256(serialize_graph6(source).encode()).hexdigest(),
+            "sha256": _canonical_sha256(source, line),
         }
     document["checks"] = [
         {
@@ -630,7 +650,7 @@ def _build(args) -> int:
 
 
 def _graph_to_pq(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph6(_graph6_line(args.graph))
     try:
         incidence = graph_to_pq(g)
     except (GeometryError, ValueError) as exc:

@@ -66,7 +66,14 @@ class Graph:
             rows[v] |= 1 << u
         return cls(rows)
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """All adjacency rows, for internal loops over vertices already checked."""
+        return self._rows
+
     def check_vertex(self, v: int) -> None:
+        if not self.nu:
+            raise GraphError(f"vertex {v} requested, but the graph has no vertices")
         if not (0 <= v < self.nu):
             raise GraphError(f"vertex {v} out of range 0..{self.nu - 1}")
 
@@ -161,17 +168,18 @@ def is_srg_report(g: Graph) -> tuple[Optional[SrgParams], Optional[dict]]:
     """(params, None) when g is a nontrivial SRG, else (None, witness dict)."""
     if g.nu < 4:
         return None, {"reason": "too-few-vertices", "nu": g.nu}
-    k = g.degree(0)
+    rows = g.rows
+    k = rows[0].bit_count()
     for v in range(1, g.nu):
-        d = g.degree(v)
+        d = rows[v].bit_count()
         if d != k:
             return None, {"reason": "not-regular", "vertex": v, "degree": d, "expected": k}
     lam: Optional[int] = None
     mu: Optional[int] = None
     for u in range(g.nu):
-        row_u = g.row(u)
+        row_u = rows[u]
         for v in range(u + 1, g.nu):
-            count = (row_u & g.row(v)).bit_count()
+            count = (row_u & rows[v]).bit_count()
             if row_u >> v & 1:
                 if lam is None:
                     lam = count
@@ -211,14 +219,15 @@ def is_diamond_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]
     Returns (True, None) or (False, witness) where the witness induces a
     diamond (four vertices carrying five edges).
     """
+    rows = g.rows
     for v in range(g.nu):
-        nbhd = g.row(v)
+        nbhd = rows[v]
         for x in bits(nbhd):
-            closed_x = (g.row(x) & nbhd) | (1 << x)
-            for y in bits(g.row(x) & nbhd):
+            closed_x = (rows[x] & nbhd) | (1 << x)
+            for y in bits(rows[x] & nbhd):
                 if y < x:
                     continue
-                closed_y = (g.row(y) & nbhd) | (1 << y)
+                closed_y = (rows[y] & nbhd) | (1 << y)
                 if closed_x != closed_y:
                     z = next(bits(closed_x ^ closed_y))
                     return False, tuple(sorted((v, x, y, z)))
@@ -232,6 +241,7 @@ def neighborhood_clique_cells(g: Graph, u: int, size: int) -> tuple[tuple[int, .
     naming the offending component otherwise.  Cells come back sorted.
     """
     nbhd = g.row(u)
+    rows = g.rows
     remaining = nbhd
     cells = []
     while remaining:
@@ -241,12 +251,12 @@ def neighborhood_clique_cells(g: Graph, u: int, size: int) -> tuple[tuple[int, .
         while frontier:
             grown = component
             for x in bits(frontier):
-                grown |= g.row(x) & nbhd
+                grown |= rows[x] & nbhd
             frontier = grown & ~component
             component = grown
         members = tuple(bits(component))
         if len(members) != size or any(
-            (g.row(x) & component).bit_count() != size - 1 for x in members
+            (rows[x] & component).bit_count() != size - 1 for x in members
         ):
             raise NeighborhoodStructureError(
                 f"component {members} of the neighborhood of {u} is not a {size}-clique"
@@ -272,11 +282,12 @@ def maximal_cliques_via_edges(g: Graph) -> list[tuple[int, ...]]:
     On a diamond-free SRG these are exactly the maximal cliques; a closure
     that is not a clique witnesses a diamond and raises.
     """
+    rows = g.rows
     cliques: set[tuple[int, ...]] = set()
     for u, v in g.edges():
-        mask = (g.row(u) & g.row(v)) | (1 << u) | (1 << v)
+        mask = (rows[u] & rows[v]) | (1 << u) | (1 << v)
         for x in bits(mask):
-            if (g.row(x) | (1 << x)) & mask != mask:
+            if (rows[x] | (1 << x)) & mask != mask:
                 raise CliqueClosureError(
                     f"closure of edge ({u}, {v}) is not a clique "
                     f"(vertex {x} misses a member); graph is not diamond-free"

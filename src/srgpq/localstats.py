@@ -17,6 +17,7 @@ diagnostically; the identities still hold there, in degenerate form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from srgpq.graphcore import Graph, TriplePartition, bits, neighborhood_clique_cells
@@ -111,16 +112,17 @@ def pair_stats(g: Graph, u: int, v: int, w: int) -> PairStats:
     for x in (v, w):
         if x == u or g.adjacent(u, x):
             raise LocalStatsError(f"vertex {x} is in the closed neighborhood of {u}")
-    row_u = g.row(u)
-    a_mask = row_u & g.row(v)
-    b_mask = row_u & g.row(w)
+    rows = g.rows
+    row_u = rows[u]
+    a_mask = row_u & rows[v]
+    b_mask = row_u & rows[w]
     p = (a_mask & b_mask).bit_count()
     q = 0
     for x in bits(a_mask):
-        q += (g.row(x) & b_mask).bit_count()
+        q += (rows[x] & b_mask).bit_count()
     # unordered correction: pairs with both endpoints in the intersection were counted twice
     both = a_mask & b_mask
-    overlap_edges = sum((g.row(x) & both).bit_count() for x in bits(both)) // 2
+    overlap_edges = sum((rows[x] & both).bit_count() for x in bits(both)) // 2
     q -= overlap_edges
     return PairStats(u=u, v=v, w=w, p=p, q=q)
 
@@ -137,12 +139,13 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
     triples = 0
     witness = None
     full = (1 << g.nu) - 1
+    rows = g.rows
     for u in range(g.nu):
-        outside = tuple(bits(full & ~(g.row(u) | (1 << u))))
+        outside = tuple(bits(full & ~(rows[u] | (1 << u))))
         for i, v in enumerate(outside):
             for w in outside[i + 1 :]:
                 stats = pair_stats(g, u, v, w)
-                expected = adjacent_target if g.adjacent(v, w) else mu
+                expected = adjacent_target if rows[v] >> w & 1 else mu
                 triples += 1
                 if slope * stats.p + stats.q != expected:
                     witness = {
@@ -173,13 +176,19 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
     )
 
 
-def _m0_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
-    """Vertices outside N[u] u N[v] adjacent to no common neighbor of u and v."""
-    row_u = g.row(u)
-    common = row_u & g.row(v)
-    full = (1 << g.nu) - 1
-    outside = full & ~(row_u | g.row(v) | (1 << u) | (1 << v))
-    return tuple(x for x in bits(outside) if g.row(x) & common == 0)
+def _m0_mask(g: Graph, u: int, v: int) -> int:
+    """M_0(u, v) as a bitset: the vertices outside N[u] u N[v] adjacent to no common neighbor.
+
+    The complement of the union of the closed neighborhoods and the rows of
+    the common neighbors: one OR per common neighbor, no per-vertex test.
+    u and v must be vertices of g; callers check them at their own boundary.
+    """
+    rows = g.rows
+    row_u, row_v = rows[u], rows[v]
+    covered = row_u | row_v | (1 << u) | (1 << v)
+    for c in bits(row_u & row_v):
+        covered |= rows[c]
+    return ((1 << g.nu) - 1) & ~covered
 
 
 def m_spectrum(g: Graph, fam: FamilyInfo, u: int, v: int) -> MSpectrum:
@@ -194,23 +203,38 @@ def m_spectrum(g: Graph, fam: FamilyInfo, u: int, v: int) -> MSpectrum:
     slope = _require_positive_slope(fam)
     mu = fam.n * (fam.n + 1)
     t_cap = mu // slope
-    row_u = g.row(u)
-    common = row_u & g.row(v)
-    full = (1 << g.nu) - 1
-    outside = full & ~(row_u | g.row(v) | (1 << u) | (1 << v))
-    counts = [0] * (t_cap + 1)
-    m0 = []
-    for x in bits(outside):
-        p = (common & g.row(x)).bit_count()
-        if p > t_cap:
-            raise PairBoundError(
-                f"p_u(v, x) = {p} exceeds the cap {t_cap} at (u, v, x) = ({u}, {v}, {x})"
-            )
-        counts[p] += 1
-        if p == 0:
-            m0.append(x)
+    rows = g.rows
+    row_u, row_v = rows[u], rows[v]
+    common = row_u & row_v
+    outside = ((1 << g.nu) - 1) & ~(row_u | row_v | (1 << u) | (1 << v))
+    # Bit-sliced counter: planes[b] holds bit b of p_u(v, x) = |N(x) & common|
+    # for every outside x at once.  Each common neighbor's row is added with a
+    # ripple carry; enough planes hold |common|, so no carry is ever lost.
+    planes = [0] * common.bit_count().bit_length()
+    for c in bits(common):
+        carry = rows[c] & outside
+        for b, plane in enumerate(planes):
+            planes[b] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+    equals = []  # equals[i]: the outside vertices with p_u(v, x) = i
+    uncounted = outside
+    for i in range(t_cap + 1):
+        equal = 0 if i >> len(planes) else outside
+        for b, plane in enumerate(planes):
+            equal &= plane if i >> b & 1 else ~plane
+        equals.append(equal)
+        uncounted ^= equal
+    if uncounted:
+        x = (uncounted & -uncounted).bit_length() - 1
+        p = (common & rows[x]).bit_count()
+        raise PairBoundError(
+            f"p_u(v, x) = {p} exceeds the cap {t_cap} at (u, v, x) = ({u}, {v}, {x})"
+        )
+    counts = tuple(equal.bit_count() for equal in equals)
 
-    nu, k, lam = g.nu, g.degree(u), fam.lam
+    nu, k, lam = g.nu, row_u.bit_count(), fam.lam
     checks = [
         (sum(counts), nu - 2 * k + mu - 2, "sum m_i"),
         (sum(i * c for i, c in enumerate(counts)), mu * (k - 2 * lam - 2), "sum i m_i"),
@@ -225,7 +249,7 @@ def m_spectrum(g: Graph, fam: FamilyInfo, u: int, v: int) -> MSpectrum:
             raise MomentIdentityError(
                 f"{label} = {got}, expected {want} at pair ({u}, {v})"
             )
-    return MSpectrum(u=u, v=v, counts=tuple(counts), m0_witnesses=tuple(m0))
+    return MSpectrum(u=u, v=v, counts=counts, m0_witnesses=tuple(bits(equals[0])))
 
 
 def predicted_m_spectrum(fam: FamilyInfo) -> dict[int, int]:
@@ -249,13 +273,12 @@ def check_condition_con(g: Graph, fam: FamilyInfo) -> CheckReport:
     m0_max: Optional[int] = None
     witness = None
     pairs = 0
-    for u in range(g.nu):
-        row_u = g.row(u)
-        for v in range(u + 1, g.nu):
-            if row_u >> v & 1:
-                continue
+    full = (1 << g.nu) - 1
+    for u, row_u in enumerate(g.rows):
+        later = full ^ ((2 << u) - 1)
+        for v in bits(later & ~row_u):
             pairs += 1
-            m0 = len(_m0_set(g, u, v))
+            m0 = _m0_mask(g, u, v).bit_count()
             m0_min = m0 if m0_min is None else min(m0_min, m0)
             m0_max = m0 if m0_max is None else max(m0_max, m0)
             if m0 == 0 and witness is None:
@@ -276,39 +299,40 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
     Requires m_0 = 2 with mutual membership; validates disjointness, coverage,
     independence, and pairwise p_u = 0 before returning.
     """
-    full = (1 << g.nu) - 1
-    outside = tuple(bits(full & ~(g.row(u) | (1 << u))))
+    row_u = g.row(u)
+    rows = g.rows
+    outside = ((1 << g.nu) - 1) & ~(row_u | (1 << u))
     cell_of: dict[int, tuple[int, int, int]] = {}
     cells = []
-    for v in outside:
+    for v in bits(outside):
         if v in cell_of:
             continue
-        m0 = _m0_set(g, u, v)
-        if len(m0) != 2:
+        m0 = _m0_mask(g, u, v)
+        if m0.bit_count() != 2:
             raise PartitionError(
-                f"m_0({u}, {v}) = {len(m0)}, need exactly 2 for an independent-triple cell"
+                f"m_0({u}, {v}) = {m0.bit_count()}, need exactly 2 for an independent-triple cell"
             )
-        cell = tuple(sorted((v,) + m0))
+        cell_mask = m0 | (1 << v)
+        cell = tuple(bits(cell_mask))
         for member in cell:
-            other = tuple(sorted(set(cell) - {member}))
-            if tuple(sorted(_m0_set(g, u, member))) != other:
+            if _m0_mask(g, u, member) != cell_mask ^ (1 << member):
+                other = tuple(bits(cell_mask ^ (1 << member)))
                 raise PartitionError(
                     f"not a partition: vertex {member} of cell {cell} has "
                     f"M_0({u}, {member}) != {other}"
                 )
             if member in cell_of:
                 raise PartitionError(f"not a partition: vertex {member} in two cells")
-        for a in cell:
-            for b in cell:
-                if a < b:
-                    if g.adjacent(a, b):
-                        raise PartitionError(f"cell {cell} is not independent at ({a}, {b})")
-                    if pair_stats(g, u, a, b).p != 0:
-                        raise PartitionError(f"cell {cell} has p_u({a}, {b}) != 0")
+        # cells lie outside N[u], so p_u(a, b) is a single three-row popcount
+        for a, b in combinations(cell, 2):
+            if rows[a] >> b & 1:
+                raise PartitionError(f"cell {cell} is not independent at ({a}, {b})")
+            if row_u & rows[a] & rows[b]:
+                raise PartitionError(f"cell {cell} has p_u({a}, {b}) != 0")
         for member in cell:
             cell_of[member] = cell
         cells.append(cell)
-    if len(cell_of) != len(outside):
+    if len(cell_of) != outside.bit_count():
         raise PartitionError("cells do not cover the non-neighborhood")
     return TriplePartition(base_vertex=u, cells=tuple(sorted(cells)), kind="psi")
 
@@ -360,6 +384,9 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     smaller members the outcome is a diagnostic.
     """
     psi = psi_partition(g, fam, u)
+    rows = g.rows
+    row_u = rows[u]
+    masks = [sum(1 << x for x in cell) for cell in psi.cells]
     n = fam.n
     r_distribution: dict[int, int] = {}
     violations = 0
@@ -374,14 +401,9 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     for j1 in range(len(psi.cells)):
         for j2 in range(j1 + 1, len(psi.cells)):
             cell_a, cell_b = psi.cells[j1], psi.cells[j2]
-            mask_b = 0
-            for b in cell_b:
-                mask_b |= 1 << b
-            mask_a = 0
-            for a in cell_a:
-                mask_a |= 1 << a
-            degrees = [(g.row(a) & mask_b).bit_count() for a in cell_a]
-            degrees += [(g.row(b) & mask_a).bit_count() for b in cell_b]
+            mask_a, mask_b = masks[j1], masks[j2]
+            degrees = [(rows[a] & mask_b).bit_count() for a in cell_a]
+            degrees += [(rows[b] & mask_a).bit_count() for b in cell_b]
             if len(set(degrees)) != 1:
                 record("not-regular", {"cells": [cell_a, cell_b], "degrees": degrees})
                 continue
@@ -390,10 +412,12 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
             if r not in (0, 1, 2):
                 record("r-out-of-range", {"cells": [cell_a, cell_b], "r": r})
                 continue
+            # psi cells lie outside N[u]: p_u(a, b) is a three-row popcount
             for a in cell_a:
+                row_ua = row_u & rows[a]
                 for b in cell_b:
-                    p = pair_stats(g, u, a, b).p
-                    expected = max(0, r - 1) if g.adjacent(a, b) else n + r
+                    p = (row_ua & rows[b]).bit_count()
+                    expected = max(0, r - 1) if rows[a] >> b & 1 else n + r
                     if p != expected:
                         record(
                             "p-value-mismatch",
@@ -469,8 +493,9 @@ def verify_inv_formula(
         raise LocalStatsError(f"|N(u)| = {size - 1} is not a multiple of lam+1 = {lam + 1}")
     block = _inverse_block_matrix(n, lam, cliques)
     scalar = n * (n + 1) ** 2 * (n - lam)
+    rows = g.rows  # order is N[u], checked above
     resolvent = [
-        [n * (i == j) - (1 if g.adjacent(order[i], order[j]) else 0) for j in range(size)]
+        [n * (i == j) - (rows[order[i]] >> order[j] & 1) for j in range(size)]
         for i in range(size)
     ]
     witness = None
@@ -511,11 +536,12 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     size = len(order)
     cliques = (size - 1) // (lam + 1)
     full = (1 << g.nu) - 1
-    outside = tuple(bits(full & ~(g.row(u) | (1 << u))))
+    rows = g.rows
+    outside = tuple(bits(full & ~(rows[u] | (1 << u))))
     block = _inverse_block_matrix(n, lam, cliques)
     scalar = n * (n + 1) ** 2 * (n - lam)
 
-    y_rows = [[1 if g.adjacent(v, h) else 0 for h in order] for v in outside]
+    y_rows = [[rows[v] >> h & 1 for h in order] for v in outside]
     yb = [
         [sum(y_row[t] * block[t][j] for t in range(size)) for j in range(size)]
         for y_row in y_rows
@@ -524,7 +550,7 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     for i, v in enumerate(outside):
         for j, w in enumerate(outside):
             rhs = sum(yb[i][t] * y_rows[j][t] for t in range(size))
-            lhs = scalar * ((n if i == j else 0) - (1 if g.adjacent(v, w) else 0))
+            lhs = scalar * ((n if i == j else 0) - (rows[v] >> w & 1))
             if lhs != rhs:
                 witness = {"entry": [v, w], "lhs": lhs, "rhs": rhs}
                 break

@@ -3,6 +3,7 @@ exit codes, and report determinism."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import networkx as nx
@@ -331,3 +332,46 @@ def test_rook_family_commands_are_diagnostic(capsys, tmp_path):
     assert code == 0
     names = {check["name"]: check for check in report["checks"]}
     assert names["m-spectrum"]["severity"] == "diagnostic"
+
+
+def test_vertex_on_an_empty_graph_is_a_usage_error(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\n"))  # graph6 for 0 vertices
+    code, out, err = _run(capsys, ["sigma"])  # the default --base 0
+    assert code == 2 and out == ""
+    assert "the graph has no vertices" in err
+    assert "0..-1" not in err
+
+
+def _long_prefix(g):
+    """graph6 of g with the next longer vertex-count prefix than the canonical one."""
+    canonical = serialize_graph6(g)
+    if g.nu <= 62:
+        return "~" + chr(63) * 2 + chr(63 + g.nu) + canonical[1:]
+    return "~~" + chr(63) * 3 + canonical[1:]
+
+
+@pytest.mark.parametrize("builder", [build_rook4, build_gq35])
+def test_input_hash_is_that_of_the_canonical_encoding(capsys, tmp_path, builder):
+    g = builder()
+    canonical = serialize_graph6(g)
+    expected = hashlib.sha256(canonical.encode()).hexdigest()
+    for text in (canonical, ">>graph6<<" + canonical, _long_prefix(g), "  " + canonical + " "):
+        assert parse_graph6(text) == g
+        path = tmp_path / "graph.g6"
+        path.write_text("# comment\n" + text + "\n")
+        code, report, _ = _run_json(capsys, ["check-srg", str(path)])
+        assert code == 0
+        assert report["input"]["sha256"] == expected
+
+
+def test_canonical_input_is_hashed_without_re_encoding(capsys, tmp_path, monkeypatch):
+    path = _graph_file(tmp_path, build_gq35())
+
+    def refuse(_g):
+        raise AssertionError("a canonical input line was re-encoded")
+
+    monkeypatch.setattr("srgpq.cli.serialize_graph6", refuse)
+    code, report, _ = _run_json(capsys, ["check-srg", path])
+    assert code == 0 and report["input"]["vertices"] == 64
