@@ -17,7 +17,6 @@ diagnostically; the identities still hold there, in degenerate form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from srgpq.graphcore import Graph, TriplePartition, bits, neighborhood_clique_cells
@@ -127,43 +126,114 @@ def pair_stats(g: Graph, u: int, v: int, w: int) -> PairStats:
     return PairStats(u=u, v=v, w=w, p=p, q=q)
 
 
+def _local_bits(nu: int, order: Sequence[int]) -> list[int]:
+    """bit_of[x] = 1 << (index of x in order); vertices not in order map to 0."""
+    bit_of = [0] * nu
+    for i, x in enumerate(order):
+        bit_of[x] = 1 << i
+    return bit_of
+
+
+def _pack(mask: int, bit_of: list[int]) -> int:
+    """The vertex set mask, renumbered into the local bits of bit_of."""
+    packed = 0
+    for x in bits(mask):
+        packed |= bit_of[x]
+    return packed
+
+
+def _spread(width: int, copies: int) -> int:
+    """The multiplier that lays copies side-by-side copies of a mask narrower than width bits."""
+    return sum(1 << (s * width) for s in range(copies))
+
+
 def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
     """Check (n-lam+1) p + q over all triples: lam(n+1) if v ~ w, else mu.
 
-    Scans every base vertex u and every pair v, w of non-neighbors of u;
-    reports the first counterexample.
+    Scans every base vertex u and every pair v < w of non-neighbors of u;
+    reports the first counterexample, with p and q as pair_stats gives them.
+
+    Per base vertex, with A_v = N(u, v) in bits local to N(u):
+    * slope * p is the popcount of slope copies of A_v & A_w;
+    * the ordered count q' = sum over x in A_v of |N(x) & A_w| is
+      sum over y in A_w of m_v(y), m_v(y) = |N(y) & A_v|, so it is the
+      popcount of A_w against the levels {y : m_v(y) > t}, t < max |N(y) & N(u)|;
+    * q = q' - e, where e counts the edges of <N(u)> inside A_v & A_w: with
+      E_v the edges of <N(u)> with both ends in A_v, e = |E_v & E_w| and
+      |E_v| - e = |E_v & ~E_w|.
+    So one mask z_v per v and one mask w_w per w, built once per u, give
+    slope * p + q + |E_v| as the single popcount of z_v & w_w.
     """
     slope = _require_positive_slope(fam)
     mu = fam.n * (fam.n + 1)
     adjacent_target = fam.lam * (fam.n + 1)
     triples = 0
-    witness = None
     full = (1 << g.nu) - 1
     rows = g.rows
-    for u in range(g.nu):
-        outside = tuple(bits(full & ~(rows[u] | (1 << u))))
+    index = [0] * g.nu
+    for u, row_u in enumerate(rows):
+        outside_mask = full & ~(row_u | (1 << u))
+        outside = tuple(bits(outside_mask))
+        local = tuple(bits(row_u))
+        k = len(local)
+        bit_of = _local_bits(g.nu, local)
+        local_rows = [_pack(rows[x] & row_u, bit_of) for x in local]
+        # number the edges of <N(u)>; low[i] / high[i]: edges whose lower / higher end is i
+        low, high = [0] * k, [0] * k
+        edges = 0
+        for i, row in enumerate(local_rows):
+            for j in bits(row & ~((2 << i) - 1)):
+                low[i] |= 1 << edges
+                high[j] |= 1 << edges
+                edges += 1
+        depth = max((row.bit_count() for row in local_rows), default=0)  # bounds m_v(y)
+        copies = slope + depth
+        spread_z, spread_w = _spread(k, slope), _spread(k, copies)
+        z_masks, w_masks, e_counts = [], [], []
         for i, v in enumerate(outside):
-            for w in outside[i + 1 :]:
-                stats = pair_stats(g, u, v, w)
-                expected = adjacent_target if rows[v] >> w & 1 else mu
-                triples += 1
-                if slope * stats.p + stats.q != expected:
-                    witness = {
-                        "u": u,
-                        "v": v,
-                        "w": w,
-                        "p": stats.p,
-                        "q": stats.q,
-                        "value": slope * stats.p + stats.q,
-                        "expected": expected,
-                    }
-                    return CheckReport(
-                        name="eq-pq",
-                        passed=False,
-                        asserted=fam.in_resolvent_regime,
-                        details={"triples_checked": triples},
-                        witness=witness,
-                    )
+            index[v] = i
+            a = _pack(rows[v] & row_u, bit_of)
+            reach = lows = highs = 0
+            for x in bits(a):
+                reach |= local_rows[x]
+                lows |= low[x]
+                highs |= high[x]
+            inner = lows & highs  # E_v
+            z = a * spread_z | inner << (copies * k)
+            for y in bits(reach):  # the level t of m_v sits in copy slope + t
+                for t in range((local_rows[y] & a).bit_count()):
+                    z |= 1 << ((slope + t) * k + y)
+            z_masks.append(z)
+            w_masks.append(a * spread_w | (((1 << edges) - 1) & ~inner) << (copies * k))
+            e_counts.append(inner.bit_count())
+        for i, v in enumerate(outside):
+            z = z_masks[i]
+            counts = [(z & w).bit_count() for w in w_masks[i + 1 :]]
+            expected = [mu + e_counts[i]] * len(counts)
+            for w in bits(rows[v] & outside_mask & ~((2 << v) - 1)):
+                expected[index[w] - i - 1] = adjacent_target + e_counts[i]
+            if counts == expected:
+                triples += len(counts)
+                continue
+            j = next(j for j, (got, want) in enumerate(zip(counts, expected)) if got != want)
+            w = outside[i + 1 + j]
+            p = (row_u & rows[v] & rows[w]).bit_count()
+            value = counts[j] - e_counts[i]
+            return CheckReport(
+                name="eq-pq",
+                passed=False,
+                asserted=fam.in_resolvent_regime,
+                details={"triples_checked": triples + j + 1},
+                witness={
+                    "u": u,
+                    "v": v,
+                    "w": w,
+                    "p": p,
+                    "q": value - slope * p,
+                    "value": value,
+                    "expected": expected[j] - e_counts[i],
+                },
+            )
     return CheckReport(
         name="eq-pq",
         passed=True,
@@ -296,11 +366,10 @@ def check_condition_con(g: Graph, fam: FamilyInfo) -> CheckReport:
 def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
     """Partition of the non-neighbors of u into cells {v} + M_0(u, v).
 
-    Requires m_0 = 2 with mutual membership; validates disjointness, coverage,
-    independence, and pairwise p_u = 0 before returning.
+    Requires m_0 = 2 with mutual membership, which makes each cell independent
+    with pairwise p_u = 0; validates disjointness and coverage before returning.
     """
     row_u = g.row(u)
-    rows = g.rows
     outside = ((1 << g.nu) - 1) & ~(row_u | (1 << u))
     cell_of: dict[int, tuple[int, int, int]] = {}
     cells = []
@@ -323,12 +392,8 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
                 )
             if member in cell_of:
                 raise PartitionError(f"not a partition: vertex {member} in two cells")
-        # cells lie outside N[u], so p_u(a, b) is a single three-row popcount
-        for a, b in combinations(cell, 2):
-            if rows[a] >> b & 1:
-                raise PartitionError(f"cell {cell} is not independent at ({a}, {b})")
-            if row_u & rows[a] & rows[b]:
-                raise PartitionError(f"cell {cell} has p_u({a}, {b}) != 0")
+        # b in M_0(u, a) puts b outside N[a] with no neighbor in N(u, a): the
+        # cell is independent and p_u(a, b) = 0 for each of its pairs
         for member in cell:
             cell_of[member] = cell
         cells.append(cell)
@@ -529,32 +594,62 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     as [[X, Y], [Y^T, A_H]], verifies scalar*(nI - X) == Y B Y^T entrywise,
     where B is the closed-form block matrix for scalar*(nI - A_H)^{-1}.  For
     lam = n the scalar is zero and the right side must vanish identically.
+
+    B is never built.  No non-neighbor v of u is adjacent to u, so the row
+    y_v of Y is zero in u's column, and the border b and corner c of B, which
+    live only in that row and column, drop out.  What is left of B is
+    a I + mu J on each (lam+1)-clique cell C of N(u), minus J, so
+
+        (Y B Y^T)[v][w] = a |A_v & A_w| + mu sum_C |A_v & C| |A_w & C| - |A_v| |A_w|
+
+    with A_v = N(u, v) and a = mu(n - lam).  The clique sum is
+    sum over x in A_v of |A_w & C(x)|, the popcount of A_v against the levels
+    {cells C : |A_w & C| > t}, t <= lam.  Per v, (n+1) copies of A_v; per w,
+    (n-lam) copies of A_w and the lam+1 levels: one popcount per entry.  Both
+    sides are symmetric, so the first mismatch in row-major order lies on or
+    above the diagonal, and only those entries are scanned.
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
-    order = _neighborhood_ordering(g, u, lam)
-    size = len(order)
-    cliques = (size - 1) // (lam + 1)
-    full = (1 << g.nu) - 1
+    cells = neighborhood_clique_cells(g, u, lam + 1)
     rows = g.rows
-    outside = tuple(bits(full & ~(rows[u] | (1 << u))))
-    block = _inverse_block_matrix(n, lam, cliques)
+    row_u = rows[u]
+    outside_mask = ((1 << g.nu) - 1) & ~(row_u | (1 << u))
+    outside = tuple(bits(outside_mask))
+    mu = n * (n + 1)
     scalar = n * (n + 1) ** 2 * (n - lam)
 
-    y_rows = [[rows[v] >> h & 1 for h in order] for v in outside]
-    yb = [
-        [sum(y_row[t] * block[t][j] for t in range(size)) for j in range(size)]
-        for y_row in y_rows
-    ]
+    # local bits follow the cells, so cell c is the bit range [c(lam+1), (c+1)(lam+1))
+    local = [x for cell in cells for x in cell]
+    k, width = len(local), lam + 1
+    bit_of = _local_bits(g.nu, local)
+    cell_mask = (1 << width) - 1
+    spread_v, spread_w = _spread(k, n + 1), _spread(k, n - lam)
+    index = [0] * g.nu
+    v_masks, w_masks, degrees = [], [], []
+    for i, v in enumerate(outside):
+        index[v] = i
+        a = _pack(rows[v] & row_u, bit_of)
+        w = a * spread_w
+        for c in {x // width for x in bits(a)}:  # the level t sits in copy n - lam + t
+            mask = cell_mask << (c * width)
+            for t in range((a & mask).bit_count()):
+                w |= mask << ((n - lam + t) * k)
+        v_masks.append(a * spread_v)
+        w_masks.append(w)
+        degrees.append(a.bit_count())
+
     witness = None
     for i, v in enumerate(outside):
-        for j, w in enumerate(outside):
-            rhs = sum(yb[i][t] * y_rows[j][t] for t in range(size))
-            lhs = scalar * ((n if i == j else 0) - (rows[v] >> w & 1))
-            if lhs != rhs:
-                witness = {"entry": [v, w], "lhs": lhs, "rhs": rhs}
-                break
-        if witness:
+        y, d = v_masks[i], degrees[i]
+        rhs = [mu * (y & w).bit_count() - d * e for w, e in zip(w_masks[i:], degrees[i:])]
+        lhs = [0] * len(rhs)
+        lhs[0] = scalar * n
+        for w in bits(rows[v] & outside_mask & ~((2 << v) - 1)):
+            lhs[index[w] - i] = -scalar
+        if lhs != rhs:
+            j = next(j for j, (want, got) in enumerate(zip(lhs, rhs)) if want != got)
+            witness = {"entry": [v, outside[i + j]], "lhs": lhs[j], "rhs": rhs[j]}
             break
     return CheckReport(
         name="star-identity",
@@ -563,7 +658,7 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
         details={
             "base_vertex": u,
             "outside_block": len(outside),
-            "neighborhood_block": size,
+            "neighborhood_block": k + 1,
             "scalar": scalar,
             "degenerate": scalar == 0,
         },

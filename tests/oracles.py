@@ -1,9 +1,10 @@
-"""Per-vertex reference loops for the bitset kernels of srgpq.localstats.
+"""Per-vertex and dense reference computations for the kernels of srgpq.localstats.
 
-These are the direct definitions, one outside vertex at a time through the
-bounds-checked Graph.row, that the mask-level kernels replaced.  They live
-here only so the differential tests can demand equal results, equal
-exception types and equal messages from the kernels.
+These are the direct definitions that the mask-level kernels replaced: one
+outside vertex at a time through the bounds-checked Graph.row, one
+pair_stats call per triple, and the dense product Y B Y^T.  They live here
+only so the differential tests can demand equal results, equal exception
+types and equal messages from the kernels.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from srgpq.localstats import (
     MSpectrum,
     PairBoundError,
     PartitionError,
+    _inverse_block_matrix,
+    _neighborhood_ordering,
     _require_positive_slope,
     pair_stats,
 )
 from srgpq.params import FamilyInfo
+from srgpq.reports import CheckReport
 
 
 def m0_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
@@ -108,3 +112,88 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
     if len(cell_of) != len(outside):
         raise PartitionError("cells do not cover the non-neighborhood")
     return TriplePartition(base_vertex=u, cells=tuple(sorted(cells)), kind="psi")
+
+
+def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
+    """The p/q identity over all triples, one pair_stats call per triple."""
+    slope = _require_positive_slope(fam)
+    mu = fam.n * (fam.n + 1)
+    adjacent_target = fam.lam * (fam.n + 1)
+    triples = 0
+    full = (1 << g.nu) - 1
+    for u in range(g.nu):
+        outside = tuple(bits(full & ~(g.row(u) | (1 << u))))
+        for i, v in enumerate(outside):
+            for w in outside[i + 1 :]:
+                stats = pair_stats(g, u, v, w)
+                expected = adjacent_target if g.adjacent(v, w) else mu
+                triples += 1
+                if slope * stats.p + stats.q != expected:
+                    witness = {
+                        "u": u,
+                        "v": v,
+                        "w": w,
+                        "p": stats.p,
+                        "q": stats.q,
+                        "value": slope * stats.p + stats.q,
+                        "expected": expected,
+                    }
+                    return CheckReport(
+                        name="eq-pq",
+                        passed=False,
+                        asserted=fam.in_resolvent_regime,
+                        details={"triples_checked": triples},
+                        witness=witness,
+                    )
+    return CheckReport(
+        name="eq-pq",
+        passed=True,
+        asserted=fam.in_resolvent_regime,
+        details={
+            "triples_checked": triples,
+            "adjacent_target": adjacent_target,
+            "nonadjacent_target": mu,
+        },
+    )
+
+
+def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
+    """scalar*(nI - X) == Y B Y^T entrywise, from the dense block matrix B."""
+    _require_positive_slope(fam)
+    n, lam = fam.n, fam.lam
+    order = _neighborhood_ordering(g, u, lam)
+    size = len(order)
+    cliques = (size - 1) // (lam + 1)
+    full = (1 << g.nu) - 1
+    outside = tuple(bits(full & ~(g.row(u) | (1 << u))))
+    block = _inverse_block_matrix(n, lam, cliques)
+    scalar = n * (n + 1) ** 2 * (n - lam)
+
+    y_rows = [[int(g.adjacent(v, h)) for h in order] for v in outside]
+    yb = [
+        [sum(y_row[t] * block[t][j] for t in range(size)) for j in range(size)]
+        for y_row in y_rows
+    ]
+    witness = None
+    for i, v in enumerate(outside):
+        for j, w in enumerate(outside):
+            rhs = sum(yb[i][t] * y_rows[j][t] for t in range(size))
+            lhs = scalar * ((n if i == j else 0) - int(g.adjacent(v, w)))
+            if lhs != rhs:
+                witness = {"entry": [v, w], "lhs": lhs, "rhs": rhs}
+                break
+        if witness:
+            break
+    return CheckReport(
+        name="star-identity",
+        passed=witness is None,
+        asserted=fam.in_resolvent_regime,
+        details={
+            "base_vertex": u,
+            "outside_block": len(outside),
+            "neighborhood_block": size,
+            "scalar": scalar,
+            "degenerate": scalar == 0,
+        },
+        witness=witness,
+    )

@@ -8,6 +8,7 @@ there (n >= 3, lam = 2), unlike on the n = 2 witness GQ(3,5).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -16,7 +17,12 @@ import pytest
 from perfbench.inputs import graph6, ovoid256_rows
 from srgpq.cli import run
 from srgpq.graphcore import Graph
-from srgpq.localstats import predicted_m_spectrum, verify_psi_regularity
+from srgpq.localstats import (
+    predicted_m_spectrum,
+    verify_inv_formula,
+    verify_psi_regularity,
+    verify_star,
+)
 from srgpq.params import FamilyInfo
 
 FAMILY = FamilyInfo.from_n_lam(3, 2)
@@ -62,3 +68,63 @@ def test_psi_regularity_is_an_asserted_pass(ovoid_rows):
     assert report.severity == "asserted-pass"
     assert report.details["r_distribution"] == {"0": 1360, "1": 510, "2": 408}
     assert report.details["violations"] == 0
+
+
+def test_inv_formula_and_star_identity_are_asserted_passes(ovoid_rows):
+    g = Graph(ovoid_rows)
+    inv = verify_inv_formula(g, FAMILY, 0)
+    assert inv.severity == "asserted-pass"
+    assert inv.details == {"dimension": 52, "scalar": 48, "degenerate": False}
+    star = verify_star(g, FAMILY, 0)
+    assert star.severity == "asserted-pass"
+    assert star.details == {
+        "base_vertex": 0,
+        "outside_block": 204,
+        "neighborhood_block": 52,
+        "scalar": 48,
+        "degenerate": False,
+    }
+
+
+def test_star_identity_fails_on_a_toggled_edge_among_non_neighbours(ovoid_rows):
+    # vertex 0's first two non-neighbours: N[0] and every N(0, v) are untouched
+    v, w = [x for x in range(1, 256) if not ovoid_rows[0] >> x & 1][:2]
+    mutant = list(ovoid_rows)
+    mutant[v] ^= 1 << w
+    mutant[w] ^= 1 << v
+    report = verify_star(Graph(mutant), FAMILY, 0)
+    assert report.severity == "asserted-fail"
+    assert report.witness["entry"] == [v, w]
+    assert {report.witness["lhs"], report.witness["rhs"]} == {0, -48}
+
+
+# Exit code and stdout SHA-256 of the full sweeps, captured when check-star
+# built the dense products and check-eq-pq called pair_stats per triple
+# (about two minutes for the pair).
+SWEEP_PINS = {
+    "check-star": (0, "aa07fcb1748e41a810c77c1a327916c368feb5540a851547fd028627a7beac99"),
+    "check-eq-pq": (0, "0fb039e59c302decb7e7f2435107451aeebadbb4681633ea52c6fec55e4f896b"),
+}
+
+
+@pytest.mark.slow
+def test_check_star_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6(ovoid_rows) + "\n"))
+    code = run(["check-star"])
+    out = capsys.readouterr().out
+    checks = {check["name"]: check for check in json.loads(out)["checks"]}
+    assert checks["inv-formula"]["severity"] == "asserted-pass"
+    assert checks["star-identity"]["severity"] == "asserted-pass"
+    assert checks["star-identity"]["details"] == {"failures": 0, "vertices_checked": 256}
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SWEEP_PINS["check-star"]
+
+
+@pytest.mark.slow
+def test_check_eq_pq_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6(ovoid_rows) + "\n"))
+    code = run(["check-eq-pq"])
+    out = capsys.readouterr().out
+    checks = {check["name"]: check for check in json.loads(out)["checks"]}
+    assert checks["eq-pq"]["severity"] == "asserted-pass"
+    assert checks["eq-pq"]["details"]["triples_checked"] == 5300736
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SWEEP_PINS["check-eq-pq"]
