@@ -39,7 +39,7 @@ class SigmaAutomorphismError(SigmaConstructionError):
 
 
 class SigmaNormalizationError(SigmaConstructionError):
-    """Neither or both orientations satisfy the family normalization."""
+    """Neither orientation satisfies the family normalization."""
 
 
 class RelatedSetError(ValueError):
@@ -152,30 +152,22 @@ def automorphism_witness(g: Graph, perm: Permutation) -> Optional[tuple[int, int
     return None
 
 
-def _cell_cycle(cell: tuple[int, int, int], forward: bool) -> dict[int, int]:
-    a, b, c = cell
-    if forward:
-        return {a: b, b: c, c: a}
-    return {a: c, c: b, b: a}
-
-
 def build_sigma(
     g: Graph,
     fam: FamilyInfo,
     u: int,
     seed_cell: Optional[tuple[int, int, int]] = None,
-    orientation: str = "forward",
 ) -> Permutation:
     """Propagate a 3-cycle from one triangle cell to a full candidate automorphism.
 
     seed_cell defaults to the lexicographically least cell of the triangle
-    partition at u; orientation "forward" is the ascending 3-cycle on it and
-    "backward" its inverse.  The two results are inverse permutations.
+    partition at u, and the seed is the ascending 3-cycle (a b c) on it.
+    Seeding the descending cycle instead would propagate through the same
+    table in the same order, every transferred map inverted, so it yields
+    exactly the inverse permutation; callers take ``.inverse()``.
     Raises on conflicting definitions, incomplete propagation, or a final
     permutation that fails the unconditional automorphism check.
     """
-    if orientation not in ("forward", "backward"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     phi = phi_partition(g, u)
     psi = psi_partition(g, fam, u)
     table = matched_pairs(g, u, phi, psi)
@@ -195,7 +187,8 @@ def build_sigma(
 
     defined: dict[tuple[str, int], dict[int, int]] = {}
     seed_key = ("phi", phi_index[seed_cell])
-    defined[seed_key] = _cell_cycle(seed_cell, orientation == "forward")
+    a, b, c = seed_cell
+    defined[seed_key] = {a: b, b: c, c: a}
     worklist = [seed_key]
 
     def transfer(key: tuple[str, int], mapping: dict[int, int], source: tuple[str, int]):
@@ -249,10 +242,10 @@ def build_sigma(
 def canonical_sigma_family(g: Graph, fam: FamilyInfo, z: int = 0) -> dict[int, Permutation]:
     """One automorphism per vertex, normalized by sigma_u(z) = sigma_z^{-1}(u).
 
-    sigma_z is fixed as the forward orientation on the least cell at z; for
-    every other u the orientation is selected by the normalization.  Exactly
-    one orientation can satisfy it (both would force a second fixed point);
-    violations raise SigmaNormalizationError.
+    sigma_z is build_sigma's permutation at z; for every other u it is
+    build_sigma's permutation at u or its inverse, whichever satisfies the
+    normalization.  At most one can, and SigmaNormalizationError is raised
+    when neither does.
     """
     g.check_vertex(z)
     sigma_z = build_sigma(g, fam, z)
@@ -261,20 +254,18 @@ def canonical_sigma_family(g: Graph, fam: FamilyInfo, z: int = 0) -> dict[int, P
     for u in range(g.nu):
         if u == z:
             continue
-        forward = build_sigma(g, fam, u, orientation="forward")
-        backward = build_sigma(g, fam, u, orientation="backward")
+        sigma_u = build_sigma(g, fam, u)
         target = inverse_z(u)
-        forward_ok = forward(z) == target
-        backward_ok = backward(z) == target
-        if forward_ok and backward_ok:
-            raise SigmaNormalizationError(
-                f"both orientations at {u} satisfy the normalization; no tie-break defined"
-            )
-        if not forward_ok and not backward_ok:
-            raise SigmaNormalizationError(
-                f"no orientation at {u} satisfies sigma_u({z}) = sigma_{z}^-1({u})"
-            )
-        family[u] = forward if forward_ok else backward
+        # At most one orientation passes: sigma_u(z) = sigma_u^-1(z) with sigma_u of
+        # order 3 makes z a fixed point, so the target sigma_z^-1(u) is z and
+        # u = sigma_z(z) = z, which the loop skips.
+        if sigma_u(z) != target:
+            sigma_u = sigma_u.inverse()
+            if sigma_u(z) != target:
+                raise SigmaNormalizationError(
+                    f"no orientation at {u} satisfies sigma_u({z}) = sigma_{z}^-1({u})"
+                )
+        family[u] = sigma_u
     return family
 
 

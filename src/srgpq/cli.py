@@ -3,7 +3,8 @@
 Every analysis subcommand is one row of ANALYSES, run by one driver that
 writes one JSON document to stdout and exits 0 when no asserted check
 failed, 1 when one did, and 2 on usage errors (malformed arguments or input
-files, an out-of-range --vertex or --base), which never emit partial JSON.
+files, an out-of-range --vertex or --base, a --cap below 1), which never
+emit partial JSON.
 The producers `build` and `graph-to-pq` emit raw graph6 and incidence text.
 
 Reports are byte-identical across runs for the same input; wall-clock
@@ -35,6 +36,7 @@ from srgpq.automorphism import (
 from srgpq.geometry import (
     GeometryError,
     build_gq35,
+    build_ovoid256,
     build_rook4,
     build_shrikhande,
     format_incidence,
@@ -608,6 +610,8 @@ def _analyze(args) -> int:
         for vertex in (getattr(args, "vertex", None), getattr(args, "base", None)):
             if vertex is not None:
                 source.check_vertex(vertex)  # an out-of-range vertex is a usage error
+        if getattr(args, "cap", 1) < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
     checks: list[CheckReport] = []
     results: dict = {}
     family = None
@@ -641,7 +645,8 @@ def _analyze(args) -> int:
     return 1 if any(report.severity == ASSERTED_FAIL for report in checks) else 0
 
 
-BUILDERS = {"rook4": build_rook4, "shrikhande": build_shrikhande, "gq35": build_gq35}
+BUILDERS = {"rook4": build_rook4, "shrikhande": build_shrikhande, "gq35": build_gq35,
+            "ovoid256": build_ovoid256}
 
 
 def _build(args) -> int:

@@ -1,15 +1,16 @@
 """Incidence structures, partial-quadrangle axiom checking, and witness graphs.
 
 The built-in witnesses are the 4x4 rook graph, the Shrikhande graph (same
-parameters, not diamond-free, used as a negative control), and the 64-vertex
-collinearity graph of GQ(3,5) realized as a Cayley graph on GF(4)^3 whose
-connection directions form a hyperoval of PG(2,4).
+parameters, not diamond-free, used as a negative control), and two linear
+representations over GF(4): the 64-vertex collinearity graph of GQ(3,5), whose
+connection directions form a hyperoval of PG(2,4), and the 256-vertex n = 3
+family member, whose directions form the elliptic quadric of PG(3,4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from srgpq.graphcore import Graph, bits, is_srg_report, maximal_cliques_via_edges
@@ -22,27 +23,6 @@ class GeometryError(ValueError):
 
 # GF(4) = {0, 1, w, w^2} encoded as 0..3; addition is xor, w^2 = w + 1.
 GF4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
-
-
-@dataclass(frozen=True)
-class GF4Element:
-    """Element of GF(4) in the 2-bit encoding 0, 1, w=2, w^2=3."""
-
-    value: int
-
-    def __post_init__(self):
-        if self.value not in (0, 1, 2, 3):
-            raise GeometryError(f"not a GF(4) element: {self.value!r}")
-
-    def __add__(self, other: "GF4Element") -> "GF4Element":
-        return GF4Element(self.value ^ other.value)
-
-    def __mul__(self, other: "GF4Element") -> "GF4Element":
-        return GF4Element(GF4_MUL[self.value][other.value])
-
-    @classmethod
-    def elements(cls) -> tuple["GF4Element", ...]:
-        return tuple(cls(v) for v in range(4))
 
 
 @dataclass(frozen=True)
@@ -224,52 +204,58 @@ def build_shrikhande() -> Graph:
 
 
 def hyperoval_points() -> tuple[tuple[int, int, int], ...]:
-    """The conic {(1, c, c^2)} plus its nucleus (0,1,0) and (0,0,1) in PG(2,4)."""
+    """The conic {(1, c, c^2)} + (0,0,1) of PG(2,4) and its nucleus (0,1,0)."""
     conic = tuple((1, c, GF4_MUL[c][c]) for c in range(4))
     return conic + ((0, 1, 0), (0, 0, 1))
 
 
-def _gf4_det3(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, int]) -> int:
-    a, b, c = (GF4Element(x) for x in p)
-    d, e, f = (GF4Element(x) for x in q)
-    g, h, i = (GF4Element(x) for x in r)
-    term1 = a * (e * i + f * h)
-    term2 = b * (d * i + f * g)
-    term3 = c * (d * h + e * g)
-    return (term1 + term2 + term3).value
+def elliptic_quadric_points() -> tuple[tuple[int, int, int, int], ...]:
+    """The 17 points of x0*x1 + x2^2 + x2*x3 + w*x3^2 = 0 in PG(3,4), an ovoid."""
+    mul = GF4_MUL
+    return tuple(
+        (x0, x1, x2, x3)
+        for x0, x1, x2, x3 in product(range(4), repeat=4)
+        if next((x for x in (x0, x1, x2, x3) if x), None) == 1
+        and mul[x0][x1] ^ mul[x2][x2] ^ mul[x2][x3] ^ mul[2][mul[x3][x3]] == 0
+    )
 
 
-def gq35_connection_set() -> frozenset[tuple[int, int, int]]:
-    """Nonzero GF(4)^3 vectors whose projective direction lies in the hyperoval."""
-    vectors = set()
-    for point in hyperoval_points():
-        for scale in range(1, 4):
-            vectors.add(tuple(GF4_MUL[scale][c] for c in point))
-    return frozenset(vectors)
+def linear_representation(points: Sequence[Sequence[int]], m: int) -> Graph:
+    """Cayley graph on GF(4)^m connected by every nonzero multiple of a point of K.
+
+    Vector (x_0, ..., x_{m-1}) is vertex sum x_i 4^(m-1-i), so vector addition
+    is xor on the labels.  Raises GeometryError unless the points are distinct
+    projective points of PG(m-1, 4) forming a cap (no three collinear), which
+    makes the graph diamond-free with lam = 2.
+    """
+    connection = set()
+    for point in points:
+        if len(point) != m or not all(0 <= x < 4 for x in point):
+            raise GeometryError(f"{point} is not a vector of GF(4)^{m}")
+        for scale in (1, 2, 3):
+            vertex = 0
+            for x in point:
+                vertex = vertex << 2 | GF4_MUL[scale][x]
+            connection.add(vertex)
+    if len(connection) != 3 * len(points):
+        raise GeometryError("the points are not distinct nonzero projective points")
+    rows = [sum(1 << (x ^ d) for d in connection) for x in range(4**m)]
+    # 0 ~ x has the two other multiples of x as common neighbours; any further
+    # common neighbour a q = x + b r puts x's point on the line through q and r.
+    for x in sorted(connection):
+        if (rows[0] & rows[x]).bit_count() != 2:
+            raise GeometryError(f"not a cap: the point of vertex {x} lies on a secant")
+    return Graph(rows)
 
 
 def build_gq35() -> Graph:
-    """Collinearity graph of GQ(3,5) as a Cayley graph on GF(4)^3.
+    """Collinearity graph of GQ(3,5), SRG(64, 18, 2, 6): the hyperoval cone in GF(4)^3."""
+    return linear_representation(hyperoval_points(), 3)
 
-    Vertices are vectors (a, b, c) encoded as 16a+4b+c; x ~ y iff x-y lies in
-    the 18-vector connection set.  The construction self-checks the hyperoval
-    property (no three of the six directions collinear in PG(2,4)).
-    """
-    oval = hyperoval_points()
-    for triple in combinations(oval, 3):
-        if _gf4_det3(*triple) == 0:
-            raise GeometryError(f"hyperoval self-check failed: collinear triple {triple}")
-    connection = gq35_connection_set()
-    if len(connection) != 18:
-        raise GeometryError(f"expected 18 connection vectors, got {len(connection)}")
-    connection_ids = {16 * a + 4 * b + c for a, b, c in connection}
-    rows = []
-    for x in range(64):
-        row = 0
-        for d in connection_ids:
-            row |= 1 << (x ^ d)  # componentwise GF(4) addition is xor on 2-bit fields
-        rows.append(row)
-    return Graph(rows)
+
+def build_ovoid256() -> Graph:
+    """The n = 3 witness, diamond-free SRG(256, 51, 2, 12): the ovoid cone in GF(4)^4."""
+    return linear_representation(elliptic_quadric_points(), 4)
 
 
 def parse_incidence(text: str) -> IncidenceStructure:

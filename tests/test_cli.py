@@ -297,6 +297,20 @@ def test_out_of_range_vertex_is_a_usage_error(capsys, tmp_path, builder, command
     assert f"vertex {vertex} out of range" in err
 
 
+def _toggled_gq35():
+    return build_gq35().toggle_edge(0, 1)
+
+
+@pytest.mark.parametrize("builder", [build_gq35, _toggled_gq35])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_is_a_usage_error(capsys, tmp_path, builder, cap):
+    # checked before the preconditions, so the toggled (non-member) graph exits 2 as well
+    path = _graph_file(tmp_path, builder())
+    code, out, err = _run(capsys, ["group", path, "--cap", cap])
+    assert code == 2 and out == ""
+    assert f"--cap must be at least 1, got {cap}" in err
+
+
 def test_reports_are_deterministic(capsys, tmp_path):
     path = _graph_file(tmp_path, build_rook4())
     _, first, _ = _run(capsys, ["check-srg", path])

@@ -6,18 +6,20 @@ from itertools import combinations
 
 import pytest
 
+from perfbench.inputs import gq35_rows, ovoid256_rows
 from srgpq.geometry import (
+    GF4_MUL,
     GeometryError,
-    GF4Element,
     IncidenceStructure,
     build_gq35,
+    build_ovoid256,
     build_rook4,
     build_shrikhande,
     collinearity_graph,
     format_incidence,
-    gq35_connection_set,
     graph_to_pq,
     hyperoval_points,
+    linear_representation,
     parse_incidence,
     verify_pq_axioms,
 )
@@ -26,17 +28,21 @@ from srgpq.params import PqParams, SrgParams
 
 
 def test_gf4_field_axioms():
-    elements = GF4Element.elements()
-    w = GF4Element(2)
-    assert w * w == GF4Element(3)  # w^2
-    assert w * w * w == GF4Element(1)  # w^3 = 1
-    assert w + w == GF4Element(0)  # characteristic 2
-    assert GF4Element(3) == w * w and GF4Element(3) + w == GF4Element(1)  # w^2 = w+1
+    mul, w = GF4_MUL, 2  # addition is xor on the encoding 0, 1, w, w^2 = 3
+    assert mul[w][w] == 3  # w^2
+    assert mul[mul[w][w]][w] == 1  # w^3 = 1
+    assert w ^ w == 0  # characteristic 2
+    assert 3 ^ w == 1  # w^2 = w + 1
+    elements = range(4)
     for x in elements:
-        assert x + GF4Element(0) == x
-        assert x * GF4Element(1) == x
-    with pytest.raises(GeometryError):
-        GF4Element(4)
+        assert mul[x][1] == x and mul[x][0] == 0
+        if x:
+            assert sum(mul[x][y] == 1 for y in elements) == 1  # one inverse
+        for y in elements:
+            assert mul[x][y] == mul[y][x]
+            for z in elements:
+                assert mul[mul[x][y]][z] == mul[x][mul[y][z]]
+                assert mul[x][y ^ z] == mul[x][y] ^ mul[x][z]
 
 
 def test_rook_witness(rook):
@@ -56,20 +62,61 @@ def test_gq35_witness(gq35):
     assert is_diamond_free(gq35)[0]
 
 
-def test_gq35_connection_set():
-    connection = gq35_connection_set()
+def test_gq35_connection_set(gq35):
+    connection = set(gq35.neighbors(0))  # x ~ y iff x xor y is in the connection set
     assert len(connection) == 18  # 6 directions x 3 nonzero scalars
-    assert all(v != (0, 0, 0) for v in connection)
-    # closed under nonzero scaling, hence Cayley symmetry in characteristic 2
-    from srgpq.geometry import GF4_MUL
+    assert 0 not in connection
 
-    for vec in connection:
+    def scaled(scale, vertex):
+        a, b, c = vertex >> 4, vertex >> 2 & 3, vertex & 3
+        return GF4_MUL[scale][a] << 4 | GF4_MUL[scale][b] << 2 | GF4_MUL[scale][c]
+
+    # closed under nonzero scaling, hence Cayley symmetry in characteristic 2
+    for vertex in connection:
         for scale in (1, 2, 3):
-            assert tuple(GF4_MUL[scale][c] for c in vec) in connection
+            assert scaled(scale, vertex) in connection
+    assert all(set(gq35.neighbors(x)) == {x ^ d for d in connection} for x in range(64))
 
 
 def test_hyperoval_size():
     assert len(hyperoval_points()) == 6
+
+
+def test_witnesses_match_the_independent_builder():
+    assert build_gq35() == Graph(gq35_rows())
+    assert build_ovoid256() == Graph(ovoid256_rows())
+
+
+def test_ovoid256_witness():
+    g = build_ovoid256()
+    assert is_srg(g) == SrgParams(256, 51, 2, 12)
+    assert is_diamond_free(g)[0]
+
+
+@pytest.mark.parametrize("removed", range(6))
+def test_linear_representation_rejects_a_point_on_a_secant(removed):
+    points = [p for i, p in enumerate(hyperoval_points()) if i != removed]
+    # the third point of the secant through two kept points is off the hyperoval
+    secant_point = tuple(a ^ b for a, b in zip(points[0], points[1]))
+    assert secant_point not in hyperoval_points()
+    with pytest.raises(GeometryError, match="not a cap"):
+        linear_representation(points + [secant_point], 3)
+
+
+def test_linear_representation_rejects_a_repeated_projective_point():
+    points = list(hyperoval_points())
+    w_multiple = tuple(GF4_MUL[2][x] for x in points[0])
+    with pytest.raises(GeometryError, match="distinct"):
+        linear_representation(points + [w_multiple], 3)
+    with pytest.raises(GeometryError, match="distinct"):
+        linear_representation(points + [(0, 0, 0)], 3)
+
+
+def test_linear_representation_rejects_malformed_vectors():
+    with pytest.raises(GeometryError):
+        linear_representation([(1, 0)], 3)
+    with pytest.raises(GeometryError):
+        linear_representation([(1, 0, 4)], 3)
 
 
 def test_gq35_incidence_round_trip(gq35):
@@ -172,3 +219,4 @@ def test_builders_are_deterministic():
     assert build_rook4() == build_rook4()
     assert build_shrikhande() == build_shrikhande()
     assert build_gq35() == build_gq35()
+    assert build_ovoid256() == build_ovoid256()

@@ -2,8 +2,10 @@
 
 The witness is the diamond-free SRG(256, 51, 2, 12): the cone over the
 elliptic quadric of PG(3, 4) as a Cayley graph on GF(4)^4, built by
-perfbench.inputs independently of srgpq.  Every check below is asserted
-there (n >= 3, lam = 2), unlike on the n = 2 witness GQ(3,5).
+perfbench.inputs independently of srgpq (the sigma sweep reads it from
+`srgpq build ovoid256`, which test_geometry holds to the same rows).  Every
+check below is asserted there (n >= 3, lam = 2), unlike on the n = 2
+witness GQ(3,5).
 """
 
 from __future__ import annotations
@@ -100,10 +102,12 @@ def test_star_identity_fails_on_a_toggled_edge_among_non_neighbours(ovoid_rows):
 
 # Exit code and stdout SHA-256 of the full sweeps, captured when check-star
 # built the dense products and check-eq-pq called pair_stats per triple
-# (about two minutes for the pair).
+# (about two minutes for the pair), and when sigma propagated both
+# orientations at every vertex (about 10 s).
 SWEEP_PINS = {
     "check-star": (0, "aa07fcb1748e41a810c77c1a327916c368feb5540a851547fd028627a7beac99"),
     "check-eq-pq": (0, "0fb039e59c302decb7e7f2435107451aeebadbb4681633ea52c6fec55e4f896b"),
+    "sigma": (0, "825d77c16790678bf3f5c6165b764499ec06bddd0f1132950c3906dcce5cf294"),
 }
 
 
@@ -128,3 +132,32 @@ def test_check_eq_pq_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
     assert checks["eq-pq"]["severity"] == "asserted-pass"
     assert checks["eq-pq"]["details"]["triples_checked"] == 5300736
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == SWEEP_PINS["check-eq-pq"]
+
+
+def _scale(scalar: int, vertex: int) -> int:
+    """scalar * x on GF(4)^4, two bits a coordinate (addition is xor)."""
+    mul = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+    return sum(mul[scalar][vertex >> shift & 3] << shift for shift in (0, 2, 4, 6))
+
+
+@pytest.mark.slow
+def test_sigma_family_is_an_asserted_pass_with_the_analytic_oracle(capsys, monkeypatch):
+    assert run(["build", "ovoid256"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    code = run(["sigma", "-"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    checks = {check["name"]: check for check in report["checks"]}
+    for name in ("sigma-family", "inverse-law", "involution-property"):
+        assert checks[name]["severity"] == "asserted-pass"
+    for name in ("inverse-law", "involution-property"):
+        assert checks[name]["details"] == {"pairs_checked": 256 * 256}
+    # sigma_u is x -> u + c (x - u), with one scalar c in {w, w^2} for the family
+    scalars = set()
+    for u, line in enumerate(report["results"]["sigma_images"]):
+        images = [int(x) for x in line.split()]
+        matches = {c for c in (2, 3) if images == [_scale(c, x ^ u) ^ u for x in range(256)]}
+        assert len(matches) == 1, f"sigma_{u} is not u + c (x - u)"
+        scalars |= matches
+    assert len(scalars) == 1
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SWEEP_PINS["sigma"]
