@@ -313,16 +313,28 @@ def _related_members(g: Graph, x: int, y: int) -> tuple[int, int, int, int]:
 def verify_involution_property(
     family: dict[int, Permutation], asserted: bool = True
 ) -> CheckReport:
-    """(sigma_u sigma_v^{-1})^2 must be the identity for every ordered pair."""
-    inverses = {v: sigma.inverse() for v, sigma in family.items()}
+    """(sigma_u sigma_v^{-1})^2 must be the identity for every ordered pair.
+
+    The square of q = sigma_u sigma_v^{-1} is the identity iff q equals its
+    inverse sigma_v sigma_u^{-1}: one comparison of two image tuples, with
+    no Permutation built.  That condition is symmetric in u and v, and
+    holds for u = v, so the first failing ordered pair (in the order of the
+    family's keys) has v after u: only those pairs are compared, and
+    pairs_checked counts the ordered pairs up to the failure as before.
+    """
+    keys = list(family)
+    images = [family[u].images for u in keys]
+    inverses = [family[u].inverse().images for u in keys]
+    size = len(keys)
     witness = None
-    checked = 0
-    for u, sigma_u in family.items():
-        for v, inverse_v in inverses.items():
-            quotient = sigma_u.compose(inverse_v)
-            checked += 1
-            if not quotient.compose(quotient).is_identity():
-                witness = {"u": u, "v": v}
+    checked = size * size
+    for i, u in enumerate(keys):
+        images_u, inverse_u = images[i], inverses[i]
+        for j in range(i + 1, size):
+            images_v = images[j]
+            if [images_u[x] for x in inverses[j]] != [images_v[x] for x in inverse_u]:
+                witness = {"u": u, "v": keys[j]}
+                checked = i * size + j + 1
                 break
         if witness:
             break

@@ -44,11 +44,11 @@ from srgpq.geometry import (
     parse_incidence,
     verify_pq_axioms,
 )
-from srgpq.graphcore import Graph, GraphError, bits, is_diamond_free, is_srg_report
+from srgpq.graphcore import Graph, GraphError, is_diamond_free, is_srg_report
 from srgpq.localstats import (
     LocalStatsError,
     check_condition_con,
-    m_spectrum,
+    m_spectrum_histogram,
     verify_eq_pq,
     verify_inv_formula,
     verify_star,
@@ -355,31 +355,20 @@ def _check_diamond_free(args, g: Graph, _family):
 def _local_stats(args, g: Graph, family: FamilyInfo):
     if family.n <= 0 or family.lam > family.n:
         return [_not_applicable("m-spectrum", "needs n > 0 and lam <= n", n=family.n)], {}
-    vertices = [args.vertex] if args.vertex is not None else range(g.nu)
-    rows, full = g.rows, (1 << g.nu) - 1
-    pairs = ((u, v) for u in vertices for v in bits(full & ~(rows[u] | 1 << u)))
-    histogram: dict[tuple[int, ...], int] = {}
-    failure = None
-    for u, v in pairs:
-        try:
-            spectrum = m_spectrum(g, family, u, v)
-        except LocalStatsError as exc:
-            failure = {"u": u, "v": v, "error": str(exc)}
-            break
-        histogram[spectrum.counts] = histogram.get(spectrum.counts, 0) + 1
-    m0_values = [counts[0] for counts in histogram]
+    sweep = m_spectrum_histogram(g, family, None if args.vertex is None else [args.vertex])
+    m0_values = [counts[0] for counts in sweep.histogram]
     results = {
         "m_spectrum_histogram": {
-            " ".join(map(str, counts)): count for counts, count in sorted(histogram.items())
+            " ".join(map(str, counts)): count for counts, count in sorted(sweep.histogram.items())
         },
         "m0_range": [min(m0_values), max(m0_values)] if m0_values else [None, None],
     }
     check = CheckReport(
         name="m-spectrum",
-        passed=failure is None,
+        passed=sweep.failure is None,
         asserted=family.n >= 3,
-        details={"pairs_checked": sum(histogram.values())},
-        witness=failure,
+        details={"pairs_checked": sweep.pairs_checked},
+        witness=sweep.failure,
     )
     return [check], results
 

@@ -261,50 +261,54 @@ def _m0_mask(g: Graph, u: int, v: int) -> int:
     return ((1 << g.nu) - 1) & ~covered
 
 
-def m_spectrum(g: Graph, fam: FamilyInfo, u: int, v: int) -> MSpectrum:
-    """Full distribution of p_u(v, x) over x outside N[u] u N[v].
+def _spectrum_masks(
+    sources: Sequence[int], common: int, outside: int, t_cap: int, u: int, v: int
+) -> list[int]:
+    """equals[i]: the vertices x of outside with p_u(v, x) = |N(x) & common| = i, i <= t_cap.
 
-    The index is capped at t = floor(mu/(n-lam+1)); a larger p-value is
-    impossible when the p/q identity holds and raises PairBoundError.  The
-    three double-counting identities are asserted on the result.
+    sources[c], for each c in common, is the row of c or that row restricted
+    to any superset of outside.  Raises PairBoundError at the lowest x of
+    outside with a larger p.
     """
-    if u == v or g.adjacent(u, v):
-        raise LocalStatsError(f"need a non-adjacent pair, got ({u}, {v})")
-    slope = _require_positive_slope(fam)
-    mu = fam.n * (fam.n + 1)
-    t_cap = mu // slope
-    rows = g.rows
-    row_u, row_v = rows[u], rows[v]
-    common = row_u & row_v
-    outside = ((1 << g.nu) - 1) & ~(row_u | row_v | (1 << u) | (1 << v))
-    # Bit-sliced counter: planes[b] holds bit b of p_u(v, x) = |N(x) & common|
-    # for every outside x at once.  Each common neighbor's row is added with a
-    # ripple carry; enough planes hold |common|, so no carry is ever lost.
+    # Bit-sliced counter: planes[b] holds bit b of |N(x) & common| for every x
+    # at once.  Each common neighbor's row is added with a ripple carry; enough
+    # planes hold |common|, so no carry is ever lost.
     planes = [0] * common.bit_count().bit_length()
     for c in bits(common):
-        carry = rows[c] & outside
+        carry = sources[c]
         for b, plane in enumerate(planes):
             planes[b] = plane ^ carry
             carry &= plane
             if not carry:
                 break
-    equals = []  # equals[i]: the outside vertices with p_u(v, x) = i
-    uncounted = outside
-    for i in range(t_cap + 1):
-        equal = 0 if i >> len(planes) else outside
-        for b, plane in enumerate(planes):
-            equal &= plane if i >> b & 1 else ~plane
-        equals.append(equal)
-        uncounted ^= equal
+    # Split outside plane by plane from the top: level[h] holds the x whose
+    # high bits of p read h.  A part whose least value exceeds t_cap is not
+    # kept; it is always the last, so after the last plane level[i] holds the
+    # x with p = i for every i <= min(t_cap, 2^len(planes) - 1).
+    level, uncounted = [outside], 0
+    for b in range(len(planes) - 1, -1, -1):
+        plane, split = planes[b], []
+        for high, part in enumerate(level):
+            ones = part & plane
+            split.append(part ^ ones)
+            if (2 * high + 1) << b <= t_cap:
+                split.append(ones)
+            else:
+                uncounted |= ones
+        level = split
+    equals = level + [0] * (t_cap + 1 - len(level))
     if uncounted:
         x = (uncounted & -uncounted).bit_length() - 1
-        p = (common & rows[x]).bit_count()
+        p = sum((plane >> x & 1) << b for b, plane in enumerate(planes))
         raise PairBoundError(
             f"p_u(v, x) = {p} exceeds the cap {t_cap} at (u, v, x) = ({u}, {v}, {x})"
         )
-    counts = tuple(equal.bit_count() for equal in equals)
+    return equals
 
-    nu, k, lam = g.nu, row_u.bit_count(), fam.lam
+
+def _check_moments(counts: tuple[int, ...], nu: int, k: int, fam: FamilyInfo, u: int, v: int):
+    """The three double-counting identities on the spectrum of (u, v), with k = deg(u)."""
+    mu, lam = fam.n * (fam.n + 1), fam.lam
     checks = [
         (sum(counts), nu - 2 * k + mu - 2, "sum m_i"),
         (sum(i * c for i, c in enumerate(counts)), mu * (k - 2 * lam - 2), "sum i m_i"),
@@ -319,7 +323,138 @@ def m_spectrum(g: Graph, fam: FamilyInfo, u: int, v: int) -> MSpectrum:
             raise MomentIdentityError(
                 f"{label} = {got}, expected {want} at pair ({u}, {v})"
             )
+
+
+def m_spectrum(g: Graph, fam: FamilyInfo, u: int, v: int) -> MSpectrum:
+    """Full distribution of p_u(v, x) over x outside N[u] u N[v].
+
+    The index is capped at t = floor(mu/(n-lam+1)); a larger p-value is
+    impossible when the p/q identity holds and raises PairBoundError.  The
+    three double-counting identities are asserted on the result, with the
+    targets of k = deg(u).  The same kernel serves m_spectrum_histogram.
+    """
+    if u == v or g.adjacent(u, v):
+        raise LocalStatsError(f"need a non-adjacent pair, got ({u}, {v})")
+    t_cap = fam.n * (fam.n + 1) // _require_positive_slope(fam)
+    rows = g.rows
+    row_u, row_v = rows[u], rows[v]
+    outside = ((1 << g.nu) - 1) & ~(row_u | row_v | (1 << u) | (1 << v))
+    equals = _spectrum_masks(rows, row_u & row_v, outside, t_cap, u, v)
+    counts = tuple(map(int.bit_count, equals))
+    _check_moments(counts, g.nu, row_u.bit_count(), fam, u, v)
     return MSpectrum(u=u, v=v, counts=counts, m0_witnesses=tuple(bits(equals[0])))
+
+
+def _row_spectrum(
+    rows: Sequence[int], sources: Sequence[int], u: int, outside_u: int, v: int, t_cap: int
+) -> tuple[int, ...]:
+    """The counts of (u, v), with outside_u the outside of N[u] and sources as for its rows."""
+    row_v = rows[v]
+    outside = outside_u & ~(row_v | (1 << v))
+    equals = _spectrum_masks(sources, rows[u] & row_v, outside, t_cap, u, v)
+    return tuple(map(int.bit_count, equals))
+
+
+@dataclass(frozen=True)
+class SpectrumHistogram:
+    """The m-spectra of a sweep: how many ordered pairs have each counts tuple.
+
+    failure is None when every pair passed, else {"u", "v", "error"} for the
+    first failing pair, and histogram then holds the pairs before it.
+    """
+
+    histogram: dict[tuple[int, ...], int]
+    failure: Optional[dict]
+
+    @property
+    def pairs_checked(self) -> int:
+        return sum(self.histogram.values())
+
+
+def m_spectrum_histogram(
+    g: Graph, fam: FamilyInfo, vertices: Optional[Sequence[int]] = None
+) -> SpectrumHistogram:
+    """m_spectrum over every non-adjacent (u, v), u in vertices (default all), v ascending.
+
+    The result is that of the ordered loop which calls m_spectrum on each
+    pair and stops at the first LocalStatsError: the same failure, message
+    included, and the same histogram of the pairs before it.  Two exact
+    facts make the sweep cheaper than that loop:
+
+    * (u, v) and (v, u) count the same vertices, x outside N[u] u N[v], by
+      the same |N(x) & N(u) & N(v)|.  So a pair of two listed rows is
+      computed once, at the earlier row, and owed to the later one: its
+      counts go to the later row's histogram, merged when the sweep reaches
+      that row.  The cap t does not depend on the orientation; the moment
+      targets do, through k = deg(u), so an owed pair is checked against
+      the later row's targets too when the degrees differ.
+    * Per row u, the rows of the neighbours c of u are restricted to the
+      outside of N[u] once, not once per v.
+
+    A spectrum already in a row's histogram has passed that row's targets,
+    so it is not checked again.  The first row with a failing pair, new or
+    owed, is replayed pair by pair in order, which gives the failure and
+    the histogram before it exactly.  vertices must be distinct.
+    """
+    t_cap = fam.n * (fam.n + 1) // _require_positive_slope(fam)
+    nu, rows = g.nu, g.rows
+    order = range(nu) if vertices is None else list(vertices)
+    pending = 0  # the listed rows not reached yet
+    for u in order:
+        g.check_vertex(u)
+        if pending >> u & 1:
+            raise LocalStatsError(f"vertex {u} is listed twice")
+        pending |= 1 << u
+    full = (1 << nu) - 1
+    degrees = [row.bit_count() for row in rows]
+    histogram: dict[tuple[int, ...], int] = {}
+    owed: dict[tuple[int, ...], list[int]] = {}  # owed[counts][v]: such pairs owed to row v
+    failing = 0  # rows owed a pair that fails their targets
+    sources = [0] * nu  # sources[c] = rows[c] & outside(u), for c in N(u)
+    swept = 0
+    for u in order:
+        pending ^= 1 << u
+        row_u, k = rows[u], degrees[u]
+        outside_u = full & ~(row_u | (1 << u))
+        for c in bits(row_u):
+            sources[c] = rows[c] & outside_u
+        row = {counts: rows_owed[u] for counts, rows_owed in owed.items() if rows_owed[u]}
+        if not failing >> u & 1:
+            # a v among the rows already swept was counted there and owed to u
+            for v in bits(outside_u & ~swept):
+                try:
+                    counts = _row_spectrum(rows, sources, u, outside_u, v, t_cap)
+                    if counts not in row:
+                        _check_moments(counts, nu, k, fam, u, v)
+                except LocalStatsError:
+                    failing |= 1 << u
+                    break
+                row[counts] = row.get(counts, 0) + 1
+                if not (pending & ~failing) >> v & 1:
+                    continue
+                rows_owed = owed.get(counts)
+                if rows_owed is None:
+                    rows_owed = owed[counts] = [0] * nu
+                if not rows_owed[v] and degrees[v] != k:
+                    try:
+                        _check_moments(counts, nu, degrees[v], fam, v, u)
+                    except MomentIdentityError:
+                        failing |= 1 << v
+                        continue
+                rows_owed[v] += 1
+        if failing >> u & 1:
+            # the ordered loop over row u, which meets the failure
+            for v in bits(outside_u):
+                try:
+                    counts = _row_spectrum(rows, sources, u, outside_u, v, t_cap)
+                    _check_moments(counts, nu, k, fam, u, v)
+                except LocalStatsError as exc:
+                    return SpectrumHistogram(histogram, {"u": u, "v": v, "error": str(exc)})
+                histogram[counts] = histogram.get(counts, 0) + 1
+        for counts, count in row.items():
+            histogram[counts] = histogram.get(counts, 0) + count
+        swept |= 1 << u
+    return SpectrumHistogram(histogram, None)
 
 
 def predicted_m_spectrum(fam: FamilyInfo) -> dict[int, int]:
@@ -507,41 +642,29 @@ def _neighborhood_ordering(g: Graph, u: int, lam: int) -> list[int]:
     return [x for cell in cells for x in cell] + [u]
 
 
-def _inverse_block_matrix(n: int, lam: int, cliques: int) -> list[list[int]]:
-    """The closed-form block matrix equal to n(n+1)^2(n-lam) (nI - A_H)^{-1}.
-
-    Rows/columns follow the clique-grouped ordering with the cone vertex last:
-    block-diagonal a I + mu J per clique, a border of b, corner c, minus the
-    all-ones matrix.
-    """
-    mu = n * (n + 1)
-    a = mu * (n - lam)
-    b = lam + 1 - n
-    c = (lam + 1 - n) * (n + 1 - lam)
-    size = cliques * (lam + 1) + 1
-    k = size - 1
-    matrix = [[-1] * size for _ in range(size)]
-    for block in range(cliques):
-        base = block * (lam + 1)
-        for i in range(lam + 1):
-            for j in range(lam + 1):
-                matrix[base + i][base + j] += mu + (a if i == j else 0)
-    for t in range(k):
-        matrix[t][k] += b
-        matrix[k][t] += b
-    matrix[k][k] += c
-    return matrix
-
-
 def verify_inv_formula(
     g: Graph, fam: FamilyInfo, u: int, ordering: Optional[Sequence[int]] = None
 ) -> CheckReport:
     """Check the closed form of the neighborhood resolvent exactly.
 
-    Multiplies the block matrix by (nI - A_H) over the closed neighborhood
+    Multiplies the block matrix B by (nI - A_H) over the closed neighborhood
     H = <N[u]> and compares with n(n+1)^2(n-lam) I entrywise.  When lam = n
     the scalar vanishes and the identity is checked in its degenerate product
     form (nI - A_H is then singular); that case is a diagnostic.
+
+    B is never built.  In the order given (by default the (lam+1)-clique
+    cells of N(u), then u), B + J is a I + mu J on each cell block of the
+    first k positions, a border b in the last row and column, and a corner
+    c: row i of B + J is a weighted sum of indicator masks, mu C(i) + a {i}
+    + b {k} for i < k and b [0, k) + c {k} for i = k, with C(i) the block of
+    i.  With N(j) the positions adjacent to position j in H,
+
+        (B (nI - A_H))[i][j] = n B[i][j] - sum_{t in N(j)} B[i][t]
+                             = |N(j)| - n + sum_w w (n [j in m_w] - |N(j) & m_w|)
+
+    over the weighted masks (w, m_w) of row i.  The terms of mu C(i) and
+    b {k} are the same for every row of one cell, and a {i} changes only
+    position i and the neighbours of i, so a row costs one list comparison.
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
@@ -553,30 +676,40 @@ def verify_inv_formula(
         if sorted(order) != closed:
             raise LocalStatsError("ordering must enumerate the closed neighborhood of u")
     size = len(order)
-    cliques, remainder = divmod(size - 1, lam + 1)
-    if remainder:
-        raise LocalStatsError(f"|N(u)| = {size - 1} is not a multiple of lam+1 = {lam + 1}")
-    block = _inverse_block_matrix(n, lam, cliques)
+    k, width = size - 1, lam + 1
+    if k % width:
+        raise LocalStatsError(f"|N(u)| = {k} is not a multiple of lam+1 = {width}")
+    mu = n * (n + 1)
+    a, b, c = mu * (n - lam), lam + 1 - n, (lam + 1 - n) * (n + 1 - lam)
     scalar = n * (n + 1) ** 2 * (n - lam)
-    rows = g.rows  # order is N[u], checked above
-    resolvent = [
-        [n * (i == j) - (rows[order[i]] >> order[j] & 1) for j in range(size)]
-        for i in range(size)
-    ]
+    bit_of = _local_bits(g.nu, order)
+    adjacent = [_pack(g.rows[x], bit_of) for x in order]  # order is N[u], checked above
+
+    def term(weight: int, mask: int) -> list[int]:
+        """weight (n [j in mask] - |N(j) & mask|) at every position j."""
+        return [
+            weight * (n * (mask >> j & 1) - (row & mask).bit_count())
+            for j, row in enumerate(adjacent)
+        ]
+
+    base = [row.bit_count() - n for row in adjacent]
     witness = None
     for i in range(size):
-        row = block[i]
-        for j in range(size):
-            value = sum(row[t] * resolvent[t][j] for t in range(size))
-            expected = scalar if i == j else 0
-            if value != expected:
-                witness = {
-                    "entry": [order[i], order[j]],
-                    "value": value,
-                    "expected": expected,
-                }
-                break
-        if witness:
+        if i == k:
+            values = [sum(t) for t in zip(base, term(b, (1 << k) - 1), term(c, 1 << k))]
+        else:
+            if i % width == 0:  # the first position of a cell: its terms serve the whole cell
+                cell = ((1 << width) - 1) << i
+                shared = [sum(t) for t in zip(base, term(mu, cell), term(b, 1 << k))]
+            values = list(shared)
+            values[i] += a * n
+            for j in bits(adjacent[i]):
+                values[j] -= a
+        expected = [0] * size
+        expected[i] = scalar
+        if values != expected:
+            j = next(j for j, (got, want) in enumerate(zip(values, expected)) if got != want)
+            witness = {"entry": [order[i], order[j]], "value": values[j], "expected": expected[j]}
             break
     return CheckReport(
         name="inv-formula",

@@ -1,14 +1,18 @@
-"""Per-vertex and dense reference computations for the kernels of srgpq.localstats.
+"""Per-vertex and dense reference computations for the kernels of srgpq.
 
 These are the direct definitions that the mask-level kernels replaced: one
 outside vertex at a time through the bounds-checked Graph.row, one
-pair_stats call per triple, and the dense product Y B Y^T.  They live here
-only so the differential tests can demand equal results, equal exception
-types and equal messages from the kernels.
+m_spectrum call per ordered pair, one pair_stats call per triple, the dense
+products B (nI - A_H) and Y B Y^T, and the squared quotients of the sigma
+family.  They live here only so the differential tests can demand equal
+results, equal exception types and equal messages from the kernels.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
+from srgpq.automorphism import Permutation
 from srgpq.graphcore import Graph, TriplePartition, bits
 from srgpq.localstats import (
     LocalStatsError,
@@ -16,7 +20,6 @@ from srgpq.localstats import (
     MSpectrum,
     PairBoundError,
     PartitionError,
-    _inverse_block_matrix,
     _neighborhood_ordering,
     _require_positive_slope,
     pair_stats,
@@ -73,6 +76,22 @@ def m_spectrum(g: Graph, fam: FamilyInfo, u: int, v: int) -> MSpectrum:
                 f"{label} = {got}, expected {want} at pair ({u}, {v})"
             )
     return MSpectrum(u=u, v=v, counts=tuple(counts), m0_witnesses=tuple(m0))
+
+
+def m_spectrum_histogram(
+    g: Graph, fam: FamilyInfo, vertices: Optional[Sequence[int]] = None
+) -> tuple[dict[tuple[int, ...], int], Optional[dict]]:
+    """m_spectrum on each ordered pair, u in vertices, v ascending, up to the first failure."""
+    histogram: dict[tuple[int, ...], int] = {}
+    full = (1 << g.nu) - 1
+    for u in range(g.nu) if vertices is None else vertices:
+        for v in bits(full & ~(g.row(u) | (1 << u))):
+            try:
+                counts = m_spectrum(g, fam, u, v).counts
+            except LocalStatsError as exc:
+                return histogram, {"u": u, "v": v, "error": str(exc)}
+            histogram[counts] = histogram.get(counts, 0) + 1
+    return histogram, None
 
 
 def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
@@ -157,6 +176,74 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
     )
 
 
+def _inverse_block_matrix(n: int, lam: int, cliques: int) -> list[list[int]]:
+    """The closed-form block matrix equal to n(n+1)^2(n-lam) (nI - A_H)^{-1}.
+
+    Rows/columns follow the clique-grouped ordering with the cone vertex last:
+    block-diagonal a I + mu J per clique, a border of b, corner c, minus the
+    all-ones matrix.
+    """
+    mu = n * (n + 1)
+    a = mu * (n - lam)
+    b = lam + 1 - n
+    c = (lam + 1 - n) * (n + 1 - lam)
+    size = cliques * (lam + 1) + 1
+    k = size - 1
+    matrix = [[-1] * size for _ in range(size)]
+    for block in range(cliques):
+        base = block * (lam + 1)
+        for i in range(lam + 1):
+            for j in range(lam + 1):
+                matrix[base + i][base + j] += mu + (a if i == j else 0)
+    for t in range(k):
+        matrix[t][k] += b
+        matrix[k][t] += b
+    matrix[k][k] += c
+    return matrix
+
+
+def verify_inv_formula(
+    g: Graph, fam: FamilyInfo, u: int, ordering: Optional[Sequence[int]] = None
+) -> CheckReport:
+    """B (nI - A_H) == n(n+1)^2(n-lam) I entrywise, from the dense product."""
+    _require_positive_slope(fam)
+    n, lam = fam.n, fam.lam
+    if ordering is None:
+        order = _neighborhood_ordering(g, u, lam)
+    else:
+        order = list(ordering)
+        closed = sorted(bits(g.row(u) | (1 << u)))
+        if sorted(order) != closed:
+            raise LocalStatsError("ordering must enumerate the closed neighborhood of u")
+    size = len(order)
+    cliques, remainder = divmod(size - 1, lam + 1)
+    if remainder:
+        raise LocalStatsError(f"|N(u)| = {size - 1} is not a multiple of lam+1 = {lam + 1}")
+    block = _inverse_block_matrix(n, lam, cliques)
+    scalar = n * (n + 1) ** 2 * (n - lam)
+    resolvent = [
+        [n * (i == j) - int(g.adjacent(order[i], order[j])) for j in range(size)]
+        for i in range(size)
+    ]
+    witness = None
+    for i in range(size):
+        for j in range(size):
+            value = sum(block[i][t] * resolvent[t][j] for t in range(size))
+            expected = scalar if i == j else 0
+            if value != expected:
+                witness = {"entry": [order[i], order[j]], "value": value, "expected": expected}
+                break
+        if witness:
+            break
+    return CheckReport(
+        name="inv-formula",
+        passed=witness is None,
+        asserted=fam.in_resolvent_regime,
+        details={"dimension": size, "scalar": scalar, "degenerate": scalar == 0},
+        witness=witness,
+    )
+
+
 def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     """scalar*(nI - X) == Y B Y^T entrywise, from the dense block matrix B."""
     _require_positive_slope(fam)
@@ -195,5 +282,30 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
             "scalar": scalar,
             "degenerate": scalar == 0,
         },
+        witness=witness,
+    )
+
+
+def verify_involution_property(
+    family: dict[int, Permutation], asserted: bool = True
+) -> CheckReport:
+    """(sigma_u sigma_v^{-1})^2 is the identity, composed and squared for every ordered pair."""
+    inverses = {v: sigma.inverse() for v, sigma in family.items()}
+    witness = None
+    checked = 0
+    for u, sigma_u in family.items():
+        for v, inverse_v in inverses.items():
+            quotient = sigma_u.compose(inverse_v)
+            checked += 1
+            if not quotient.compose(quotient).is_identity():
+                witness = {"u": u, "v": v}
+                break
+        if witness:
+            break
+    return CheckReport(
+        name="involution-property",
+        passed=witness is None,
+        asserted=asserted,
+        details={"pairs_checked": checked},
         witness=witness,
     )

@@ -9,6 +9,8 @@ that map or its inverse.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from srgpq.automorphism import (
@@ -25,6 +27,7 @@ from srgpq.automorphism import (
 )
 from srgpq.graphcore import maximal_cliques_via_edges, phi_partition
 from srgpq.localstats import LocalStatsError
+from tests import oracles
 
 # GF(4) multiplication on the 2-bit encoding 0, 1, w = 2, w^2 = 3
 _MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
@@ -142,6 +145,31 @@ def test_involution_property_detects_corruption(sigma_family):
     report = verify_involution_property(corrupted)
     assert not report.passed
     assert report.witness is not None
+
+
+def test_involution_property_matches_the_squared_quotients(sigma_family):
+    # one sigma replaced by another bijection (a transposed pair of images),
+    # in the family's own key order and in a shuffled one
+    rng = random.Random(7)
+    failures = 0
+    for trial in range(24):
+        family = dict(sigma_family)
+        u = rng.randrange(64)
+        images = list(family[u].images)
+        a, b = rng.sample(range(64), 2)
+        images[a], images[b] = images[b], images[a]
+        family[u] = Permutation(tuple(images))
+        if trial % 2:
+            items = list(family.items())
+            rng.shuffle(items)
+            family = dict(items)
+        report = verify_involution_property(family)
+        assert report == oracles.verify_involution_property(family)
+        failures += not report.passed
+    assert failures == 24
+    assert verify_involution_property(sigma_family) == oracles.verify_involution_property(
+        sigma_family
+    )
 
 
 def test_related_set_adjacent_is_a_line(gq35, fam_gq35):

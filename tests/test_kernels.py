@@ -1,10 +1,11 @@
 """Differential tests: the bitset kernels of srgpq.localstats against their references.
 
 The references in tests/oracles.py test one outside vertex at a time, call
-pair_stats once per triple, or build the dense product Y B Y^T.  The kernels
-must give the same M_0 sets, counts, reports and witnesses, and raise the
-same exception type with the same message, on random graphs and on
-edge-toggle and 2-switch mutants of both witnesses.
+m_spectrum once per ordered pair or pair_stats once per triple, or build the
+dense products B (nI - A_H) and Y B Y^T.  The kernels must give the same M_0
+sets, counts, histograms, reports and witnesses, and raise the same
+exception type with the same message, on random graphs and on edge-toggle
+and 2-switch mutants of both witnesses.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfbench.inputs import gq35_rows, ovoid256_rows, toggle, two_switch
-from srgpq.graphcore import Graph, NeighborhoodStructureError, bits
+import pytest
+
+from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, toggle, two_switch
+from srgpq import localstats
+from srgpq.graphcore import Graph, GraphError, NeighborhoodStructureError, bits
 from srgpq.localstats import (
     FamilyPreconditionError,
     LocalStatsError,
@@ -24,8 +28,10 @@ from srgpq.localstats import (
     _m0_mask,
     check_condition_con,
     m_spectrum,
+    m_spectrum_histogram,
     psi_partition,
     verify_eq_pq,
+    verify_inv_formula,
     verify_star,
 )
 from srgpq.params import FamilyInfo
@@ -242,3 +248,184 @@ def test_star_witness_names_a_toggled_pair_of_non_neighbours():
         assert eq_pq == oracles.verify_eq_pq(g, fam)
         if u == 0:  # every triple at u = 0 before (v, w) is untouched
             assert (eq_pq.witness["u"], eq_pq.witness["v"], eq_pq.witness["w"]) == (u, v, w)
+
+
+# The local-stats sweep: each unordered pair computed once and owed to the later
+# row, against the ordered m_spectrum loop.  On failing inputs the histogram of
+# the pairs before the failure must agree too.
+
+VALID_FAMILIES = [fam for fam in FAMILIES if fam.n > 0 and fam.lam <= fam.n]
+
+
+def _assert_sweep_agrees(g: Graph, fam: FamilyInfo, vertices=None):
+    sweep = m_spectrum_histogram(g, fam, vertices)
+    histogram, failure = oracles.m_spectrum_histogram(g, fam, vertices)
+    assert (sweep.histogram, sweep.failure) == (histogram, failure)
+    assert sweep.pairs_checked == sum(histogram.values())
+    return sweep
+
+
+def _shuffled(rows: list[int], seed: int) -> list[int]:
+    images = list(range(len(rows)))
+    random.Random(seed).shuffle(images)
+    return relabel(rows, images)
+
+
+def _first(rows: list[int], front: list[int]) -> list[int]:
+    """rows relabelled so that the vertices of front come first, in order."""
+    images = [0] * len(rows)
+    order = front + [x for x in range(len(rows)) if x not in front]
+    for label, x in enumerate(order):
+        images[x] = label
+    return relabel(rows, images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.sampled_from(VALID_FAMILIES), st.data())
+def test_sweep_matches_the_ordered_loop_on_random_graphs(g, fam, data):
+    rows = data.draw(st.permutations(range(g.nu)), label="rows")
+    _assert_sweep_agrees(g, fam)
+    _assert_sweep_agrees(g, fam, rows[: data.draw(st.integers(0, g.nu), label="listed")])
+
+
+def test_sweep_matches_the_ordered_loop_on_the_witnesses():
+    fam = FamilyInfo.from_n_lam(2, 2)
+    for rows in (gq35_rows(), _shuffled(gq35_rows(), 1)):
+        sweep = _assert_sweep_agrees(Graph(rows), fam)
+        assert sweep.histogram == {(2, 0, 24, 0, 6, 0, 0): 64 * 45}
+        for u in (0, 31, 63):  # the rows of --vertex
+            _assert_sweep_agrees(Graph(rows), fam, [u])
+    fam = FamilyInfo.from_n_lam(3, 2)
+    for rows in (ovoid256_rows(), _shuffled(ovoid256_rows(), 2)):
+        g = Graph(rows)
+        # every pair has the same spectrum, so one row of the loop pins the full sweep
+        v = next(x for x in range(1, 256) if not rows[0] >> x & 1)
+        counts = oracles.m_spectrum(g, fam, 0, v).counts
+        assert m_spectrum_histogram(g, fam).histogram == {counts: 256 * 204}
+        listed = random.Random(3).sample(range(256), 6)
+        _assert_sweep_agrees(g, fam, listed)
+        _assert_sweep_agrees(g, fam, listed[:1])
+
+
+def test_sweep_matches_the_ordered_loop_on_mutants():
+    rng = random.Random(13)
+    rows = gq35_rows()
+    for trial in range(4):
+        mutant = _shuffled(two_switch(rows, rng), trial)
+        for fam in VALID_FAMILIES:  # n = 2, lam = 2 is the graph's own family
+            sweep = _assert_sweep_agrees(Graph(mutant), fam)
+            assert sweep.failure is not None
+            _assert_sweep_agrees(Graph(mutant), fam, [trial, 40 + trial])
+    fam = FamilyInfo.from_n_lam(3, 2)
+    mutant = two_switch(ovoid256_rows(), rng)
+    sweep = _assert_sweep_agrees(Graph(mutant), fam, rng.sample(range(256), 4))
+    assert isinstance(sweep.failure, dict)
+
+
+def test_sweep_failure_in_a_late_row():
+    # A toggled edge of GQ(3,5) leaves a few rows whose pairs all pass; listed
+    # first, they push the first failure to row 6, after six rows of owed pairs.
+    fam = FamilyInfo.from_n_lam(2, 2)
+    mutant = toggle(gq35_rows(), random.Random(1))
+    g = Graph(mutant)
+    passing = [u for u in range(64) if m_spectrum_histogram(g, fam, [u]).failure is None]
+    assert len(passing) == 6
+    sweep = _assert_sweep_agrees(Graph(_first(mutant, passing)), fam)
+    assert sweep.failure["u"] == 6 and sweep.pairs_checked > 5 * 45
+    # C4 plus an isolated vertex z under n = 1, lam = 0: every row of C4 passes,
+    # but the pairs owed to z fail z's own targets (k = 0), so the first failure
+    # is the owed pair (z, 0) in the last row
+    c4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    fam = FamilyInfo.from_n_lam(1, 0)
+    sweep = _assert_sweep_agrees(c4, fam)
+    assert sweep.failure == {"u": 4, "v": 0, "error": "sum m_i = 1, expected 5 at pair (4, 0)"}
+    assert sweep.histogram == {(1, 0): 8}
+    for images in ([4, 0, 1, 2, 3], [0, 1, 4, 2, 3]):
+        _assert_sweep_agrees(Graph(relabel(list(c4.rows), images)), fam)
+
+
+def test_sweep_checks_each_row_against_its_own_degree():
+    # the path 1 - 0 - 2 - 3 under n = 1, lam = 0: the pair (0, 3) passes with
+    # deg(0) = 2, and the new pair (1, 2) of row 1 has the same spectrum but
+    # fails with deg(1) = 1, so a spectrum seen in another row is checked again
+    path = Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
+    sweep = _assert_sweep_agrees(path, FamilyInfo.from_n_lam(1, 0))
+    assert sweep.histogram == {(0, 0): 1}
+    assert sweep.failure == {"u": 1, "v": 2, "error": "sum m_i = 0, expected 2 at pair (1, 2)"}
+
+
+def test_sweep_runs_the_pair_kernel_once_per_unordered_pair(monkeypatch):
+    calls = []
+    kernel = localstats._spectrum_masks
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return kernel(*args)
+
+    monkeypatch.setattr(localstats, "_spectrum_masks", counted)
+    assert m_spectrum_histogram(Graph(gq35_rows()), FamilyInfo.from_n_lam(2, 2)).failure is None
+    assert len(calls) == len({frozenset(pair) for pair in calls}) == 64 * 45 // 2
+
+
+def test_sweep_rejects_bad_rows():
+    g, fam = Graph(gq35_rows()), FamilyInfo.from_n_lam(2, 2)
+    with pytest.raises(GraphError):
+        m_spectrum_histogram(g, fam, [64])
+    with pytest.raises(LocalStatsError, match="listed twice"):
+        m_spectrum_histogram(g, fam, [3, 5, 3])
+    with pytest.raises(FamilyPreconditionError):
+        m_spectrum_histogram(g, FamilyInfo.from_n_lam(1, 2))
+
+
+# verify_inv_formula: per-row popcounts against the dense product B (nI - A_H).
+
+
+def _assert_inv_formula_agrees(g: Graph, fam: FamilyInfo, u: int, ordering=None):
+    outcome = _outcome(verify_inv_formula, g, fam, u, ordering)
+    assert outcome == _outcome(oracles.verify_inv_formula, g, fam, u, ordering)
+    return outcome
+
+
+def test_inv_formula_matches_the_dense_product_on_the_witnesses():
+    gq35 = Graph(gq35_rows())
+    kinds = set()
+    for u in range(64):
+        for fam in (FamilyInfo.from_n_lam(2, 2), FamilyInfo.from_n_lam(3, 2)):
+            kinds.add(_kind(_assert_inv_formula_agrees(gq35, fam, u)))
+    # a wrong family's scalar fails the product, the graph's own passes it
+    assert kinds == {("inv-formula", True), ("inv-formula", False)}
+    rng = random.Random(4)
+    closed = [x for x in range(64) if gq35.adjacent(0, x)] + [0]
+    for _ in range(4):  # positions, not vertices, carry the block structure
+        rng.shuffle(closed)
+        _assert_inv_formula_agrees(gq35, FamilyInfo.from_n_lam(2, 2), 0, list(closed))
+    ovoid = Graph(ovoid256_rows())
+    for u in random.Random(8).sample(range(256), 8):
+        outcome = _assert_inv_formula_agrees(ovoid, FamilyInfo.from_n_lam(3, 2), u)
+        assert outcome[1].severity == "asserted-pass"
+
+
+def test_inv_formula_matches_the_dense_product_on_toggled_edges():
+    rng = random.Random(6)
+    kinds = set()
+    for rows, fam in ((gq35_rows(), FamilyInfo.from_n_lam(2, 2)),
+                      (ovoid256_rows(), FamilyInfo.from_n_lam(3, 2))):
+        for _ in range(3):
+            u = rng.randrange(len(rows))
+            order = localstats._neighborhood_ordering(Graph(rows), u, fam.lam)
+            # an edge inside N[u], so A_H itself changes
+            a, b = rng.sample(order, 2)
+            mutant = list(rows)
+            mutant[a] ^= 1 << b
+            mutant[b] ^= 1 << a
+            # the mutant's own cells, if any, and the cells of the unmutated graph
+            kinds.add(_kind(_assert_inv_formula_agrees(Graph(mutant), fam, u)))
+            kinds.add(_kind(_assert_inv_formula_agrees(Graph(mutant), fam, u, order)))
+    assert {NeighborhoodStructureError, ("inv-formula", False)} <= kinds
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.sampled_from(FAMILIES), st.data())
+def test_inv_formula_matches_the_dense_product_on_random_graphs(g, fam, data):
+    u = data.draw(st.integers(-1, g.nu), label="u")
+    _assert_inv_formula_agrees(g, fam, u)

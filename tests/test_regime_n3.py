@@ -65,6 +65,33 @@ def test_local_stats_is_an_asserted_pass_with_the_predicted_spectrum(
     assert report["results"]["m0_range"] == [2, 2]
 
 
+def test_related_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
+    code, report, checks = _report(["related"], ovoid_rows, capsys, monkeypatch)
+    assert code == 0
+    assert checks["related-partition"]["severity"] == "asserted-pass"
+    # 1088 lines of PQ(3, 16, 12) and 256 * 204 / 12 independent 4-sets {u, v} + M_0(u, v)
+    by_kind = {"clique": 1088, "independent-with-M0": 4352}
+    assert checks["related-partition"]["details"] == {"sets": 5440, "by_kind": by_kind}
+    assert report["results"] == {"related_sets": 5440, "by_kind": by_kind}
+
+
+@pytest.mark.slow
+def test_group_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
+    code, report, checks = _report(["group"], ovoid_rows, capsys, monkeypatch)
+    assert code == 0
+    assert checks["gamma-properties"]["severity"] == "asserted-pass"
+    assert checks["gamma-properties"]["details"] == {"order": 256}
+    assert checks["fixed-point-bound"]["severity"] == "asserted-pass"
+    results = report["results"]
+    # Gamma is the translation group of GF(4)^4: elementary abelian, regular on the vertices
+    assert results["order"] == 256
+    assert results["abelian"] is True
+    assert results["transitive"] is True
+    assert results["orbit_sizes"] == [256]
+    assert results["element_order_histogram"] == {"1": 1, "2": 255}
+    assert results["fixed_point_histogram"] == {"0": 255, "256": 1}
+
+
 def test_psi_regularity_is_an_asserted_pass(ovoid_rows):
     report = verify_psi_regularity(Graph(ovoid_rows), FAMILY, 0)
     assert report.severity == "asserted-pass"
