@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Optional
 
 from srgpq.graphcore import Graph, bits, phi_partition
@@ -52,7 +53,12 @@ class ClosureCapError(ValueError):
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of 0..nu-1 stored as its image array."""
+    """A permutation of 0..nu-1 stored as its image array.
+
+    The constructor checks that the images define a bijection.  Results of
+    compose, inverse and identity are bijections by construction, so they
+    are built by _trusted without that check.
+    """
 
     images: tuple[int, ...]
 
@@ -62,8 +68,14 @@ class Permutation:
             raise ValueError("images do not define a bijection")
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
+        return cls._trusted(tuple(range(n)))
 
     def __call__(self, v: int) -> int:
         return self.images[v]
@@ -73,13 +85,15 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(x) = self(other(x))."""
-        return Permutation(tuple(self.images[i] for i in other.images))
+        if len(other.images) != len(self.images):
+            raise ValueError("cannot compose permutations of different degrees")
+        return Permutation._trusted(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, image in enumerate(self.images):
             inv[image] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, image in enumerate(self.images) if image == i)
@@ -113,7 +127,11 @@ class RelatedSet:
 
 @dataclass(frozen=True)
 class GroupClosure:
-    """A finite permutation group with generator list and orbit partition."""
+    """A finite permutation group with its generators and orbit partition.
+
+    generate_gamma fills generators with the sifted quotients q_u, an
+    irredundant generating set, not every quotient sigma_u sigma_v^{-1}.
+    """
 
     elements: tuple[Permutation, ...]
     generators: tuple[Permutation, ...]
@@ -138,10 +156,23 @@ class GammaReport:
 
 
 def automorphism_witness(g: Graph, perm: Permutation) -> Optional[tuple[int, int]]:
-    """First pair whose adjacency is not preserved, or None."""
+    """First pair whose adjacency is not preserved, or None.
+
+    Character y of row x's reversed binary string is its bit y, so perm
+    preserves row x iff gathering row perm(x)'s string at perm's images
+    gives row x's string back: one C-level gather a row.  On a mismatch the
+    rows are replayed bit by bit to name the witness pair.
+    """
     if len(perm) != g.nu:
         raise ValueError("permutation length does not match the graph")
     rows, images = g.rows, perm.images
+    if rows:  # itemgetter needs at least one index
+        width = f"0{g.nu}b"
+        strings = [format(row, width)[::-1] for row in rows]
+        gather = itemgetter(*images)
+        if all("".join(gather(strings[image])) == string
+               for image, string in zip(images, strings)):
+            return None
     for x, row in enumerate(rows):
         image_row = 0
         for y in bits(row):
@@ -178,43 +209,45 @@ def build_sigma(
         if seed_cell not in phi.cells:
             raise ValueError(f"seed cell {seed_cell} is not a cell of the triangle partition")
 
+    # Every definition is a 3-cycle on a sorted cell (c0, c1, c2), so it is
+    # one orientation bit: 0 for c0 -> c1 -> c2 -> c0, 1 for the reverse.
+    # Carrying a 3-cycle across a bijection keeps its orientation when the
+    # bijection lists the target cell in rotated order and flips it when
+    # the order is reflected, in either direction.
     phi_index = {cell: i for i, cell in enumerate(phi.cells)}
-    partners_of_phi: dict[int, list[int]] = {i: [] for i in range(len(phi.cells))}
-    partners_of_psi: dict[int, list[int]] = {j: [] for j in range(len(psi.cells))}
-    for (i, j) in table.bijections:
-        partners_of_phi[i].append(j)
-        partners_of_psi[j].append(i)
+    partners_of_phi: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(phi.cells))}
+    partners_of_psi: dict[int, list[tuple[int, int]]] = {j: [] for j in range(len(psi.cells))}
+    for (i, j), bijection in table.bijections.items():
+        x, y, z = bijection.values()
+        flip = ((x > y) + (x > z) + (y > z)) & 1
+        partners_of_phi[i].append((j, flip))
+        partners_of_psi[j].append((i, flip))
 
-    defined: dict[tuple[str, int], dict[int, int]] = {}
+    defined: dict[tuple[str, int], int] = {}
     seed_key = ("phi", phi_index[seed_cell])
-    a, b, c = seed_cell
-    defined[seed_key] = {a: b, b: c, c: a}
+    defined[seed_key] = 0  # the ascending 3-cycle (a b c)
     worklist = [seed_key]
 
-    def transfer(key: tuple[str, int], mapping: dict[int, int], source: tuple[str, int]):
+    def transfer(key: tuple[str, int], orientation: int, source: tuple[str, int]):
         if key in defined:
-            if defined[key] != mapping:
+            if defined[key] != orientation:
                 raise SigmaConflictError(
                     f"conflicting definitions on cell {key} propagated from {source}"
                 )
             return
-        defined[key] = mapping
+        defined[key] = orientation
         worklist.append(key)
 
     while worklist:
-        kind, index = worklist.pop()
-        mapping = defined[(kind, index)]
+        source = worklist.pop()
+        kind, index = source
+        orientation = defined[source]
         if kind == "phi":
-            for j in partners_of_phi[index]:
-                bijection = table.bijections[(index, j)]
-                transferred = {bijection[a]: bijection[mapping[a]] for a in bijection}
-                transfer(("psi", j), transferred, ("phi", index))
+            for j, flip in partners_of_phi[index]:
+                transfer(("psi", j), orientation ^ flip, source)
         else:
-            for i in partners_of_psi[index]:
-                bijection = table.bijections[(i, index)]
-                inverse = {b: a for a, b in bijection.items()}
-                transferred = {inverse[b]: inverse[mapping[b]] for b in inverse}
-                transfer(("phi", i), transferred, ("psi", index))
+            for i, flip in partners_of_psi[index]:
+                transfer(("phi", i), orientation ^ flip, source)
 
     expected_cells = len(phi.cells) + len(psi.cells)
     if len(defined) != expected_cells:
@@ -227,9 +260,12 @@ def build_sigma(
         raise SigmaCoverageError(f"propagation left cells undefined: {missing}")
 
     images = list(range(g.nu))
-    for mapping in defined.values():
-        for source, target in mapping.items():
-            images[source] = target
+    for (kind, index), orientation in defined.items():
+        c0, c1, c2 = (phi if kind == "phi" else psi).cells[index]
+        if orientation:
+            images[c0], images[c1], images[c2] = c2, c0, c1
+        else:
+            images[c0], images[c1], images[c2] = c1, c2, c0
     sigma = Permutation(tuple(images))
     witness = automorphism_witness(g, sigma)
     if witness is not None:
@@ -332,7 +368,7 @@ def verify_involution_property(
         images_u, inverse_u = images[i], inverses[i]
         for j in range(i + 1, size):
             images_v = images[j]
-            if [images_u[x] for x in inverses[j]] != [images_v[x] for x in inverse_u]:
+            if _compose(images_u, inverses[j]) != _compose(images_v, inverse_u):
                 witness = {"u": u, "v": keys[j]}
                 checked = i * size + j + 1
                 break
@@ -371,46 +407,47 @@ def verify_inverse_law(family: dict[int, Permutation], asserted: bool = True) ->
 def generate_gamma(
     family: dict[int, Permutation], fam: Optional[FamilyInfo] = None, cap: int = 1 << 16
 ) -> GammaReport:
-    """Closure of all quotients sigma_u sigma_v^{-1} with its group properties.
+    """The group Gamma generated by the quotients sigma_u sigma_v^{-1}, with its properties.
 
-    Breadth-first multiplication over hash-consed image tuples, aborting past
-    the element cap.  Reports order, commutativity of the generators,
-    transitivity, orbit sizes, element orders, and fixed-point counts checked
-    against the spectral fixed-point bound when family data is available.
+    With z the family's first key and q_u = sigma_u sigma_z^{-1}, every
+    quotient is sigma_u sigma_v^{-1} = q_u q_v^{-1}, and each q_u is one of
+    them, so the nu quotients q_u generate Gamma.  They are sifted in key
+    order: q_u is kept as a generator only when it is not yet in the
+    closure of the generators kept before it, and the closure is extended
+    breadth-first over the kept generators.  closure.generators is that
+    sifted set, in key order.  A group is abelian iff a generating set
+    commutes, so commutativity, like the orbits, is read off the sifted set.
+    ClosureCapError is raised exactly when the order exceeds a cap of at
+    least 1.  Fixed-point counts are checked against the spectral
+    fixed-point bound when family data is available.
     """
     if not family:
         raise ValueError("empty family")
-    degree = len(next(iter(family.values())))
-    inverses = {v: sigma.inverse() for v, sigma in family.items()}
-    generator_images = set()
-    for sigma_u in family.values():
-        for inverse_v in inverses.values():
-            generator_images.add(sigma_u.compose(inverse_v).images)
-    generators = tuple(Permutation(images) for images in sorted(generator_images))
+    sigma_z = next(iter(family.values()))
+    inverse_z = sigma_z.inverse()
+    degree = len(sigma_z)
+    elements: set[tuple[int, ...]] = {tuple(range(degree))}
+    generators: list[tuple[int, ...]] = []
+    for sigma in family.values():
+        quotient = sigma.compose(inverse_z).images
+        if quotient in elements:
+            continue
+        generators.append(quotient)
+        frontier = list(elements)
+        while frontier:
+            next_frontier = []
+            for images in frontier:
+                for gen in generators:
+                    product = _compose(gen, images)
+                    if product not in elements:
+                        if len(elements) >= cap:
+                            raise ClosureCapError(f"closure exceeded the cap of {cap} elements")
+                        elements.add(product)
+                        next_frontier.append(product)
+            frontier = next_frontier
 
-    elements: set[tuple[int, ...]] = {Permutation.identity(degree).images}
-    frontier = []
-    for images in generator_images:
-        if images not in elements:
-            if len(elements) >= cap:
-                raise ClosureCapError(f"closure exceeded the cap of {cap} elements")
-            elements.add(images)
-            frontier.append(images)
-    while frontier:
-        next_frontier = []
-        for images in frontier:
-            for gen in generators:
-                product = tuple(gen.images[i] for i in images)
-                if product not in elements:
-                    if len(elements) >= cap:
-                        raise ClosureCapError(f"closure exceeded the cap of {cap} elements")
-                    elements.add(product)
-                    next_frontier.append(product)
-        frontier = next_frontier
-
-    closure_elements = tuple(Permutation(images) for images in sorted(elements))
     abelian = all(
-        a.compose(b).images == b.compose(a).images
+        _compose(a, b) == _compose(b, a)
         for index, a in enumerate(generators)
         for b in generators[index + 1 :]
     )
@@ -420,20 +457,18 @@ def generate_gamma(
     for start in range(degree):
         if seen[start]:
             continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for gen in generators:
-                y = gen(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
+        seen[start] = True
+        orbit = [start]
         for x in orbit:
-            seen[x] = True
+            for gen in generators:
+                y = gen[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
         orbits.append(tuple(sorted(orbit)))
     orbits_sorted = tuple(sorted(orbits))
 
+    closure_elements = tuple(Permutation._trusted(images) for images in sorted(elements))
     order_histogram: dict[int, int] = {}
     fixed_histogram: dict[int, int] = {}
     max_fixed = 0
@@ -449,14 +484,13 @@ def generate_gamma(
         bound = fixed_point_bound(fam.srg_params()).value
     else:
         bound = Fraction(degree)  # no family data: the trivial bound
-    bound_satisfied = all(
-        len(element.fixed_points()) <= bound
-        for element in closure_elements
-        if not element.is_identity()
-    )
     order = len(closure_elements)
     return GammaReport(
-        closure=GroupClosure(elements=closure_elements, generators=generators, orbits=orbits_sorted),
+        closure=GroupClosure(
+            elements=closure_elements,
+            generators=tuple(Permutation._trusted(images) for images in generators),
+            orbits=orbits_sorted,
+        ),
         order=order,
         abelian=abelian,
         transitive=len(orbits_sorted) == 1,
@@ -465,6 +499,13 @@ def generate_gamma(
         fixed_point_histogram=fixed_histogram,
         max_nonidentity_fixed_points=max_fixed,
         bound=bound,
-        bound_satisfied=bound_satisfied,
+        bound_satisfied=order == 1 or max_fixed <= bound,
         order_power_of_two=order & (order - 1) == 0,
     )
+
+
+def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of outer after inner, gathered in C by one itemgetter."""
+    if len(inner) < 2:  # itemgetter returns a bare item for one index and fails on none
+        return tuple(outer[i] for i in inner)
+    return itemgetter(*inner)(outer)

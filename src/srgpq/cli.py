@@ -2,9 +2,10 @@
 
 Every analysis subcommand is one row of ANALYSES, run by one driver that
 writes one JSON document to stdout and exits 0 when no asserted check
-failed, 1 when one did, and 2 on usage errors (malformed arguments or input
-files, an out-of-range --vertex or --base, a --cap below 1), which never
-emit partial JSON.
+failed, 1 when one did, 2 on usage errors (malformed arguments or input
+files, an out-of-range --vertex or --base, a --cap or --max below 1) and 3
+on an internal error (any other exception, a fault of srgpq itself).  Exits
+2 and 3 never emit partial JSON; stderr gets one "error: ..." line.
 The producers `build` and `graph-to-pq` emit raw graph6 and incidence text.
 
 Reports are byte-identical across runs for the same input; wall-clock
@@ -72,6 +73,10 @@ GRAPH6_HEADER = ">>graph6<<"
 MAX_GRAPH6_VERTICES = 1 << 14
 
 DIOPHANTINE_REFERENCE = ((1, 1), (2, 3), (3, 4), (10, 7))
+
+
+class UsageError(ValueError):
+    """An argument that _analyze rejects before the analysis runs."""
 
 
 class Graph6Error(ValueError):
@@ -582,7 +587,8 @@ ANALYSES = (
     ("group", _group, FAMILY, "generate and analyze the quotient group closure", ("--base", "--cap")),
     ("pq-axioms", _pq_axioms, INCIDENCE,
      "verify the partial-quadrangle axioms of an incidence file", ()),
-    ("diophantine", _diophantine, None, "solve (2n+3)^2 = 2^(t+2) + 17 by exhaustion", ("--max",)),
+    ("diophantine", _diophantine, None, "solve (2n+3)^2 = 2^(t+2) + 17 for n up to --max",
+     ("--max",)),
     ("certificate-pq-3-35-20", _certificate, None, "the exact nonexistence certificate", ()),
 )
 
@@ -598,9 +604,13 @@ def _analyze(args) -> int:
         source = parse_graph6(line)
         for vertex in (getattr(args, "vertex", None), getattr(args, "base", None)):
             if vertex is not None:
-                source.check_vertex(vertex)  # an out-of-range vertex is a usage error
-        if getattr(args, "cap", 1) < 1:
-            raise ValueError(f"--cap must be at least 1, got {args.cap}")
+                try:
+                    source.check_vertex(vertex)
+                except GraphError as exc:
+                    raise UsageError(str(exc)) from exc
+    for option in ("cap", "max"):
+        if getattr(args, option, 1) < 1:
+            raise UsageError(f"--{option} must be at least 1, got {getattr(args, option)}")
     checks: list[CheckReport] = []
     results: dict = {}
     family = None
@@ -647,7 +657,7 @@ def _graph_to_pq(args) -> int:
     g = parse_graph6(_graph6_line(args.graph))
     try:
         incidence = graph_to_pq(g)
-    except (GeometryError, ValueError) as exc:
+    except (GeometryError, GraphError) as exc:  # not an SRG, or not diamond-free
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(format_incidence(incidence))
@@ -690,6 +700,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a user can get wrong: a missing or unreadable file, malformed input
+# text or parameters, and an argument that _analyze rejects.
+USAGE_ERRORS = (OSError, UnicodeDecodeError, Graph6Error, ParameterError, GeometryError, UsageError)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     try:
@@ -699,9 +714,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args._argv = list(argv) if argv is not None else list(sys.argv[1:])
     try:
         return args.handler(args)
-    except (OSError, ValueError) as exc:  # Graph6Error, GeometryError, ParameterError among them
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of srgpq itself, not of its input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -519,7 +519,8 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
         cell_mask = m0 | (1 << v)
         cell = tuple(bits(cell_mask))
         for member in cell:
-            if _m0_mask(g, u, member) != cell_mask ^ (1 << member):
+            # M_0(u, v) is m0 itself; the other two members are checked for mutuality
+            if member != v and _m0_mask(g, u, member) != cell_mask ^ (1 << member):
                 other = tuple(bits(cell_mask ^ (1 << member)))
                 raise PartitionError(
                     f"not a partition: vertex {member} of cell {cell} has "
@@ -540,30 +541,38 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
 def matched_pairs(
     g: Graph, u: int, phi: TriplePartition, psi: TriplePartition
 ) -> MatchedPairTable:
-    """Classify every (phi cell, psi cell) pair as edgeless, one-regular, or other."""
+    """Classify every (phi cell, psi cell) pair as edgeless, one-regular, or other.
+
+    Each psi cell is one mask, and each phi vertex's row is restricted once
+    to the union of the psi cells.  A psi cell that no row of a phi cell
+    touches is edgeless; only the touched ones are classified.
+    """
     if phi.base_vertex != u or psi.base_vertex != u:
         raise LocalStatsError("partitions built at a different base vertex")
     if phi.kind != "phi" or psi.kind != "psi":
         raise LocalStatsError("need a phi partition and a psi partition")
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in psi.cells]
+    covered = sum(masks)
     kinds = []
     bijections: dict[tuple[int, int], dict[int, int]] = {}
     for i, phi_cell in enumerate(phi.cells):
+        a0, a1, a2 = phi_cell
+        r0, r1, r2 = (g.row(a) & covered for a in phi_cell)
+        touched = r0 | r1 | r2
         row_kinds = []
-        for j, psi_cell in enumerate(psi.cells):
-            psi_mask = 0
-            for b in psi_cell:
-                psi_mask |= 1 << b
-            degrees = [(g.row(a) & psi_mask).bit_count() for a in phi_cell]
-            total = sum(degrees)
-            if total == 0:
+        for j, mask in enumerate(masks):
+            if not touched & mask:
                 row_kinds.append("edgeless")
-            elif degrees == [1, 1, 1]:
-                mapping = {a: next(bits(g.row(a) & psi_mask)) for a in phi_cell}
-                if len(set(mapping.values())) == 3:
-                    row_kinds.append("one-regular")
-                    bijections[(i, j)] = mapping
-                else:
-                    row_kinds.append("other")
+                continue
+            m0, m1, m2 = r0 & mask, r1 & mask, r2 & mask
+            # one neighbour each, and together all three: a bijection
+            if m0 | m1 | m2 == mask and m0.bit_count() == m1.bit_count() == m2.bit_count() == 1:
+                row_kinds.append("one-regular")
+                bijections[(i, j)] = {
+                    a0: m0.bit_length() - 1,
+                    a1: m1.bit_length() - 1,
+                    a2: m2.bit_length() - 1,
+                }
             else:
                 row_kinds.append("other")
         kinds.append(tuple(row_kinds))

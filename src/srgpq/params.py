@@ -252,16 +252,20 @@ def fixed_point_bound(p: SrgParams) -> FixedPointBound:
 
 
 def solve_diophantine_17(n_max: int) -> list[tuple[int, int]]:
-    """All (n, t) with 1 <= n <= n_max, t >= 0 and (2n+3)^2 = 2^(t+2) + 17.
+    """All (n, t) with 1 <= n <= n_max, t >= 0 and (2n+3)^2 = 2^(t+2) + 17, ascending.
 
-    Exhaustive big-integer search; completeness is only claimed up to n_max.
+    Exact in O(log n_max) steps: for each t with 2^(t+2) + 17 <= (2 n_max + 3)^2,
+    the right side is a square root^2 exactly when isqrt says so, and then
+    n = (root - 3) / 2 (root is odd, as 2^(t+2) + 17 is); root >= 5 makes n >= 1.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    limit = (2 * n_max + 3) ** 2
     solutions = []
-    for n in range(1, n_max + 1):
-        value = (2 * n + 3) ** 2 - 17
-        # value >= 8 for n >= 1, so a power of two always yields t >= 1
-        if value & (value - 1) == 0:
-            solutions.append((n, value.bit_length() - 3))
+    t = 0
+    while (value := (1 << (t + 2)) + 17) <= limit:
+        root = isqrt(value)
+        if root * root == value and root >= 5:
+            solutions.append(((root - 3) // 2, t))
+        t += 1
     return solutions

@@ -38,3 +38,12 @@ def sigma_family(gq35, fam_gq35):
     from srgpq.automorphism import canonical_sigma_family
 
     return canonical_sigma_family(gq35, fam_gq35, z=0)
+
+
+@pytest.fixture(scope="session")
+def sigma_family_n3():
+    """The canonical sigma family of the n = 3 witness (about 2 s); copy it before mutating."""
+    from srgpq.automorphism import canonical_sigma_family
+    from srgpq.geometry import build_ovoid256
+
+    return canonical_sigma_family(build_ovoid256(), FamilyInfo.from_n_lam(3, 2))

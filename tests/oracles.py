@@ -3,19 +3,32 @@
 These are the direct definitions that the mask-level kernels replaced: one
 outside vertex at a time through the bounds-checked Graph.row, one
 m_spectrum call per ordered pair, one pair_stats call per triple, the dense
-products B (nI - A_H) and Y B Y^T, and the squared quotients of the sigma
-family.  They live here only so the differential tests can demand equal
-results, equal exception types and equal messages from the kernels.
+products B (nI - A_H) and Y B Y^T, the squared quotients of the sigma
+family, the closure of all nu^2 quotients, one (phi cell, psi cell) pair at
+a time, the sigma propagation with one mapping dict a cell, one adjacency
+row bit by bit, and the Diophantine search over every n.  They live here
+only so the differential tests can demand equal results, equal exception
+types and equal messages from the kernels.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from srgpq.automorphism import Permutation
-from srgpq.graphcore import Graph, TriplePartition, bits
+from srgpq.automorphism import (
+    ClosureCapError,
+    GammaReport,
+    GroupClosure,
+    Permutation,
+    SigmaAutomorphismError,
+    SigmaConflictError,
+    SigmaCoverageError,
+)
+from srgpq.graphcore import Graph, TriplePartition, bits, phi_partition
 from srgpq.localstats import (
     LocalStatsError,
+    MatchedPairTable,
     MomentIdentityError,
     MSpectrum,
     PairBoundError,
@@ -23,8 +36,9 @@ from srgpq.localstats import (
     _neighborhood_ordering,
     _require_positive_slope,
     pair_stats,
+    psi_partition as _psi_partition,
 )
-from srgpq.params import FamilyInfo
+from srgpq.params import FamilyInfo, fixed_point_bound
 from srgpq.reports import CheckReport
 
 
@@ -309,3 +323,244 @@ def verify_involution_property(
         details={"pairs_checked": checked},
         witness=witness,
     )
+
+
+def generate_gamma(
+    family: dict[int, Permutation], fam: Optional[FamilyInfo] = None, cap: int = 1 << 16
+) -> GammaReport:
+    """The closure of all nu^2 quotients sigma_u sigma_v^{-1}, every one a generator."""
+    if not family:
+        raise ValueError("empty family")
+    degree = len(next(iter(family.values())))
+    inverses = {v: sigma.inverse() for v, sigma in family.items()}
+    generator_images = set()
+    for sigma_u in family.values():
+        for inverse_v in inverses.values():
+            generator_images.add(sigma_u.compose(inverse_v).images)
+    generators = tuple(Permutation(images) for images in sorted(generator_images))
+
+    elements: set[tuple[int, ...]] = {Permutation.identity(degree).images}
+    frontier = []
+    for images in generator_images:
+        if images not in elements:
+            if len(elements) >= cap:
+                raise ClosureCapError(f"closure exceeded the cap of {cap} elements")
+            elements.add(images)
+            frontier.append(images)
+    while frontier:
+        next_frontier = []
+        for images in frontier:
+            for gen in generators:
+                product = tuple(gen.images[i] for i in images)
+                if product not in elements:
+                    if len(elements) >= cap:
+                        raise ClosureCapError(f"closure exceeded the cap of {cap} elements")
+                    elements.add(product)
+                    next_frontier.append(product)
+        frontier = next_frontier
+
+    closure_elements = tuple(Permutation(images) for images in sorted(elements))
+    abelian = all(
+        a.compose(b).images == b.compose(a).images
+        for index, a in enumerate(generators)
+        for b in generators[index + 1 :]
+    )
+
+    seen = [False] * degree
+    orbits = []
+    for start in range(degree):
+        if seen[start]:
+            continue
+        orbit = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for gen in generators:
+                y = gen(x)
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        for x in orbit:
+            seen[x] = True
+        orbits.append(tuple(sorted(orbit)))
+    orbits_sorted = tuple(sorted(orbits))
+
+    order_histogram: dict[int, int] = {}
+    fixed_histogram: dict[int, int] = {}
+    max_fixed = 0
+    for element in closure_elements:
+        order = element.order()
+        order_histogram[order] = order_histogram.get(order, 0) + 1
+        fixed = len(element.fixed_points())
+        fixed_histogram[fixed] = fixed_histogram.get(fixed, 0) + 1
+        if order > 1:
+            max_fixed = max(max_fixed, fixed)
+
+    if fam is not None:
+        bound = fixed_point_bound(fam.srg_params()).value
+    else:
+        bound = Fraction(degree)
+    bound_satisfied = all(
+        len(element.fixed_points()) <= bound
+        for element in closure_elements
+        if not element.is_identity()
+    )
+    order = len(closure_elements)
+    return GammaReport(
+        closure=GroupClosure(elements=closure_elements, generators=generators, orbits=orbits_sorted),
+        order=order,
+        abelian=abelian,
+        transitive=len(orbits_sorted) == 1,
+        orbit_sizes=tuple(len(orbit) for orbit in orbits_sorted),
+        element_order_histogram=order_histogram,
+        fixed_point_histogram=fixed_histogram,
+        max_nonidentity_fixed_points=max_fixed,
+        bound=bound,
+        bound_satisfied=bound_satisfied,
+        order_power_of_two=order & (order - 1) == 0,
+    )
+
+
+def matched_pairs(
+    g: Graph, u: int, phi: TriplePartition, psi: TriplePartition
+) -> MatchedPairTable:
+    """Every (phi cell, psi cell) pair classified by its three rows through Graph.row."""
+    if phi.base_vertex != u or psi.base_vertex != u:
+        raise LocalStatsError("partitions built at a different base vertex")
+    if phi.kind != "phi" or psi.kind != "psi":
+        raise LocalStatsError("need a phi partition and a psi partition")
+    kinds = []
+    bijections: dict[tuple[int, int], dict[int, int]] = {}
+    for i, phi_cell in enumerate(phi.cells):
+        row_kinds = []
+        for j, psi_cell in enumerate(psi.cells):
+            psi_mask = 0
+            for b in psi_cell:
+                psi_mask |= 1 << b
+            degrees = [(g.row(a) & psi_mask).bit_count() for a in phi_cell]
+            total = sum(degrees)
+            if total == 0:
+                row_kinds.append("edgeless")
+            elif degrees == [1, 1, 1]:
+                mapping = {a: next(bits(g.row(a) & psi_mask)) for a in phi_cell}
+                if len(set(mapping.values())) == 3:
+                    row_kinds.append("one-regular")
+                    bijections[(i, j)] = mapping
+                else:
+                    row_kinds.append("other")
+            else:
+                row_kinds.append("other")
+        kinds.append(tuple(row_kinds))
+    return MatchedPairTable(
+        base_vertex=u,
+        phi_cells=phi.cells,
+        psi_cells=psi.cells,
+        kinds=tuple(kinds),
+        bijections=bijections,
+    )
+
+
+def build_sigma(
+    g: Graph,
+    fam: FamilyInfo,
+    u: int,
+    seed_cell: Optional[tuple[int, int, int]] = None,
+) -> Permutation:
+    """The propagation with one mapping dict a cell, on the reference table and witness."""
+    phi = phi_partition(g, u)
+    psi = _psi_partition(g, fam, u)
+    table = matched_pairs(g, u, phi, psi)  # this module's
+    if seed_cell is None:
+        seed_cell = phi.cells[0]
+    else:
+        seed_cell = tuple(sorted(seed_cell))
+        if seed_cell not in phi.cells:
+            raise ValueError(f"seed cell {seed_cell} is not a cell of the triangle partition")
+
+    phi_index = {cell: i for i, cell in enumerate(phi.cells)}
+    partners_of_phi: dict[int, list[int]] = {i: [] for i in range(len(phi.cells))}
+    partners_of_psi: dict[int, list[int]] = {j: [] for j in range(len(psi.cells))}
+    for (i, j) in table.bijections:
+        partners_of_phi[i].append(j)
+        partners_of_psi[j].append(i)
+
+    defined: dict[tuple[str, int], dict[int, int]] = {}
+    seed_key = ("phi", phi_index[seed_cell])
+    a, b, c = seed_cell
+    defined[seed_key] = {a: b, b: c, c: a}
+    worklist = [seed_key]
+
+    def transfer(key: tuple[str, int], mapping: dict[int, int], source: tuple[str, int]):
+        if key in defined:
+            if defined[key] != mapping:
+                raise SigmaConflictError(
+                    f"conflicting definitions on cell {key} propagated from {source}"
+                )
+            return
+        defined[key] = mapping
+        worklist.append(key)
+
+    while worklist:
+        kind, index = worklist.pop()
+        mapping = defined[(kind, index)]
+        if kind == "phi":
+            for j in partners_of_phi[index]:
+                bijection = table.bijections[(index, j)]
+                transferred = {bijection[a]: bijection[mapping[a]] for a in bijection}
+                transfer(("psi", j), transferred, ("phi", index))
+        else:
+            for i in partners_of_psi[index]:
+                bijection = table.bijections[(i, index)]
+                inverse = {b: a for a, b in bijection.items()}
+                transferred = {inverse[b]: inverse[mapping[b]] for b in inverse}
+                transfer(("phi", i), transferred, ("psi", index))
+
+    expected_cells = len(phi.cells) + len(psi.cells)
+    if len(defined) != expected_cells:
+        missing = [
+            (kind, index)
+            for kind in ("phi", "psi")
+            for index in range(len(phi.cells) if kind == "phi" else len(psi.cells))
+            if (kind, index) not in defined
+        ]
+        raise SigmaCoverageError(f"propagation left cells undefined: {missing}")
+
+    images = list(range(g.nu))
+    for mapping in defined.values():
+        for source, target in mapping.items():
+            images[source] = target
+    sigma = Permutation(tuple(images))
+    witness = automorphism_witness(g, sigma)  # this module's
+    if witness is not None:
+        raise SigmaAutomorphismError(f"adjacency not preserved at pair {witness}")
+    if sigma.order() != 3:
+        raise SigmaAutomorphismError(f"constructed permutation has order {sigma.order()}, not 3")
+    return sigma
+
+
+
+def automorphism_witness(g: Graph, perm: Permutation) -> Optional[tuple[int, int]]:
+    """The first row whose image is not the row of its image vertex, bit by bit."""
+    if len(perm) != g.nu:
+        raise ValueError("permutation length does not match the graph")
+    rows, images = g.rows, perm.images
+    for x, row in enumerate(rows):
+        image_row = 0
+        for y in bits(row):
+            image_row |= 1 << images[y]
+        if image_row != rows[images[x]]:
+            difference = image_row ^ rows[images[x]]
+            return (images[x], next(bits(difference)))
+    return None
+
+
+def solve_diophantine_17(n_max: int) -> list[tuple[int, int]]:
+    """(2n+3)^2 - 17 tested for a power of two at every n up to n_max."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    solutions = []
+    for n in range(1, n_max + 1):
+        value = (2 * n + 3) ** 2 - 17
+        if value & (value - 1) == 0:
+            solutions.append((n, value.bit_length() - 3))
+    return solutions

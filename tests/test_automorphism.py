@@ -51,6 +51,9 @@ def test_permutation_basics():
     assert p.compose(p.inverse()).is_identity()
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+    # compose and inverse skip the bijection check, so compose checks the degrees
+    with pytest.raises(ValueError, match="different degrees"):
+        p.compose(Permutation((1, 0)))
 
 
 def test_oracle_sigma_is_an_automorphism(gq35):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from srgpq.cli import Graph6Error, parse_graph6, run, serialize_graph6
 from srgpq.geometry import build_gq35, build_rook4, build_shrikhande
-from srgpq.graphcore import Graph
+from srgpq.automorphism import SigmaConstructionError
+from srgpq.graphcore import Graph, GraphError
 
 
 def _run(capsys, argv):
@@ -346,6 +347,38 @@ def test_rook_family_commands_are_diagnostic(capsys, tmp_path):
     assert code == 0
     names = {check["name"]: check for check in report["checks"]}
     assert names["m-spectrum"]["severity"] == "diagnostic"
+
+
+def _raise(exc):
+    def analysis(*args, **kwargs):
+        raise exc
+
+    return analysis
+
+
+@pytest.mark.parametrize(
+    "command, name, exc",
+    [
+        # a Permutation bijection error: a ValueError, but not the user's
+        ("sigma", "verify_inverse_law", ValueError("images do not define a bijection")),
+        # a construction error outside the handlers that expect one
+        ("related", "related_set", SigmaConstructionError("propagation stalled")),
+        ("check-con", "check_condition_con", ZeroDivisionError("division by zero")),
+        ("check-srg", "is_srg_report", GraphError("row 3 has bits outside 0..2")),
+    ],
+)
+def test_internal_errors_return_3(capsys, tmp_path, monkeypatch, command, name, exc):
+    path = _graph_file(tmp_path, build_gq35())
+    monkeypatch.setattr(f"srgpq.cli.{name}", _raise(exc))
+    code, out, err = _run(capsys, [command, path])
+    assert code == 3 and out == ""
+    assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+def test_too_small_max_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, ["diophantine", "--max", "0"])
+    assert code == 2 and out == ""
+    assert "--max must be at least 1, got 0" in err
 
 
 def test_vertex_on_an_empty_graph_is_a_usage_error(capsys, monkeypatch):

@@ -6,6 +6,7 @@ formulas and the family parameterization, then frozen here.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from srgpq.params import (
     spectrum_of,
     srg_to_pq_params,
 )
+from tests import oracles
 
 
 def test_srg_params_rejects_trivial_tuples():
@@ -167,6 +169,26 @@ def test_solve_diophantine_17_small_and_reference_set():
     assert solve_diophantine_17(5000) == [(1, 1), (2, 3), (3, 4), (10, 7)]
     with pytest.raises(ValueError):
         solve_diophantine_17(0)
+
+
+def test_solve_diophantine_17_matches_the_exhaustive_search():
+    # the search tests n in ascending order, so its list at n_max is the
+    # prefix n <= n_max of its list at 3000
+    exhaustive = oracles.solve_diophantine_17(3000)
+    for n_max in range(1, 3001):
+        assert solve_diophantine_17(n_max) == [pair for pair in exhaustive if pair[0] <= n_max]
+    for n_max in (9, 10, 11, 10**6):
+        assert solve_diophantine_17(n_max) == oracles.solve_diophantine_17(n_max)
+    for function in (solve_diophantine_17, oracles.solve_diophantine_17):
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            function(0)
+
+
+def test_solve_diophantine_17_is_logarithmic_in_n_max():
+    # about 270 values of t up to 10^40, where the search would test 10^40 values of n
+    started = time.perf_counter()
+    assert solve_diophantine_17(10**40) == [(1, 1), (2, 3), (3, 4), (10, 7)]
+    assert time.perf_counter() - started < 1.0
 
 
 def test_fixed_point_bound_examples():

@@ -2,8 +2,8 @@
 
 The witness is the diamond-free SRG(256, 51, 2, 12): the cone over the
 elliptic quadric of PG(3, 4) as a Cayley graph on GF(4)^4, built by
-perfbench.inputs independently of srgpq (the sigma sweep reads it from
-`srgpq build ovoid256`, which test_geometry holds to the same rows).  Every
+perfbench.inputs independently of srgpq (the sigma and group sweeps read it
+from `srgpq build ovoid256`, which test_geometry holds to the same rows).  Every
 check below is asserted there (n >= 3, lam = 2), unlike on the n = 2
 witness GQ(3,5).
 """
@@ -17,7 +17,14 @@ import json
 import pytest
 
 from perfbench.inputs import graph6, ovoid256_rows
-from srgpq.cli import run
+from srgpq.automorphism import (
+    ClosureCapError,
+    Permutation,
+    RelatedSetError,
+    generate_gamma,
+    related_set,
+)
+from srgpq.cli import _related, run
 from srgpq.graphcore import Graph
 from srgpq.localstats import (
     predicted_m_spectrum,
@@ -75,10 +82,13 @@ def test_related_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
     assert report["results"] == {"related_sets": 5440, "by_kind": by_kind}
 
 
-@pytest.mark.slow
-def test_group_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
-    code, report, checks = _report(["group"], ovoid_rows, capsys, monkeypatch)
-    assert code == 0
+def test_group_is_an_asserted_pass(capsys, monkeypatch):
+    assert run(["build", "ovoid256"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    code = run(["group", "-"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    checks = {check["name"]: check for check in report["checks"]}
     assert checks["gamma-properties"]["severity"] == "asserted-pass"
     assert checks["gamma-properties"]["details"] == {"order": 256}
     assert checks["fixed-point-bound"]["severity"] == "asserted-pass"
@@ -90,6 +100,40 @@ def test_group_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
     assert results["orbit_sizes"] == [256]
     assert results["element_order_histogram"] == {"1": 1, "2": 255}
     assert results["fixed_point_histogram"] == {"0": 255, "256": 1}
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SWEEP_PINS["group"]
+
+
+def test_group_fails_when_one_sigma_is_broken(ovoid_rows, sigma_family_n3, capsys, monkeypatch):
+    family = dict(sigma_family_n3)
+    assert generate_gamma(family, FAMILY).order == 256
+    # sigma_77 followed by the transposition (0 1): no longer an automorphism, and
+    # its quotients generate far more than the 256 translations
+    swap = list(range(256))
+    swap[0], swap[1] = 1, 0
+    family[77] = family[77].compose(Permutation(tuple(swap)))
+    with pytest.raises(ClosureCapError, match="closure exceeded the cap of 4096 elements"):
+        generate_gamma(family, FAMILY, cap=4096)
+    # through the group analysis, the closure error is an asserted fail with a witness
+    monkeypatch.setattr("srgpq.cli.canonical_sigma_family", lambda *args, **kwargs: family)
+    code, _, checks = _report(["group", "--cap", "4096"], ovoid_rows, capsys, monkeypatch)
+    assert code == 1
+    assert checks["gamma-closure"]["severity"] == "asserted-fail"
+    assert checks["gamma-closure"]["witness"] == {
+        "error_type": "ClosureCapError",
+        "error": "closure exceeded the cap of 4096 elements",
+    }
+
+
+def test_related_fails_on_a_toggled_edge(ovoid_rows):
+    # the toggled graph is no SRG, so the analysis runs with the unmutated family
+    v = next(x for x in range(1, 256) if not ovoid_rows[0] >> x & 1)
+    mutant = Graph(ovoid_rows).toggle_edge(0, v)
+    checks, _ = _related(None, mutant, FAMILY)
+    assert checks[0].severity == "asserted-fail"
+    x, y = checks[0].witness["pair"]
+    with pytest.raises(RelatedSetError) as raised:
+        related_set(mutant, FAMILY, x, y)
+    assert checks[0].witness["error"] == str(raised.value)
 
 
 def test_psi_regularity_is_an_asserted_pass(ovoid_rows):
@@ -129,12 +173,14 @@ def test_star_identity_fails_on_a_toggled_edge_among_non_neighbours(ovoid_rows):
 
 # Exit code and stdout SHA-256 of the full sweeps, captured when check-star
 # built the dense products and check-eq-pq called pair_stats per triple
-# (about two minutes for the pair), and when sigma propagated both
-# orientations at every vertex (about 10 s).
+# (about two minutes for the pair), when sigma propagated both orientations
+# at every vertex (about 10 s), and when group closed all 65 536 quotients
+# sigma_u sigma_v^-1 (about 10 s).
 SWEEP_PINS = {
     "check-star": (0, "aa07fcb1748e41a810c77c1a327916c368feb5540a851547fd028627a7beac99"),
     "check-eq-pq": (0, "0fb039e59c302decb7e7f2435107451aeebadbb4681633ea52c6fec55e4f896b"),
     "sigma": (0, "825d77c16790678bf3f5c6165b764499ec06bddd0f1132950c3906dcce5cf294"),
+    "group": (0, "a11db8b7e1326b1ee0dd2f1846bc706fd7fef0c231bc43d25276a9af9ef12a97"),
 }
 
 
