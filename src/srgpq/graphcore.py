@@ -7,6 +7,7 @@ operation here is read-only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -39,18 +40,20 @@ class Graph:
     __slots__ = ("nu", "_rows")
 
     def __init__(self, rows: Sequence[int]):
-        nu = len(rows)
         rows = tuple(rows)
-        full = (1 << nu) - 1
-        for v, row in enumerate(rows):
-            if row < 0 or row & ~full:
-                raise GraphError(f"row {v} has bits outside 0..{nu - 1}")
-            if row >> v & 1:
-                raise GraphError(f"self-loop at vertex {v}")
-        for v, row in enumerate(rows):
-            for w in bits(row):
-                if not rows[w] >> v & 1:
-                    raise GraphError(f"adjacency not symmetric at ({v}, {w})")
+        nu = len(rows)
+        if rows and (min(rows) < 0 or max(rows) >> nu):
+            _raise_row_fault(rows)
+        width = (nu + 7) >> 3
+        data = pack_rows(rows, width)
+        if _has_self_loop(data, width):
+            _raise_row_fault(rows)
+        transposed = transpose_packed(data, width)
+        if transposed != data:
+            # the first (v, w) in row order with w in row v but v not in row w
+            one_sided = (rows[v] & ~unpack_row(transposed, width, v) for v in range(nu))
+            v, extra = next((v, extra) for v, extra in enumerate(one_sided) if extra)
+            raise GraphError(f"adjacency not symmetric at ({v}, {next(bits(extra))})")
         self.nu = nu
         self._rows = rows
 
@@ -119,6 +122,84 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(nu={self.nu}, edges={self.edge_count})"
+
+
+def _raise_row_fault(rows: tuple[int, ...]) -> None:
+    """Raise for the first row, in order, with bits outside 0..nu-1 or a self-loop."""
+    full = (1 << len(rows)) - 1
+    for v, row in enumerate(rows):
+        if row < 0 or row & ~full:
+            raise GraphError(f"row {v} has bits outside 0..{len(rows) - 1}")
+        if row >> v & 1:
+            raise GraphError(f"self-loop at vertex {v}")
+
+
+# A square bit matrix of nu rows is packed row by row into bytes: width =
+# ceil(nu / 8) bytes a row, byte k holding columns 8k..8k+7, and zero rows up
+# to a multiple of 8.  Its transpose is then two C-level steps: transpose each
+# 8 x 8 bit block in place with three delta swaps on an int, a chunk of about
+# _CHUNK_BYTES at a time, and read row 8k + s of the result, byte q of which is
+# byte k of packed row 8q + s, as one strided byte slice.
+_CHUNK_BYTES = 1 << 16
+_BIT_OF = tuple(bytes(x >> low & 1 for x in range(256)) for low in range(8))
+
+
+def pack_rows(rows: Sequence[int], width: int) -> bytes:
+    """The rows, each below 2**(8 * width), packed width bytes a row."""
+    data = b"".join([row.to_bytes(width, "little") for row in rows])
+    return data + bytes(-len(rows) % 8 * width)
+
+
+def transpose_packed(data: bytes, width: int) -> bytes:
+    """The transpose of a packed square bit matrix, packed the same way."""
+    data = _transpose_blocks(data, width)
+    stride = 8 * width
+    return b"".join([data[(c & 7) * width + (c >> 3)::stride] for c in range(8 * width)])
+
+
+def unpack_row(data: bytes, width: int, v: int) -> int:
+    """Row v of a packed bit matrix."""
+    return int.from_bytes(data[v * width:(v + 1) * width], "little")
+
+
+def _has_self_loop(data: bytes, width: int) -> bool:
+    """Whether a packed square bit matrix has a diagonal bit set."""
+    # diagonal bit r = 8q + low lies in byte q * (8 width + 1) + low * width
+    stride = 8 * width + 1
+    return any(b"\x01" in data[low * width::stride].translate(_BIT_OF[low]) for low in range(8))
+
+
+def _transpose_blocks(data: bytes, width: int) -> bytes:
+    """The packed matrix with every 8 x 8 bit block transposed in place."""
+    if not data:
+        return data
+    band = 8 * width  # the bytes of 8 rows, which divide len(data)
+    chunk = band * max(1, min(_CHUNK_BYTES, len(data)) // band)
+    masks = _block_swap_masks(width, chunk)
+    parts = []
+    for start in range(0, len(data), chunk):
+        part = int.from_bytes(data[start:start + chunk], "little")
+        for shift, mask in masks:
+            swap = (part ^ part >> shift) & mask
+            part ^= swap | swap << shift
+        parts.append(part.to_bytes(min(chunk, len(data) - start), "little"))
+    return b"".join(parts)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_swap_masks(width: int, chunk: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of the delta swaps that transpose the 8 x 8 blocks of a chunk.
+
+    The swap at b = 4, 2, 1 exchanges bit b of the row index with bit b of
+    the column index: (r, c) with r & b == 0 < c & b trades places with
+    (r + b, c - b), b * (8 width - 1) bits higher.
+    """
+    masks = []
+    for block, pattern in ((4, 0xF0), (2, 0xCC), (1, 0xAA)):
+        row = bytes([pattern]) * width  # the columns c with c & block set
+        rows = (row * block + bytes(width * block)) * (chunk // (2 * block * width))
+        masks.append((block * (8 * width - 1), int.from_bytes(rows, "little")))
+    return tuple(masks)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ m_spectrum call per ordered pair, one pair_stats call per triple, the dense
 products B (nI - A_H) and Y B Y^T, the squared quotients of the sigma
 family, the closure of all nu^2 quotients, one (phi cell, psi cell) pair at
 a time, the sigma propagation with one mapping dict a cell, one adjacency
-row bit by bit, and the Diophantine search over every n.  They live here
-only so the differential tests can demand equal results, equal exception
-types and equal messages from the kernels.
+row bit by bit, the Diophantine search over every n, the graph6 codec one
+bit at a time, and the row-order range, self-loop and symmetry checks of a
+Graph.  They live here only so the differential tests can demand equal
+results, equal exception types and equal messages from the kernels.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from srgpq.automorphism import (
     SigmaConflictError,
     SigmaCoverageError,
 )
+from srgpq.cli import GRAPH6_HEADER, MAX_GRAPH6_VERTICES, Graph6Error, _size_prefix
 from srgpq.graphcore import Graph, TriplePartition, bits, phi_partition
 from srgpq.localstats import (
     LocalStatsError,
@@ -564,3 +566,100 @@ def solve_diophantine_17(n_max: int) -> list[tuple[int, int]]:
         if value & (value - 1) == 0:
             solutions.append((n, value.bit_length() - 3))
     return solutions
+
+
+def graph_rows_error(rows: Sequence[int]) -> Optional[str]:
+    """The message of the first GraphError the row checks raise, bit by bit, or None."""
+    nu = len(rows)
+    rows = tuple(rows)
+    full = (1 << nu) - 1
+    for v, row in enumerate(rows):
+        if row < 0 or row & ~full:
+            return f"row {v} has bits outside 0..{nu - 1}"
+        if row >> v & 1:
+            return f"self-loop at vertex {v}"
+    for v, row in enumerate(rows):
+        for w in bits(row):
+            if not rows[w] >> v & 1:
+                return f"adjacency not symmetric at ({v}, {w})"
+    return None
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode graph6 one character and one bit at a time."""
+    raw = text.strip()
+    offset = 0
+    if raw.startswith(GRAPH6_HEADER):
+        offset = len(GRAPH6_HEADER)
+        raw = raw[offset:]
+    if not raw:
+        raise Graph6Error("empty graph6 string", offset)
+    values = []
+    for index, char in enumerate(raw):
+        code = ord(char)
+        if not 63 <= code <= 126:
+            raise Graph6Error(f"invalid graph6 character {char!r}", offset + index)
+        values.append(code - 63)
+
+    def bigendian(chunk):
+        number = 0
+        for value in chunk:
+            number = number << 6 | value
+        return number
+
+    if values[0] <= 62:
+        nu = values[0]
+        position = 1
+    elif len(values) >= 2 and values[1] == 63:
+        if len(values) < 8:
+            raise Graph6Error("truncated 8-byte vertex count", offset + len(values))
+        nu = bigendian(values[2:8])
+        position = 8
+    else:
+        if len(values) < 4:
+            raise Graph6Error("truncated 4-byte vertex count", offset + len(values))
+        nu = bigendian(values[1:4])
+        position = 4
+    if nu > MAX_GRAPH6_VERTICES:
+        raise Graph6Error(f"vertex count {nu} exceeds the supported {MAX_GRAPH6_VERTICES}", offset)
+
+    bit_count = nu * (nu - 1) // 2
+    needed = (bit_count + 5) // 6
+    have = len(values) - position
+    if have != needed:
+        raise Graph6Error(
+            f"expected {needed} data characters for {nu} vertices, found {have}",
+            offset + position,
+        )
+    rows = [0] * nu
+    bit_index = 0
+    for j in range(1, nu):
+        for i in range(j):
+            value = values[position + bit_index // 6]
+            if value >> (5 - bit_index % 6) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            bit_index += 1
+    if bit_count % 6:
+        tail = values[-1] & ((1 << (6 - bit_count % 6)) - 1)
+        if tail:
+            raise Graph6Error("nonzero padding bits", offset + len(values) - 1)
+    return Graph(rows)
+
+
+def serialize_graph6(g: Graph) -> str:
+    """Encode graph6 one bit at a time."""
+    chunks = []
+    accumulator = 0
+    filled = 0
+    for j, row_j in enumerate(g.rows[1:], start=1):
+        for i in range(j):
+            accumulator = accumulator << 1 | (row_j >> i & 1)
+            filled += 1
+            if filled == 6:
+                chunks.append(accumulator)
+                accumulator = 0
+                filled = 0
+    if filled:
+        chunks.append(accumulator << (6 - filled))
+    return "".join(chr(63 + value) for value in _size_prefix(g.nu) + chunks)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srgpq.cli import Graph6Error, parse_graph6, run, serialize_graph6
+from srgpq.cli import Graph6Error, _build_parser, parse_graph6, run, serialize_graph6
 from srgpq.geometry import build_gq35, build_rook4, build_shrikhande
 from srgpq.automorphism import SigmaConstructionError
 from srgpq.graphcore import Graph, GraphError
@@ -324,6 +324,79 @@ def test_timing_flag_adds_timing(capsys, tmp_path):
     path = _graph_file(tmp_path, build_rook4())
     _, out, _ = _run(capsys, ["--timing", "check-srg", path])
     assert "timing" in json.loads(out)
+    timing = json.loads(out)["timing"]
+    assert sorted(timing) == ["input_seconds", "seconds"]
+    assert 0 <= timing["input_seconds"] <= timing["seconds"]
+    _, out, _ = _run(capsys, ["--timing", "feasibility", "676", "108", "2", "20"])
+    assert sorted(json.loads(out)["timing"]) == ["input_seconds", "seconds"]
+
+
+def _calls(capsys, monkeypatch, calls, fresh):
+    """(exit code, stdout) of each (argv, stdin) call, each through a new parser if fresh."""
+    import io
+
+    found = []
+    for argv, text in calls:
+        if fresh:
+            _build_parser.cache_clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = run(list(argv))
+        found.append((code, capsys.readouterr().out))
+    return found
+
+
+GQ35_TEXT = serialize_graph6(build_gq35()) + "\n"
+RE_ENTRY = {
+    "no-sticky-vertex": [(["local-stats", "--vertex", "3", "-"], GQ35_TEXT),
+                         (["local-stats", "-"], GQ35_TEXT)],
+    "no-sticky-base": [(["sigma", "-", "--base", "5"], GQ35_TEXT), (["sigma", "-"], GQ35_TEXT)],
+    "usage-error-then-pass": [(["sigma", "-", "--base", "999"], GQ35_TEXT),
+                              (["no-such-command"], ""),
+                              (["check-srg", "--cap", "1", "-"], GQ35_TEXT),
+                              (["check-srg", "-"], GQ35_TEXT)],
+    "help-then-pass": [(["--help"], ""), (["check-srg", "--help"], ""),
+                       (["check-srg", "-"], GQ35_TEXT), (["--help"], "")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RE_ENTRY))
+def test_consecutive_calls_match_a_fresh_parser(capsys, monkeypatch, name):
+    calls = RE_ENTRY[name]
+    expected = _calls(capsys, monkeypatch, calls, fresh=True)
+    assert _calls(capsys, monkeypatch, calls, fresh=False) == expected
+    assert [code for code, _ in expected] == {
+        "no-sticky-vertex": [0, 0],
+        "no-sticky-base": [0, 0],
+        "usage-error-then-pass": [2, 2, 2, 0],
+        "help-then-pass": [0, 0, 0, 0],
+    }[name]
+    if name == "no-sticky-vertex":  # one row of pairs, then all of them
+        pairs = [json.loads(out)["checks"][1]["details"]["pairs_checked"] for _, out in expected]
+        assert pairs == [45, 64 * 45]
+
+
+def test_timing_does_not_stick(capsys, monkeypatch):
+    calls = [(["--timing", "check-srg", "-"], GQ35_TEXT), (["check-srg", "-"], GQ35_TEXT)]
+    (_, timed), plain = _calls(capsys, monkeypatch, calls, fresh=False)
+    assert "timing" in json.loads(timed)
+    assert plain == _calls(capsys, monkeypatch, calls[1:], fresh=True)[0]
+    assert "timing" not in json.loads(plain[1])
+
+
+def test_parser_is_built_once_and_lazily(capsys, monkeypatch):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import srgpq.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    imported = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env={"PYTHONPATH": str(src)})
+    assert imported.stdout == "0\n"  # importing the CLI builds no parser
+    _build_parser.cache_clear()
+    _calls(capsys, monkeypatch, RE_ENTRY["no-sticky-vertex"] + RE_ENTRY["help-then-pass"],
+           fresh=False)
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -155,3 +156,11 @@ def test_report_matches_pin(case, capsys, monkeypatch):
 
 def test_every_case_is_pinned():
     assert sorted(PINS) == sorted(CASES)
+
+
+def test_every_case_back_to_back_in_one_process(capsys, monkeypatch):
+    # one parser serves every call of run(): no option or default carries over
+    order = sorted(CASES)
+    random.Random(0).shuffle(order)
+    found = {case: _capture(*CASES[case], capsys, monkeypatch) for case in order}
+    assert found == PINS

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from srgpq.graphcore import (
     phi_partition,
 )
 from srgpq.params import SrgParams
+from tests import oracles
 
 
 def _matrix_identity_holds(g, params):
@@ -67,6 +69,114 @@ def test_toggle_edge_round_trip():
     h = g.toggle_edge(0, 2)
     assert h.adjacent(0, 2) and not g.adjacent(0, 2)
     assert h.toggle_edge(0, 2) == g
+
+
+# Vertex counts at and just past the powers of two that size the packed matrix.
+VALIDATION_SIZES = [0, 1, 2, 7, 8, 9, 15, 16, 17, 33, 64, 65, 129, 257]
+FAULTS = ["high-bit", "negative", "self-loop", "one-sided-add", "one-sided-remove"]
+
+
+def _random_rows(nu: int, rng: random.Random) -> list[int]:
+    density = rng.choice([0.0, 0.1, 0.5, 1.0])
+    rows = [0] * nu
+    for j in range(nu):
+        for i in range(j):
+            if rng.random() < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def _corrupt(rows: list[int], fault: str, rng: random.Random) -> None:
+    nu = len(rows)
+    if not nu or (fault.startswith("one-sided") and nu < 2):
+        return
+    v = rng.randrange(nu)
+    if fault == "high-bit":  # past nu, inside or past the packed row
+        rows[v] |= 1 << rng.randrange(nu, nu + 2 * max(nu, 8))
+    elif fault == "negative":
+        rows[v] = ~rows[v]
+    elif fault == "self-loop":
+        rows[v] |= 1 << v
+    else:
+        w = rng.choice([x for x in range(nu) if x != v])
+        if fault == "one-sided-add":
+            rows[v] |= 1 << w
+        else:
+            rows[v] &= ~(1 << w)
+
+
+def _construction(rows):
+    try:
+        return Graph(rows).rows
+    except GraphError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nu=st.sampled_from(VALIDATION_SIZES),
+    seed=st.integers(min_value=0, max_value=2**32),
+    faults=st.lists(st.sampled_from(FAULTS), max_size=4),
+)
+def test_graph_validation_matches_the_loop_oracle(nu, seed, faults):
+    rng = random.Random(seed)
+    rows = _random_rows(nu, rng)
+    for fault in faults:
+        _corrupt(rows, fault, rng)
+    expected = oracles.graph_rows_error(rows)
+    assert _construction(rows) == (tuple(rows) if expected is None else expected)
+
+
+@pytest.mark.parametrize("nu", [nu for nu in VALIDATION_SIZES if nu >= 3])
+def test_graph_validation_names_the_first_fault_in_row_order(nu):
+    last = nu - 1
+    cases = [
+        [(0, 1 << nu)],  # a bit just past the vertex range
+        [(last, 1 << (last + 9))],  # a bit past the padded row as well
+        [(1, -1)],
+        [(last, 1 << last)],  # self-loop
+        [(2, 1 << 2), (1, 1 << nu)],  # the range fault comes first in row order
+        [(1, 1 << 1), (2, 1 << nu)],  # the self-loop comes first
+        [(last, 1 << 0)],  # one-sided, only the later row has it
+        [(0, 1 << last), (1, 1 << 2)],  # two one-sided edges: the first row's
+        [(2, 1 << 1), (last, 1 << last)],  # a self-loop beats an earlier asymmetry
+    ]
+    for faults in cases:
+        rows = [0] * nu
+        for v, value in faults:
+            rows[v] = value if value < 0 else rows[v] | value
+        assert _construction(rows) == oracles.graph_rows_error(rows), faults
+
+
+@pytest.mark.parametrize("nu", VALIDATION_SIZES)
+def test_from_edges_and_toggle_edge_match_the_loop_oracle(nu):
+    rng = random.Random(nu)
+    rows = _random_rows(nu, rng)
+    g = Graph(rows)
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    twice = edges + [(v, u) for u, v in edges[: len(edges) // 2]]
+    assert Graph.from_edges(nu, twice) == g
+    assert oracles.graph_rows_error(Graph.from_edges(nu, twice).rows) is None
+    for _ in range(min(nu * nu, 20)):
+        if nu < 2:
+            break
+        u, v = rng.sample(range(nu), 2)
+        toggled = g.toggle_edge(u, v)
+        assert oracles.graph_rows_error(toggled.rows) is None
+        assert toggled.adjacent(u, v) != g.adjacent(u, v)
+        assert toggled.edge_count == g.edge_count + (1 if toggled.adjacent(u, v) else -1)
+        assert toggled.toggle_edge(v, u) == g
+    with pytest.raises(GraphError, match=f"edge \\(0, {nu}\\) out of range for nu={nu}"):
+        Graph.from_edges(nu, [(0, nu)])
+    if nu:
+        with pytest.raises(GraphError, match=f"self-loop at vertex {nu - 1}"):
+            Graph.from_edges(nu, [(nu - 1, nu - 1)])
+        with pytest.raises(GraphError, match="cannot toggle a self-loop"):
+            g.toggle_edge(nu - 1, nu - 1)
+        with pytest.raises(GraphError, match=f"vertex {nu} out of range"):
+            g.toggle_edge(0, nu)
 
 
 def test_common_neighbors_rook(rook):
