@@ -158,28 +158,25 @@ class GammaReport:
 def automorphism_witness(g: Graph, perm: Permutation) -> Optional[tuple[int, int]]:
     """First pair whose adjacency is not preserved, or None.
 
-    Character y of row x's reversed binary string is its bit y, so perm
-    preserves row x iff gathering row perm(x)'s string at perm's images
-    gives row x's string back: one C-level gather a row.  On a mismatch the
-    rows are replayed bit by bit to name the witness pair.
+    Character y of row x's reversed binary string is its bit y, so gathering
+    row perm(x)'s string at perm's images gives at position y whether
+    perm(x) ~ perm(y): perm preserves row x iff that gives row x's string
+    back, one C-level gather a row.  The witness is (perm(x), z) for the
+    first row x that differs, with z the least perm(y) over its differing
+    positions y: the least vertex in exactly one of N(perm(x)) and perm(N(x)).
     """
     if len(perm) != g.nu:
         raise ValueError("permutation length does not match the graph")
     rows, images = g.rows, perm.images
-    if rows:  # itemgetter needs at least one index
-        width = f"0{g.nu}b"
-        strings = [format(row, width)[::-1] for row in rows]
-        gather = itemgetter(*images)
-        if all("".join(gather(strings[image])) == string
-               for image, string in zip(images, strings)):
-            return None
-    for x, row in enumerate(rows):
-        image_row = 0
-        for y in bits(row):
-            image_row |= 1 << images[y]
-        if image_row != rows[images[x]]:
-            difference = image_row ^ rows[images[x]]
-            return (images[x], next(bits(difference)))
+    if not rows:  # itemgetter needs at least one index
+        return None
+    width = f"0{g.nu}b"
+    strings = [format(row, width)[::-1] for row in rows]
+    gather = itemgetter(*images)
+    for image, string in zip(images, strings):
+        gathered = gather(strings[image])
+        if "".join(gathered) != string:
+            return (image, min(images[y] for y, bit in enumerate(gathered) if bit != string[y]))
     return None
 
 
@@ -214,51 +211,37 @@ def build_sigma(
     # Carrying a 3-cycle across a bijection keeps its orientation when the
     # bijection lists the target cell in rotated order and flips it when
     # the order is reflected, in either direction.
-    phi_index = {cell: i for i, cell in enumerate(phi.cells)}
-    partners_of_phi: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(phi.cells))}
-    partners_of_psi: dict[int, list[tuple[int, int]]] = {j: [] for j in range(len(psi.cells))}
+    partners: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {
+        **{("phi", i): [] for i in range(len(phi.cells))},
+        **{("psi", j): [] for j in range(len(psi.cells))},
+    }
     for (i, j), bijection in table.bijections.items():
         x, y, z = bijection.values()
         flip = ((x > y) + (x > z) + (y > z)) & 1
-        partners_of_phi[i].append((j, flip))
-        partners_of_psi[j].append((i, flip))
+        partners[("phi", i)].append((("psi", j), flip))
+        partners[("psi", j)].append((("phi", i), flip))
 
-    defined: dict[tuple[str, int], int] = {}
-    seed_key = ("phi", phi_index[seed_cell])
-    defined[seed_key] = 0  # the ascending 3-cycle (a b c)
+    seed_key = ("phi", phi.cells.index(seed_cell))
+    defined = {seed_key: 0}  # the ascending 3-cycle (a b c)
     worklist = [seed_key]
-
-    def transfer(key: tuple[str, int], orientation: int, source: tuple[str, int]):
-        if key in defined:
-            if defined[key] != orientation:
+    while worklist:
+        source = worklist.pop()
+        for key, flip in partners[source]:
+            orientation = defined[source] ^ flip
+            if key not in defined:
+                defined[key] = orientation
+                worklist.append(key)
+            elif defined[key] != orientation:
                 raise SigmaConflictError(
                     f"conflicting definitions on cell {key} propagated from {source}"
                 )
-            return
-        defined[key] = orientation
-        worklist.append(key)
 
-    while worklist:
-        source = worklist.pop()
-        kind, index = source
-        orientation = defined[source]
-        if kind == "phi":
-            for j, flip in partners_of_phi[index]:
-                transfer(("psi", j), orientation ^ flip, source)
-        else:
-            for i, flip in partners_of_psi[index]:
-                transfer(("phi", i), orientation ^ flip, source)
-
-    expected_cells = len(phi.cells) + len(psi.cells)
-    if len(defined) != expected_cells:
-        missing = [
-            (kind, index)
-            for kind in ("phi", "psi")
-            for index in range(len(phi.cells) if kind == "phi" else len(psi.cells))
-            if (kind, index) not in defined
-        ]
+    if len(defined) != len(partners):
+        missing = [key for key in partners if key not in defined]
         raise SigmaCoverageError(f"propagation left cells undefined: {missing}")
 
+    # The cells are disjoint, so the images are a product of 3-cycles, the seed's
+    # among them: a permutation of order 3.
     images = list(range(g.nu))
     for (kind, index), orientation in defined.items():
         c0, c1, c2 = (phi if kind == "phi" else psi).cells[index]
@@ -270,8 +253,6 @@ def build_sigma(
     witness = automorphism_witness(g, sigma)
     if witness is not None:
         raise SigmaAutomorphismError(f"adjacency not preserved at pair {witness}")
-    if sigma.order() != 3:
-        raise SigmaAutomorphismError(f"constructed permutation has order {sigma.order()}, not 3")
     return sigma
 
 

@@ -57,6 +57,7 @@ from srgpq.graphcore import (
     unpack_row,
 )
 from srgpq.localstats import (
+    FamilyPreconditionError,
     LocalStatsError,
     check_condition_con,
     m_spectrum_histogram,
@@ -412,7 +413,7 @@ def _check_con(args, g: Graph, family: FamilyInfo):
 def _check_eq_pq(args, g: Graph, family: FamilyInfo):
     try:
         report = verify_eq_pq(g, family)
-    except LocalStatsError as exc:
+    except FamilyPreconditionError as exc:
         return [_not_applicable("eq-pq", str(exc))], {}
     return [report], {"triples_checked": report.details.get("triples_checked")}
 
@@ -424,7 +425,7 @@ def _check_star(args, g: Graph, family: FamilyInfo):
             for report in (verify_inv_formula(g, family, u), verify_star(g, family, u)):
                 if not report.passed:
                     failures[report.name].append({"u": u, "witness": report.witness})
-    except LocalStatsError as exc:
+    except FamilyPreconditionError as exc:
         return [_not_applicable("star-identity", str(exc))], {}
     checks = [
         CheckReport(

@@ -345,16 +345,6 @@ def m_spectrum(g: Graph, fam: FamilyInfo, u: int, v: int) -> MSpectrum:
     return MSpectrum(u=u, v=v, counts=counts, m0_witnesses=tuple(bits(equals[0])))
 
 
-def _row_spectrum(
-    rows: Sequence[int], sources: Sequence[int], u: int, outside_u: int, v: int, t_cap: int
-) -> tuple[int, ...]:
-    """The counts of (u, v), with outside_u the outside of N[u] and sources as for its rows."""
-    row_v = rows[v]
-    outside = outside_u & ~(row_v | (1 << v))
-    equals = _spectrum_masks(sources, rows[u] & row_v, outside, t_cap, u, v)
-    return tuple(map(int.bit_count, equals))
-
-
 @dataclass(frozen=True)
 class SpectrumHistogram:
     """The m-spectra of a sweep: how many ordered pairs have each counts tuple.
@@ -378,82 +368,65 @@ def m_spectrum_histogram(
 
     The result is that of the ordered loop which calls m_spectrum on each
     pair and stops at the first LocalStatsError: the same failure, message
-    included, and the same histogram of the pairs before it.  Two exact
-    facts make the sweep cheaper than that loop:
+    included, and the same histogram of the pairs before it.  When every
+    pair passes, the histogram does not depend on the order of the pairs,
+    so a cheaper pass computes it:
 
     * (u, v) and (v, u) count the same vertices, x outside N[u] u N[v], by
       the same |N(x) & N(u) & N(v)|.  So a pair of two listed rows is
-      computed once, at the earlier row, and owed to the later one: its
-      counts go to the later row's histogram, merged when the sweep reaches
-      that row.  The cap t does not depend on the orientation; the moment
-      targets do, through k = deg(u), so an owed pair is checked against
-      the later row's targets too when the degrees differ.
+      computed once, at the earlier row, and checked against the moment
+      targets of both rows, which differ through k = deg(u).
     * Per row u, the rows of the neighbours c of u are restricted to the
       outside of N[u] once, not once per v.
+    * A (counts, degree) that has passed the moment checks is not checked
+      again.
 
-    A spectrum already in a row's histogram has passed that row's targets,
-    so it is not checked again.  The first row with a failing pair, new or
-    owed, is replayed pair by pair in order, which gives the failure and
-    the histogram before it exactly.  vertices must be distinct.
+    When the pass meets a LocalStatsError, the ordered loop runs instead:
+    the failing pair fails there too, and the loop names the first failure
+    and the histogram before it exactly.  vertices must be distinct.
     """
     t_cap = fam.n * (fam.n + 1) // _require_positive_slope(fam)
     nu, rows = g.nu, g.rows
     order = range(nu) if vertices is None else list(vertices)
-    pending = 0  # the listed rows not reached yet
+    listed = 0
     for u in order:
         g.check_vertex(u)
-        if pending >> u & 1:
+        if listed >> u & 1:
             raise LocalStatsError(f"vertex {u} is listed twice")
-        pending |= 1 << u
+        listed |= 1 << u
     full = (1 << nu) - 1
     degrees = [row.bit_count() for row in rows]
     histogram: dict[tuple[int, ...], int] = {}
-    owed: dict[tuple[int, ...], list[int]] = {}  # owed[counts][v]: such pairs owed to row v
-    failing = 0  # rows owed a pair that fails their targets
+    passed = set()  # the (counts, degree) that passed the moment checks
     sources = [0] * nu  # sources[c] = rows[c] & outside(u), for c in N(u)
     swept = 0
-    for u in order:
-        pending ^= 1 << u
-        row_u, k = rows[u], degrees[u]
-        outside_u = full & ~(row_u | (1 << u))
-        for c in bits(row_u):
-            sources[c] = rows[c] & outside_u
-        row = {counts: rows_owed[u] for counts, rows_owed in owed.items() if rows_owed[u]}
-        if not failing >> u & 1:
-            # a v among the rows already swept was counted there and owed to u
+    try:
+        for u in order:
+            row_u = rows[u]
+            outside_u = full & ~(row_u | (1 << u))
+            for c in bits(row_u):
+                sources[c] = rows[c] & outside_u
             for v in bits(outside_u & ~swept):
+                row_v = rows[v]
+                outside = outside_u & ~(row_v | (1 << v))
+                equals = _spectrum_masks(sources, row_u & row_v, outside, t_cap, u, v)
+                counts = tuple(map(int.bit_count, equals))
+                ends = (u, v) if listed >> v & 1 else (u,)
+                for x in ends:
+                    if (counts, degrees[x]) not in passed:
+                        _check_moments(counts, nu, degrees[x], fam, u, v)
+                        passed.add((counts, degrees[x]))
+                histogram[counts] = histogram.get(counts, 0) + len(ends)
+            swept |= 1 << u
+    except LocalStatsError:
+        histogram = {}
+        for u in order:
+            for v in bits(full & ~(rows[u] | (1 << u))):
                 try:
-                    counts = _row_spectrum(rows, sources, u, outside_u, v, t_cap)
-                    if counts not in row:
-                        _check_moments(counts, nu, k, fam, u, v)
-                except LocalStatsError:
-                    failing |= 1 << u
-                    break
-                row[counts] = row.get(counts, 0) + 1
-                if not (pending & ~failing) >> v & 1:
-                    continue
-                rows_owed = owed.get(counts)
-                if rows_owed is None:
-                    rows_owed = owed[counts] = [0] * nu
-                if not rows_owed[v] and degrees[v] != k:
-                    try:
-                        _check_moments(counts, nu, degrees[v], fam, v, u)
-                    except MomentIdentityError:
-                        failing |= 1 << v
-                        continue
-                rows_owed[v] += 1
-        if failing >> u & 1:
-            # the ordered loop over row u, which meets the failure
-            for v in bits(outside_u):
-                try:
-                    counts = _row_spectrum(rows, sources, u, outside_u, v, t_cap)
-                    _check_moments(counts, nu, k, fam, u, v)
+                    counts = m_spectrum(g, fam, u, v).counts
                 except LocalStatsError as exc:
                     return SpectrumHistogram(histogram, {"u": u, "v": v, "error": str(exc)})
                 histogram[counts] = histogram.get(counts, 0) + 1
-        for counts, count in row.items():
-            histogram[counts] = histogram.get(counts, 0) + count
-        swept |= 1 << u
     return SpectrumHistogram(histogram, None)
 
 
@@ -502,14 +475,16 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
     """Partition of the non-neighbors of u into cells {v} + M_0(u, v).
 
     Requires m_0 = 2 with mutual membership, which makes each cell independent
-    with pairwise p_u = 0; validates disjointness and coverage before returning.
+    with pairwise p_u = 0 and the cells a partition: a member w of an earlier
+    cell has M_0(u, w) equal to the rest of that cell, so no later cell
+    through w passes the mutual check.
     """
     row_u = g.row(u)
     outside = ((1 << g.nu) - 1) & ~(row_u | (1 << u))
-    cell_of: dict[int, tuple[int, int, int]] = {}
+    placed = 0
     cells = []
     for v in bits(outside):
-        if v in cell_of:
+        if placed >> v & 1:
             continue
         m0 = _m0_mask(g, u, v)
         if m0.bit_count() != 2:
@@ -526,15 +501,10 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
                     f"not a partition: vertex {member} of cell {cell} has "
                     f"M_0({u}, {member}) != {other}"
                 )
-            if member in cell_of:
-                raise PartitionError(f"not a partition: vertex {member} in two cells")
         # b in M_0(u, a) puts b outside N[a] with no neighbor in N(u, a): the
         # cell is independent and p_u(a, b) = 0 for each of its pairs
-        for member in cell:
-            cell_of[member] = cell
+        placed |= cell_mask
         cells.append(cell)
-    if len(cell_of) != outside.bit_count():
-        raise PartitionError("cells do not cover the non-neighborhood")
     return TriplePartition(base_vertex=u, cells=tuple(sorted(cells)), kind="psi")
 
 

@@ -136,6 +136,15 @@ def test_inverse_law_exhaustive(sigma_family):
     assert report.details["pairs_checked"] == 64 * 64
 
 
+def test_inverse_law_detects_an_inverted_sigma(sigma_family):
+    corrupted = dict(sigma_family)
+    corrupted[5] = corrupted[5].inverse()
+    report = verify_inverse_law(corrupted)
+    assert report.severity == "asserted-fail"
+    assert report.witness == {"u": 0, "v": 5, "sigma_u(v)": 10}
+    assert report.details["pairs_checked"] == 6
+
+
 def test_involution_property(sigma_family):
     report = verify_involution_property(sigma_family)
     assert report.passed

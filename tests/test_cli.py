@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srgpq.cli
 from srgpq.cli import Graph6Error, _build_parser, parse_graph6, run, serialize_graph6
 from srgpq.geometry import build_gq35, build_rook4, build_shrikhande
 from srgpq.automorphism import SigmaConstructionError
 from srgpq.graphcore import Graph, GraphError
+from srgpq.localstats import LocalStatsError
 
 
 def _run(capsys, argv):
@@ -446,6 +448,26 @@ def test_internal_errors_return_3(capsys, tmp_path, monkeypatch, command, name, 
     code, out, err = _run(capsys, [command, path])
     assert code == 3 and out == ""
     assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("command, name", [("check-star", "verify_star"), ("check-eq-pq", "verify_eq_pq")])
+def test_local_stats_error_after_the_preconditions_returns_3(
+    capsys, tmp_path, monkeypatch, command, name
+):
+    # Only FamilyPreconditionError means "not applicable".  Any other
+    # LocalStatsError, raised at vertex 5 of check-star's per-vertex sweep or
+    # by the one eq-pq sweep call, is a fault of srgpq.
+    kernel = getattr(srgpq.cli, name)
+
+    def failing(g, fam, *vertex):
+        if vertex in ((), (5,)):
+            raise LocalStatsError("stopped partway through the sweep")
+        return kernel(g, fam, *vertex)
+
+    monkeypatch.setattr(f"srgpq.cli.{name}", failing)
+    code, out, err = _run(capsys, [command, _graph_file(tmp_path, build_gq35())])
+    assert code == 3 and out == ""
+    assert err == "error: internal: LocalStatsError: stopped partway through the sweep\n"
 
 
 def test_too_small_max_is_a_usage_error(capsys):

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import random
 
 import pytest
 
 from srgpq.cli import run, serialize_graph6
 from srgpq.geometry import build_gq35, build_rook4, build_shrikhande, format_incidence, graph_to_pq
+from srgpq.graphcore import Graph
 
 VIOLATING_INCIDENCE = "6 4\n0 1 2\n0 1 3\n2 4 5\n3 4 5\n"
 
@@ -58,6 +60,20 @@ STANDALONE_COMMANDS = {
 }
 
 
+def _precondition_inputs() -> dict[str, tuple[list[str], Graph]]:
+    """Cases for the precondition failures that the four graphs above never reach."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    petersen = outer + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    return {
+        # SRG(10, 3, 0, 1): mu = 1 is not n(n+1)
+        "check-con/petersen": (["check-con"], Graph.from_edges(10, petersen)),
+        "check-srg/k3": (["check-srg"], Graph.from_edges(3, triangle)),
+        # two disjoint triangles: mu = 0
+        "check-srg/2k3": (["check-srg"], Graph.from_edges(6, triangle + [(3, 4), (4, 5), (3, 5)])),
+    }
+
+
 def _cases() -> dict[str, tuple[list[str], str]]:
     """case id -> (argv, stdin text)."""
     cases = {}
@@ -68,6 +84,8 @@ def _cases() -> dict[str, tuple[list[str], str]]:
         cases[command_name] = (argv, "")
     cases["pq-axioms/gq35"] = (["pq-axioms", "-"], format_incidence(graph_to_pq(build_gq35())))
     cases["pq-axioms/violating"] = (["pq-axioms", "-"], VIOLATING_INCIDENCE)
+    for case, (argv, g) in _precondition_inputs().items():
+        cases[case] = (argv, serialize_graph6(g) + "\n")
     return cases
 
 
@@ -86,6 +104,7 @@ PINS: dict[str, tuple[int, str]] = {
     "certificate": (0, "2b04def81997f9c3e08142ff3e0736d87101228f895e1194ff43fbe8ab6d8e7a"),
     "check-con/gq35": (0, "8fd805b5aa889a9949a5760ac553e09a4dd7aff1821b3f86f48ab4e92790b262"),
     "check-con/gq35-toggled": (1, "bae5973dc6f457b8656a1766ec4facc0e411600cce5a423433269e15428af43c"),
+    "check-con/petersen": (1, "5a49032667beca4d77a259dcb16e4d64471b0b0d6820adc396ff859fcc9cf2f0"),
     "check-con/rook4": (0, "014bf445140132b24cff21a96e7d7a392551e14e9e4c8398eb9104bdb5a4d024"),
     "check-con/shrikhande": (1, "fe007da91e7a827f4027b4dd3b59d30ab39401f4eea5c93656affcd5fee05b4b"),
     "check-diamond-free/gq35": (0, "53ff2fdee4d8c24931d60519a1436871f42e4cf9f332555391e0ab38222937d9"),
@@ -96,8 +115,10 @@ PINS: dict[str, tuple[int, str]] = {
     "check-eq-pq/gq35-toggled": (1, "6535cd8cdedaf4d08a82010f4444a59bb708cc2f6754ef4a87cf1b6a2623e944"),
     "check-eq-pq/rook4": (0, "539d789f2d98d5c6097feb00b683370a8f31591da13b60d375f336fc7052008d"),
     "check-eq-pq/shrikhande": (1, "788c37630798184cec6ca24fa3f45b1cee55e7e27c376ccb7c792fe5d51245fd"),
+    "check-srg/2k3": (1, "414ff44b974a00480e2a3e3e5cb74d3bc418a3c9a77107eb3224f07847c32989"),
     "check-srg/gq35": (0, "12f079ecd5b8ce4b4bd33f766fd985bc6852d908f0b453502f47cec069c9206c"),
     "check-srg/gq35-toggled": (1, "75f29732e9ef39a1f1d090531da120b539e6ca165ff08461a565f7ebba3fe98f"),
+    "check-srg/k3": (1, "7b671aaa88e3daa748ebd126433fb8aeec58681276e5a06ea993afae36df7a59"),
     "check-srg/rook4": (0, "6680968143a2c8003227d194ca85f6b905467554b0ab4dbeeb2f9f9852ea0fa1"),
     "check-srg/shrikhande": (0, "c862012b5aa212d1a3dcffc75e509d5a38383269ae328e680ac04abe65b70059"),
     "check-star/gq35": (0, "db6779af43ed2fcace5727a9b4fb367a4efd746c27076510d6b138ed0d892f61"),
@@ -164,3 +185,20 @@ def test_every_case_back_to_back_in_one_process(capsys, monkeypatch):
     random.Random(0).shuffle(order)
     found = {case: _capture(*CASES[case], capsys, monkeypatch) for case in order}
     assert found == PINS
+
+
+@pytest.mark.parametrize(
+    "case, name, field, value",
+    [
+        ("check-con/petersen", "preconditions", "requirement", "family-member"),
+        ("check-srg/k3", "strongly-regular", "reason", "too-few-vertices"),
+        ("check-srg/2k3", "strongly-regular", "reason", "trivial-parameters"),
+    ],
+)
+def test_precondition_pins_are_the_failures_they_name(case, name, field, value, capsys, monkeypatch):
+    argv, text = CASES[case]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(list(argv)) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert (check["name"], check["severity"]) == (name, "asserted-fail")
+    assert {**check["details"], **check["witness"]}[field] == value

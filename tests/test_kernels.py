@@ -80,6 +80,7 @@ def test_m_spectrum_kernel_matches_the_loop_on_random_graphs(g, fam, data):
     u = data.draw(st.integers(-1, g.nu), label="u")
     v = data.draw(st.integers(-1, g.nu), label="v")
     _assert_kernels_agree(g, fam, u, v)
+    assert _outcome(psi_partition, g, fam, u) == _outcome(oracles.psi_partition, g, fam, u)
 
 
 def test_random_graphs_reach_every_outcome():
@@ -250,9 +251,9 @@ def test_star_witness_names_a_toggled_pair_of_non_neighbours():
             assert (eq_pq.witness["u"], eq_pq.witness["v"], eq_pq.witness["w"]) == (u, v, w)
 
 
-# The local-stats sweep: each unordered pair computed once and owed to the later
-# row, against the ordered m_spectrum loop.  On failing inputs the histogram of
-# the pairs before the failure must agree too.
+# The local-stats sweep: each unordered pair computed once and checked for both
+# of its rows, against the ordered m_spectrum loop.  On failing inputs the
+# histogram of the pairs before the failure must agree too.
 
 VALID_FAMILIES = [fam for fam in FAMILIES if fam.n > 0 and fam.lam <= fam.n]
 
@@ -324,7 +325,7 @@ def test_sweep_matches_the_ordered_loop_on_mutants():
 
 def test_sweep_failure_in_a_late_row():
     # A toggled edge of GQ(3,5) leaves a few rows whose pairs all pass; listed
-    # first, they push the first failure to row 6, after six rows of owed pairs.
+    # first, they push the first failure to row 6.
     fam = FamilyInfo.from_n_lam(2, 2)
     mutant = toggle(gq35_rows(), random.Random(1))
     g = Graph(mutant)
@@ -333,8 +334,8 @@ def test_sweep_failure_in_a_late_row():
     sweep = _assert_sweep_agrees(Graph(_first(mutant, passing)), fam)
     assert sweep.failure["u"] == 6 and sweep.pairs_checked > 5 * 45
     # C4 plus an isolated vertex z under n = 1, lam = 0: every row of C4 passes,
-    # but the pairs owed to z fail z's own targets (k = 0), so the first failure
-    # is the owed pair (z, 0) in the last row
+    # but its pairs with z fail z's own targets (k = 0), so the first failure
+    # is the pair (z, 0) in the last row
     c4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
     fam = FamilyInfo.from_n_lam(1, 0)
     sweep = _assert_sweep_agrees(c4, fam)

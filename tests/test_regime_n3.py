@@ -28,6 +28,7 @@ from srgpq.cli import _related, run
 from srgpq.graphcore import Graph
 from srgpq.localstats import (
     predicted_m_spectrum,
+    psi_partition,
     verify_inv_formula,
     verify_psi_regularity,
     verify_star,
@@ -141,6 +142,21 @@ def test_psi_regularity_is_an_asserted_pass(ovoid_rows):
     assert report.severity == "asserted-pass"
     assert report.details["r_distribution"] == {"0": 1360, "1": 510, "2": 408}
     assert report.details["violations"] == 0
+
+
+def test_psi_regularity_fails_on_a_toggled_edge(ovoid_rows):
+    # the toggle leaves every M_0 at vertex 0 intact, so the psi cells still
+    # form, but two of them now induce a bipartite graph that is not regular
+    g = Graph(ovoid_rows).toggle_edge(113, 242)
+    assert len(psi_partition(g, FAMILY, 0).cells) == 68
+    report = verify_psi_regularity(g, FAMILY, 0)
+    assert report.severity == "asserted-fail"
+    assert report.details["violations"] == 1
+    assert report.witness == {
+        "reason": "not-regular",
+        "cells": [(83, 161, 242), (113, 146, 227)],
+        "degrees": [0, 0, 1, 1, 0, 0],
+    }
 
 
 def test_inv_formula_and_star_identity_are_asserted_passes(ovoid_rows):

@@ -6,7 +6,7 @@ sigma_u sigma_v^{-1}.  Both must give the same group and the same report,
 and the same ClosureCapError at the same cap.  matched_pairs and
 automorphism_witness must give the tables and the witness pairs of their
 one-pair-at-a-time and bit-by-bit references, on the witnesses, on their
-mutants and on broken permutations.  build_sigma, which carries one
+mutants, on broken permutations and on random graphs.  build_sigma, which carries one
 orientation bit a cell, must succeed or fail as the propagation with one
 mapping dict a cell does, with the same message, also on tampered tables
 that reach its conflict and coverage checks.
@@ -213,6 +213,23 @@ def _assert_witnesses_agree(g: Graph, perm: Permutation):
     return witness
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_automorphism_witness_matches_the_oracle_on_random_graphs(data):
+    # empty and one-vertex graphs included, and any permutation, not only a
+    # sigma with two images swapped
+    nu = data.draw(st.integers(0, 12), label="nu")
+    pairs = [(u, v) for u in range(nu) for v in range(u + 1, nu)]
+    edges = [pair for pair in pairs if data.draw(st.booleans())]
+    g = Graph.from_edges(nu, edges)
+    perm = Permutation(tuple(data.draw(st.permutations(range(nu)), label="images")))
+    _assert_witnesses_agree(g, perm)
+    longer = Permutation(tuple(range(nu + 1)))
+    assert _outcome(automorphism_witness, g, longer) == _outcome(
+        oracles.automorphism_witness, g, longer
+    )
+
+
 def _transposed(perm: Permutation, a: int, b: int) -> Permutation:
     images = list(perm.images)
     images[a], images[b] = images[b], images[a]
@@ -324,3 +341,22 @@ def test_build_sigma_reports_conflicts_and_gaps_like_the_oracle(graph, fam, monk
             assert outcome == _outcome(oracles.build_sigma, g, fam, u)
             seen.add(outcome[1])
     assert seen == {SigmaConflictError, SigmaCoverageError}
+
+
+def test_build_sigma_lists_the_undefined_cells_in_table_order(monkeypatch):
+    # triangle cell 2 and independent cells 0 and 3 lose every matching, so
+    # the coverage message must name all three, triangle cells first
+    def tamper(table):
+        bijections = {
+            (i, j): value for (i, j), value in table.bijections.items() if i != 2 and j not in (0, 3)
+        }
+        return dataclasses.replace(table, bijections=bijections)
+
+    monkeypatch.setattr("srgpq.automorphism.matched_pairs", _tampered(tamper))
+    monkeypatch.setattr("tests.oracles.matched_pairs", _tampered(tamper))
+    g = Graph(gq35_rows())
+    message = "propagation left cells undefined: [('phi', 2), ('psi', 0), ('psi', 3)]"
+    for u in (0, 9, 63):
+        outcome = _outcome(build_sigma, g, GQ35, u)
+        assert outcome == ("raised", SigmaCoverageError, message)
+        assert outcome == _outcome(oracles.build_sigma, g, GQ35, u)
