@@ -55,9 +55,7 @@ class ClosureCapError(ValueError):
 class Permutation:
     """A permutation of 0..nu-1 stored as its image array.
 
-    The constructor checks that the images define a bijection.  Results of
-    compose, inverse and identity are bijections by construction, so they
-    are built by _trusted without that check.
+    The constructor checks that the images define a bijection.
     """
 
     images: tuple[int, ...]
@@ -68,14 +66,8 @@ class Permutation:
             raise ValueError("images do not define a bijection")
 
     @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "images", images)
-        return perm
-
-    @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls._trusted(tuple(range(n)))
+        return cls(tuple(range(n)))
 
     def __call__(self, v: int) -> int:
         return self.images[v]
@@ -87,13 +79,13 @@ class Permutation:
         """self after other: (self.compose(other))(x) = self(other(x))."""
         if len(other.images) != len(self.images):
             raise ValueError("cannot compose permutations of different degrees")
-        return Permutation._trusted(_compose(self.images, other.images))
+        return Permutation(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, image in enumerate(self.images):
             inv[image] = i
-        return Permutation._trusted(tuple(inv))
+        return Permutation(tuple(inv))
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, image in enumerate(self.images) if image == i)
@@ -126,8 +118,8 @@ class RelatedSet:
 
 
 @dataclass(frozen=True)
-class GroupClosure:
-    """A finite permutation group with its generators and orbit partition.
+class GammaReport:
+    """The group Gamma: its elements, generators and orbits, with its group properties.
 
     generate_gamma fills generators with the sifted quotients q_u, an
     irredundant generating set, not every quotient sigma_u sigma_v^{-1}.
@@ -136,13 +128,6 @@ class GroupClosure:
     elements: tuple[Permutation, ...]
     generators: tuple[Permutation, ...]
     orbits: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class GammaReport:
-    """Closure of the sigma-quotient generators together with its group properties."""
-
-    closure: GroupClosure
     order: int
     abelian: bool
     transitive: bool
@@ -395,7 +380,7 @@ def generate_gamma(
     them, so the nu quotients q_u generate Gamma.  They are sifted in key
     order: q_u is kept as a generator only when it is not yet in the
     closure of the generators kept before it, and the closure is extended
-    breadth-first over the kept generators.  closure.generators is that
+    breadth-first over the kept generators.  The report's generators are that
     sifted set, in key order.  A group is abelian iff a generating set
     commutes, so commutativity, like the orbits, is read off the sifted set.
     ClosureCapError is raised exactly when the order exceeds a cap of at
@@ -449,7 +434,7 @@ def generate_gamma(
         orbits.append(tuple(sorted(orbit)))
     orbits_sorted = tuple(sorted(orbits))
 
-    closure_elements = tuple(Permutation._trusted(images) for images in sorted(elements))
+    closure_elements = tuple(Permutation(images) for images in sorted(elements))
     order_histogram: dict[int, int] = {}
     fixed_histogram: dict[int, int] = {}
     max_fixed = 0
@@ -467,11 +452,9 @@ def generate_gamma(
         bound = Fraction(degree)  # no family data: the trivial bound
     order = len(closure_elements)
     return GammaReport(
-        closure=GroupClosure(
-            elements=closure_elements,
-            generators=tuple(Permutation._trusted(images) for images in generators),
-            orbits=orbits_sorted,
-        ),
+        elements=closure_elements,
+        generators=tuple(Permutation(images) for images in generators),
+        orbits=orbits_sorted,
         order=order,
         abelian=abelian,
         transitive=len(orbits_sorted) == 1,

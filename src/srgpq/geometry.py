@@ -1,10 +1,11 @@
 """Incidence structures, partial-quadrangle axiom checking, and witness graphs.
 
-The built-in witnesses are the 4x4 rook graph, the Shrikhande graph (same
-parameters, not diamond-free, used as a negative control), and two linear
-representations over GF(4): the 64-vertex collinearity graph of GQ(3,5), whose
-connection directions form a hyperoval of PG(2,4), and the 256-vertex n = 3
-family member, whose directions form the elliptic quadric of PG(3,4).
+The built-in witnesses are the Shrikhande graph (not diamond-free, used as a
+negative control) and three linear representations over GF(4): the 4x4 rook
+graph, with the Shrikhande graph's parameters, whose connection directions are
+the two points of PG(1,4); the 64-vertex collinearity graph of GQ(3,5), whose
+directions form a hyperoval of PG(2,4); and the 256-vertex n = 3 family member,
+whose directions form the elliptic quadric of PG(3,4).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
     for line in inc.lines:
         for p in line:
             degree[p] += 1
-    t_plus_one = degree[0]
+    t_plus_one = degree[0] if degree else 0  # no points: mu stays undefined below
     for p, d in enumerate(degree):
         if d != t_plus_one:
             return violation("i", {"point": p, "degree": d, "expected": t_plus_one})
@@ -178,17 +179,6 @@ def graph_to_pq(g: Graph) -> IncidenceStructure:
     return IncidenceStructure.from_lines(g.nu, maximal_cliques_via_edges(g))
 
 
-def build_rook4() -> Graph:
-    """4x4 rook graph: vertices (i, j) as 4i+j, adjacent iff same row or column."""
-    edges = []
-    for i in range(4):
-        for j in range(4):
-            for jj in range(j + 1, 4):
-                edges.append((4 * i + j, 4 * i + jj))
-                edges.append((4 * j + i, 4 * jj + i))
-    return Graph.from_edges(16, edges)
-
-
 def build_shrikhande() -> Graph:
     """Cayley graph on Z4 x Z4 with connection set {(+-1,0), (0,+-1), +-(1,1)}."""
     connection = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
@@ -246,6 +236,14 @@ def linear_representation(points: Sequence[Sequence[int]], m: int) -> Graph:
         if (rows[0] & rows[x]).bit_count() != 2:
             raise GeometryError(f"not a cap: the point of vertex {x} lies on a secant")
     return Graph(rows)
+
+
+def build_rook4() -> Graph:
+    """4x4 rook graph, SRG(16, 6, 2, 2): the cone over the two points of PG(1,4) in GF(4)^2.
+
+    Vertex 4i+j is (i, j); two vertices are adjacent iff they share a row or a column.
+    """
+    return linear_representation(((1, 0), (0, 1)), 2)
 
 
 def build_gq35() -> Graph:

@@ -362,9 +362,9 @@ class SpectrumHistogram:
 
 
 def m_spectrum_histogram(
-    g: Graph, fam: FamilyInfo, vertices: Optional[Sequence[int]] = None
+    g: Graph, fam: FamilyInfo, vertex: Optional[int] = None
 ) -> SpectrumHistogram:
-    """m_spectrum over every non-adjacent (u, v), u in vertices (default all), v ascending.
+    """m_spectrum over every non-adjacent (u, v), u the given vertex (default all), v ascending.
 
     The result is that of the ordered loop which calls m_spectrum on each
     pair and stops at the first LocalStatsError: the same failure, message
@@ -373,9 +373,9 @@ def m_spectrum_histogram(
     so a cheaper pass computes it:
 
     * (u, v) and (v, u) count the same vertices, x outside N[u] u N[v], by
-      the same |N(x) & N(u) & N(v)|.  So a pair of two listed rows is
-      computed once, at the earlier row, and checked against the moment
-      targets of both rows, which differ through k = deg(u).
+      the same |N(x) & N(u) & N(v)|.  So over all rows each unordered pair
+      is computed once, at v > u, and checked against the moment targets
+      of both rows, which differ through k = deg(u).
     * Per row u, the rows of the neighbours c of u are restricted to the
       outside of N[u] once, not once per v.
     * A (counts, degree) that has passed the moment checks is not checked
@@ -383,41 +383,37 @@ def m_spectrum_histogram(
 
     When the pass meets a LocalStatsError, the ordered loop runs instead:
     the failing pair fails there too, and the loop names the first failure
-    and the histogram before it exactly.  vertices must be distinct.
+    and the histogram before it exactly.
     """
     t_cap = fam.n * (fam.n + 1) // _require_positive_slope(fam)
     nu, rows = g.nu, g.rows
-    order = range(nu) if vertices is None else list(vertices)
-    listed = 0
-    for u in order:
-        g.check_vertex(u)
-        if listed >> u & 1:
-            raise LocalStatsError(f"vertex {u} is listed twice")
-        listed |= 1 << u
+    if vertex is None:
+        order, both = range(nu), True
+    else:
+        g.check_vertex(vertex)
+        order, both = (vertex,), False
     full = (1 << nu) - 1
     degrees = [row.bit_count() for row in rows]
     histogram: dict[tuple[int, ...], int] = {}
     passed = set()  # the (counts, degree) that passed the moment checks
     sources = [0] * nu  # sources[c] = rows[c] & outside(u), for c in N(u)
-    swept = 0
     try:
         for u in order:
             row_u = rows[u]
             outside_u = full & ~(row_u | (1 << u))
             for c in bits(row_u):
                 sources[c] = rows[c] & outside_u
-            for v in bits(outside_u & ~swept):
+            for v in bits(outside_u & ~((2 << u) - 1) if both else outside_u):
                 row_v = rows[v]
                 outside = outside_u & ~(row_v | (1 << v))
                 equals = _spectrum_masks(sources, row_u & row_v, outside, t_cap, u, v)
                 counts = tuple(map(int.bit_count, equals))
-                ends = (u, v) if listed >> v & 1 else (u,)
+                ends = (u, v) if both else (u,)
                 for x in ends:
                     if (counts, degrees[x]) not in passed:
                         _check_moments(counts, nu, degrees[x], fam, u, v)
                         passed.add((counts, degrees[x]))
                 histogram[counts] = histogram.get(counts, 0) + len(ends)
-            swept |= 1 << u
     except LocalStatsError:
         histogram = {}
         for u in order:

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from srgpq.automorphism import (
     ClosureCapError,
     GammaReport,
-    GroupClosure,
     Permutation,
     SigmaAutomorphismError,
     SigmaConflictError,
@@ -409,7 +408,9 @@ def generate_gamma(
     )
     order = len(closure_elements)
     return GammaReport(
-        closure=GroupClosure(elements=closure_elements, generators=generators, orbits=orbits_sorted),
+        elements=closure_elements,
+        generators=generators,
+        orbits=orbits_sorted,
         order=order,
         abelian=abelian,
         transitive=len(orbits_sorted) == 1,

@@ -166,7 +166,7 @@ def test_criterion_6_sigma_machinery(gq35, fam_gq35, sigma_family):
     ok = ok and gamma.bound == 24 and gamma.bound_satisfied
     # the group elements are exactly the oracle translations
     translations = {tuple(x ^ shift for x in range(64)) for shift in range(64)}
-    ok = ok and {element.images for element in gamma.closure.elements} == translations
+    ok = ok and {element.images for element in gamma.elements} == translations
     _record(6, ok, "sigma family matches the oracle; Gamma is the 64 translations, bound 24")
 
 

@@ -252,7 +252,7 @@ def test_generate_gamma_on_witness(sigma_family, fam_gq35):
 
 def test_generate_gamma_elements_are_translations(sigma_family, fam_gq35):
     report = generate_gamma(sigma_family, fam_gq35)
-    for element in report.closure.elements:
+    for element in report.elements:
         shift = element(0)
         assert element.images == tuple(x ^ shift for x in range(64))
 

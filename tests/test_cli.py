@@ -3,6 +3,7 @@ exit codes, and report determinism."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -226,6 +227,41 @@ def test_related_command(capsys, tmp_path):
     assert code == 0
     assert report["results"]["related_sets"] == 336
     assert report["results"]["by_kind"] == {"clique": 96, "independent-with-M0": 240}
+
+
+def test_related_builds_each_set_once(capsys, tmp_path, monkeypatch):
+    # a pair inside a verified set is skipped: one related_set call per set
+    calls = []
+    kernel = srgpq.cli.related_set
+
+    def counted(g, fam, x, y):
+        calls.append((x, y))
+        return kernel(g, fam, x, y)
+
+    monkeypatch.setattr("srgpq.cli.related_set", counted)
+    code, report, _ = _run_json(capsys, ["related", _graph_file(tmp_path, build_gq35())])
+    assert code == 0 and report["results"]["related_sets"] == len(calls) == 336
+
+
+def test_check_star_records_a_failing_vertex(capsys, tmp_path, monkeypatch):
+    path = _graph_file(tmp_path, build_gq35())
+    _, before, _ = _run_json(capsys, ["check-star", path])
+    kernel = srgpq.cli.verify_star
+    witness = {"entry": [1, 2], "lhs": 0, "rhs": 4}
+
+    def failing_at_9(g, fam, u):
+        report = kernel(g, fam, u)
+        return dataclasses.replace(report, passed=False, witness=witness) if u == 9 else report
+
+    monkeypatch.setattr("srgpq.cli.verify_star", failing_at_9)
+    code, report, _ = _run_json(capsys, ["check-star", path])
+    assert code == 0  # n = lam = 2: the identities are diagnostics
+    names = {check["name"]: check for check in report["checks"]}
+    star = names["star-identity"]
+    assert star["passed"] is False and star["severity"] == "diagnostic"
+    assert star["details"] == {"vertices_checked": 64, "failures": 1}
+    assert star["witness"] == {"u": 9, "witness": witness}
+    assert names["inv-formula"] == {check["name"]: check for check in before["checks"]}["inv-formula"]
 
 
 def test_graph_to_pq_and_axioms_pipeline(capsys, tmp_path):

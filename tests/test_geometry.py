@@ -185,6 +185,12 @@ def test_verify_pq_axioms_requires_a_line():
         verify_pq_axioms(IncidenceStructure.from_lines(3, []))
 
 
+def test_verify_pq_axioms_without_points_is_degenerate():
+    report = verify_pq_axioms(IncidenceStructure(0, ((),)))
+    assert report.violated_axiom == "degenerate"
+    assert report.witness == {"detail": "no non-collinear point pair; mu undefined"}
+
+
 def test_incidence_validation():
     with pytest.raises(GeometryError):
         IncidenceStructure.from_lines(3, [(0, 5)])

@@ -11,7 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from srgpq.graphcore import phi_partition
+from srgpq import localstats
+from srgpq.graphcore import Graph, TriplePartition, phi_partition
 from srgpq.localstats import (
     FamilyPreconditionError,
     LocalStatsError,
@@ -217,6 +218,37 @@ def test_verify_psi_regularity_gq35(gq35, fam_gq35):
     assert report.details["violations"] == 0
     assert report.details["r_distribution"] == {"0": 60, "2": 45}
     assert report.severity == "diagnostic"
+
+
+# Cells A = (1, 2, 3), B = (4, 5, 6), C = (7, 8, 9) around an isolated base
+# vertex 0, so every p_u is 0: A and B are joined as K_{3,3} (r = 3), A and C
+# by a perfect matching (r = 1), and B and C not at all (r = 0).
+A, B, C = (1, 2, 3), (4, 5, 6), (7, 8, 9)
+CELL_GRAPH = Graph.from_edges(10, [(a, b) for a in A for b in B] + [(1, 7), (2, 8), (3, 9)])
+
+
+def _regularity_on_cells(monkeypatch, cells):
+    partition = TriplePartition(base_vertex=0, cells=cells, kind="psi")
+    monkeypatch.setattr(localstats, "psi_partition", lambda g, fam, u: partition)
+    return verify_psi_regularity(CELL_GRAPH, FamilyInfo.from_n_lam(3, 2), 0)
+
+
+def test_verify_psi_regularity_r_out_of_range(monkeypatch):
+    report = _regularity_on_cells(monkeypatch, (A, B, C))
+    assert report.severity == "asserted-fail"
+    assert report.witness == {"reason": "r-out-of-range", "cells": [A, B], "r": 3}
+    # A-C: the 6 non-adjacent pairs have p = 0, not n + 1; B-C: 9 pairs, not n + 0
+    assert report.details["violations"] == 1 + 6 + 9
+    assert report.details["r_distribution"] == {"0": 1, "1": 1, "3": 1}
+
+
+def test_verify_psi_regularity_p_value_mismatch(monkeypatch):
+    report = _regularity_on_cells(monkeypatch, (A, C))
+    assert report.severity == "asserted-fail"
+    assert report.witness == {
+        "reason": "p-value-mismatch", "pair": [1, 8], "r": 1, "p": 0, "expected": 4,
+    }
+    assert report.details["violations"] == 6
 
 
 def test_verify_inv_formula_gq35(gq35, fam_gq35):
