@@ -165,31 +165,20 @@ def automorphism_witness(g: Graph, perm: Permutation) -> Optional[tuple[int, int
     return None
 
 
-def build_sigma(
-    g: Graph,
-    fam: FamilyInfo,
-    u: int,
-    seed_cell: Optional[tuple[int, int, int]] = None,
-) -> Permutation:
+def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
     """Propagate a 3-cycle from one triangle cell to a full candidate automorphism.
 
-    seed_cell defaults to the lexicographically least cell of the triangle
-    partition at u, and the seed is the ascending 3-cycle (a b c) on it.
-    Seeding the descending cycle instead would propagate through the same
-    table in the same order, every transferred map inverted, so it yields
-    exactly the inverse permutation; callers take ``.inverse()``.
+    The seed is the ascending 3-cycle (a b c) on the lexicographically least
+    cell of the triangle partition at u.  Seeding the descending cycle
+    instead would propagate through the same table in the same order, every
+    transferred map inverted, so it yields exactly the inverse permutation;
+    callers take ``.inverse()``.
     Raises on conflicting definitions, incomplete propagation, or a final
     permutation that fails the unconditional automorphism check.
     """
     phi = phi_partition(g, u)
     psi = psi_partition(g, fam, u)
     table = matched_pairs(g, u, phi, psi)
-    if seed_cell is None:
-        seed_cell = phi.cells[0]
-    else:
-        seed_cell = tuple(sorted(seed_cell))
-        if seed_cell not in phi.cells:
-            raise ValueError(f"seed cell {seed_cell} is not a cell of the triangle partition")
 
     # Every definition is a 3-cycle on a sorted cell (c0, c1, c2), so it is
     # one orientation bit: 0 for c0 -> c1 -> c2 -> c0, 1 for the reverse.
@@ -206,7 +195,7 @@ def build_sigma(
         partners[("phi", i)].append((("psi", j), flip))
         partners[("psi", j)].append((("phi", i), flip))
 
-    seed_key = ("phi", phi.cells.index(seed_cell))
+    seed_key = ("phi", 0)
     defined = {seed_key: 0}  # the ascending 3-cycle (a b c)
     worklist = [seed_key]
     while worklist:

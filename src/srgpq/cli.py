@@ -47,15 +47,7 @@ from srgpq.geometry import (
     parse_incidence,
     verify_pq_axioms,
 )
-from srgpq.graphcore import (
-    Graph,
-    GraphError,
-    is_diamond_free,
-    is_srg_report,
-    pack_rows,
-    transpose_packed,
-    unpack_row,
-)
+from srgpq.graphcore import Graph, GraphError, is_diamond_free, is_srg_report, transpose_rows
 from srgpq.localstats import (
     FamilyPreconditionError,
     LocalStatsError,
@@ -173,9 +165,7 @@ def parse_graph6(text: str) -> Graph:
         start = j * (j - 1) >> 1
         column = int.from_bytes(stream[start >> 3:(start + j + 7) >> 3], "little")
         lower[j] = column >> (start & 7) & ((1 << j) - 1)
-    width = (nu + 7) >> 3
-    upper = transpose_packed(pack_rows(lower, width), width)
-    return Graph([row | unpack_row(upper, width, j) for j, row in enumerate(lower)])
+    return Graph([row | upper for row, upper in zip(lower, transpose_rows(lower, nu))])
 
 
 def _size_prefix(nu: int) -> list[int]:

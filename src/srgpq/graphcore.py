@@ -134,12 +134,12 @@ def _raise_row_fault(rows: tuple[int, ...]) -> None:
             raise GraphError(f"self-loop at vertex {v}")
 
 
-# A square bit matrix of nu rows is packed row by row into bytes: width =
-# ceil(nu / 8) bytes a row, byte k holding columns 8k..8k+7, and zero rows up
-# to a multiple of 8.  Its transpose is then two C-level steps: transpose each
-# 8 x 8 bit block in place with three delta swaps on an int, a chunk of about
-# _CHUNK_BYTES at a time, and read row 8k + s of the result, byte q of which is
-# byte k of packed row 8q + s, as one strided byte slice.
+# A bit matrix is packed row by row into bytes: width bytes a row, byte k
+# holding columns 8k..8k+7, and zero rows up to a multiple of 8.  Its
+# transpose is then two C-level steps: transpose each 8 x 8 bit block in place
+# with three delta swaps on an int, a chunk of about _CHUNK_BYTES at a time,
+# and read row 8k + s of the result, byte q of which is byte k of packed row
+# 8q + s, as one strided byte slice.  Only this module knows the format.
 _CHUNK_BYTES = 1 << 16
 _BIT_OF = tuple(bytes(x >> low & 1 for x in range(256)) for low in range(8))
 
@@ -151,7 +151,12 @@ def pack_rows(rows: Sequence[int], width: int) -> bytes:
 
 
 def transpose_packed(data: bytes, width: int) -> bytes:
-    """The transpose of a packed square bit matrix, packed the same way."""
+    """The transpose of a packed bit matrix of any shape.
+
+    data holds 8h rows of width bytes, as pack_rows pads them.  The result
+    holds 8 * width rows of h bytes: row c is column c of data.  A square
+    matrix (h = width) comes back packed the same way.
+    """
     data = _transpose_blocks(data, width)
     stride = 8 * width
     return b"".join([data[(c & 7) * width + (c >> 3)::stride] for c in range(8 * width)])
@@ -160,6 +165,19 @@ def transpose_packed(data: bytes, width: int) -> bytes:
 def unpack_row(data: bytes, width: int, v: int) -> int:
     """Row v of a packed bit matrix."""
     return int.from_bytes(data[v * width:(v + 1) * width], "little")
+
+
+def transpose_rows(rows: Sequence[int], nu: int) -> list[int]:
+    """The transpose of the rows, each below 2**nu: nu columns of len(rows) bits.
+
+    Bit i of column x is bit x of rows[i].  Given the adjacency rows of an
+    ordered vertex list, column x is N(x) on that list, renumbered into bits
+    by list position.
+    """
+    width = (nu + 7) >> 3
+    data = transpose_packed(pack_rows(rows, width), width)
+    height = (len(rows) + 7) >> 3
+    return [unpack_row(data, height, x) for x in range(nu)]
 
 
 def _has_self_loop(data: bytes, width: int) -> bool:

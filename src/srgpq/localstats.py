@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from srgpq.graphcore import Graph, TriplePartition, bits, neighborhood_clique_cells
+from srgpq.graphcore import Graph, TriplePartition, bits, neighborhood_clique_cells, transpose_rows
 from srgpq.params import FamilyInfo
 from srgpq.reports import CheckReport
 
@@ -126,22 +126,6 @@ def pair_stats(g: Graph, u: int, v: int, w: int) -> PairStats:
     return PairStats(u=u, v=v, w=w, p=p, q=q)
 
 
-def _local_bits(nu: int, order: Sequence[int]) -> list[int]:
-    """bit_of[x] = 1 << (index of x in order); vertices not in order map to 0."""
-    bit_of = [0] * nu
-    for i, x in enumerate(order):
-        bit_of[x] = 1 << i
-    return bit_of
-
-
-def _pack(mask: int, bit_of: list[int]) -> int:
-    """The vertex set mask, renumbered into the local bits of bit_of."""
-    packed = 0
-    for x in bits(mask):
-        packed |= bit_of[x]
-    return packed
-
-
 def _spread(width: int, copies: int) -> int:
     """The multiplier that lays copies side-by-side copies of a mask narrower than width bits."""
     return sum(1 << (s * width) for s in range(copies))
@@ -176,8 +160,8 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
         outside = tuple(bits(outside_mask))
         local = tuple(bits(row_u))
         k = len(local)
-        bit_of = _local_bits(g.nu, local)
-        local_rows = [_pack(rows[x] & row_u, bit_of) for x in local]
+        packed = transpose_rows([rows[y] for y in local], g.nu)  # N(x) & N(u), local bits
+        local_rows = [packed[x] for x in local]
         # number the edges of <N(u)>; low[i] / high[i]: edges whose lower / higher end is i
         low, high = [0] * k, [0] * k
         edges = 0
@@ -192,7 +176,7 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
         z_masks, w_masks, e_counts = [], [], []
         for i, v in enumerate(outside):
             index[v] = i
-            a = _pack(rows[v] & row_u, bit_of)
+            a = packed[v]
             reach = lows = highs = 0
             for x in bits(a):
                 reach |= local_rows[x]
@@ -657,8 +641,8 @@ def verify_inv_formula(
     mu = n * (n + 1)
     a, b, c = mu * (n - lam), lam + 1 - n, (lam + 1 - n) * (n + 1 - lam)
     scalar = n * (n + 1) ** 2 * (n - lam)
-    bit_of = _local_bits(g.nu, order)
-    adjacent = [_pack(g.rows[x], bit_of) for x in order]  # order is N[u], checked above
+    packed = transpose_rows([g.rows[y] for y in order], g.nu)  # order is N[u], checked above
+    adjacent = [packed[x] for x in order]
 
     def term(weight: int, mask: int) -> list[int]:
         """weight (n [j in mask] - |N(j) & mask|) at every position j."""
@@ -730,14 +714,14 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     # local bits follow the cells, so cell c is the bit range [c(lam+1), (c+1)(lam+1))
     local = [x for cell in cells for x in cell]
     k, width = len(local), lam + 1
-    bit_of = _local_bits(g.nu, local)
+    packed = transpose_rows([rows[y] for y in local], g.nu)  # N(x) & N(u), local bits
     cell_mask = (1 << width) - 1
     spread_v, spread_w = _spread(k, n + 1), _spread(k, n - lam)
     index = [0] * g.nu
     v_masks, w_masks, degrees = [], [], []
     for i, v in enumerate(outside):
         index[v] = i
-        a = _pack(rows[v] & row_u, bit_of)
+        a = packed[v]
         w = a * spread_w
         for c in {x // width for x in bits(a)}:  # the level t sits in copy n - lam + t
             mask = cell_mask << (c * width)

@@ -6,10 +6,11 @@ m_spectrum call per ordered pair, one pair_stats call per triple, the dense
 products B (nI - A_H) and Y B Y^T, the squared quotients of the sigma
 family, the closure of all nu^2 quotients, one (phi cell, psi cell) pair at
 a time, the sigma propagation with one mapping dict a cell, one adjacency
-row bit by bit, the Diophantine search over every n, the graph6 codec one
-bit at a time, and the row-order range, self-loop and symmetry checks of a
-Graph.  They live here only so the differential tests can demand equal
-results, equal exception types and equal messages from the kernels.
+row bit by bit, the Diophantine search over every n, the graph6 codec
+and the bit-matrix transpose one bit at a time, and the row-order range,
+self-loop and symmetry checks of a Graph.  They live here only so the
+differential tests can demand equal results, equal exception types and
+equal messages from the kernels.
 """
 
 from __future__ import annotations
@@ -463,24 +464,12 @@ def matched_pairs(
     )
 
 
-def build_sigma(
-    g: Graph,
-    fam: FamilyInfo,
-    u: int,
-    seed_cell: Optional[tuple[int, int, int]] = None,
-) -> Permutation:
+def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
     """The propagation with one mapping dict a cell, on the reference table and witness."""
     phi = phi_partition(g, u)
     psi = _psi_partition(g, fam, u)
     table = matched_pairs(g, u, phi, psi)  # this module's
-    if seed_cell is None:
-        seed_cell = phi.cells[0]
-    else:
-        seed_cell = tuple(sorted(seed_cell))
-        if seed_cell not in phi.cells:
-            raise ValueError(f"seed cell {seed_cell} is not a cell of the triangle partition")
 
-    phi_index = {cell: i for i, cell in enumerate(phi.cells)}
     partners_of_phi: dict[int, list[int]] = {i: [] for i in range(len(phi.cells))}
     partners_of_psi: dict[int, list[int]] = {j: [] for j in range(len(psi.cells))}
     for (i, j) in table.bijections:
@@ -488,8 +477,8 @@ def build_sigma(
         partners_of_psi[j].append(i)
 
     defined: dict[tuple[str, int], dict[int, int]] = {}
-    seed_key = ("phi", phi_index[seed_cell])
-    a, b, c = seed_cell
+    seed_key = ("phi", 0)
+    a, b, c = phi.cells[0]
     defined[seed_key] = {a: b, b: c, c: a}
     worklist = [seed_key]
 
@@ -584,6 +573,11 @@ def graph_rows_error(rows: Sequence[int]) -> Optional[str]:
             if not rows[w] >> v & 1:
                 return f"adjacency not symmetric at ({v}, {w})"
     return None
+
+
+def transpose_rows(rows: Sequence[int], nu: int) -> list[int]:
+    """The transpose of rows of nu bits, one bit at a time."""
+    return [sum((row >> x & 1) << i for i, row in enumerate(rows)) for x in range(nu)]
 
 
 def parse_graph6(text: str) -> Graph:

@@ -6,7 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srgpq.graphcore import (
@@ -20,6 +20,7 @@ from srgpq.graphcore import (
     is_srg_report,
     maximal_cliques_via_edges,
     phi_partition,
+    transpose_rows,
 )
 from srgpq.params import SrgParams
 from tests import oracles
@@ -126,6 +127,26 @@ def test_graph_validation_matches_the_loop_oracle(nu, seed, faults):
         _corrupt(rows, fault, rng)
     expected = oracles.graph_rows_error(rows)
     assert _construction(rows) == (tuple(rows) if expected is None else expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=0, max_value=80),
+    nu=st.integers(min_value=0, max_value=150),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(m=5, nu=0, seed=1)
+@example(m=3, nu=1, seed=2)
+@example(m=9, nu=7, seed=3)  # m > nu, and neither a multiple of 8
+@example(m=8, nu=8, seed=4)
+@example(m=80, nu=9, seed=5)
+@example(m=0, nu=64, seed=6)
+@example(m=17, nu=64, seed=7)
+@example(m=65, nu=65, seed=8)
+def test_transpose_rows_matches_the_bit_oracle(m, nu, seed):
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(nu) for _ in range(m)]
+    assert transpose_rows(rows, nu) == oracles.transpose_rows(rows, nu)
 
 
 @pytest.mark.parametrize("nu", [nu for nu in VALIDATION_SIZES if nu >= 3])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import types
 
 import srgpq
@@ -15,3 +17,11 @@ def test_all_names_exactly_the_public_attributes():
     }
     assert sorted(srgpq.__all__) == sorted(public)
     assert len(srgpq.__all__) == len(public) == 55
+
+
+def test_only_graphcore_knows_the_packed_bit_matrix_format():
+    helpers = {"pack_rows", "transpose_packed", "unpack_row"}
+    for info in pkgutil.iter_modules(srgpq.__path__):
+        if info.name != "graphcore":
+            module = importlib.import_module(f"srgpq.{info.name}")
+            assert not helpers & set(vars(module)), info.name
