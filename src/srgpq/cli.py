@@ -51,10 +51,12 @@ from srgpq.graphcore import Graph, GraphError, is_diamond_free, is_srg_report, t
 from srgpq.localstats import (
     FamilyPreconditionError,
     LocalStatsError,
+    PartitionError,
     check_condition_con,
     m_spectrum_histogram,
     verify_eq_pq,
     verify_inv_formula,
+    verify_psi_regularity,
     verify_star,
 )
 from srgpq.params import (
@@ -430,6 +432,34 @@ def _check_star(args, g: Graph, family: FamilyInfo):
     return checks, {"vertices_checked": g.nu}
 
 
+def _check_psi(args, g: Graph, family: FamilyInfo):
+    failures = {"psi-partition": [], "psi-regularity": []}
+    r_distribution: dict[str, int] = {}
+    for u in range(g.nu):
+        try:
+            report = verify_psi_regularity(g, family, u)
+        except PartitionError as exc:
+            failures["psi-partition"].append({"u": u, "error": str(exc)})
+            continue
+        if not report.passed:
+            failures["psi-regularity"].append({"u": u, "witness": report.witness})
+        for r, count in report.details["r_distribution"].items():
+            r_distribution[r] = r_distribution.get(r, 0) + count
+    # the regularity check runs only where the cells formed
+    checked = {"psi-partition": g.nu, "psi-regularity": g.nu - len(failures["psi-partition"])}
+    checks = [
+        CheckReport(
+            name=name,
+            passed=not found and checked[name] > 0,
+            asserted=family.in_triple_regime,
+            details={"vertices_checked": checked[name], "failures": len(found)},
+            witness=found[0] if found else None,
+        )
+        for name, found in failures.items()
+    ]
+    return checks, {"r_distribution": r_distribution}
+
+
 SIGMA_ERRORS = (SigmaConstructionError, LocalStatsError, GraphError)
 GAMMA_RESULTS = ("order", "abelian", "transitive", "orbit_sizes", "element_order_histogram",
                  "fixed_point_histogram", "order_power_of_two")
@@ -603,6 +633,8 @@ ANALYSES = (
     ("check-con", _check_con, FAMILY, "the non-neighbor condition m_0 >= 1", ()),
     ("check-eq-pq", _check_eq_pq, FAMILY, "the p/q identity over all triples", ()),
     ("check-star", _check_star, FAMILY, "the exact resolvent and rank identities", ()),
+    ("check-psi", _check_psi, FAMILY, "independent-triple cells and the regularity of their pairs",
+     ()),
     ("related", _related, FAMILY, "the partition into related 4-sets", ()),
     ("local-stats", _local_stats, FAMILY, "m-spectrum distributions over non-adjacent pairs",
      ("--vertex",)),

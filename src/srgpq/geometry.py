@@ -86,6 +86,25 @@ def _collinearity_masks(inc: IncidenceStructure) -> list[int]:
     return coll
 
 
+def _off_line_witness(line_masks: Sequence[int], coll: Sequence[int]) -> Optional[dict]:
+    """The first line, and its least point off it, collinear with two or more of its points.
+
+    Per line, ones holds the points collinear with some point of the line
+    so far and twos those collinear with at least two of them, so twos
+    minus the line is every offending point at once.
+    """
+    for index, mask in enumerate(line_masks):
+        ones = twos = 0
+        for q in bits(mask):
+            twos |= ones & coll[q]
+            ones |= coll[q]
+        off = twos & ~mask
+        if off:
+            p = (off & -off).bit_length() - 1
+            return {"point": p, "line": index, "collinear_points": list(bits(coll[p] & mask))}
+    return None
+
+
 def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
     """Check the four PQ axioms; report parameters or the first violation."""
     if not inc.lines:
@@ -126,17 +145,10 @@ def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
             pair_line[(a, b)] = index
 
     # (iii) a point off a line is collinear with at most one of its points
-    line_masks = _line_masks(inc)
     coll = _collinearity_masks(inc)
-    for index, mask in enumerate(line_masks):
-        for p in range(inc.num_points):
-            if mask >> p & 1:
-                continue
-            hits = coll[p] & mask
-            if hits.bit_count() > 1:
-                return violation(
-                    "iii", {"point": p, "line": index, "collinear_points": list(bits(hits))}
-                )
+    witness = _off_line_witness(_line_masks(inc), coll)
+    if witness is not None:
+        return violation("iii", witness)
 
     # (iv) every non-collinear pair sees exactly mu common collinear points
     mu: Optional[int] = None

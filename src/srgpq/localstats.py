@@ -245,6 +245,23 @@ def _m0_mask(g: Graph, u: int, v: int) -> int:
     return ((1 << g.nu) - 1) & ~covered
 
 
+def _bit_slices(sources: Sequence[int], common: int) -> list[int]:
+    """planes[b] holds bit b of the number of c in common with bit x set in sources[c], for every x.
+
+    Each source is added with a ripple carry; enough planes hold |common|,
+    so no carry is ever lost.
+    """
+    planes = [0] * common.bit_count().bit_length()
+    for c in bits(common):
+        carry = sources[c]
+        for b, plane in enumerate(planes):
+            planes[b] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+    return planes
+
+
 def _spectrum_masks(
     sources: Sequence[int], common: int, outside: int, t_cap: int, u: int, v: int
 ) -> list[int]:
@@ -254,17 +271,7 @@ def _spectrum_masks(
     to any superset of outside.  Raises PairBoundError at the lowest x of
     outside with a larger p.
     """
-    # Bit-sliced counter: planes[b] holds bit b of |N(x) & common| for every x
-    # at once.  Each common neighbor's row is added with a ripple carry; enough
-    # planes hold |common|, so no carry is ever lost.
-    planes = [0] * common.bit_count().bit_length()
-    for c in bits(common):
-        carry = sources[c]
-        for b, plane in enumerate(planes):
-            planes[b] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
+    planes = _bit_slices(sources, common)
     # Split outside plane by plane from the top: level[h] holds the x whose
     # high bits of p read h.  A part whose least value exceeds t_cap is not
     # kept; it is always the last, so after the last plane level[i] holds the
@@ -535,18 +542,69 @@ def matched_pairs(
     )
 
 
-def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
-    """Every pair of distinct psi cells must induce an r-regular bipartite graph.
+def _psi_regular_pass(
+    g: Graph, n: int, u: int, cells: Sequence[tuple[int, int, int]]
+) -> Optional[dict[int, int]]:
+    """The r_distribution of the cells when every pair passes, else None.
 
-    r must lie in {0, 1, 2} and the triple counts must follow: adjacent pairs
-    p = max(0, r-1), non-adjacent pairs p = n + r.  Proved for n >= 3; on
-    smaller members the outcome is a diagnostic.
+    Cell j is local bits 3j..3j+2, so packed[x] is N(x) on the cells and the
+    sum of its three bit fields holds deg(x -> cell j) in field j.  Two cells
+    induce a regular bipartite graph iff each side's members agree on the
+    other's field (the edge count then makes both degrees r), so every pair
+    is regular iff each cell's members have one degree int.  r = 3 is a field
+    with both low bits set.  For a member a, p_u(a, b) for every b at once is
+    the bit-sliced sum of packed[c] over c in N(u) & N(a); over the later
+    cells it must equal max(0, r - 1) where a ~ b and n + r elsewhere, plane
+    by plane, with r replicated from field to member bits by * 7.  Needs
+    n >= 0.
     """
-    psi = psi_partition(g, fam, u)
     rows = g.rows
     row_u = rows[u]
-    masks = [sum(1 << x for x in cell) for cell in psi.cells]
-    n = fam.n
+    packed = transpose_rows([rows[x] for cell in cells for x in cell], g.nu)
+    count = len(cells)
+    ones = ((1 << 3 * count) - 1) // 7  # bit 3j for every cell j
+    width = (n + 2).bit_length()  # the planes of the largest expected p
+    r_counts = [0, 0, 0]
+    for j, cell in enumerate(cells):
+        degrees = {
+            (packed[a] & ones) + (packed[a] >> 1 & ones) + (packed[a] >> 2 & ones) for a in cell
+        }
+        if len(degrees) != 1:
+            return None
+        (degree,) = degrees
+        low, high = degree & ones, degree >> 1 & ones  # r = 1 and r = 2 (and r = 3: both)
+        if low & high:
+            return None
+        later = (1 << 3 * count) - (8 << 3 * j)  # the member bits of the cells after j
+        r1, r2 = (low & later).bit_count(), (high & later).bit_count()
+        r_counts[0] += count - 1 - j - r1 - r2
+        r_counts[1] += r1
+        r_counts[2] += r2
+        by_r = (later & ~((low | high) * 7), later & low * 7, later & high * 7)
+        # plane t of the expected p where a ~ b, and where not
+        together, apart = [0] * width, [0] * width
+        for r, mask in enumerate(by_r):
+            for t in range(width):
+                together[t] |= mask if max(0, r - 1) >> t & 1 else 0
+                apart[t] |= mask if (n + r) >> t & 1 else 0
+        for a in cell:
+            planes = _bit_slices(packed, row_u & rows[a])  # p_u(a, b) at every b
+            adjacent = packed[a]
+            for t in range(max(width, len(planes))):  # a p past the expected planes fails too
+                got = planes[t] & later if t < len(planes) else 0
+                want = apart[t] ^ (adjacent & (apart[t] ^ together[t])) if t < width else 0
+                if got != want:
+                    return None
+    return {r: c for r, c in enumerate(r_counts) if c}
+
+
+def _psi_replay(
+    g: Graph, n: int, u: int, cells: Sequence[tuple[int, int, int]]
+) -> tuple[dict[int, int], int, Optional[dict]]:
+    """r_distribution, violations and first witness, one pair of cells at a time."""
+    rows = g.rows
+    row_u = rows[u]
+    masks = [sum(1 << x for x in cell) for cell in cells]
     r_distribution: dict[int, int] = {}
     violations = 0
     witness = None
@@ -557,9 +615,9 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
         if witness is None:
             witness = {"reason": reason, **data}
 
-    for j1 in range(len(psi.cells)):
-        for j2 in range(j1 + 1, len(psi.cells)):
-            cell_a, cell_b = psi.cells[j1], psi.cells[j2]
+    for j1 in range(len(cells)):
+        for j2 in range(j1 + 1, len(cells)):
+            cell_a, cell_b = cells[j1], cells[j2]
             mask_a, mask_b = masks[j1], masks[j2]
             degrees = [(rows[a] & mask_b).bit_count() for a in cell_a]
             degrees += [(rows[b] & mask_a).bit_count() for b in cell_b]
@@ -582,6 +640,26 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
                             "p-value-mismatch",
                             {"pair": [a, b], "r": r, "p": p, "expected": expected},
                         )
+    return r_distribution, violations, witness
+
+
+def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
+    """Every pair of distinct psi cells must induce an r-regular bipartite graph.
+
+    r must lie in {0, 1, 2} and the triple counts must follow: adjacent pairs
+    p = max(0, r-1), non-adjacent pairs p = n + r.  Proved for n >= 3; on
+    smaller members the outcome is a diagnostic.
+
+    A bulk pass over all pairs of cells at once decides the passing case.
+    When it finds any fault, or n < 0 could make n + r negative, the pairs
+    are replayed one at a time, which counts every violation and names the
+    first.
+    """
+    psi = psi_partition(g, fam, u)
+    r_distribution = _psi_regular_pass(g, fam.n, u, psi.cells) if fam.n >= 0 else None
+    violations, witness = 0, None
+    if r_distribution is None:
+        r_distribution, violations, witness = _psi_replay(g, fam.n, u, psi.cells)
     return CheckReport(
         name="psi-regularity",
         passed=violations == 0,

@@ -5,10 +5,11 @@ outside vertex at a time through the bounds-checked Graph.row, one
 m_spectrum call per ordered pair, one pair_stats call per triple, the dense
 products B (nI - A_H) and Y B Y^T, the squared quotients of the sigma
 family, the closure of all nu^2 quotients, one (phi cell, psi cell) pair at
-a time, the sigma propagation with one mapping dict a cell, one adjacency
-row bit by bit, the Diophantine search over every n, the graph6 codec
-and the bit-matrix transpose one bit at a time, and the row-order range,
-self-loop and symmetry checks of a Graph.  They live here only so the
+a time, one pair of psi cells at a time, the sigma propagation with one
+mapping dict a cell, one adjacency row bit by bit, the Diophantine search
+over every n, the graph6 codec and the bit-matrix transpose one bit at a
+time, the row-order range, self-loop and symmetry checks of a Graph, and
+the PQ axiom (iii) one line and one point at a time.  They live here only so the
 differential tests can demand equal results, equal exception types and
 equal messages from the kernels.
 """
@@ -27,6 +28,7 @@ from srgpq.automorphism import (
     SigmaCoverageError,
 )
 from srgpq.cli import GRAPH6_HEADER, MAX_GRAPH6_VERTICES, Graph6Error, _size_prefix
+from srgpq.geometry import IncidenceStructure
 from srgpq.graphcore import Graph, TriplePartition, bits, phi_partition
 from srgpq.localstats import (
     LocalStatsError,
@@ -462,6 +464,79 @@ def matched_pairs(
         kinds=tuple(kinds),
         bijections=bijections,
     )
+
+
+def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
+    """Each pair of psi cells in turn: its degrees, its r and its nine p-values."""
+    psi = _psi_partition(g, fam, u)
+    rows = g.rows
+    row_u = rows[u]
+    masks = [sum(1 << x for x in cell) for cell in psi.cells]
+    n = fam.n
+    r_distribution: dict[int, int] = {}
+    violations = 0
+    witness = None
+
+    def record(reason: str, data: dict):
+        nonlocal violations, witness
+        violations += 1
+        if witness is None:
+            witness = {"reason": reason, **data}
+
+    for j1 in range(len(psi.cells)):
+        for j2 in range(j1 + 1, len(psi.cells)):
+            cell_a, cell_b = psi.cells[j1], psi.cells[j2]
+            mask_a, mask_b = masks[j1], masks[j2]
+            degrees = [(rows[a] & mask_b).bit_count() for a in cell_a]
+            degrees += [(rows[b] & mask_a).bit_count() for b in cell_b]
+            if len(set(degrees)) != 1:
+                record("not-regular", {"cells": [cell_a, cell_b], "degrees": degrees})
+                continue
+            r = degrees[0]
+            r_distribution[r] = r_distribution.get(r, 0) + 1
+            if r not in (0, 1, 2):
+                record("r-out-of-range", {"cells": [cell_a, cell_b], "r": r})
+                continue
+            for a in cell_a:
+                row_ua = row_u & rows[a]
+                for b in cell_b:
+                    p = (row_ua & rows[b]).bit_count()
+                    expected = max(0, r - 1) if rows[a] >> b & 1 else n + r
+                    if p != expected:
+                        record(
+                            "p-value-mismatch",
+                            {"pair": [a, b], "r": r, "p": p, "expected": expected},
+                        )
+    return CheckReport(
+        name="psi-regularity",
+        passed=violations == 0,
+        asserted=fam.in_triple_regime,
+        details={
+            "base_vertex": u,
+            "r_distribution": {str(r): c for r, c in sorted(r_distribution.items())},
+            "violations": violations,
+        },
+        witness=witness,
+    )
+
+
+def off_line_witness(inc: IncidenceStructure) -> Optional[dict]:
+    """PQ axiom (iii) at every (line, point off it), collinearity read off the lines."""
+    coll = [0] * inc.num_points
+    for line in inc.lines:
+        for p in line:
+            for q in line:
+                if q != p:
+                    coll[p] |= 1 << q
+    for index, line in enumerate(inc.lines):
+        mask = sum(1 << q for q in line)
+        for p in range(inc.num_points):
+            if mask >> p & 1:
+                continue
+            hits = coll[p] & mask
+            if hits.bit_count() > 1:
+                return {"point": p, "line": index, "collinear_points": list(bits(hits))}
+    return None
 
 
 def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:

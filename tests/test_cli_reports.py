@@ -37,6 +37,7 @@ GRAPH_COMMANDS = {
     "check-con": ["check-con"],
     "check-eq-pq": ["check-eq-pq"],
     "check-star": ["check-star"],
+    "check-psi": ["check-psi"],
     "related": ["related"],
     "local-stats": ["local-stats"],
     "local-stats-v0": ["local-stats", "-", "--vertex", "0"],
@@ -115,6 +116,10 @@ PINS: dict[str, tuple[int, str]] = {
     "check-eq-pq/gq35-toggled": (1, "6535cd8cdedaf4d08a82010f4444a59bb708cc2f6754ef4a87cf1b6a2623e944"),
     "check-eq-pq/rook4": (0, "539d789f2d98d5c6097feb00b683370a8f31591da13b60d375f336fc7052008d"),
     "check-eq-pq/shrikhande": (1, "788c37630798184cec6ca24fa3f45b1cee55e7e27c376ccb7c792fe5d51245fd"),
+    "check-psi/gq35": (0, "179d6c3ae111788288b9910bf42773514d43c9639b3c4f3a44820b2561349ae8"),
+    "check-psi/gq35-toggled": (1, "fd84e12083cf05556e0c8c5ae05148f38f614f56bce4801fa23d04233ed47ae8"),
+    "check-psi/rook4": (0, "30d30727246180cb20c34fc96ae452a86ffd869f54340d7b779aa7aacefff3f3"),
+    "check-psi/shrikhande": (1, "e741761f462e546531bca697710f3a2a382a8cf721d11a8b8c4f504566f827a5"),
     "check-srg/2k3": (1, "414ff44b974a00480e2a3e3e5cb74d3bc418a3c9a77107eb3224f07847c32989"),
     "check-srg/gq35": (0, "12f079ecd5b8ce4b4bd33f766fd985bc6852d908f0b453502f47cec069c9206c"),
     "check-srg/gq35-toggled": (1, "75f29732e9ef39a1f1d090531da120b539e6ca165ff08461a565f7ebba3fe98f"),
@@ -202,3 +207,15 @@ def test_precondition_pins_are_the_failures_they_name(case, name, field, value, 
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert (check["name"], check["severity"]) == (name, "asserted-fail")
     assert {**check["details"], **check["witness"]}[field] == value
+
+
+def test_check_psi_pin_on_rook4_is_a_partition_failure_at_every_vertex(capsys, monkeypatch):
+    argv, text = CASES["check-psi/rook4"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(list(argv)) == 0
+    checks = {check["name"]: check for check in json.loads(capsys.readouterr().out)["checks"]}
+    partition = checks["psi-partition"]
+    assert partition["severity"] == "diagnostic"
+    assert partition["details"] == {"failures": 16, "vertices_checked": 16}
+    assert partition["witness"]["u"] == 0
+    assert checks["psi-regularity"]["details"] == {"failures": 0, "vertices_checked": 0}

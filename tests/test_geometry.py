@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfbench.inputs import gq35_rows, ovoid256_rows
 from srgpq.geometry import (
@@ -23,8 +25,10 @@ from srgpq.geometry import (
     parse_incidence,
     verify_pq_axioms,
 )
+from srgpq.geometry import _collinearity_masks, _line_masks, _off_line_witness
 from srgpq.graphcore import Graph, is_diamond_free, is_srg
 from srgpq.params import PqParams, SrgParams
+from tests import oracles
 
 
 def test_gf4_field_axioms():
@@ -172,6 +176,44 @@ def test_axiom_iii_violation_fano():
     report = verify_pq_axioms(IncidenceStructure.from_lines(7, lines))
     assert report.violated_axiom == "iii"
     assert len(report.witness["collinear_points"]) == 3
+
+
+AXIOM_III_VIOLATIONS = {
+    "fano": (7, [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)]),
+    # the affine plane of order 3: every point off a line sees all three of its points
+    "affine-3": (9, [tuple(3 * x + (m * x + b) % 3 for x in range(3)) for m in range(3) for b in range(3)]
+                 + [tuple(3 * c + y for y in range(3)) for c in range(3)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AXIOM_III_VIOLATIONS))
+def test_axiom_iii_witness_matches_the_point_loop(case):
+    inc = IncidenceStructure.from_lines(*AXIOM_III_VIOLATIONS[case])
+    report = verify_pq_axioms(inc)
+    assert report.violated_axiom == "iii"
+    assert report.witness == oracles.off_line_witness(inc)
+
+
+incidences = st.integers(1, 9).flatmap(
+    lambda points: st.builds(
+        IncidenceStructure.from_lines,
+        st.just(points),
+        st.lists(
+            st.frozensets(st.integers(0, points - 1), min_size=1, max_size=min(points, 4)),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidences)
+def test_axiom_iii_witness_matches_the_point_loop_on_small_incidences(inc):
+    witness = _off_line_witness(_line_masks(inc), _collinearity_masks(inc))
+    assert witness == oracles.off_line_witness(inc)
 
 
 def test_axiom_iv_violation_hexagon():

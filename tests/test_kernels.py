@@ -25,6 +25,7 @@ from srgpq.localstats import (
     LocalStatsError,
     MomentIdentityError,
     PairBoundError,
+    PartitionError,
     _m0_mask,
     check_condition_con,
     m_spectrum,
@@ -32,6 +33,7 @@ from srgpq.localstats import (
     psi_partition,
     verify_eq_pq,
     verify_inv_formula,
+    verify_psi_regularity,
     verify_star,
 )
 from srgpq.params import FamilyInfo
@@ -428,3 +430,49 @@ def test_inv_formula_matches_the_dense_product_on_toggled_edges():
 def test_inv_formula_matches_the_dense_product_on_random_graphs(g, fam, data):
     u = data.draw(st.integers(-1, g.nu), label="u")
     _assert_inv_formula_agrees(g, fam, u)
+
+
+# psi-regularity: the bulk pass over all pairs of psi cells at once, with the
+# per-pair replay behind it, against the per-pair loop.
+
+
+def _assert_psi_regularity_agrees(g: Graph, fam: FamilyInfo, u: int):
+    outcome = _outcome(verify_psi_regularity, g, fam, u)
+    assert outcome == _outcome(oracles.verify_psi_regularity, g, fam, u)
+    if outcome[0] == "returned":
+        # the bulk pass alone decides each passing report, and only those
+        report = outcome[1]
+        decided = localstats._psi_regular_pass(g, fam.n, u, psi_partition(g, fam, u).cells)
+        assert (decided is not None) == report.passed
+        if decided is not None:
+            assert {str(r): c for r, c in decided.items()} == report.details["r_distribution"]
+    return outcome
+
+
+PSI_WITNESSES = (
+    (gq35_rows, FamilyInfo.from_n_lam(2, 2), None),
+    (ovoid256_rows, FamilyInfo.from_n_lam(3, 2), 16),
+)
+
+
+def test_psi_regularity_matches_the_per_pair_loop_on_the_witnesses():
+    for rows_of, fam, sample in PSI_WITNESSES:
+        rows = rows_of()
+        for labels in (rows, _shuffled(rows, 4)):
+            g = Graph(labels)
+            vertices = range(g.nu) if sample is None else random.Random(2).sample(range(g.nu), sample)
+            for u in vertices:
+                outcome = _assert_psi_regularity_agrees(g, fam, u)
+                assert _kind(outcome) == ("psi-regularity", True)
+
+
+def test_psi_regularity_matches_the_per_pair_loop_on_mutants():
+    kinds = set()
+    for rows_of, fam, sample in PSI_WITNESSES:
+        rows = rows_of()
+        for mutant in _mutants(rows, seed=9):
+            g = Graph(mutant)
+            vertices = range(g.nu) if sample is None else random.Random(3).sample(range(g.nu), sample)
+            for u in sorted(set(vertices) | set(_changed(rows, mutant))):
+                kinds.add(_kind(_assert_psi_regularity_agrees(g, fam, u)))
+    assert kinds == {("psi-regularity", True), ("psi-regularity", False), PartitionError}

@@ -29,6 +29,7 @@ from srgpq.localstats import (
     verify_star,
 )
 from srgpq.params import FamilyInfo
+from tests import oracles
 
 
 def _outside(g, u):
@@ -249,6 +250,67 @@ def test_verify_psi_regularity_p_value_mismatch(monkeypatch):
         "reason": "p-value-mismatch", "pair": [1, 8], "r": 1, "p": 0, "expected": 4,
     }
     assert report.details["violations"] == 6
+
+
+def _cells_graph(cells, edges, p_of) -> Graph:
+    """Base vertex 0, the cells, and the edges between them, given as pairs.
+
+    Each pair a, b from different cells gets p_of(a, b, a ~ b) private
+    common neighbours of 0, a and b, so p_u(a, b) is exactly that.
+    """
+    nu = 1 + sum(map(len, cells))
+    adjacent = set(edges)
+    all_edges = list(edges)
+    for i, cell_a in enumerate(cells):
+        for cell_b in cells[i + 1 :]:
+            for a in cell_a:
+                for b in cell_b:
+                    for _ in range(p_of(a, b, (a, b) in adjacent)):
+                        all_edges += [(0, nu), (a, nu), (b, nu)]
+                        nu += 1
+    return Graph.from_edges(nu, all_edges)
+
+
+# Each case fails exactly one way that the bulk pass must see; the replay
+# names it.  (cells, edges, n, p_of, witness, violations)
+CRAFTED_CELLS = {
+    # A meets B by one edge each, but B meets A by degrees 2, 1, 0: only B's
+    # view of A, below B in the cell order, shows the fault
+    "seen-from-one-side": (
+        (A, B), [(1, 4), (2, 4), (3, 5)], 1, lambda a, b, adj: 0 if adj else 2,
+        {"reason": "not-regular", "cells": [A, B], "degrees": [1, 1, 1, 2, 1, 0]}, 1,
+    ),
+    # K_{3,3} with p = 1 on every pair: r = 3 is the only fault
+    "r-three": (
+        (A, B), [(a, b) for a in A for b in B], 3, lambda a, b, adj: 1,
+        {"reason": "r-out-of-range", "cells": [A, B], "r": 3}, 1,
+    ),
+    # r = 0, so p = n = 1 is due; p = 5 agrees with it on the two low planes
+    "p-past-the-planes": (
+        (A, B), [], 1, lambda a, b, adj: 5 if (a, b) == (1, 4) else 1,
+        {"reason": "p-value-mismatch", "pair": [1, 4], "r": 0, "p": 5, "expected": 1}, 1,
+    ),
+    # n < 0: n + r is negative, which no p can equal
+    "negative-n": (
+        (A, B), [], -2, lambda a, b, adj: 0,
+        {"reason": "p-value-mismatch", "pair": [1, 4], "r": 0, "p": 0, "expected": -2}, 9,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_CELLS))
+def test_verify_psi_regularity_matches_the_per_pair_loop_on_crafted_cells(case, monkeypatch):
+    cells, edges, n, p_of, witness, violations = CRAFTED_CELLS[case]
+    g = _cells_graph(cells, edges, p_of)
+    fam = FamilyInfo.from_n_lam(n, 2)
+    partition = TriplePartition(base_vertex=0, cells=cells, kind="psi")
+    monkeypatch.setattr(localstats, "psi_partition", lambda g, fam, u: partition)
+    monkeypatch.setattr(oracles, "_psi_partition", lambda g, fam, u: partition)
+    report = verify_psi_regularity(g, fam, 0)
+    assert report == oracles.verify_psi_regularity(g, fam, 0)
+    assert (report.passed, report.witness, report.details["violations"]) == (False, witness, violations)
+    if n >= 0:
+        assert localstats._psi_regular_pass(g, n, 0, cells) is None
 
 
 def test_verify_inv_formula_gq35(gq35, fam_gq35):

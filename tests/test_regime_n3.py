@@ -24,7 +24,7 @@ from srgpq.automorphism import (
     generate_gamma,
     related_set,
 )
-from srgpq.cli import _related, run
+from srgpq.cli import _check_psi, _related, run
 from srgpq.graphcore import Graph
 from srgpq.localstats import (
     predicted_m_spectrum,
@@ -159,6 +159,31 @@ def test_psi_regularity_fails_on_a_toggled_edge(ovoid_rows):
     }
 
 
+def test_check_psi_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6(ovoid_rows) + "\n"))
+    code = run(["check-psi"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    checks = {check["name"]: check for check in report["checks"]}
+    for name in ("psi-partition", "psi-regularity"):
+        assert checks[name]["severity"] == "asserted-pass"
+        assert checks[name]["details"] == {"failures": 0, "vertices_checked": 256}
+    # 256 times the histogram of one vertex, 1360 / 510 / 408
+    assert report["results"] == {"r_distribution": {"0": 348160, "1": 130560, "2": 104448}}
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SWEEP_PINS["check-psi"]
+
+
+def test_check_psi_fails_on_a_toggled_edge(ovoid_rows):
+    # the toggled graph is no SRG, so the analysis runs with the unmutated family
+    mutant = Graph(ovoid_rows).toggle_edge(113, 242)
+    checks, _ = _check_psi(None, mutant, FAMILY)
+    regularity = {check.name: check for check in checks}["psi-regularity"]
+    assert regularity.severity == "asserted-fail"
+    u = regularity.witness["u"]
+    assert regularity.witness == {"u": u, "witness": verify_psi_regularity(mutant, FAMILY, u).witness}
+    assert u == 0
+
+
 def test_inv_formula_and_star_identity_are_asserted_passes(ovoid_rows):
     g = Graph(ovoid_rows)
     inv = verify_inv_formula(g, FAMILY, 0)
@@ -190,13 +215,15 @@ def test_star_identity_fails_on_a_toggled_edge_among_non_neighbours(ovoid_rows):
 # Exit code and stdout SHA-256 of the full sweeps, captured when check-star
 # built the dense products and check-eq-pq called pair_stats per triple
 # (about two minutes for the pair), when sigma propagated both orientations
-# at every vertex (about 10 s), and when group closed all 65 536 quotients
-# sigma_u sigma_v^-1 (about 10 s).
+# at every vertex (about 10 s), when group closed all 65 536 quotients
+# sigma_u sigma_v^-1 (about 10 s), and when check-psi ran every pair of psi
+# cells one at a time (about 4 s).
 SWEEP_PINS = {
     "check-star": (0, "aa07fcb1748e41a810c77c1a327916c368feb5540a851547fd028627a7beac99"),
     "check-eq-pq": (0, "0fb039e59c302decb7e7f2435107451aeebadbb4681633ea52c6fec55e4f896b"),
     "sigma": (0, "825d77c16790678bf3f5c6165b764499ec06bddd0f1132950c3906dcce5cf294"),
     "group": (0, "a11db8b7e1326b1ee0dd2f1846bc706fd7fef0c231bc43d25276a9af9ef12a97"),
+    "check-psi": (0, "0cab6ed745c7266faee259465d09da0fa0929b14f2655b1375beaaf69490a4fe"),
 }
 
 
