@@ -17,14 +17,18 @@ from math import lcm
 from operator import itemgetter
 from typing import Optional
 
-from srgpq.graphcore import Graph, bits, phi_partition
-from srgpq.localstats import _m0_mask, matched_pairs, psi_partition
+from srgpq.graphcore import Graph, GraphError, bits, phi_partition
+from srgpq.localstats import LocalStatsError, _m0_mask, matched_pairs, psi_partition
 from srgpq.params import FamilyInfo, fixed_point_bound
 from srgpq.reports import CheckReport
 
 
 class SigmaConstructionError(ValueError):
     """Base class for failures of the propagation construction."""
+
+
+class SigmaSeedError(SigmaConstructionError):
+    """The base vertex has no triangle cell to seed the 3-cycle on."""
 
 
 class SigmaConflictError(SigmaConstructionError):
@@ -41,6 +45,10 @@ class SigmaAutomorphismError(SigmaConstructionError):
 
 class SigmaNormalizationError(SigmaConstructionError):
     """Neither orientation satisfies the family normalization."""
+
+
+# What build_sigma raises on an input outside its hypotheses.
+SIGMA_ERRORS = (SigmaConstructionError, LocalStatsError, GraphError)
 
 
 class RelatedSetError(ValueError):
@@ -177,6 +185,8 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
     permutation that fails the unconditional automorphism check.
     """
     phi = phi_partition(g, u)
+    if not phi.cells:
+        raise SigmaSeedError(f"vertex {u} has no neighbours, so no triangle cell to seed")
     psi = psi_partition(g, fam, u)
     table = matched_pairs(g, u, phi, psi)
 
@@ -407,22 +417,7 @@ def generate_gamma(
         for b in generators[index + 1 :]
     )
 
-    seen = [False] * degree
-    orbits = []
-    for start in range(degree):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        for x in orbit:
-            for gen in generators:
-                y = gen[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-        orbits.append(tuple(sorted(orbit)))
-    orbits_sorted = tuple(sorted(orbits))
-
+    orbits = _orbits(generators, degree)
     closure_elements = tuple(Permutation(images) for images in sorted(elements))
     order_histogram: dict[int, int] = {}
     fixed_histogram: dict[int, int] = {}
@@ -443,11 +438,11 @@ def generate_gamma(
     return GammaReport(
         elements=closure_elements,
         generators=tuple(Permutation(images) for images in generators),
-        orbits=orbits_sorted,
+        orbits=orbits,
         order=order,
         abelian=abelian,
-        transitive=len(orbits_sorted) == 1,
-        orbit_sizes=tuple(len(orbit) for orbit in orbits_sorted),
+        transitive=len(orbits) == 1,
+        orbit_sizes=tuple(len(orbit) for orbit in orbits),
         element_order_histogram=order_histogram,
         fixed_point_histogram=fixed_histogram,
         max_nonidentity_fixed_points=max_fixed,
@@ -455,6 +450,56 @@ def generate_gamma(
         bound_satisfied=order == 1 or max_fixed <= bound,
         order_power_of_two=order & (order - 1) == 0,
     )
+
+
+def vertex_orbits(g: Graph, fam: FamilyInfo) -> tuple[tuple[int, ...], ...]:
+    """The vertex orbits of a group generated by verified sigmas, each sorted, by least vertex.
+
+    A per-base-vertex check gives the same verdict at every vertex of an
+    orbit of an automorphism group, so a sweep may visit the least vertex
+    of each orbit and count it once per vertex of the orbit.  Only lam = 2
+    members have sigmas; for any other family every orbit is a singleton.
+    The first sigma is built at vertex 0 and each next one at the least
+    vertex outside the orbit of 0.  Building stops at one orbit, at a build
+    that raises one of SIGMA_ERRORS or does not merge two orbits, or after
+    nu.bit_length() builds, and the orbits of the sigmas kept so far are
+    returned.  build_sigma returns only permutations that pass its
+    automorphism check, so these are always orbits of automorphisms.
+    """
+    orbits = tuple((v,) for v in range(g.nu))
+    if fam.lam != 2:
+        return orbits
+    generators: list[tuple[int, ...]] = []
+    while len(orbits) > 1 and len(generators) < g.nu.bit_length():
+        try:
+            sigma = build_sigma(g, fam, orbits[1][0] if generators else 0)
+        except SIGMA_ERRORS:
+            break
+        merged = _orbits(generators + [sigma.images], g.nu)
+        if len(merged) == len(orbits):
+            break
+        generators.append(sigma.images)
+        orbits = merged
+    return orbits
+
+
+def _orbits(generators: list[tuple[int, ...]], degree: int) -> tuple[tuple[int, ...], ...]:
+    """The orbits of 0..degree-1 under the image arrays, each sorted, by least vertex."""
+    seen = [False] * degree
+    orbits = []
+    for start in range(degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:
+            for gen in generators:
+                y = gen[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:

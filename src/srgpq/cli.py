@@ -27,14 +27,15 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from srgpq.automorphism import (
+    SIGMA_ERRORS,
     ClosureCapError,
     RelatedSetError,
-    SigmaConstructionError,
     canonical_sigma_family,
     generate_gamma,
     related_set,
     verify_inverse_law,
     verify_involution_property,
+    vertex_orbits,
 )
 from srgpq.geometry import (
     GeometryError,
@@ -50,7 +51,6 @@ from srgpq.geometry import (
 from srgpq.graphcore import Graph, GraphError, is_diamond_free, is_srg_report, transpose_rows
 from srgpq.localstats import (
     FamilyPreconditionError,
-    LocalStatsError,
     PartitionError,
     check_condition_con,
     m_spectrum_histogram,
@@ -410,13 +410,20 @@ def _check_eq_pq(args, g: Graph, family: FamilyInfo):
     return [report], {"triples_checked": report.details.get("triples_checked")}
 
 
+# The per-vertex sweeps visit the least vertex of each orbit of vertex_orbits
+# and count it once per vertex of its orbit: an automorphism carries each
+# check's verdict and witness at u to its image.  The first failing vertex is
+# the least of its orbit, so the first failure recorded is the same.
+
+
 def _check_star(args, g: Graph, family: FamilyInfo):
-    failures = {"inv-formula": [], "star-identity": []}
+    failures = {"inv-formula": [], "star-identity": []}  # (orbit size, failure)
     try:
-        for u in range(g.nu):
+        for orbit in vertex_orbits(g, family):
+            u = orbit[0]
             for report in (verify_inv_formula(g, family, u), verify_star(g, family, u)):
                 if not report.passed:
-                    failures[report.name].append({"u": u, "witness": report.witness})
+                    failures[report.name].append((len(orbit), {"u": u, "witness": report.witness}))
     except FamilyPreconditionError as exc:
         return [_not_applicable("star-identity", str(exc))], {}
     checks = [
@@ -424,8 +431,8 @@ def _check_star(args, g: Graph, family: FamilyInfo):
             name=name,
             passed=not found,
             asserted=family.in_resolvent_regime,
-            details={"vertices_checked": g.nu, "failures": len(found)},
-            witness=found[0] if found else None,
+            details={"vertices_checked": g.nu, "failures": sum(size for size, _ in found)},
+            witness=found[0][1] if found else None,
         )
         for name, found in failures.items()
     ]
@@ -433,34 +440,35 @@ def _check_star(args, g: Graph, family: FamilyInfo):
 
 
 def _check_psi(args, g: Graph, family: FamilyInfo):
-    failures = {"psi-partition": [], "psi-regularity": []}
+    failures = {"psi-partition": [], "psi-regularity": []}  # (orbit size, failure)
     r_distribution: dict[str, int] = {}
-    for u in range(g.nu):
+    for orbit in vertex_orbits(g, family):
+        u, size = orbit[0], len(orbit)
         try:
             report = verify_psi_regularity(g, family, u)
         except PartitionError as exc:
-            failures["psi-partition"].append({"u": u, "error": str(exc)})
+            failures["psi-partition"].append((size, {"u": u, "error": str(exc)}))
             continue
         if not report.passed:
-            failures["psi-regularity"].append({"u": u, "witness": report.witness})
+            failures["psi-regularity"].append((size, {"u": u, "witness": report.witness}))
         for r, count in report.details["r_distribution"].items():
-            r_distribution[r] = r_distribution.get(r, 0) + count
+            r_distribution[r] = r_distribution.get(r, 0) + size * count
+    counts = {name: sum(size for size, _ in found) for name, found in failures.items()}
     # the regularity check runs only where the cells formed
-    checked = {"psi-partition": g.nu, "psi-regularity": g.nu - len(failures["psi-partition"])}
+    checked = {"psi-partition": g.nu, "psi-regularity": g.nu - counts["psi-partition"]}
     checks = [
         CheckReport(
             name=name,
             passed=not found and checked[name] > 0,
             asserted=family.in_triple_regime,
-            details={"vertices_checked": checked[name], "failures": len(found)},
-            witness=found[0] if found else None,
+            details={"vertices_checked": checked[name], "failures": counts[name]},
+            witness=found[0][1] if found else None,
         )
         for name, found in failures.items()
     ]
     return checks, {"r_distribution": r_distribution}
 
 
-SIGMA_ERRORS = (SigmaConstructionError, LocalStatsError, GraphError)
 GAMMA_RESULTS = ("order", "abelian", "transitive", "orbit_sizes", "element_order_histogram",
                  "fixed_point_histogram", "order_power_of_two")
 

@@ -17,6 +17,7 @@ diagnostically; the identities still hold there, in degenerate form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 from srgpq.graphcore import Graph, TriplePartition, bits, neighborhood_clique_cells, transpose_rows
@@ -136,6 +137,10 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
 
     Scans every base vertex u and every pair v < w of non-neighbors of u;
     reports the first counterexample, with p and q as pair_stats gives them.
+    The verdict at u and its first counterexample are those at any image of
+    u under an automorphism, so only the least vertex of each orbit of
+    vertex_orbits is scanned: the first failing vertex is the least of its
+    orbit, and triples_checked counts the triples of every vertex before it.
 
     Per base vertex, with A_v = N(u, v) in bits local to N(u):
     * slope * p is the popcount of slope copies of A_v & A_w;
@@ -148,14 +153,19 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
     So one mask z_v per v and one mask w_w per w, built once per u, give
     slope * p + q + |E_v| as the single popcount of z_v & w_w.
     """
+    from srgpq.automorphism import vertex_orbits  # automorphism imports this module
+
     slope = _require_positive_slope(fam)
     mu = fam.n * (fam.n + 1)
     adjacent_target = fam.lam * (fam.n + 1)
-    triples = 0
     full = (1 << g.nu) - 1
     rows = g.rows
+    per_vertex = [comb(g.nu - 1 - row.bit_count(), 2) for row in rows]  # triples at each u
     index = [0] * g.nu
-    for u, row_u in enumerate(rows):
+    for orbit in vertex_orbits(g, fam):
+        u = orbit[0]
+        row_u = rows[u]
+        triples = sum(per_vertex[:u])
         outside_mask = full & ~(row_u | (1 << u))
         outside = tuple(bits(outside_mask))
         local = tuple(bits(row_u))
@@ -223,7 +233,7 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
         passed=True,
         asserted=fam.in_resolvent_regime,
         details={
-            "triples_checked": triples,
+            "triples_checked": sum(per_vertex),
             "adjacent_target": adjacent_target,
             "nonadjacent_target": mu,
         },
@@ -371,6 +381,12 @@ def m_spectrum_histogram(
       outside of N[u] once, not once per v.
     * A (counts, degree) that has passed the moment checks is not checked
       again.
+    * An automorphism maps (u, v) to a pair with the same counts and the
+      same degrees, so over all rows only the least vertex r of each orbit
+      of vertex_orbits is a row.  Each pair (r, v) stands for |O_r| ordered
+      pairs, and for |O_v| more when v is the least of its orbit O_v, in
+      which case it is checked at both ends and the row of v skips r.
+      With every orbit a singleton this is the pass above.
 
     When the pass meets a LocalStatsError, the ordered loop runs instead:
     the failing pair fails there too, and the loop names the first failure
@@ -379,32 +395,37 @@ def m_spectrum_histogram(
     t_cap = fam.n * (fam.n + 1) // _require_positive_slope(fam)
     nu, rows = g.nu, g.rows
     if vertex is None:
-        order, both = range(nu), True
+        from srgpq.automorphism import vertex_orbits  # automorphism imports this module
+
+        orbits, order = vertex_orbits(g, fam), range(nu)
     else:
         g.check_vertex(vertex)
-        order, both = (vertex,), False
+        orbits, order = ((vertex,),), (vertex,)
+    size = {orbit[0]: len(orbit) for orbit in orbits}  # the rows, with their orbit sizes
     full = (1 << nu) - 1
     degrees = [row.bit_count() for row in rows]
     histogram: dict[tuple[int, ...], int] = {}
     passed = set()  # the (counts, degree) that passed the moment checks
     sources = [0] * nu  # sources[c] = rows[c] & outside(u), for c in N(u)
+    skipped = 0  # the rows before u
     try:
-        for u in order:
+        for u, weight in size.items():
             row_u = rows[u]
             outside_u = full & ~(row_u | (1 << u))
             for c in bits(row_u):
                 sources[c] = rows[c] & outside_u
-            for v in bits(outside_u & ~((2 << u) - 1) if both else outside_u):
+            for v in bits(outside_u & ~skipped):
                 row_v = rows[v]
                 outside = outside_u & ~(row_v | (1 << v))
                 equals = _spectrum_masks(sources, row_u & row_v, outside, t_cap, u, v)
                 counts = tuple(map(int.bit_count, equals))
-                ends = (u, v) if both else (u,)
-                for x in ends:
+                other = size.get(v, 0)
+                for x in (u, v) if other else (u,):
                     if (counts, degrees[x]) not in passed:
                         _check_moments(counts, nu, degrees[x], fam, u, v)
                         passed.add((counts, degrees[x]))
-                histogram[counts] = histogram.get(counts, 0) + len(ends)
+                histogram[counts] = histogram.get(counts, 0) + weight + other
+            skipped |= 1 << u
     except LocalStatsError:
         histogram = {}
         for u in order:
@@ -433,21 +454,33 @@ def predicted_m_spectrum(fam: FamilyInfo) -> dict[int, int]:
 
 
 def check_condition_con(g: Graph, fam: FamilyInfo) -> CheckReport:
-    """m_0(u, v) >= 1 for every non-adjacent pair, with the min/max recorded."""
+    """m_0(u, v) >= 1 for every non-adjacent pair, with the min/max recorded.
+
+    m_0 is the same on a pair and on its image under an automorphism, so
+    only the pairs at the least vertex r of each orbit of vertex_orbits are
+    computed: r with every non-neighbour v, except the least vertices of
+    the orbits before r's, whose pairs with r were computed in their own
+    rows.  Every non-adjacent pair is the image of one of these, and the
+    first vertex in a pair with m_0 = 0, which the witness names with its
+    least such partner, is the least of its orbit.
+    """
+    from srgpq.automorphism import vertex_orbits  # automorphism imports this module
+
     m0_min: Optional[int] = None
     m0_max: Optional[int] = None
     witness = None
-    pairs = 0
     full = (1 << g.nu) - 1
-    for u, row_u in enumerate(g.rows):
-        later = full ^ ((2 << u) - 1)
-        for v in bits(later & ~row_u):
-            pairs += 1
+    skipped = 0  # the least vertices of the orbits before u's
+    for orbit in vertex_orbits(g, fam):
+        u = orbit[0]
+        for v in bits(full & ~(g.rows[u] | skipped | (1 << u))):
             m0 = _m0_mask(g, u, v).bit_count()
             m0_min = m0 if m0_min is None else min(m0_min, m0)
             m0_max = m0 if m0_max is None else max(m0_max, m0)
             if m0 == 0 and witness is None:
                 witness = {"u": u, "v": v}
+        skipped |= 1 << u
+    pairs = sum(g.nu - 1 - row.bit_count() for row in g.rows) // 2
     passed = witness is None and pairs > 0
     return CheckReport(
         name="condition-con",

@@ -8,6 +8,17 @@ from srgpq.geometry import build_gq35, build_rook4, build_shrikhande
 from srgpq.params import FamilyInfo
 
 
+@pytest.fixture
+def trivial_orbits(monkeypatch):
+    """Make build_sigma raise: vertex_orbits gives singletons, and sweeps visit every vertex."""
+    from srgpq.automorphism import SigmaConstructionError
+
+    def refuse(g, fam, u):
+        raise SigmaConstructionError(f"no sigma at {u}: orbit reduction switched off")
+
+    monkeypatch.setattr("srgpq.automorphism.build_sigma", refuse)
+
+
 @pytest.fixture(scope="session")
 def rook():
     return build_rook4()

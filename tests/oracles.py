@@ -8,10 +8,11 @@ family, the closure of all nu^2 quotients, one (phi cell, psi cell) pair at
 a time, one pair of psi cells at a time, the sigma propagation with one
 mapping dict a cell, one adjacency row bit by bit, the Diophantine search
 over every n, the graph6 codec and the bit-matrix transpose one bit at a
-time, the row-order range, self-loop and symmetry checks of a Graph, and
-the PQ axiom (iii) one line and one point at a time.  They live here only so the
-differential tests can demand equal results, equal exception types and
-equal messages from the kernels.
+time, the row-order range, self-loop and symmetry checks of a Graph,
+check-con's m_0 from the M_0 set of each pair, and the PQ axiom (iii) one
+line and one point at a time.  They live here only so the differential
+tests can demand equal results, equal exception types and equal messages
+from the kernels.
 """
 
 from __future__ import annotations
@@ -53,6 +54,28 @@ def m0_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
     full = (1 << g.nu) - 1
     outside = full & ~(row_u | g.row(v) | (1 << u) | (1 << v))
     return tuple(x for x in bits(outside) if g.row(x) & common == 0)
+
+
+def check_condition_con(g: Graph, fam: FamilyInfo) -> CheckReport:
+    """m_0 of every non-adjacent pair u < v from its M_0 set, in row order."""
+    m0 = {
+        (u, v): len(m0_set(g, u, v))
+        for u in range(g.nu)
+        for v in range(u + 1, g.nu)
+        if not g.adjacent(u, v)
+    }
+    witness = next(({"u": u, "v": v} for (u, v), size in m0.items() if size == 0), None)
+    return CheckReport(
+        name="condition-con",
+        passed=witness is None and bool(m0),
+        asserted=True,
+        details={
+            "pairs": len(m0),
+            "m0_min": min(m0.values(), default=None),
+            "m0_max": max(m0.values(), default=None),
+        },
+        witness=witness,
+    )
 
 
 def m_spectrum(g: Graph, fam: FamilyInfo, u: int, v: int) -> MSpectrum:

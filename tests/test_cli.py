@@ -243,7 +243,9 @@ def test_related_builds_each_set_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and report["results"]["related_sets"] == len(calls) == 336
 
 
-def test_check_star_records_a_failing_vertex(capsys, tmp_path, monkeypatch):
+def test_check_star_records_a_failing_vertex(
+    capsys, tmp_path, monkeypatch, trivial_orbits
+):
     path = _graph_file(tmp_path, build_gq35())
     _, before, _ = _run_json(capsys, ["check-star", path])
     kernel = srgpq.cli.verify_star
@@ -262,6 +264,26 @@ def test_check_star_records_a_failing_vertex(capsys, tmp_path, monkeypatch):
     assert star["details"] == {"vertices_checked": 64, "failures": 1}
     assert star["witness"] == {"u": 9, "witness": witness}
     assert names["inv-formula"] == {check["name"]: check for check in before["checks"]}["inv-formula"]
+
+
+def test_check_star_counts_a_failing_orbit_at_each_of_its_vertices(capsys, tmp_path, monkeypatch):
+    # gq35 is one orbit, so the sweep visits vertex 0 alone and counts it 64 times
+    path = _graph_file(tmp_path, build_gq35())
+    kernel = srgpq.cli.verify_star
+    witness = {"entry": [1, 2], "lhs": 0, "rhs": 4}
+    visited = []
+
+    def failing_at_0(g, fam, u):
+        visited.append(u)
+        report = kernel(g, fam, u)
+        return dataclasses.replace(report, passed=False, witness=witness) if u == 0 else report
+
+    monkeypatch.setattr("srgpq.cli.verify_star", failing_at_0)
+    code, report, _ = _run_json(capsys, ["check-star", path])
+    assert code == 0 and visited == [0]
+    star = {check["name"]: check for check in report["checks"]}["star-identity"]
+    assert star["details"] == {"vertices_checked": 64, "failures": 64}
+    assert star["witness"] == {"u": 0, "witness": witness}
 
 
 def test_graph_to_pq_and_axioms_pipeline(capsys, tmp_path):
@@ -488,7 +510,7 @@ def test_internal_errors_return_3(capsys, tmp_path, monkeypatch, command, name, 
 
 @pytest.mark.parametrize("command, name", [("check-star", "verify_star"), ("check-eq-pq", "verify_eq_pq")])
 def test_local_stats_error_after_the_preconditions_returns_3(
-    capsys, tmp_path, monkeypatch, command, name
+    capsys, tmp_path, monkeypatch, trivial_orbits, command, name
 ):
     # Only FamilyPreconditionError means "not applicable".  Any other
     # LocalStatsError, raised at vertex 5 of check-star's per-vertex sweep or
@@ -504,6 +526,21 @@ def test_local_stats_error_after_the_preconditions_returns_3(
     code, out, err = _run(capsys, [command, _graph_file(tmp_path, build_gq35())])
     assert code == 3 and out == ""
     assert err == "error: internal: LocalStatsError: stopped partway through the sweep\n"
+
+
+def test_local_stats_error_at_the_one_representative_returns_3(capsys, tmp_path, monkeypatch):
+    # gq35 is one orbit: check-star visits vertex 0 alone, and an error there is a fault of srgpq
+    kernel = srgpq.cli.verify_star
+
+    def failing_at_0(g, fam, u):
+        if u == 0:
+            raise LocalStatsError("stopped at the representative")
+        return kernel(g, fam, u)
+
+    monkeypatch.setattr("srgpq.cli.verify_star", failing_at_0)
+    code, out, err = _run(capsys, ["check-star", _graph_file(tmp_path, build_gq35())])
+    assert code == 3 and out == ""
+    assert err == "error: internal: LocalStatsError: stopped at the representative\n"
 
 
 def test_too_small_max_is_a_usage_error(capsys):

@@ -357,7 +357,7 @@ def test_sweep_checks_each_row_against_its_own_degree():
     assert sweep.failure == {"u": 1, "v": 2, "error": "sum m_i = 0, expected 2 at pair (1, 2)"}
 
 
-def test_sweep_runs_the_pair_kernel_once_per_unordered_pair(monkeypatch):
+def test_sweep_runs_the_pair_kernel_once_per_unordered_pair(monkeypatch, trivial_orbits):
     calls = []
     kernel = localstats._spectrum_masks
 
@@ -368,6 +368,22 @@ def test_sweep_runs_the_pair_kernel_once_per_unordered_pair(monkeypatch):
     monkeypatch.setattr(localstats, "_spectrum_masks", counted)
     assert m_spectrum_histogram(Graph(gq35_rows()), FamilyInfo.from_n_lam(2, 2)).failure is None
     assert len(calls) == len({frozenset(pair) for pair in calls}) == 64 * 45 // 2
+
+
+def test_sweep_runs_the_pair_kernel_once_per_pair_at_each_orbit_representative(monkeypatch):
+    # gq35 is one orbit: one row, vertex 0 with its 45 non-neighbours
+    calls = []
+    kernel = localstats._spectrum_masks
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return kernel(*args)
+
+    monkeypatch.setattr(localstats, "_spectrum_masks", counted)
+    rows = gq35_rows()
+    sweep = m_spectrum_histogram(Graph(rows), FamilyInfo.from_n_lam(2, 2))
+    assert sweep.failure is None and sweep.pairs_checked == 64 * 45
+    assert calls == [(0, v) for v in range(1, 64) if not rows[0] >> v & 1]
 
 
 def test_sweep_rejects_bad_rows():

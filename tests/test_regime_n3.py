@@ -227,9 +227,12 @@ SWEEP_PINS = {
 }
 
 
-@pytest.mark.slow
-def test_check_star_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(graph6(ovoid_rows) + "\n"))
+# The sweeps visit one vertex per orbit of the sigmas, one vertex in all at
+# n = 3; the slow copies switch that off and visit all 256 vertices.
+
+
+def _assert_check_star_sweep(rows, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6(rows) + "\n"))
     code = run(["check-star"])
     out = capsys.readouterr().out
     checks = {check["name"]: check for check in json.loads(out)["checks"]}
@@ -239,15 +242,36 @@ def test_check_star_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == SWEEP_PINS["check-star"]
 
 
-@pytest.mark.slow
-def test_check_eq_pq_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(graph6(ovoid_rows) + "\n"))
+def _assert_check_eq_pq_sweep(rows, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6(rows) + "\n"))
     code = run(["check-eq-pq"])
     out = capsys.readouterr().out
     checks = {check["name"]: check for check in json.loads(out)["checks"]}
     assert checks["eq-pq"]["severity"] == "asserted-pass"
     assert checks["eq-pq"]["details"]["triples_checked"] == 5300736
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == SWEEP_PINS["check-eq-pq"]
+
+
+def test_check_star_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
+    _assert_check_star_sweep(ovoid_rows, capsys, monkeypatch)
+
+
+@pytest.mark.slow
+def test_check_star_sweep_at_every_vertex_is_an_asserted_pass(
+    ovoid_rows, capsys, monkeypatch, trivial_orbits
+):
+    _assert_check_star_sweep(ovoid_rows, capsys, monkeypatch)
+
+
+def test_check_eq_pq_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
+    _assert_check_eq_pq_sweep(ovoid_rows, capsys, monkeypatch)
+
+
+@pytest.mark.slow
+def test_check_eq_pq_sweep_at_every_vertex_is_an_asserted_pass(
+    ovoid_rows, capsys, monkeypatch, trivial_orbits
+):
+    _assert_check_eq_pq_sweep(ovoid_rows, capsys, monkeypatch)
 
 
 def _scale(scalar: int, vertex: int) -> int:
