@@ -7,6 +7,14 @@ neighborhood and propagate the index permutation across every one-regular
 covered.  Definitions are write-once with conflict detection, and the final
 permutation is always re-checked as a graph automorphism: the construction
 must also run (and fail loudly) on inputs outside the proofs' hypotheses.
+
+Both steps run in bulk on the renumbering of graphcore.transpose_rows.  The
+propagation carries the orientations of all cells as masks over one
+cell-ordered transpose, and the automorphism check compares perm(N(x)) with
+N(perm(x)) for every x from one transpose of the permuted rows.  Only when
+the masks meet a gap or a conflict, or their permutation fails the check,
+does the propagation one matched pair at a time replay the build, to raise
+its exact error.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Optional
+from typing import Optional, Sequence
 
-from srgpq.graphcore import Graph, GraphError, bits, phi_partition
+from srgpq.graphcore import Graph, GraphError, TriplePartition, bits, phi_partition, transpose_rows
 from srgpq.localstats import LocalStatsError, _m0_mask, matched_pairs, psi_partition
 from srgpq.params import FamilyInfo, fixed_point_bound
 from srgpq.reports import CheckReport
@@ -151,26 +159,22 @@ class GammaReport:
 def automorphism_witness(g: Graph, perm: Permutation) -> Optional[tuple[int, int]]:
     """First pair whose adjacency is not preserved, or None.
 
-    Character y of row x's reversed binary string is its bit y, so gathering
-    row perm(x)'s string at perm's images gives at position y whether
-    perm(x) ~ perm(y): perm preserves row x iff that gives row x's string
-    back, one C-level gather a row.  The witness is (perm(x), z) for the
-    first row x that differs, with z the least perm(y) over its differing
-    positions y: the least vertex in exactly one of N(perm(x)) and perm(N(x)).
+    One transpose gives perm(N(x)) for every x: with row i of a matrix the
+    row of perm^-1(i), bit i of its column x is set iff perm^-1(i) ~ x, that
+    is iff i is in perm(N(x)).  perm is an automorphism iff that equals
+    N(perm(x)) for every x.  The witness is (perm(x), z) for the first x
+    where they differ, with z the least vertex in exactly one of the two.
     """
     if len(perm) != g.nu:
         raise ValueError("permutation length does not match the graph")
     rows, images = g.rows, perm.images
-    if not rows:  # itemgetter needs at least one index
+    moved = transpose_rows([rows[x] for x in perm.inverse().images], g.nu)
+    targets = [rows[image] for image in images]
+    if moved == targets:
         return None
-    width = f"0{g.nu}b"
-    strings = [format(row, width)[::-1] for row in rows]
-    gather = itemgetter(*images)
-    for image, string in zip(images, strings):
-        gathered = gather(strings[image])
-        if "".join(gathered) != string:
-            return (image, min(images[y] for y, bit in enumerate(gathered) if bit != string[y]))
-    return None
+    x = next(x for x, (row, target) in enumerate(zip(moved, targets)) if row != target)
+    difference = moved[x] ^ targets[x]
+    return (images[x], (difference & -difference).bit_length() - 1)
 
 
 def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
@@ -181,20 +185,104 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
     instead would propagate through the same table in the same order, every
     transferred map inverted, so it yields exactly the inverse permutation;
     callers take ``.inverse()``.
-    Raises on conflicting definitions, incomplete propagation, or a final
+
+    A bulk pass propagates the orientations of all cells as masks.  When it
+    covers every cell without a conflict and its permutation passes the
+    automorphism check, that permutation is the result: it maps every
+    cell onto itself, so it commutes with every one-regular matching, and the
+    propagation one matched pair at a time would define the same images
+    without a conflict.  Otherwise that propagation replays the build, and
+    raises on conflicting definitions, incomplete propagation, or a final
     permutation that fails the unconditional automorphism check.
     """
     phi = phi_partition(g, u)
     if not phi.cells:
         raise SigmaSeedError(f"vertex {u} has no neighbours, so no triangle cell to seed")
     psi = psi_partition(g, fam, u)
-    table = matched_pairs(g, u, phi, psi)
+    sigma = _sigma_from_masks(g, phi.cells, psi.cells)
+    if sigma is not None and automorphism_witness(g, sigma) is None:
+        return sigma
+    return _sigma_replay(g, u, phi, psi)
 
-    # Every definition is a 3-cycle on a sorted cell (c0, c1, c2), so it is
-    # one orientation bit: 0 for c0 -> c1 -> c2 -> c0, 1 for the reverse.
-    # Carrying a 3-cycle across a bijection keeps its orientation when the
-    # bijection lists the target cell in rotated order and flips it when
-    # the order is reflected, in either direction.
+
+# Every definition is a 3-cycle on a sorted cell (c0, c1, c2), so it is one
+# orientation bit: 0 for c0 -> c1 -> c2 -> c0, 1 for the reverse.  Carrying a
+# 3-cycle across a bijection keeps its orientation when the bijection lists
+# the target cell in rotated order and flips it when the order is reflected,
+# in either direction.
+
+
+def _matchings(
+    g: Graph, phi_cells: Sequence[tuple[int, int, int]], psi_cells: Sequence[tuple[int, int, int]]
+) -> tuple[list[int], list[int]]:
+    """For each phi cell, masks of its one-regular psi cells and of the reflected ones among them.
+
+    Psi cell j is local bits 3j..3j+2, so local[a] is N(a) on the psi cells,
+    and bit 3j of each mask.  A phi cell (a0, a1, a2) is one-regular to psi
+    cell j iff each of its three rows has one bit in field j and together
+    they have all three.  The bijection then keeps the cell order, rotated,
+    iff a1's bit is a0's bit moved up one place, cyclically; otherwise it
+    reflects it, and carrying an orientation across it flips it.
+    """
+    rows = g.rows
+    local = transpose_rows([rows[x] for cell in psi_cells for x in cell], g.nu)
+    ones = ((1 << 3 * len(psi_cells)) - 1) // 7  # bit 3j for every psi cell j
+    matched, flips = [], []
+    for a0, a1, a2 in phi_cells:
+        l0, l1, l2 = local[a0], local[a1], local[a2]
+        union = l0 | l1 | l2
+        onereg = union & union >> 1 & union >> 2 & ones
+        for row in (l0, l1, l2):
+            count = (row & ones) + (row >> 1 & ones) + (row >> 2 & ones)
+            onereg &= count & ~(count >> 1)  # a count of 1
+        rotated = ((l0 & ones * 3) << 1 | l0 >> 2 & ones) & l1
+        matched.append(onereg)
+        flips.append(onereg & ~(rotated | rotated >> 1 | rotated >> 2))
+    return matched, flips
+
+
+def _sigma_from_masks(
+    g: Graph, phi_cells: Sequence[tuple[int, int, int]], psi_cells: Sequence[tuple[int, int, int]]
+) -> Optional[Permutation]:
+    """The propagation over all cells at once, or None at a gap or a conflict.
+
+    The orientations are bit i of one mask for phi cell i and bit 3j of
+    another for psi cell j, as in the masks of _matchings.
+    """
+    matched, flips = _matchings(g, phi_cells, psi_cells)
+    ones = ((1 << 3 * len(psi_cells)) - 1) // 7
+    phi_turned = 0  # the seed's ascending 3-cycle on phi cell 0
+    psi_defined, psi_turned = matched[0], flips[0]
+    waiting = range(1, len(phi_cells))
+    while waiting:
+        stalled = []
+        for i in waiting:
+            seen = matched[i] & psi_defined
+            if not seen:
+                stalled.append(i)
+                continue
+            turned = (psi_turned ^ flips[i]) & seen
+            if turned not in (0, seen):
+                return None  # a conflict
+            new = matched[i] & ~psi_defined
+            psi_turned |= (flips[i] ^ (ones if turned else 0)) & new
+            psi_defined |= new
+            phi_turned |= bool(turned) << i
+        if len(stalled) == len(waiting):
+            return None  # a gap among the phi cells
+        waiting = stalled
+    if psi_defined != ones:
+        return None  # a gap among the psi cells
+    return _three_cycles(
+        g.nu,
+        [(cell, phi_turned >> i & 1) for i, cell in enumerate(phi_cells)]
+        + [(cell, psi_turned >> 3 * j & 1) for j, cell in enumerate(psi_cells)],
+    )
+
+
+def _sigma_replay(g: Graph, u: int, phi: TriplePartition, psi: TriplePartition) -> Permutation:
+    """The propagation one matched pair at a time, raising the exact error of a failed build."""
+    table = matched_pairs(g, u, phi, psi)
     partners: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {
         **{("phi", i): [] for i in range(len(phi.cells))},
         **{("psi", j): [] for j in range(len(psi.cells))},
@@ -224,20 +312,28 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
         missing = [key for key in partners if key not in defined]
         raise SigmaCoverageError(f"propagation left cells undefined: {missing}")
 
-    # The cells are disjoint, so the images are a product of 3-cycles, the seed's
-    # among them: a permutation of order 3.
-    images = list(range(g.nu))
-    for (kind, index), orientation in defined.items():
-        c0, c1, c2 = (phi if kind == "phi" else psi).cells[index]
-        if orientation:
-            images[c0], images[c1], images[c2] = c2, c0, c1
-        else:
-            images[c0], images[c1], images[c2] = c1, c2, c0
-    sigma = Permutation(tuple(images))
+    cells = {"phi": phi.cells, "psi": psi.cells}
+    sigma = _three_cycles(
+        g.nu, [(cells[kind][index], orientation) for (kind, index), orientation in defined.items()]
+    )
     witness = automorphism_witness(g, sigma)
     if witness is not None:
         raise SigmaAutomorphismError(f"adjacency not preserved at pair {witness}")
     return sigma
+
+
+def _three_cycles(nu: int, oriented: Sequence[tuple[tuple[int, int, int], int]]) -> Permutation:
+    """The product of the 3-cycles on disjoint sorted cells, each with its orientation bit.
+
+    With the seed's cell among them, a permutation of order 3.
+    """
+    images = list(range(nu))
+    for (c0, c1, c2), orientation in oriented:
+        if orientation:
+            images[c0], images[c1], images[c2] = c2, c0, c1
+        else:
+            images[c0], images[c1], images[c2] = c1, c2, c0
+    return Permutation(tuple(images))
 
 
 def canonical_sigma_family(g: Graph, fam: FamilyInfo, z: int = 0) -> dict[int, Permutation]:

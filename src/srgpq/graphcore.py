@@ -316,11 +316,19 @@ def is_diamond_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]
     """Neighborhood criterion: every <N(v)> must be a disjoint union of cliques.
 
     Returns (True, None) or (False, witness) where the witness induces a
-    diamond (four vertices carrying five edges).
+    diamond (four vertices carrying five edges).  <N(v)> is a disjoint
+    union of cliques iff the closed neighbourhoods (N(x) & N(v)) + x of its
+    vertices x partition N(v), that is iff the distinct ones have |N(v)|
+    members together: one set per vertex v.  Only at a vertex where they
+    do not does the loop over adjacent x, y in N(v) look for the first pair
+    whose closed neighbourhoods differ, which names the witness.
     """
     rows = g.rows
     for v in range(g.nu):
         nbhd = rows[v]
+        closed = {(rows[x] & nbhd) | (1 << x) for x in bits(nbhd)}
+        if sum(map(int.bit_count, closed)) == nbhd.bit_count():
+            continue
         for x in bits(nbhd):
             closed_x = (rows[x] & nbhd) | (1 << x)
             for y in bits(rows[x] & nbhd):

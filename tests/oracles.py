@@ -10,7 +10,8 @@ mapping dict a cell, one adjacency row bit by bit, the Diophantine search
 over every n, the graph6 codec and the bit-matrix transpose one bit at a
 time, the row-order range, self-loop and symmetry checks of a Graph,
 check-con's m_0 from the M_0 set of each pair, and the PQ axiom (iii) one
-line and one point at a time.  They live here only so the differential
+line and one point at a time, and the diamond-free check one adjacent pair
+of every neighbourhood at a time.  They live here only so the differential
 tests can demand equal results, equal exception types and equal messages
 from the kernels.
 """
@@ -642,6 +643,23 @@ def automorphism_witness(g: Graph, perm: Permutation) -> Optional[tuple[int, int
             difference = image_row ^ rows[images[x]]
             return (images[x], next(bits(difference)))
     return None
+
+
+def is_diamond_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
+    """Closed neighbourhoods of every adjacent pair in every <N(v)>, until two differ."""
+    rows = g.rows
+    for v in range(g.nu):
+        nbhd = rows[v]
+        for x in bits(nbhd):
+            closed_x = (rows[x] & nbhd) | (1 << x)
+            for y in bits(rows[x] & nbhd):
+                if y < x:
+                    continue
+                closed_y = (rows[y] & nbhd) | (1 << y)
+                if closed_x != closed_y:
+                    z = next(bits(closed_x ^ closed_y))
+                    return False, tuple(sorted((v, x, y, z)))
+    return True, None
 
 
 def solve_diophantine_17(n_max: int) -> list[tuple[int, int]]:

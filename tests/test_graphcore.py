@@ -9,6 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perfbench.inputs import (
+    gq35_rows,
+    ovoid256_rows,
+    relabel,
+    seeded_permutation,
+    toggle,
+    two_switch,
+)
 from srgpq.graphcore import (
     CliqueClosureError,
     Graph,
@@ -277,6 +285,56 @@ def test_diamond_free_matches_scan_on_random_graphs(data, n):
             position += 1
     g = Graph.from_edges(n, edges)
     assert is_diamond_free(g)[0] == (not _has_induced_diamond(g))
+
+
+def _assert_diamond_free_agrees(g):
+    """The verdict and the witness of the pair loop, and a witness that is a diamond."""
+    outcome = is_diamond_free(g)
+    assert outcome == oracles.is_diamond_free(g)
+    ok, witness = outcome
+    if not ok:
+        assert sum(1 for a, b in combinations(witness, 2) if g.adjacent(a, b)) == 5
+    return ok
+
+
+def test_diamond_free_witnesses_match_the_pair_loop(rook, shrikhande):
+    witnesses = [gq35_rows(), ovoid256_rows()]
+    graphs = [rook, shrikhande] + [Graph(rows) for rows in witnesses]
+    rng = random.Random(12)
+    for rows in witnesses:
+        graphs += [Graph(toggle(rows, rng)) for _ in range(6)]
+        graphs += [Graph(two_switch(rows, rng)) for _ in range(2)]
+        # a toggled relabelled copy, so the first failing vertex moves
+        graphs.append(Graph(toggle(relabel(rows, seeded_permutation(len(rows), rng)), rng)))
+    verdicts = [_assert_diamond_free_agrees(g) for g in graphs]
+    assert verdicts[:4] == [True, False, True, True]
+    assert False in verdicts[4:]
+
+
+@st.composite
+def clique_unions(draw):
+    """A disjoint union of cliques on up to 12 vertices, with up to three edges toggled."""
+    nu = draw(st.integers(0, 12))
+    labels = draw(st.lists(st.integers(0, 4), min_size=nu, max_size=nu))
+    rows = [sum(1 << y for y in range(nu) if y != x and labels[y] == labels[x]) for x in range(nu)]
+    g = Graph(rows)
+    if nu >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            u, v = draw(st.lists(st.integers(0, nu - 1), min_size=2, max_size=2, unique=True))
+            g = g.toggle_edge(u, v)
+    return g
+
+
+def test_diamond_free_witnesses_match_the_pair_loop_on_random_graphs():
+    verdicts = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(clique_unions())
+    def check(g):
+        verdicts.add(_assert_diamond_free_agrees(g))
+
+    check()
+    assert verdicts == {False, True}
 
 
 def test_phi_partition_rook(rook):

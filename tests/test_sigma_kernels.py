@@ -6,10 +6,13 @@ sigma_u sigma_v^{-1}.  Both must give the same group and the same report,
 and the same ClosureCapError at the same cap.  matched_pairs and
 automorphism_witness must give the tables and the witness pairs of their
 one-pair-at-a-time and bit-by-bit references, on the witnesses, on their
-mutants, on broken permutations and on random graphs.  build_sigma, which carries one
-orientation bit a cell, must succeed or fail as the propagation with one
-mapping dict a cell does, with the same message, also on tampered tables
-that reach its conflict and coverage checks.
+mutants, on broken permutations and on random graphs.  build_sigma, whose
+bulk pass carries the orientations of all cells as masks and whose replay
+carries one orientation bit a cell, must succeed or fail as the
+propagation with one mapping dict a cell does, with the same message: the
+replay also on tampered tables that reach its conflict and coverage
+checks, and the bulk pass on tampered partitions, which it must hand to
+the replay.  On the witnesses the bulk pass alone must decide.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, seeded_permutation
+from srgpq import automorphism
 from srgpq.automorphism import (
     ClosureCapError,
     Permutation,
@@ -202,8 +206,19 @@ def _assert_matched_pairs_agree(g: Graph, u: int, phi, psi):
     reference = oracles.matched_pairs(g, u, phi, psi)
     assert table.kinds == reference.kinds
     assert table.bijections == reference.bijections
-    # build_sigma propagates in the order of the table
+    # the replay propagates in the order of the table
     assert list(table.bijections) == list(reference.bijections)
+    # the bulk pass's masks: bit 3j of matched[i] for a one-regular pair (i, j),
+    # and of flips[i] for a one-regular pair whose bijection reflects the cell order
+    matched, flips = automorphism._matchings(g, phi.cells, psi.cells)
+    for i, row in enumerate(reference.kinds):
+        want_matched = want_flips = 0
+        for j, kind in enumerate(row):
+            if kind == "one-regular":
+                x, y, z = reference.bijections[(i, j)].values()
+                want_matched |= 1 << 3 * j
+                want_flips |= ((x > y) + (x > z) + (y > z)) % 2 << 3 * j
+        assert (matched[i], flips[i]) == (want_matched, want_flips)
     return {kind for row in table.kinds for kind in row}
 
 
@@ -328,6 +343,13 @@ def _drop_psi_cell(j):
     return tamper
 
 
+@pytest.fixture
+def replay_only(monkeypatch):
+    """Make the bulk pass decline, so build_sigma always replays the propagation."""
+    monkeypatch.setattr("srgpq.automorphism._sigma_from_masks", lambda *args: None)
+
+
+@pytest.mark.usefixtures("replay_only")
 @pytest.mark.parametrize("graph, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
 def test_build_sigma_reports_conflicts_and_gaps_like_the_oracle(graph, fam, monkeypatch):
     g = Graph(graph())
@@ -343,6 +365,7 @@ def test_build_sigma_reports_conflicts_and_gaps_like_the_oracle(graph, fam, monk
     assert seen == {SigmaConflictError, SigmaCoverageError}
 
 
+@pytest.mark.usefixtures("replay_only")
 def test_build_sigma_lists_the_undefined_cells_in_table_order(monkeypatch):
     # triangle cell 2 and independent cells 0 and 3 lose every matching, so
     # the coverage message must name all three, triangle cells first
@@ -360,3 +383,150 @@ def test_build_sigma_lists_the_undefined_cells_in_table_order(monkeypatch):
         outcome = _outcome(build_sigma, g, GQ35, u)
         assert outcome == ("raised", SigmaCoverageError, message)
         assert outcome == _outcome(oracles.build_sigma, g, GQ35, u)
+
+
+def _swap_members(partition_of, first: int, second: int):
+    """partition_of, then its least member of cell first traded for the largest of cell second."""
+    def tampered(*args):
+        partition = partition_of(*args)
+        cells = [list(cell) for cell in partition.cells]
+        one, other = cells[first % len(cells)], cells[second % len(cells)]
+        one[0], other[2] = other[2], one[0]
+        return dataclasses.replace(partition, cells=tuple(sorted(tuple(sorted(c)) for c in cells)))
+
+    return tampered
+
+
+def _with_base_vertex(partition_of, index: int):
+    """partition_of, then the least member of cell index replaced by the base vertex: a gap."""
+    def tampered(*args):
+        partition = partition_of(*args)
+        cells = list(partition.cells)
+        cell = cells[index % len(cells)]
+        cells[index % len(cells)] = tuple(sorted((partition.base_vertex,) + cell[1:]))
+        return dataclasses.replace(partition, cells=tuple(sorted(cells)))
+
+    return tampered
+
+
+def _reflected_matching(rows: list[int], fam: FamilyInfo, u: int, index: int) -> Graph:
+    """rows with one matching at u reflected by a 2-switch: its two cells' orientations conflict."""
+    g = Graph(rows)
+    phi = phi_partition(g, u)
+    table = matched_pairs(g, u, phi, psi_partition(g, fam, u))
+    i, j = list(table.bijections)[index]
+    t0, t1, _ = phi.cells[i]
+    a0, a1 = table.bijections[(i, j)][t0], table.bijections[(i, j)][t1]
+    switched = list(rows)
+    for x, y in ((t0, a0), (t1, a1), (t0, a1), (t1, a0)):
+        switched[x] ^= 1 << y
+        switched[y] ^= 1 << x
+    return Graph(switched)
+
+
+@pytest.mark.parametrize("graph, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
+def test_build_sigma_hands_tampered_inputs_to_the_replay(graph, fam, monkeypatch):
+    rows = graph()
+    replayed = []
+    replay = automorphism._sigma_replay
+
+    def counted(g, u, phi, psi):
+        replayed.append(u)
+        return replay(g, u, phi, psi)
+
+    tampers = [
+        lambda partition_of: _swap_members(partition_of, 0, 1),
+        lambda partition_of: _swap_members(partition_of, 3, 40),
+        lambda partition_of: _with_base_vertex(partition_of, 0),
+        lambda partition_of: _with_base_vertex(partition_of, 5),
+    ]
+    # (graph, vertex, the names build_sigma and the oracle call, their tampered partition)
+    cases = [
+        (_reflected_matching(rows, fam, u, index), u, (), None) for u in (0, 9) for index in (0, 7)
+    ]
+    for tamper in tampers:
+        for names, original in (
+            (("srgpq.automorphism.psi_partition", "tests.oracles._psi_partition"), psi_partition),
+            (("srgpq.automorphism.phi_partition", "tests.oracles.phi_partition"), phi_partition),
+        ):
+            cases += [(Graph(rows), u, names, tamper(original)) for u in (0, 63)]
+    seen = set()
+    for builds, (g, u, names, tampered) in enumerate(cases, start=1):
+        with monkeypatch.context() as patch:
+            patch.setattr("srgpq.automorphism._sigma_replay", counted)
+            for name in names:
+                patch.setattr(name, tampered)
+            outcome = _outcome(build_sigma, g, fam, u)
+            assert outcome == _outcome(oracles.build_sigma, g, fam, u)
+        assert len(replayed) == builds
+        seen.add(outcome[1] if outcome[0] == "raised" else "returned")
+    assert seen == {SigmaConflictError, SigmaCoverageError, SigmaAutomorphismError}
+
+
+def test_the_masks_decline_a_cell_that_no_matching_reaches(gq35):
+    phi, psi = phi_partition(gq35, 0), psi_partition(gq35, GQ35, 0)
+    assert automorphism._sigma_from_masks(gq35, phi.cells, psi.cells) == build_sigma(gq35, GQ35, 0)
+    # a triangle cell as an extra independent cell: its own rows meet it twice, the others never
+    assert automorphism._sigma_from_masks(gq35, phi.cells, psi.cells + (phi.cells[1],)) is None
+    # an extra triangle cell holding the base vertex, whose row misses every independent cell
+    extra = (0,) + psi.cells[0][1:]
+    assert automorphism._sigma_from_masks(gq35, phi.cells + (extra,), psi.cells) is None
+
+
+WITNESSES = ((gq35_rows, GQ35, None), (ovoid256_rows, OVOID, 16))
+
+
+def test_the_bulk_pass_alone_builds_every_sigma_of_the_witnesses(monkeypatch):
+    def refuse(g, u, phi, psi):
+        raise AssertionError(f"build_sigma replayed the propagation at {u}")
+
+    monkeypatch.setattr("srgpq.automorphism._sigma_replay", refuse)
+    for rows_of, fam, sample in WITNESSES:
+        rows = rows_of()
+        images = seeded_permutation(len(rows), random.Random(8))
+        for labels in (rows, relabel(rows, images)):
+            g = Graph(labels)
+            vertices = range(g.nu)
+            if sample is not None:
+                vertices = random.Random(9).sample(vertices, sample)
+            for u in vertices:
+                sigma = build_sigma(g, fam, u)
+                assert sigma.fixed_points() == (u,) and sigma.order() == 3
+                if sample is None or u in vertices[:4]:
+                    assert sigma == oracles.build_sigma(g, fam, u)
+
+
+@pytest.mark.parametrize("rows_of, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
+def test_automorphism_witness_matches_the_oracle_on_near_automorphisms(rows_of, fam):
+    # a verified sigma composed with one transposition, on either side: no
+    # transposition is an automorphism of an SRG with k != mu
+    g = Graph(rows_of())
+    rng = random.Random(13)
+    sigma = build_sigma(g, fam, rng.randrange(g.nu))
+    witnesses = set()
+    for _ in range(24):
+        swap = _transposed(Permutation.identity(g.nu), *rng.sample(range(g.nu), 2))
+        for perm in (sigma.compose(swap), swap.compose(sigma)):
+            witnesses.add(_assert_witnesses_agree(g, perm))
+    assert None not in witnesses and len(witnesses) > 24
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3, 5, 7, 8, 9, 15, 17])
+def test_automorphism_witness_matches_the_oracle_where_rows_are_padded(nu):
+    # pack_rows pads to whole bytes and to a multiple of 8 rows
+    rng = random.Random(nu)
+    path = Graph.from_edges(nu, [(x, x + 1) for x in range(nu - 1)])
+    reversal = Permutation(tuple(range(nu - 1, -1, -1)))
+    assert _assert_witnesses_agree(path, reversal) is None
+    outcomes = set()
+    for _ in range(20):
+        edges = [(x, y) for x in range(nu) for y in range(x + 1, nu) if rng.random() < 0.4]
+        g = Graph.from_edges(nu, edges)
+        for perm in (Permutation(tuple(rng.sample(range(nu), nu))), Permutation.identity(nu)):
+            outcomes.add(_assert_witnesses_agree(g, perm) is None)
+    assert outcomes == ({True} if nu < 3 else {False, True})
+    for length in {nu + 1, max(nu - 1, 0)} - {nu}:
+        longer_or_shorter = Permutation.identity(length)
+        for function in (automorphism_witness, oracles.automorphism_witness):
+            with pytest.raises(ValueError, match="permutation length does not match the graph"):
+                function(path, longer_or_shorter)
