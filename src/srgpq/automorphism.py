@@ -11,10 +11,10 @@ must also run (and fail loudly) on inputs outside the proofs' hypotheses.
 Both steps run in bulk on the renumbering of graphcore.transpose_rows.  The
 propagation carries the orientations of all cells as masks over one
 cell-ordered transpose, and the automorphism check compares perm(N(x)) with
-N(perm(x)) for every x from one transpose of the permuted rows.  Only when
-the masks meet a gap or a conflict, or their permutation fails the check,
-does the propagation one matched pair at a time replay the build, to raise
-its exact error.
+N(perm(x)) for every x from one transpose of the permuted rows.  Each step
+raises its own error: the masks name the cells a gap leaves undefined, and
+only after they meet a conflict does a worklist over them name the conflict
+that the propagation one matched pair at a time would meet first.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from srgpq.graphcore import Graph, GraphError, TriplePartition, bits, phi_partition, transpose_rows
-from srgpq.localstats import LocalStatsError, _m0_mask, matched_pairs, psi_partition
+from srgpq.graphcore import Graph, GraphError, bits, phi_partition, transpose_rows
+from srgpq.localstats import LocalStatsError, _m0_mask, psi_partition
 from srgpq.params import FamilyInfo, fixed_point_bound
 from srgpq.reports import CheckReport
 
@@ -186,23 +186,19 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
     transferred map inverted, so it yields exactly the inverse permutation;
     callers take ``.inverse()``.
 
-    A bulk pass propagates the orientations of all cells as masks.  When it
-    covers every cell without a conflict and its permutation passes the
-    automorphism check, that permutation is the result: it maps every
-    cell onto itself, so it commutes with every one-regular matching, and the
-    propagation one matched pair at a time would define the same images
-    without a conflict.  Otherwise that propagation replays the build, and
-    raises on conflicting definitions, incomplete propagation, or a final
-    permutation that fails the unconditional automorphism check.
+    The orientations of all cells propagate at once as masks.  Raises on
+    conflicting definitions, incomplete propagation, or a final permutation
+    that fails the unconditional automorphism check.
     """
     phi = phi_partition(g, u)
     if not phi.cells:
         raise SigmaSeedError(f"vertex {u} has no neighbours, so no triangle cell to seed")
     psi = psi_partition(g, fam, u)
     sigma = _sigma_from_masks(g, phi.cells, psi.cells)
-    if sigma is not None and automorphism_witness(g, sigma) is None:
-        return sigma
-    return _sigma_replay(g, u, phi, psi)
+    witness = automorphism_witness(g, sigma)
+    if witness is not None:
+        raise SigmaAutomorphismError(f"adjacency not preserved at pair {witness}")
+    return sigma
 
 
 # Every definition is a 3-cycle on a sorted cell (c0, c1, c2), so it is one
@@ -243,11 +239,16 @@ def _matchings(
 
 def _sigma_from_masks(
     g: Graph, phi_cells: Sequence[tuple[int, int, int]], psi_cells: Sequence[tuple[int, int, int]]
-) -> Optional[Permutation]:
-    """The propagation over all cells at once, or None at a gap or a conflict.
+) -> Permutation:
+    """The propagation over all cells at once, raising at a conflict or a gap.
 
     The orientations are bit i of one mask for phi cell i and bit 3j of
-    another for psi cell j, as in the masks of _matchings.
+    another for psi cell j, as in the masks of _matchings.  A phi cell is
+    visited once, after one of its psi cells is defined: it is checked
+    against its defined psi cells and defines the others.  So every matched
+    pair of the seed's component is checked when its later end is reached,
+    whether the component has a conflict does not depend on the order of
+    the visits, and without one every orientation in it is forced.
     """
     matched, flips = _matchings(g, phi_cells, psi_cells)
     ones = ((1 << 3 * len(psi_cells)) - 1) // 7
@@ -263,16 +264,17 @@ def _sigma_from_masks(
                 continue
             turned = (psi_turned ^ flips[i]) & seen
             if turned not in (0, seen):
-                return None  # a conflict
+                raise _first_conflict(matched, flips)
             new = matched[i] & ~psi_defined
             psi_turned |= (flips[i] ^ (ones if turned else 0)) & new
             psi_defined |= new
             phi_turned |= bool(turned) << i
         if len(stalled) == len(waiting):
-            return None  # a gap among the phi cells
+            break
         waiting = stalled
-    if psi_defined != ones:
-        return None  # a gap among the psi cells
+    missing = [("phi", i) for i in waiting] + [("psi", x // 3) for x in bits(ones & ~psi_defined)]
+    if missing:
+        raise SigmaCoverageError(f"propagation left cells undefined: {missing}")
     return _three_cycles(
         g.nu,
         [(cell, phi_turned >> i & 1) for i, cell in enumerate(phi_cells)]
@@ -280,46 +282,33 @@ def _sigma_from_masks(
     )
 
 
-def _sigma_replay(g: Graph, u: int, phi: TriplePartition, psi: TriplePartition) -> Permutation:
-    """The propagation one matched pair at a time, raising the exact error of a failed build."""
-    table = matched_pairs(g, u, phi, psi)
-    partners: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {
-        **{("phi", i): [] for i in range(len(phi.cells))},
-        **{("psi", j): [] for j in range(len(psi.cells))},
-    }
-    for (i, j), bijection in table.bijections.items():
-        x, y, z = bijection.values()
-        flip = ((x > y) + (x > z) + (y > z)) & 1
-        partners[("phi", i)].append((("psi", j), flip))
-        partners[("psi", j)].append((("phi", i), flip))
+def _first_conflict(matched: Sequence[int], flips: Sequence[int]) -> SigmaConflictError:
+    """The conflict that the propagation one matched pair at a time meets first.
 
-    seed_key = ("phi", 0)
-    defined = {seed_key: 0}  # the ascending 3-cycle (a b c)
-    worklist = [seed_key]
+    It pops the last defined cell and carries its orientation to its
+    partners in ascending order, each flipped where the matching reflects.
+    Called only once the masks have found a conflict, which it then reaches.
+    """
+    partners: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {}
+    for i, row in enumerate(matched):
+        for x in bits(row):
+            flip = flips[i] >> x & 1
+            partners.setdefault(("phi", i), []).append((("psi", x // 3), flip))
+            partners.setdefault(("psi", x // 3), []).append((("phi", i), flip))
+    defined = {("phi", 0): 0}
+    worklist = [("phi", 0)]
     while worklist:
         source = worklist.pop()
-        for key, flip in partners[source]:
+        for key, flip in partners.get(source, ()):
             orientation = defined[source] ^ flip
             if key not in defined:
                 defined[key] = orientation
                 worklist.append(key)
             elif defined[key] != orientation:
-                raise SigmaConflictError(
+                return SigmaConflictError(
                     f"conflicting definitions on cell {key} propagated from {source}"
                 )
-
-    if len(defined) != len(partners):
-        missing = [key for key in partners if key not in defined]
-        raise SigmaCoverageError(f"propagation left cells undefined: {missing}")
-
-    cells = {"phi": phi.cells, "psi": psi.cells}
-    sigma = _three_cycles(
-        g.nu, [(cells[kind][index], orientation) for (kind, index), orientation in defined.items()]
-    )
-    witness = automorphism_witness(g, sigma)
-    if witness is not None:
-        raise SigmaAutomorphismError(f"adjacency not preserved at pair {witness}")
-    return sigma
+    raise AssertionError("the masks found a conflict that the worklist does not reach")
 
 
 def _three_cycles(nu: int, oriented: Sequence[tuple[tuple[int, int, int], int]]) -> Permutation:

@@ -575,105 +575,99 @@ def matched_pairs(
     )
 
 
-def _psi_regular_pass(
+def _psi_regularity(
     g: Graph, n: int, u: int, cells: Sequence[tuple[int, int, int]]
-) -> Optional[dict[int, int]]:
-    """The r_distribution of the cells when every pair passes, else None.
+) -> tuple[dict[int, int], int, Optional[dict]]:
+    """The r_distribution, the violations and the first witness of the cells.
 
     Cell j is local bits 3j..3j+2, so packed[x] is N(x) on the cells and the
     sum of its three bit fields holds deg(x -> cell j) in field j.  Two cells
     induce a regular bipartite graph iff each side's members agree on the
-    other's field (the edge count then makes both degrees r), so every pair
-    is regular iff each cell's members have one degree int.  r = 3 is a field
-    with both low bits set.  For a member a, p_u(a, b) for every b at once is
-    the bit-sliced sum of packed[c] over c in N(u) & N(a); over the later
-    cells it must equal max(0, r - 1) where a ~ b and n + r elsewhere, plane
-    by plane, with r replicated from field to member bits by * 7.  Needs
-    n >= 0.
+    other's field (the edge count then makes both degrees r), so a pair is
+    irregular where a member of either cell disagrees with the others.  r = 3
+    is a field with both low bits set.  For a member a, p_u(a, b) for every b
+    at once is the bit-sliced sum of packed[c] over c in N(u) & N(a); over the
+    later cells it must equal max(0, r - 1) where a ~ b and n + r elsewhere,
+    plane by plane, with r replicated from field to member bits by * 7; where
+    n + r < 0 every non-adjacent p is wrong.  Each irregular pair, each r = 3
+    and each wrong p is one violation.  The witness comes from the first pair
+    with a fault: its irregularity, else its r = 3, else its first wrong
+    (a, b) in cell order.
     """
     rows = g.rows
     row_u = rows[u]
     packed = transpose_rows([rows[x] for cell in cells for x in cell], g.nu)
     count = len(cells)
     ones = ((1 << 3 * count) - 1) // 7  # bit 3j for every cell j
-    width = (n + 2).bit_length()  # the planes of the largest expected p
-    r_counts = [0, 0, 0]
+    degrees = [
+        [(packed[a] & ones) + (packed[a] >> 1 & ones) + (packed[a] >> 2 & ones) for a in cell]
+        for cell in cells
+    ]
+    irregular = [0] * count  # bit 3k of irregular[j]: the pair (j, k), j < k, is not regular
+    for j, (d0, d1, d2) in enumerate(degrees):
+        if d0 == d1 == d2:
+            continue
+        differ = (d0 ^ d1) | (d0 ^ d2)
+        for field in bits((differ | differ >> 1) & ones & ~(1 << 3 * j)):
+            k = field // 3
+            irregular[min(j, k)] |= 1 << 3 * max(j, k)
+    width = max(1, n + 2).bit_length()  # the planes of the largest expected p
+    due = [(max(0, r - 1), n + r) for r in range(3)]  # the expected p where a ~ b, and where not
+    r_counts = [0, 0, 0, 0]
+    violations = 0
+    witness = None
     for j, cell in enumerate(cells):
-        degrees = {
-            (packed[a] & ones) + (packed[a] >> 1 & ones) + (packed[a] >> 2 & ones) for a in cell
-        }
-        if len(degrees) != 1:
-            return None
-        (degree,) = degrees
-        low, high = degree & ones, degree >> 1 & ones  # r = 1 and r = 2 (and r = 3: both)
-        if low & high:
-            return None
         later = (1 << 3 * count) - (8 << 3 * j)  # the member bits of the cells after j
-        r1, r2 = (low & later).bit_count(), (high & later).bit_count()
-        r_counts[0] += count - 1 - j - r1 - r2
-        r_counts[1] += r1
-        r_counts[2] += r2
-        by_r = (later & ~((low | high) * 7), later & low * 7, later & high * 7)
-        # plane t of the expected p where a ~ b, and where not
+        regular = later & ones & ~irregular[j]
+        low, high = degrees[j][0] & regular, degrees[j][0] >> 1 & regular
+        by_r = (regular & ~(low | high), low & ~high, high & ~low, low & high)
+        for r, fields in enumerate(by_r):
+            r_counts[r] += fields.bit_count()
+        violations += irregular[j].bit_count() + by_r[3].bit_count()
+        # the expected p in planes over the member bits; never: the fields where n + r < 0
         together, apart = [0] * width, [0] * width
-        for r, mask in enumerate(by_r):
+        never = 0
+        for (p_adjacent, p_apart), fields in zip(due, by_r):
+            mask = fields * 7
+            if p_apart < 0:
+                never |= mask
             for t in range(width):
-                together[t] |= mask if max(0, r - 1) >> t & 1 else 0
-                apart[t] |= mask if (n + r) >> t & 1 else 0
+                together[t] |= mask if p_adjacent >> t & 1 else 0
+                apart[t] |= mask if p_apart >= 0 and p_apart >> t & 1 else 0
+        checked = (by_r[0] | by_r[1] | by_r[2]) * 7
+        wrong = []  # per member a, the b with a wrong p_u(a, b)
         for a in cell:
             planes = _bit_slices(packed, row_u & rows[a])  # p_u(a, b) at every b
             adjacent = packed[a]
-            for t in range(max(width, len(planes))):  # a p past the expected planes fails too
-                got = planes[t] & later if t < len(planes) else 0
+            wrong_a = never & ~adjacent
+            for t in range(max(width, len(planes))):  # a p past the expected planes is wrong too
+                got = planes[t] & checked if t < len(planes) else 0
                 want = apart[t] ^ (adjacent & (apart[t] ^ together[t])) if t < width else 0
                 if got != want:
-                    return None
-    return {r: c for r, c in enumerate(r_counts) if c}
-
-
-def _psi_replay(
-    g: Graph, n: int, u: int, cells: Sequence[tuple[int, int, int]]
-) -> tuple[dict[int, int], int, Optional[dict]]:
-    """r_distribution, violations and first witness, one pair of cells at a time."""
-    rows = g.rows
-    row_u = rows[u]
-    masks = [sum(1 << x for x in cell) for cell in cells]
-    r_distribution: dict[int, int] = {}
-    violations = 0
-    witness = None
-
-    def record(reason: str, data: dict):
-        nonlocal violations, witness
-        violations += 1
-        if witness is None:
-            witness = {"reason": reason, **data}
-
-    for j1 in range(len(cells)):
-        for j2 in range(j1 + 1, len(cells)):
-            cell_a, cell_b = cells[j1], cells[j2]
-            mask_a, mask_b = masks[j1], masks[j2]
-            degrees = [(rows[a] & mask_b).bit_count() for a in cell_a]
-            degrees += [(rows[b] & mask_a).bit_count() for b in cell_b]
-            if len(set(degrees)) != 1:
-                record("not-regular", {"cells": [cell_a, cell_b], "degrees": degrees})
-                continue
-            r = degrees[0]
-            r_distribution[r] = r_distribution.get(r, 0) + 1
-            if r not in (0, 1, 2):
-                record("r-out-of-range", {"cells": [cell_a, cell_b], "r": r})
-                continue
-            # psi cells lie outside N[u]: p_u(a, b) is a three-row popcount
-            for a in cell_a:
-                row_ua = row_u & rows[a]
-                for b in cell_b:
-                    p = (row_ua & rows[b]).bit_count()
-                    expected = max(0, r - 1) if rows[a] >> b & 1 else n + r
-                    if p != expected:
-                        record(
-                            "p-value-mismatch",
-                            {"pair": [a, b], "r": r, "p": p, "expected": expected},
-                        )
-    return r_distribution, violations, witness
+                    wrong_a |= got ^ want
+            violations += wrong_a.bit_count()
+            wrong.append(wrong_a)
+        members = wrong[0] | wrong[1] | wrong[2]
+        faults = irregular[j] | by_r[3] | (members | members >> 1 | members >> 2) & ones
+        if witness is not None or not faults:
+            continue
+        field = (faults & -faults).bit_length() - 1  # the first faulting pair (j, k)
+        k, r = field // 3, degrees[j][0] >> field & 7
+        pair = [cell, cells[k]]
+        if irregular[j] >> field & 1:
+            ends = [d >> field & 7 for d in degrees[j]] + [d >> 3 * j & 7 for d in degrees[k]]
+            witness = {"reason": "not-regular", "cells": pair, "degrees": ends}
+        elif r == 3:
+            witness = {"reason": "r-out-of-range", "cells": pair, "r": r}
+        else:
+            a, wrong_a = next((a, w >> field & 7) for a, w in zip(cell, wrong) if w >> field & 7)
+            b = cells[k][(wrong_a & -wrong_a).bit_length() - 1]
+            p = (row_u & rows[a] & rows[b]).bit_count()
+            expected = max(0, r - 1) if rows[a] >> b & 1 else n + r
+            witness = {
+                "reason": "p-value-mismatch", "pair": [a, b], "r": r, "p": p, "expected": expected,
+            }
+    return {r: c for r, c in enumerate(r_counts) if c}, violations, witness
 
 
 def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
@@ -683,16 +677,11 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     p = max(0, r-1), non-adjacent pairs p = n + r.  Proved for n >= 3; on
     smaller members the outcome is a diagnostic.
 
-    A bulk pass over all pairs of cells at once decides the passing case.
-    When it finds any fault, or n < 0 could make n + r negative, the pairs
-    are replayed one at a time, which counts every violation and names the
-    first.
+    One pass over all pairs of cells at once counts every violation and
+    names the first.
     """
     psi = psi_partition(g, fam, u)
-    r_distribution = _psi_regular_pass(g, fam.n, u, psi.cells) if fam.n >= 0 else None
-    violations, witness = 0, None
-    if r_distribution is None:
-        r_distribution, violations, witness = _psi_replay(g, fam.n, u, psi.cells)
+    r_distribution, violations, witness = _psi_regularity(g, fam.n, u, psi.cells)
     return CheckReport(
         name="psi-regularity",
         passed=violations == 0,

@@ -10,6 +10,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from srgpq import localstats
 from srgpq.graphcore import Graph, TriplePartition, phi_partition
@@ -271,8 +273,8 @@ def _cells_graph(cells, edges, p_of) -> Graph:
     return Graph.from_edges(nu, all_edges)
 
 
-# Each case fails exactly one way that the bulk pass must see; the replay
-# names it.  (cells, edges, n, p_of, witness, violations)
+# Each case fails in ways that the pass over all pairs at once must count
+# and name.  (cells, edges, n, p_of, witness, violations)
 CRAFTED_CELLS = {
     # A meets B by one edge each, but B meets A by degrees 2, 1, 0: only B's
     # view of A, below B in the cell order, shows the fault
@@ -295,6 +297,16 @@ CRAFTED_CELLS = {
         (A, B), [], -2, lambda a, b, adj: 0,
         {"reason": "p-value-mismatch", "pair": [1, 4], "r": 0, "p": 0, "expected": -2}, 9,
     ),
+    # A-B passes with r = 0; A-C is a matching (r = 1) with p = 0 at the
+    # non-adjacent (1, 8) and p = 3 at (2, 9), where n + 1 = 2 is due; C meets B
+    # by degrees 2, 1, 0, seen from the later cell only: 2 + 1 violations, and
+    # the earlier faulting pair names the witness
+    "two-pairs-two-ways": (
+        (A, B, C), [(1, 7), (2, 8), (3, 9), (4, 7), (5, 7), (6, 8)], 1,
+        lambda a, b, adj: {(1, 8): 0, (2, 9): 3}.get((a, b), 1 if b in B else 0 if adj else 2)
+        if a in A else 0,
+        {"reason": "p-value-mismatch", "pair": [1, 8], "r": 1, "p": 0, "expected": 2}, 3,
+    ),
 }
 
 
@@ -309,8 +321,42 @@ def test_verify_psi_regularity_matches_the_per_pair_loop_on_crafted_cells(case, 
     report = verify_psi_regularity(g, fam, 0)
     assert report == oracles.verify_psi_regularity(g, fam, 0)
     assert (report.passed, report.witness, report.details["violations"]) == (False, witness, violations)
-    if n >= 0:
-        assert localstats._psi_regular_pass(g, n, 0, cells) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_psi_regularity_matches_the_per_pair_loop_on_random_cells(data):
+    # each pair of cells is joined r-regularly (r = 0..3, a shifted matching
+    # or its complement) or at random, and gets its due p-values or random ones
+    count = data.draw(st.integers(2, 4), label="cells")
+    n = data.draw(st.sampled_from([-3, -2, 1, 2, 3, 4]), label="n")  # no family has n = 0, -1
+    cells = tuple(tuple(range(1 + 3 * j, 4 + 3 * j)) for j in range(count))
+    edges, p = [], {}
+    for j, cell_a in enumerate(cells):
+        for cell_b in cells[j + 1 :]:
+            kind = data.draw(st.integers(0, 4), label="r, or 4 for random edges")
+            shift = data.draw(st.integers(0, 2))
+            matching = {(cell_a[x], cell_b[(x + shift) % 3]) for x in range(3)}
+            noisy = data.draw(st.booleans(), label="random p")
+            for a in cell_a:
+                for b in cell_b:
+                    if kind == 4:
+                        adjacent = data.draw(st.booleans())
+                    else:
+                        in_matching = (a, b) in matching
+                        adjacent = (False, in_matching, not in_matching, True)[kind]
+                    edges += [(a, b)] if adjacent else []
+                    due = max(0, kind - 1) if adjacent else max(0, n + kind)
+                    p[(a, b)] = data.draw(st.integers(0, 4)) if noisy else due
+    g = _cells_graph(cells, edges, lambda a, b, adjacent: p[(a, b)])
+    fam = FamilyInfo.from_n_lam(n, 2)
+    partition = TriplePartition(base_vertex=0, cells=cells, kind="psi")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localstats, "psi_partition", lambda g, fam, u: partition)
+        patch.setattr(oracles, "_psi_partition", lambda g, fam, u: partition)
+        report = verify_psi_regularity(g, fam, 0)
+        assert report == oracles.verify_psi_regularity(g, fam, 0)
+    event(f"passed: {report.passed}")
 
 
 def test_verify_inv_formula_gq35(gq35, fam_gq35):

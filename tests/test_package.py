@@ -25,3 +25,12 @@ def test_only_graphcore_knows_the_packed_bit_matrix_format():
         if info.name != "graphcore":
             module = importlib.import_module(f"srgpq.{info.name}")
             assert not helpers & set(vars(module)), info.name
+
+
+def test_only_localstats_binds_the_matched_pair_table():
+    # build_sigma reads the matchings from automorphism._matchings' masks,
+    # never from the table
+    for info in pkgutil.iter_modules(srgpq.__path__):
+        if info.name != "localstats":
+            module = importlib.import_module(f"srgpq.{info.name}")
+            assert "matched_pairs" not in vars(module), info.name

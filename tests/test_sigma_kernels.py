@@ -6,13 +6,12 @@ sigma_u sigma_v^{-1}.  Both must give the same group and the same report,
 and the same ClosureCapError at the same cap.  matched_pairs and
 automorphism_witness must give the tables and the witness pairs of their
 one-pair-at-a-time and bit-by-bit references, on the witnesses, on their
-mutants, on broken permutations and on random graphs.  build_sigma, whose
-bulk pass carries the orientations of all cells as masks and whose replay
-carries one orientation bit a cell, must succeed or fail as the
-propagation with one mapping dict a cell does, with the same message: the
-replay also on tampered tables that reach its conflict and coverage
-checks, and the bulk pass on tampered partitions, which it must hand to
-the replay.  On the witnesses the bulk pass alone must decide.
+mutants, on broken permutations and on random graphs.  build_sigma, which
+carries the orientations of all cells as masks, must succeed or fail as
+the propagation with one mapping dict a cell does, with the same message:
+also on the masks of tampered tables, which reach its conflict and
+coverage checks, and on tampered partitions.  On the witnesses no conflict
+is ever named.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from srgpq.automorphism import (
     canonical_sigma_family,
     generate_gamma,
 )
-from srgpq.graphcore import Graph, phi_partition
+from srgpq.graphcore import Graph, TriplePartition, phi_partition
 from srgpq.localstats import matched_pairs, psi_partition
 from srgpq.params import FamilyInfo
 from tests import oracles
@@ -201,24 +200,27 @@ def test_generate_gamma_rejects_an_empty_family():
 # The sigma kernels: matched_pairs and automorphism_witness.
 
 
+def _masks(table) -> tuple[list[int], list[int]]:
+    """The masks of _matchings read off a table's bijections.
+
+    Bit 3j of matched[i] for each bijection (i, j), and of flips[i] where it
+    reflects the cell order.
+    """
+    matched, flips = [0] * len(table.phi_cells), [0] * len(table.phi_cells)
+    for (i, j), bijection in table.bijections.items():
+        x, y, z = bijection.values()
+        matched[i] |= 1 << 3 * j
+        flips[i] |= ((x > y) + (x > z) + (y > z)) % 2 << 3 * j
+    return matched, flips
+
+
 def _assert_matched_pairs_agree(g: Graph, u: int, phi, psi):
     table = matched_pairs(g, u, phi, psi)
     reference = oracles.matched_pairs(g, u, phi, psi)
     assert table.kinds == reference.kinds
     assert table.bijections == reference.bijections
-    # the replay propagates in the order of the table
     assert list(table.bijections) == list(reference.bijections)
-    # the bulk pass's masks: bit 3j of matched[i] for a one-regular pair (i, j),
-    # and of flips[i] for a one-regular pair whose bijection reflects the cell order
-    matched, flips = automorphism._matchings(g, phi.cells, psi.cells)
-    for i, row in enumerate(reference.kinds):
-        want_matched = want_flips = 0
-        for j, kind in enumerate(row):
-            if kind == "one-regular":
-                x, y, z = reference.bijections[(i, j)].values()
-                want_matched |= 1 << 3 * j
-                want_flips |= ((x > y) + (x > z) + (y > z)) % 2 << 3 * j
-        assert (matched[i], flips[i]) == (want_matched, want_flips)
+    assert automorphism._matchings(g, phi.cells, psi.cells) == _masks(reference)
     return {kind for row in table.kinds for kind in row}
 
 
@@ -335,54 +337,78 @@ def _swap_images(index):
     return tamper
 
 
-def _drop_psi_cell(j):
+def _keep(keep):
+    """Keep the bijections (i, j) with keep(i, j): a tamper that can stall the propagation."""
     def tamper(table):
-        bijections = {key: value for key, value in table.bijections.items() if key[1] != j}
+        bijections = {key: value for key, value in table.bijections.items() if keep(*key)}
         return dataclasses.replace(table, bijections=bijections)
 
     return tamper
 
 
-@pytest.fixture
-def replay_only(monkeypatch):
-    """Make the bulk pass decline, so build_sigma always replays the propagation."""
-    monkeypatch.setattr("srgpq.automorphism._sigma_from_masks", lambda *args: None)
+def _drop_psi_cell(j):
+    return _keep(lambda i, k: k != j)
 
 
-@pytest.mark.usefixtures("replay_only")
+def _outcomes_on_tampered_masks(monkeypatch, g: Graph, fam: FamilyInfo, tamper, vertices):
+    """build_sigma on the masks of the tampered table, and the oracle on that table, at each u."""
+    table = _tampered(tamper)
+    monkeypatch.setattr("tests.oracles.matched_pairs", table)
+    outcomes = []
+    for u in vertices:
+        def matchings(g, phi_cells, psi_cells, u=u):
+            phi = TriplePartition(base_vertex=u, cells=tuple(phi_cells), kind="phi")
+            psi = TriplePartition(base_vertex=u, cells=tuple(psi_cells), kind="psi")
+            return _masks(table(g, u, phi, psi))
+
+        monkeypatch.setattr("srgpq.automorphism._matchings", matchings)
+        outcome = _outcome(build_sigma, g, fam, u)
+        assert outcome == _outcome(oracles.build_sigma, g, fam, u)
+        outcomes.append(outcome)
+    return outcomes
+
+
 @pytest.mark.parametrize("graph, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
 def test_build_sigma_reports_conflicts_and_gaps_like_the_oracle(graph, fam, monkeypatch):
     g = Graph(graph())
     seen = set()
     tampers = [_swap_images(index) for index in (0, 7, 40)] + [_drop_psi_cell(j) for j in (0, 3)]
     for tamper in tampers:
-        monkeypatch.setattr("srgpq.automorphism.matched_pairs", _tampered(tamper))
-        monkeypatch.setattr("tests.oracles.matched_pairs", _tampered(tamper))
-        for u in (0, 9, 63):
-            outcome = _outcome(build_sigma, g, fam, u)
-            assert outcome == _outcome(oracles.build_sigma, g, fam, u)
+        for outcome in _outcomes_on_tampered_masks(monkeypatch, g, fam, tamper, (0, 9, 63)):
             seen.add(outcome[1])
     assert seen == {SigmaConflictError, SigmaCoverageError}
 
 
-@pytest.mark.usefixtures("replay_only")
 def test_build_sigma_lists_the_undefined_cells_in_table_order(monkeypatch):
     # triangle cell 2 and independent cells 0 and 3 lose every matching, so
     # the coverage message must name all three, triangle cells first
-    def tamper(table):
-        bijections = {
-            (i, j): value for (i, j), value in table.bijections.items() if i != 2 and j not in (0, 3)
-        }
-        return dataclasses.replace(table, bijections=bijections)
-
-    monkeypatch.setattr("srgpq.automorphism.matched_pairs", _tampered(tamper))
-    monkeypatch.setattr("tests.oracles.matched_pairs", _tampered(tamper))
-    g = Graph(gq35_rows())
+    tamper = _keep(lambda i, j: i != 2 and j not in (0, 3))
     message = "propagation left cells undefined: [('phi', 2), ('psi', 0), ('psi', 3)]"
-    for u in (0, 9, 63):
-        outcome = _outcome(build_sigma, g, GQ35, u)
-        assert outcome == ("raised", SigmaCoverageError, message)
-        assert outcome == _outcome(oracles.build_sigma, g, GQ35, u)
+    g = Graph(gq35_rows())
+    outcomes = _outcomes_on_tampered_masks(monkeypatch, g, GQ35, tamper, (0, 9, 63))
+    assert outcomes == [("raised", SigmaCoverageError, message)] * 3
+
+
+@pytest.mark.parametrize("graph, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
+def test_build_sigma_names_a_conflict_before_a_gap(graph, fam, monkeypatch):
+    # one matching reflected and every matching of independent cell 3 dropped
+    def tamper(table):
+        return _swap_images(0)(_drop_psi_cell(3)(table))
+
+    g = Graph(graph())
+    outcomes = _outcomes_on_tampered_masks(monkeypatch, g, fam, tamper, (0, 9, 63))
+    assert {outcome[1] for outcome in outcomes} == {SigmaConflictError}
+
+
+@pytest.mark.parametrize("graph, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
+def test_build_sigma_lists_stalled_and_unreached_cells_like_the_oracle(graph, fam, monkeypatch):
+    # the first three triangle cells keep only the even independent cells and
+    # the others only the odd ones: two components, the seed's the first
+    tamper = _keep(lambda i, j: (i < 3) == (j % 2 == 0))
+    g = Graph(graph())
+    for outcome in _outcomes_on_tampered_masks(monkeypatch, g, fam, tamper, (0, 9, 63)):
+        assert outcome[1] is SigmaCoverageError
+        assert "('phi', 3), ('phi', 4)" in outcome[2] and "('psi', 1)" in outcome[2]
 
 
 def _swap_members(partition_of, first: int, second: int):
@@ -425,15 +451,8 @@ def _reflected_matching(rows: list[int], fam: FamilyInfo, u: int, index: int) ->
 
 
 @pytest.mark.parametrize("graph, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
-def test_build_sigma_hands_tampered_inputs_to_the_replay(graph, fam, monkeypatch):
+def test_build_sigma_matches_the_oracle_on_tampered_inputs(graph, fam, monkeypatch):
     rows = graph()
-    replayed = []
-    replay = automorphism._sigma_replay
-
-    def counted(g, u, phi, psi):
-        replayed.append(u)
-        return replay(g, u, phi, psi)
-
     tampers = [
         lambda partition_of: _swap_members(partition_of, 0, 1),
         lambda partition_of: _swap_members(partition_of, 3, 40),
@@ -451,14 +470,12 @@ def test_build_sigma_hands_tampered_inputs_to_the_replay(graph, fam, monkeypatch
         ):
             cases += [(Graph(rows), u, names, tamper(original)) for u in (0, 63)]
     seen = set()
-    for builds, (g, u, names, tampered) in enumerate(cases, start=1):
+    for g, u, names, tampered in cases:
         with monkeypatch.context() as patch:
-            patch.setattr("srgpq.automorphism._sigma_replay", counted)
             for name in names:
                 patch.setattr(name, tampered)
             outcome = _outcome(build_sigma, g, fam, u)
             assert outcome == _outcome(oracles.build_sigma, g, fam, u)
-        assert len(replayed) == builds
         seen.add(outcome[1] if outcome[0] == "raised" else "returned")
     assert seen == {SigmaConflictError, SigmaCoverageError, SigmaAutomorphismError}
 
@@ -467,20 +484,24 @@ def test_the_masks_decline_a_cell_that_no_matching_reaches(gq35):
     phi, psi = phi_partition(gq35, 0), psi_partition(gq35, GQ35, 0)
     assert automorphism._sigma_from_masks(gq35, phi.cells, psi.cells) == build_sigma(gq35, GQ35, 0)
     # a triangle cell as an extra independent cell: its own rows meet it twice, the others never
-    assert automorphism._sigma_from_masks(gq35, phi.cells, psi.cells + (phi.cells[1],)) is None
+    with pytest.raises(SigmaCoverageError) as gap:
+        automorphism._sigma_from_masks(gq35, phi.cells, psi.cells + (phi.cells[1],))
+    assert str(gap.value) == "propagation left cells undefined: [('psi', 15)]"
     # an extra triangle cell holding the base vertex, whose row misses every independent cell
     extra = (0,) + psi.cells[0][1:]
-    assert automorphism._sigma_from_masks(gq35, phi.cells + (extra,), psi.cells) is None
+    with pytest.raises(SigmaCoverageError) as gap:
+        automorphism._sigma_from_masks(gq35, phi.cells + (extra,), psi.cells)
+    assert str(gap.value) == "propagation left cells undefined: [('phi', 6)]"
 
 
 WITNESSES = ((gq35_rows, GQ35, None), (ovoid256_rows, OVOID, 16))
 
 
 def test_the_bulk_pass_alone_builds_every_sigma_of_the_witnesses(monkeypatch):
-    def refuse(g, u, phi, psi):
-        raise AssertionError(f"build_sigma replayed the propagation at {u}")
+    def refuse(matched, flips):
+        raise AssertionError("build_sigma looked for a conflict")
 
-    monkeypatch.setattr("srgpq.automorphism._sigma_replay", refuse)
+    monkeypatch.setattr("srgpq.automorphism._first_conflict", refuse)
     for rows_of, fam, sample in WITNESSES:
         rows = rows_of()
         images = seeded_permutation(len(rows), random.Random(8))
