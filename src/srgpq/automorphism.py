@@ -332,15 +332,48 @@ def canonical_sigma_family(g: Graph, fam: FamilyInfo, z: int = 0) -> dict[int, P
     build_sigma's permutation at u or its inverse, whichever satisfies the
     normalization.  At most one can, and SigmaNormalizationError is raised
     when neither does.
+
+    build_sigma runs only at z and at the least vertex r of each orbit of
+    the sigmas that vertex_orbits keeps, and those builds are reused.  The
+    other vertices u of the orbit are reached breadth-first from r over
+    the kept sigmas, a Schreier transversal: t_u = s t_x for the kept sigma
+    s with s(x) = u.  Before the normalization u gets t_u sigma_r t_u^{-1},
+    which is s conjugating the permutation at x.
+
+    Lemma: an automorphism t with t(r) = u maps the phi and psi cells at r
+    onto those at u.  So t sigma_r t^{-1} turns every cell at u as a
+    3-cycle, and it is an automorphism, being a product of automorphisms
+    that build_sigma verified.  So it commutes with the bijection of every
+    matched pair of cells at u and meets every definition that the
+    propagation at u forces from the seed's 3-cycle: it is build_sigma's
+    permutation at u or its inverse, and the normalization picks the same
+    one.  Vertices are visited as by a build at every vertex, z and then
+    0..nu-1, each r built when first reached: a build fails at u iff it
+    fails at the least vertex of u's orbit, so the first error is the
+    same.  With singleton orbits, every vertex is built.
     """
     g.check_vertex(z)
-    sigma_z = build_sigma(g, fam, z)
+    _, built = _verified_sigmas(g, fam)
+    generators = [(sigma.images, sigma.inverse().images) for sigma in built.values()]
+    if z not in built:
+        built[z] = build_sigma(g, fam, z)
+    sigma_z = built[z]
     inverse_z = sigma_z.inverse()
+    transported: dict[int, tuple[int, ...]] = {}
     family = {z: sigma_z}
     for u in range(g.nu):
+        if u not in transported:  # the least vertex of its orbit
+            transported[u] = (built[u] if u in built else build_sigma(g, fam, u)).images
+            orbit = [u]
+            for x in orbit:
+                for gen, inverse in generators:
+                    y = gen[x]
+                    if y not in transported:
+                        transported[y] = _compose(_compose(gen, transported[x]), inverse)
+                        orbit.append(y)
         if u == z:
             continue
-        sigma_u = build_sigma(g, fam, u)
+        sigma_u = Permutation(transported[u])
         target = inverse_z(u)
         # At most one orientation passes: sigma_u(z) = sigma_u^-1(z) with sigma_u of
         # order 3 makes z a fixed point, so the target sigma_z^-1(u) is z and
@@ -401,29 +434,20 @@ def verify_involution_property(
 ) -> CheckReport:
     """(sigma_u sigma_v^{-1})^2 must be the identity for every ordered pair.
 
-    The square of q = sigma_u sigma_v^{-1} is the identity iff q equals its
-    inverse sigma_v sigma_u^{-1}: one comparison of two image tuples, with
-    no Permutation built.  That condition is symmetric in u and v, and
-    holds for u = v, so the first failing ordered pair (in the order of the
-    family's keys) has v after u: only those pairs are compared, and
-    pairs_checked counts the ordered pairs up to the failure as before.
+    With z the first key and q_u = sigma_u sigma_z^{-1}, every quotient
+    sigma_u sigma_v^{-1} is q_u q_v^{-1}.  The property holds iff the q_u
+    are commuting involutions: (q_u q_v)^2 = q_u^2 q_v^2 for commuting ones,
+    and conversely the pair (u, z) makes q_u an involution, and the pair
+    (u, v) then makes q_u q_v one, so that q_u q_v = q_v q_u.  So a pass is
+    proved from the q_u in key order: each outside the span of those kept
+    so far must square to the identity and commute with every kept one,
+    and is then kept.  Holding the span as a set is capped at nu elements.
+    When a check fails or the cap is hit, the pair loop of
+    _first_non_involution names the witness and counts the pairs.
     """
-    keys = list(family)
-    images = [family[u].images for u in keys]
-    inverses = [family[u].inverse().images for u in keys]
-    size = len(keys)
-    witness = None
-    checked = size * size
-    for i, u in enumerate(keys):
-        images_u, inverse_u = images[i], inverses[i]
-        for j in range(i + 1, size):
-            images_v = images[j]
-            if _compose(images_u, inverses[j]) != _compose(images_v, inverse_u):
-                witness = {"u": u, "v": keys[j]}
-                checked = i * size + j + 1
-                break
-        if witness:
-            break
+    witness, checked = None, len(family) ** 2
+    if not _commuting_involutions(list(family.values())):
+        witness, checked = _first_non_involution(family)
     return CheckReport(
         name="involution-property",
         passed=witness is None,
@@ -433,15 +457,62 @@ def verify_involution_property(
     )
 
 
+def _commuting_involutions(sigmas: list[Permutation]) -> bool:
+    """Whether the q = sigma sigma_z^{-1}, sigma_z first, are commuting involutions.
+
+    False also when the span of the kept q would exceed the degree.
+    """
+    if not sigmas:
+        return True
+    inverse_z = sigmas[0].inverse().images
+    identity = tuple(range(len(inverse_z)))
+    span = {identity}
+    kept: list[tuple[int, ...]] = []
+    for sigma in sigmas:
+        q = _compose(sigma.images, inverse_z)
+        if q in span:
+            continue
+        if _compose(q, q) != identity or any(_compose(q, k) != _compose(k, q) for k in kept):
+            return False
+        if 2 * len(span) > len(identity):
+            return False
+        span.update([_compose(q, element) for element in span])
+        kept.append(q)
+    return True
+
+
+def _first_non_involution(family: dict[int, Permutation]) -> tuple[Optional[dict], int]:
+    """The first ordered pair whose quotient does not square to the identity, and the pairs checked.
+
+    The square of q = sigma_u sigma_v^{-1} is the identity iff q equals its
+    inverse sigma_v sigma_u^{-1}: one comparison of two image tuples, with
+    no Permutation built.  That condition is symmetric in u and v, and
+    holds for u = v, so the first failing ordered pair (in the order of the
+    family's keys) has v after u: only those pairs are compared, and the
+    count is of the ordered pairs up to the failure.
+    """
+    keys = list(family)
+    images = [family[u].images for u in keys]
+    inverses = [family[u].inverse().images for u in keys]
+    size = len(keys)
+    for i, u in enumerate(keys):
+        images_u, inverse_u = images[i], inverses[i]
+        for j in range(i + 1, size):
+            if _compose(images_u, inverses[j]) != _compose(images[j], inverse_u):
+                return {"u": u, "v": keys[j]}, i * size + j + 1
+    return None, size * size
+
+
 def verify_inverse_law(family: dict[int, Permutation], asserted: bool = True) -> CheckReport:
     """sigma_u(v) = sigma_v^{-1}(u), exhaustively over ordered pairs."""
+    members = [(u, sigma.images) for u, sigma in family.items()]
     witness = None
-    checked = 0
-    for u, sigma_u in family.items():
-        for v, sigma_v in family.items():
-            checked += 1
-            if sigma_v(sigma_u(v)) != u:
-                witness = {"u": u, "v": v, "sigma_u(v)": sigma_u(v)}
+    checked = len(members) ** 2
+    for i, (u, images_u) in enumerate(members):
+        for j, (v, images_v) in enumerate(members):
+            if images_v[images_u[v]] != u:
+                witness = {"u": u, "v": v, "sigma_u(v)": images_u[v]}
+                checked = i * len(members) + j + 1
                 break
         if witness:
             break
@@ -551,21 +622,31 @@ def vertex_orbits(g: Graph, fam: FamilyInfo) -> tuple[tuple[int, ...], ...]:
     returned.  build_sigma returns only permutations that pass its
     automorphism check, so these are always orbits of automorphisms.
     """
+    return _verified_sigmas(g, fam)[0]
+
+
+def _verified_sigmas(
+    g: Graph, fam: FamilyInfo
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, Permutation]]:
+    """vertex_orbits' orbits, and the sigmas it kept, by the vertex each was built at."""
     orbits = tuple((v,) for v in range(g.nu))
+    kept: dict[int, Permutation] = {}
     if fam.lam != 2:
-        return orbits
+        return orbits, kept
     generators: list[tuple[int, ...]] = []
-    while len(orbits) > 1 and len(generators) < g.nu.bit_length():
+    while len(orbits) > 1 and len(kept) < g.nu.bit_length():
+        u = orbits[1][0] if kept else 0
         try:
-            sigma = build_sigma(g, fam, orbits[1][0] if generators else 0)
+            sigma = build_sigma(g, fam, u)
         except SIGMA_ERRORS:
             break
         merged = _orbits(generators + [sigma.images], g.nu)
         if len(merged) == len(orbits):
             break
         generators.append(sigma.images)
+        kept[u] = sigma
         orbits = merged
-    return orbits
+    return orbits, kept
 
 
 def _orbits(generators: list[tuple[int, ...]], degree: int) -> tuple[tuple[int, ...], ...]:

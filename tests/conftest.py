@@ -53,7 +53,7 @@ def sigma_family(gq35, fam_gq35):
 
 @pytest.fixture(scope="session")
 def sigma_family_n3():
-    """The canonical sigma family of the n = 3 witness (about 2 s); copy it before mutating."""
+    """The canonical sigma family of the n = 3 witness (about 0.02 s); copy it before mutating."""
     from srgpq.automorphism import canonical_sigma_family
     from srgpq.geometry import build_ovoid256
 

@@ -3,17 +3,17 @@
 These are the direct definitions that the mask-level kernels replaced: one
 outside vertex at a time through the bounds-checked Graph.row, one
 m_spectrum call per ordered pair, one pair_stats call per triple, the dense
-products B (nI - A_H) and Y B Y^T, the squared quotients of the sigma
-family, the closure of all nu^2 quotients, one (phi cell, psi cell) pair at
-a time, one pair of psi cells at a time, the sigma propagation with one
-mapping dict a cell, one adjacency row bit by bit, the Diophantine search
-over every n, the graph6 codec and the bit-matrix transpose one bit at a
-time, the row-order range, self-loop and symmetry checks of a Graph,
-check-con's m_0 from the M_0 set of each pair, and the PQ axiom (iii) one
-line and one point at a time, and the diamond-free check one adjacent pair
-of every neighbourhood at a time.  They live here only so the differential
-tests can demand equal results, equal exception types and equal messages
-from the kernels.
+products B (nI - A_H) and Y B Y^T, the sigma family built at every vertex,
+the squared quotients of the sigma family, the closure of all nu^2
+quotients, one (phi cell, psi cell) pair at a time, one pair of psi cells
+at a time, the sigma propagation with one mapping dict a cell, one
+adjacency row bit by bit, the Diophantine search over every n, the graph6
+codec and the bit-matrix transpose one bit at a time, the row-order range,
+self-loop and symmetry checks of a Graph, check-con's m_0 from the M_0 set
+of each pair, and the PQ axiom (iii) one line and one point at a time, and
+the diamond-free check one adjacent pair of every neighbourhood at a time.
+They live here only so the differential tests can demand equal results,
+equal exception types and equal messages from the kernels.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from srgpq.automorphism import (
     SigmaAutomorphismError,
     SigmaConflictError,
     SigmaCoverageError,
+    SigmaNormalizationError,
+    build_sigma as _build_sigma,
 )
 from srgpq.cli import GRAPH6_HEADER, MAX_GRAPH6_VERTICES, Graph6Error, _size_prefix
 from srgpq.geometry import IncidenceStructure
@@ -326,6 +328,27 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
         },
         witness=witness,
     )
+
+
+def canonical_sigma_family(g: Graph, fam: FamilyInfo, z: int = 0) -> dict[int, Permutation]:
+    """The normalized family with srgpq's build_sigma run at every vertex: z, then 0..nu-1."""
+    g.check_vertex(z)
+    sigma_z = _build_sigma(g, fam, z)
+    inverse_z = sigma_z.inverse()
+    family = {z: sigma_z}
+    for u in range(g.nu):
+        if u == z:
+            continue
+        sigma_u = _build_sigma(g, fam, u)
+        target = inverse_z(u)
+        if sigma_u(z) != target:
+            sigma_u = sigma_u.inverse()
+            if sigma_u(z) != target:
+                raise SigmaNormalizationError(
+                    f"no orientation at {u} satisfies sigma_u({z}) = sigma_{z}^-1({u})"
+                )
+        family[u] = sigma_u
+    return family
 
 
 def verify_involution_property(

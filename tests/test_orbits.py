@@ -1,4 +1,4 @@
-"""Orbit reduction: vertex_orbits, and the five sweeps that visit one vertex per orbit.
+"""Orbit reduction: vertex_orbits, the sweeps that visit one vertex per orbit, and the family.
 
 check-con, local-stats, eq-pq, check-star and check-psi must give the
 report of their full pass, which they run when every build_sigma raises and
@@ -8,6 +8,12 @@ groups of the first one and two sigmas, on relabelled witnesses and on
 mutants.  A mutant that toggles a whole sigma_0-orbit of vertex pairs keeps
 sigma_0 as an automorphism, so its orbits are the 3-cycles of sigma_0 and
 its failures are spread over orbits of sizes 1 and 3.
+
+canonical_sigma_family builds only at z and at the least vertex of each
+orbit, and transports those sigmas to the rest of the orbit.  It must give
+the family, or the exception type and message, of the build at every
+vertex in tests/oracles.py: with the whole group, with the partial groups
+of none, one and two kept sigmas, on relabelled witnesses and on mutants.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from srgpq.automorphism import (
     SigmaConstructionError,
     SigmaSeedError,
     build_sigma,
+    canonical_sigma_family,
     vertex_orbits,
 )
 from srgpq.cli import _check_psi, _check_star
@@ -288,3 +295,84 @@ def test_sweeps_match_the_full_pass_at_n3(monkeypatch):
         assert len(orbits) == count
         for builds in (0, 1):
             assert _sweeps(g, OVOID, monkeypatch, builds)[1] == reduced
+
+
+# The sigma family by transport, against the build at every vertex.
+
+
+def _family(function, g: Graph, fam: FamilyInfo, z: int):
+    """The family's items in key order, or the type and message of what it raised."""
+    outcome = _outcome(function, g, fam, z)
+    return ("returned", list(outcome[1].items())) if outcome[0] == "returned" else outcome
+
+
+def _transported(g: Graph, fam: FamilyInfo, z: int, monkeypatch, builds=None):
+    """canonical_sigma_family with at most builds sigmas kept as generators (None: any)."""
+    verified = automorphism._verified_sigmas
+
+    def partial(graph, family):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(automorphism, "build_sigma", _limited(builds, []))
+            return verified(graph, family)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(automorphism, "_verified_sigmas", partial)
+        return _family(canonical_sigma_family, g, fam, z)
+
+
+@pytest.mark.parametrize("name", list(_gq35_inputs()))
+def test_the_family_by_transport_is_the_build_at_every_vertex_at_n2(name, monkeypatch):
+    g = Graph(_gq35_inputs()[name])
+    for z in (0, 5):
+        expected = _family(oracles.canonical_sigma_family, g, GQ35, z)
+        for builds in (None, 0, 1, 2):
+            assert _transported(g, GQ35, z, monkeypatch, builds) == expected, f"{builds} builds"
+        assert expected[0] == ("returned" if name in ("gq35", "relabelled") else "raised")
+
+
+@pytest.fixture(scope="module")
+def ovoid_families():
+    """The witness and a relabelled copy, each with the oracle's families at z = 0 and 5."""
+    rows = ovoid256_rows()
+    graphs = {"ovoid256": Graph(rows), "relabelled": Graph(_shuffled(rows, 8))}
+    return {
+        (name, z): (g, _family(oracles.canonical_sigma_family, g, OVOID, z))
+        for name, g in graphs.items()
+        for z in (0, 5)
+    }
+
+
+def test_the_family_by_transport_is_the_build_at_every_vertex_at_n3(ovoid_families, monkeypatch):
+    for (name, z), (g, expected) in ovoid_families.items():
+        assert expected[0] == "returned"
+        assert _transported(g, OVOID, z, monkeypatch) == expected, (name, z)
+    g, expected = ovoid_families["ovoid256", 5]
+    for builds in (1, 2):
+        assert _transported(g, OVOID, 5, monkeypatch, builds) == expected, f"{builds} builds"
+
+
+def test_the_family_raises_as_the_build_at_every_vertex():
+    # rook4 fails its first build; a sigma_0-mutant keeps sigma_0 and fails at
+    # vertex 1, a representative, or at z = 5, where it is mutated
+    cases = [
+        (build_rook4(), FamilyInfo.from_n_lam(-2, 2)),
+        (Graph(_sigma_0_mutant(gq35_rows(), GQ35, 1)), GQ35),
+        (Graph(_sigma_0_mutant(ovoid256_rows(), OVOID, 1)), OVOID),
+    ]
+    for g, fam in cases:
+        for z in (0, 5):
+            outcome = _family(canonical_sigma_family, g, fam, z)
+            assert outcome[0] == "raised"
+            assert outcome == _family(oracles.canonical_sigma_family, g, fam, z)
+
+
+def test_the_family_builds_at_z_and_at_the_representatives_only(monkeypatch):
+    # vertex_orbits' builds at 0, 1, 4, 16 (and 64 at n = 3) are reused; z = 5 is one more
+    cases = ((gq35_rows(), GQ35, [0, 1, 4, 16]), (ovoid256_rows(), OVOID, [0, 1, 4, 16, 64]))
+    for rows, fam, kept in cases:
+        g = Graph(rows)
+        for z, builds in ((0, kept), (1, kept), (5, kept + [5])):
+            made: list = []
+            monkeypatch.setattr(automorphism, "build_sigma", _limited(None, made))
+            canonical_sigma_family(g, fam, z)
+            assert made == builds

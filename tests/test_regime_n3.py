@@ -280,7 +280,6 @@ def _scale(scalar: int, vertex: int) -> int:
     return sum(mul[scalar][vertex >> shift & 3] << shift for shift in (0, 2, 4, 6))
 
 
-@pytest.mark.slow
 def test_sigma_family_is_an_asserted_pass_with_the_analytic_oracle(capsys, monkeypatch):
     assert run(["build", "ovoid256"]) == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))

@@ -3,15 +3,17 @@
 generate_gamma closes the nu sifted quotients q_u = sigma_u sigma_z^{-1};
 its reference in tests/oracles.py closes all nu^2 quotients
 sigma_u sigma_v^{-1}.  Both must give the same group and the same report,
-and the same ClosureCapError at the same cap.  matched_pairs and
-automorphism_witness must give the tables and the witness pairs of their
-one-pair-at-a-time and bit-by-bit references, on the witnesses, on their
-mutants, on broken permutations and on random graphs.  build_sigma, which
-carries the orientations of all cells as masks, must succeed or fail as
-the propagation with one mapping dict a cell does, with the same message:
-also on the masks of tampered tables, which reach its conflict and
-coverage checks, and on tampered partitions.  On the witnesses no conflict
-is ever named.
+and the same ClosureCapError at the same cap.  verify_involution_property,
+which proves a pass from the quotients q_u, must give the report of its
+reference, which squares every quotient sigma_u sigma_v^{-1}.
+matched_pairs and automorphism_witness must give the tables and the witness
+pairs of their one-pair-at-a-time and bit-by-bit references, on the
+witnesses, on their mutants, on broken permutations and on random graphs.
+build_sigma, which carries the orientations of all cells as masks, must
+succeed or fail as the propagation with one mapping dict a cell does, with
+the same message: also on the masks of tampered tables, which reach its
+conflict and coverage checks, and on tampered partitions.  On the
+witnesses no conflict is ever named.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from srgpq.automorphism import (
     build_sigma,
     canonical_sigma_family,
     generate_gamma,
+    verify_involution_property,
 )
 from srgpq.graphcore import Graph, TriplePartition, phi_partition
 from srgpq.localstats import matched_pairs, psi_partition
@@ -98,12 +101,14 @@ def test_gamma_matches_the_oracle_on_gq35(sigma_family):
     assert report.order == 64 and len(report.generators) == 6
 
 
-def test_gamma_matches_the_oracle_on_a_relabelled_gq35():
+def _relabelled_gq35_family():
     rows = gq35_rows()
     images = seeded_permutation(len(rows), random.Random(11))
-    g = Graph(relabel(rows, images))
-    family = canonical_sigma_family(g, GQ35, z=images[5])
-    report = _assert_same_gamma(family, GQ35)
+    return canonical_sigma_family(Graph(relabel(rows, images)), GQ35, z=images[5])
+
+
+def test_gamma_matches_the_oracle_on_a_relabelled_gq35():
+    report = _assert_same_gamma(_relabelled_gq35_family(), GQ35)
     assert report.transitive and report.abelian and report.order == 64
 
 
@@ -189,6 +194,77 @@ def test_s5_from_its_quotients():
     assert report.orbit_sizes == (5, 1, 1, 1, 1)
     # a transposition fixes 7 of the 9 points, above the bound of 6
     assert report.max_nonidentity_fixed_points == 7 and not report.bound_satisfied
+
+
+# The involution law: proved from the quotients q_u, the pair loop naming a failure.
+
+
+def _assert_same_involution_report(family):
+    report = verify_involution_property(family)
+    assert report == oracles.verify_involution_property(family)
+    return report
+
+
+def test_the_involution_law_is_proved_without_the_pair_loop(
+    sigma_family, sigma_family_n3, monkeypatch
+):
+    def refuse(family):
+        raise AssertionError("the pair loop ran on a passing family")
+
+    monkeypatch.setattr(automorphism, "_first_non_involution", refuse)
+    for family in (sigma_family, _relabelled_gq35_family()):
+        assert _assert_same_involution_report(family).passed
+    # the reference squares 65 536 quotients at n = 3; its report on a pass is this
+    report = verify_involution_property(sigma_family_n3)
+    assert report.passed and report.witness is None
+    assert report.details == {"pairs_checked": 256 * 256}
+
+
+def test_the_involution_law_on_corrupted_families_is_the_reference_report(sigma_family):
+    keys = list(sigma_family)
+    for u in (keys[0], 5, keys[-1]):
+        inverted = dict(sigma_family)
+        inverted[u] = inverted[u].inverse()
+        assert not _assert_same_involution_report(inverted).passed
+    # swapping two members permutes the pairs: the law still holds
+    for a, b in ((keys[0], 9), (3, 40)):
+        swapped = dict(sigma_family)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        assert _assert_same_involution_report(swapped).passed
+
+
+def test_the_involution_law_on_the_symmetric_groups_is_the_reference_report():
+    for members in SYMMETRIC:
+        assert not _assert_same_involution_report(dict(enumerate(members))).passed
+
+
+def test_commuting_involutions_past_the_cap_go_to_the_pair_loop(monkeypatch):
+    # the identity and the transpositions (0 1), (2 3), (4 5), (6 7) of 8
+    # points: commuting involutions, whose span of 16 exceeds the cap of 8
+    family = {0: Permutation.identity(8)}
+    for k in range(4):
+        family[k + 1] = _moving(8, 8, [(2 * k, 2 * k + 1)])
+    calls = []
+    pair_loop = automorphism._first_non_involution
+
+    def counted(members):
+        calls.append(len(members))
+        return pair_loop(members)
+
+    monkeypatch.setattr(automorphism, "_first_non_involution", counted)
+    report = _assert_same_involution_report(family)
+    assert report.passed and report.details == {"pairs_checked": 25}
+    assert calls == [5]
+    # three transpositions span exactly 8: proved without the pair loop
+    del family[4]
+    assert _assert_same_involution_report(family).passed
+    assert calls == [5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_the_involution_law_matches_the_reference_on_random_families(family):
+    _assert_same_involution_report(family)
 
 
 def test_generate_gamma_rejects_an_empty_family():
