@@ -23,7 +23,6 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from srgpq.automorphism import (
@@ -528,23 +527,24 @@ def _group(args, g: Graph, family: FamilyInfo):
 
 
 def _related(args, g: Graph, family: FamilyInfo):
-    kinds = {"clique": 0, "independent-with-M0": 0}
-    # covered[x]: the y whose pair with x lies in a verified set; related_set
-    # has regenerated that set from each of its pairs, so they are skipped
-    covered = [0] * g.nu
-    witness = None
-    for x, y in combinations(range(g.nu), 2):
-        if covered[x] >> y & 1:
-            continue
-        try:
-            result = related_set(g, family, x, y)
-        except RelatedSetError as exc:
-            witness = {"pair": [x, y], "error": str(exc)}
-            break
-        kinds[result.kind] += 1
-        mask = sum(1 << m for m in result.members)
-        for m in result.members:
-            covered[m] |= mask
+    """The partition of the pairs into related 4-sets, from one row per orbit.
+
+    An automorphism maps related sets to related sets, so every pair passes
+    related_set iff every pair at the least vertex of each orbit of
+    vertex_orbits passes.  On a pass the sets partition the pairs, and a
+    clique set holds 6 edges and an independent one 6 non-edges, so the
+    counts follow from the edge count.  On a failure the rows are every
+    vertex, in order: that is the loop over all pairs in combinations
+    order, which names the first failing pair and counts the sets before it.
+    With singleton orbits the first pass already is that loop.
+    """
+    rows = [orbit[0] for orbit in vertex_orbits(g, family)]
+    kinds, witness = _related_rows(g, family, rows)
+    if witness is None:
+        edges, pairs = g.edge_count, g.nu * (g.nu - 1) // 2
+        kinds = {"clique": edges // 6, "independent-with-M0": (pairs - edges) // 6}
+    elif len(rows) < g.nu:
+        kinds, witness = _related_rows(g, family, range(g.nu))
     sets = sum(kinds.values())
     check = CheckReport(
         name="related-partition",
@@ -554,6 +554,33 @@ def _related(args, g: Graph, family: FamilyInfo):
         witness=witness,
     )
     return [check], {"related_sets": sets, "by_kind": kinds}
+
+
+def _related_rows(g: Graph, family: FamilyInfo, rows: Sequence[int]):
+    """Set counts by kind and the first failure, from related_set at each row vertex x.
+
+    It is called at every y that is neither an earlier row vertex nor
+    covered: covered[x] holds the y whose pair with x lies in a verified
+    set, which related_set has regenerated from each of its pairs.
+    """
+    kinds = {"clique": 0, "independent-with-M0": 0}
+    covered = [0] * g.nu
+    earlier = 0
+    for x in rows:
+        earlier |= 1 << x
+        todo = ((1 << g.nu) - 1) & ~earlier
+        while todo := todo & ~covered[x]:
+            y = (todo & -todo).bit_length() - 1
+            todo ^= 1 << y
+            try:
+                result = related_set(g, family, x, y)
+            except RelatedSetError as exc:
+                return kinds, {"pair": [x, y], "error": str(exc)}
+            kinds[result.kind] += 1
+            mask = sum(1 << m for m in result.members)
+            for m in result.members:
+                covered[m] |= mask
+    return kinds, None
 
 
 def _pq_axioms(args, incidence, _family):

@@ -78,9 +78,9 @@ def _line_masks(inc: IncidenceStructure) -> list[int]:
     return masks
 
 
-def _collinearity_masks(inc: IncidenceStructure) -> list[int]:
-    coll = [0] * inc.num_points
-    for mask in _line_masks(inc):
+def _collinearity_masks(num_points: int, line_masks: Sequence[int]) -> list[int]:
+    coll = [0] * num_points
+    for mask in line_masks:
         for p in bits(mask):
             coll[p] |= mask & ~(1 << p)
     return coll
@@ -145,8 +145,9 @@ def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
             pair_line[(a, b)] = index
 
     # (iii) a point off a line is collinear with at most one of its points
-    coll = _collinearity_masks(inc)
-    witness = _off_line_witness(_line_masks(inc), coll)
+    line_masks = _line_masks(inc)
+    coll = _collinearity_masks(inc.num_points, line_masks)
+    witness = _off_line_witness(line_masks, coll)
     if witness is not None:
         return violation("iii", witness)
 
@@ -180,7 +181,7 @@ def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
 
 def collinearity_graph(inc: IncidenceStructure) -> Graph:
     """Graph on the points, adjacent iff co-incident with some line."""
-    return Graph(_collinearity_masks(inc))
+    return Graph(_collinearity_masks(inc.num_points, _line_masks(inc)))
 
 
 def graph_to_pq(g: Graph) -> IncidenceStructure:

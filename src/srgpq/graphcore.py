@@ -387,17 +387,31 @@ def maximal_cliques_via_edges(g: Graph) -> list[tuple[int, ...]]:
     """Edge closures {u, v} + common_neighbors(u, v), deduplicated and sorted.
 
     On a diamond-free SRG these are exactly the maximal cliques; a closure
-    that is not a clique witnesses a diamond and raises.
+    that is not a clique witnesses a diamond and raises.  As in
+    is_diamond_free, each vertex u is decided at once: the closures of the
+    edges at u are the closed sets (N(x) & N(u)) + x, x in N(u), plus u,
+    and they are all cliques iff the distinct closed sets have |N(u)|
+    members together.  Each clique is added at its least vertex: from the
+    closed sets with no member below u.  An edge whose closure is no
+    clique fails at both its ends, and a failing vertex u has such an edge
+    (u, y); at the first failing vertex y > u, so the first such edge in
+    edges() order lies in that vertex's row, and only the row's edges are
+    walked to name it.
     """
     rows = g.rows
-    cliques: set[tuple[int, ...]] = set()
-    for u, v in g.edges():
-        mask = (rows[u] & rows[v]) | (1 << u) | (1 << v)
-        for x in bits(mask):
-            if (rows[x] | (1 << x)) & mask != mask:
-                raise CliqueClosureError(
-                    f"closure of edge ({u}, {v}) is not a clique "
-                    f"(vertex {x} misses a member); graph is not diamond-free"
-                )
-        cliques.add(tuple(bits(mask)))
+    cliques = []
+    for u in range(g.nu):
+        nbhd = rows[u]
+        closed = {(rows[x] & nbhd) | (1 << x) for x in bits(nbhd)}
+        if sum(map(int.bit_count, closed)) != nbhd.bit_count():
+            for v in bits(nbhd >> (u + 1) << (u + 1)):
+                mask = (nbhd & rows[v]) | (1 << u) | (1 << v)
+                for x in bits(mask):
+                    if (rows[x] | (1 << x)) & mask != mask:
+                        raise CliqueClosureError(
+                            f"closure of edge ({u}, {v}) is not a clique "
+                            f"(vertex {x} misses a member); graph is not diamond-free"
+                        )
+        below = (1 << u) - 1
+        cliques.extend(tuple(bits(c | 1 << u)) for c in closed if not c & below)
     return sorted(cliques)

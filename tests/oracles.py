@@ -10,8 +10,10 @@ at a time, the sigma propagation with one mapping dict a cell, one
 adjacency row bit by bit, the Diophantine search over every n, the graph6
 codec and the bit-matrix transpose one bit at a time, the row-order range,
 self-loop and symmetry checks of a Graph, check-con's m_0 from the M_0 set
-of each pair, and the PQ axiom (iii) one line and one point at a time, and
-the diamond-free check one adjacent pair of every neighbourhood at a time.
+of each pair, and the PQ axiom (iii) one line and one point at a time,
+the diamond-free check one adjacent pair of every neighbourhood at a time,
+the maximal cliques one edge closure at a time, and the related 4-sets
+from every pair in order.
 They live here only so the differential tests can demand equal results,
 equal exception types and equal messages from the kernels.
 """
@@ -19,21 +21,24 @@ equal exception types and equal messages from the kernels.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from srgpq.automorphism import (
     ClosureCapError,
     GammaReport,
     Permutation,
+    RelatedSetError,
     SigmaAutomorphismError,
     SigmaConflictError,
     SigmaCoverageError,
     SigmaNormalizationError,
     build_sigma as _build_sigma,
+    related_set,
 )
 from srgpq.cli import GRAPH6_HEADER, MAX_GRAPH6_VERTICES, Graph6Error, _size_prefix
 from srgpq.geometry import IncidenceStructure
-from srgpq.graphcore import Graph, TriplePartition, bits, phi_partition
+from srgpq.graphcore import CliqueClosureError, Graph, TriplePartition, bits, phi_partition
 from srgpq.localstats import (
     LocalStatsError,
     MatchedPairTable,
@@ -683,6 +688,54 @@ def is_diamond_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]
                     z = next(bits(closed_x ^ closed_y))
                     return False, tuple(sorted((v, x, y, z)))
     return True, None
+
+
+def maximal_cliques_via_edges(g: Graph) -> list[tuple[int, ...]]:
+    """The closure {u, v} + N(u) & N(v) of each edge in edges() order, checked to be a clique."""
+    rows = g.rows
+    cliques: set[tuple[int, ...]] = set()
+    for u, v in g.edges():
+        mask = (rows[u] & rows[v]) | (1 << u) | (1 << v)
+        for x in bits(mask):
+            if (rows[x] | (1 << x)) & mask != mask:
+                raise CliqueClosureError(
+                    f"closure of edge ({u}, {v}) is not a clique "
+                    f"(vertex {x} misses a member); graph is not diamond-free"
+                )
+        cliques.add(tuple(bits(mask)))
+    return sorted(cliques)
+
+
+def related(g: Graph, fam: FamilyInfo) -> tuple[list[CheckReport], dict]:
+    """The related analysis as one related_set call per pair in combinations order.
+
+    A pair inside a set already verified is skipped: related_set has
+    regenerated that set from each of its pairs.
+    """
+    kinds = {"clique": 0, "independent-with-M0": 0}
+    covered = [0] * g.nu
+    witness = None
+    for x, y in combinations(range(g.nu), 2):
+        if covered[x] >> y & 1:
+            continue
+        try:
+            result = related_set(g, fam, x, y)
+        except RelatedSetError as exc:
+            witness = {"pair": [x, y], "error": str(exc)}
+            break
+        kinds[result.kind] += 1
+        mask = sum(1 << m for m in result.members)
+        for m in result.members:
+            covered[m] |= mask
+    sets = sum(kinds.values())
+    check = CheckReport(
+        name="related-partition",
+        passed=witness is None,
+        asserted=fam.in_triple_regime,
+        details={"sets": sets, "by_kind": kinds},
+        witness=witness,
+    )
+    return [check], {"related_sets": sets, "by_kind": kinds}
 
 
 def solve_diophantine_17(n_max: int) -> list[tuple[int, int]]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -13,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srgpq.cli
+from perfbench.inputs import ovoid256_rows, relabel, seeded_permutation
 from srgpq.cli import Graph6Error, _build_parser, parse_graph6, run, serialize_graph6
 from srgpq.geometry import build_gq35, build_rook4, build_shrikhande
-from srgpq.automorphism import SigmaConstructionError
+from srgpq.automorphism import RelatedSetError, SigmaConstructionError
 from srgpq.graphcore import Graph, GraphError
 from srgpq.localstats import LocalStatsError
+from srgpq.params import FamilyInfo
+from tests import oracles
 
 
 def _run(capsys, argv):
@@ -229,8 +233,8 @@ def test_related_command(capsys, tmp_path):
     assert report["results"]["by_kind"] == {"clique": 96, "independent-with-M0": 240}
 
 
-def test_related_builds_each_set_once(capsys, tmp_path, monkeypatch):
-    # a pair inside a verified set is skipped: one related_set call per set
+def _counted_related_calls(capsys, tmp_path, monkeypatch, g):
+    """The related report on g, and the (x, y) of every related_set call it made."""
     calls = []
     kernel = srgpq.cli.related_set
 
@@ -239,8 +243,71 @@ def test_related_builds_each_set_once(capsys, tmp_path, monkeypatch):
         return kernel(g, fam, x, y)
 
     monkeypatch.setattr("srgpq.cli.related_set", counted)
-    code, report, _ = _run_json(capsys, ["related", _graph_file(tmp_path, build_gq35())])
+    code, report, _ = _run_json(capsys, ["related", _graph_file(tmp_path, g)])
+    return code, report, calls
+
+
+def test_related_builds_each_set_once(capsys, tmp_path, monkeypatch, trivial_orbits):
+    # every vertex is a row, and a pair inside a verified set is skipped:
+    # one related_set call per set
+    code, report, calls = _counted_related_calls(capsys, tmp_path, monkeypatch, build_gq35())
     assert code == 0 and report["results"]["related_sets"] == len(calls) == 336
+
+
+def test_related_builds_the_sets_through_one_vertex_per_orbit(capsys, tmp_path, monkeypatch):
+    # gq35 is one orbit: the 6 lines and the 15 independent sets through vertex 0
+    code, report, calls = _counted_related_calls(capsys, tmp_path, monkeypatch, build_gq35())
+    assert code == 0 and report["results"]["related_sets"] == 336
+    assert len(calls) == 21 and {x for x, _ in calls} == {0}
+
+
+def test_related_reruns_the_ordered_loop_after_a_failing_orbit_pass(monkeypatch):
+    # With rows 0 and 10 and a kernel refusing the non-adjacent pairs above 9,
+    # the orbit pass fails in row 10.  The rerun over every vertex visits rows
+    # 1..9 too, so its set counts and witness are those of the loop over all pairs.
+    kernel = srgpq.cli.related_set
+
+    def refusing(g, fam, x, y):
+        if min(x, y) > 9 and not g.adjacent(x, y):
+            raise RelatedSetError(f"refused ({x}, {y})")
+        return kernel(g, fam, x, y)
+
+    monkeypatch.setattr("srgpq.cli.related_set", refusing)
+    monkeypatch.setattr("tests.oracles.related_set", refusing)
+    two_orbits = (tuple(range(10)), tuple(range(10, 64)))
+    monkeypatch.setattr("srgpq.cli.vertex_orbits", lambda g, fam: two_orbits)
+    gq35, family = build_gq35(), FamilyInfo.from_n_lam(2, 2)
+    checks, results = srgpq.cli._related(None, gq35, family)
+    assert (checks, results) == oracles.related(gq35, family)
+    orbit_kinds, orbit_witness = srgpq.cli._related_rows(gq35, family, [0, 10])
+    assert orbit_witness == checks[0].witness and orbit_kinds != results["by_kind"]
+
+
+def _related_cases():
+    """(graph, family) by name: the witnesses, a seeded relabelled copy of each, and two mutants."""
+    n2, n3 = FamilyInfo.from_n_lam(2, 2), FamilyInfo.from_n_lam(3, 2)
+    rook_family = FamilyInfo.from_n_lam(-2, 2)
+    ovoid = ovoid256_rows()
+    v = next(x for x in range(1, 256) if not ovoid[0] >> x & 1)
+    witnesses = {
+        "gq35": (build_gq35(), n2),
+        "rook4": (build_rook4(), rook_family),
+        "shrikhande": (build_shrikhande(), rook_family),
+        "gq35-toggled": (build_gq35().toggle_edge(0, 1), n2),  # not an SRG: the unmutated family
+        "ovoid256": (Graph(ovoid), n3),
+    }
+    rng = random.Random(17)
+    cases = []
+    for name, (g, family) in witnesses.items():
+        relabelled = Graph(relabel(list(g.rows), seeded_permutation(g.nu, rng)))
+        cases.append(pytest.param(g, family, id=name))
+        cases.append(pytest.param(relabelled, family, id=name + "-relabelled"))
+    return cases + [pytest.param(Graph(ovoid).toggle_edge(0, v), n3, id="ovoid256-toggled")]
+
+
+@pytest.mark.parametrize("g, family", _related_cases())
+def test_related_matches_the_ordered_loop(g, family):
+    assert srgpq.cli._related(None, g, family) == oracles.related(g, family)
 
 
 def test_check_star_records_a_failing_vertex(
@@ -284,6 +351,24 @@ def test_check_star_counts_a_failing_orbit_at_each_of_its_vertices(capsys, tmp_p
     star = {check["name"]: check for check in report["checks"]}["star-identity"]
     assert star["details"] == {"vertices_checked": 64, "failures": 64}
     assert star["witness"] == {"u": 0, "witness": witness}
+
+
+@pytest.mark.parametrize(
+    "seed, edge, vertex",
+    [(None, (0, 1), 5), (0, (0, 4), 12), (1, (0, 3), 8)],
+)
+def test_graph_to_pq_names_the_first_edge_closure_that_is_no_clique(
+    capsys, tmp_path, seed, edge, vertex
+):
+    rows = list(build_shrikhande().rows)
+    if seed is not None:
+        rows = relabel(rows, seeded_permutation(16, random.Random(seed)))
+    code, out, err = _run(capsys, ["graph-to-pq", _graph_file(tmp_path, Graph(rows))])
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: closure of edge ({edge[0]}, {edge[1]}) is not a clique "
+        f"(vertex {vertex} misses a member); graph is not diamond-free\n"
+    )
 
 
 def test_graph_to_pq_and_axioms_pipeline(capsys, tmp_path):

@@ -212,7 +212,8 @@ incidences = st.integers(1, 9).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(incidences)
 def test_axiom_iii_witness_matches_the_point_loop_on_small_incidences(inc):
-    witness = _off_line_witness(_line_masks(inc), _collinearity_masks(inc))
+    line_masks = _line_masks(inc)
+    witness = _off_line_witness(line_masks, _collinearity_masks(inc.num_points, line_masks))
     assert witness == oracles.off_line_witness(inc)
 
 

@@ -381,6 +381,69 @@ def test_maximal_cliques_rejects_diamond(shrikhande):
         maximal_cliques_via_edges(shrikhande)
 
 
+def _cliques_or_error(kernel, g):
+    try:
+        return kernel(g)
+    except CliqueClosureError as exc:
+        return str(exc)
+
+
+def _assert_cliques_agree(g):
+    """The cliques of the per-edge loop, or its exact message; whether g raised."""
+    outcome = _cliques_or_error(maximal_cliques_via_edges, g)
+    assert outcome == _cliques_or_error(oracles.maximal_cliques_via_edges, g)
+    return isinstance(outcome, str)
+
+
+@st.composite
+def small_graphs(draw):
+    """Any graph on up to 9 vertices."""
+    nu = draw(st.integers(0, 9))
+    pairs = list(combinations(range(nu), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(nu, [pair for pair, keep in zip(pairs, chosen) if keep])
+
+
+@st.composite
+def gq35_diamond_mutants(draw):
+    """GQ(3,5), seeded relabelled, with one to three pairs toggled."""
+    rows = relabel(gq35_rows(), seeded_permutation(64, random.Random(draw(st.integers(0, 9)))))
+    pairs = st.sampled_from(list(combinations(range(64), 2)))
+    for u, v in draw(st.lists(pairs, min_size=1, max_size=3, unique=True)):
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return Graph(rows)
+
+
+def test_maximal_cliques_match_the_edge_loop_on_random_graphs():
+    raised = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(small_graphs(), clique_unions()))
+    def check(g):
+        raised.add(_assert_cliques_agree(g))
+
+    check()
+    assert raised == {False, True}
+
+
+def test_maximal_cliques_match_the_edge_loop_on_gq35_diamond_mutants():
+    raised = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gq35_diamond_mutants())
+    def check(g):
+        raised.add(_assert_cliques_agree(g))
+
+    check()
+    assert True in raised
+
+
+def test_maximal_cliques_match_the_edge_loop_on_the_witnesses(rook, shrikhande, gq35):
+    graphs = [rook, shrikhande, gq35, Graph(ovoid256_rows())]
+    assert [_assert_cliques_agree(g) for g in graphs] == [False, True, False, False]
+
+
 def test_clique_cover_properties(gq35):
     cliques = maximal_cliques_via_edges(gq35)
     edge_cover = {}

@@ -83,6 +83,22 @@ def test_related_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
     assert report["results"] == {"related_sets": 5440, "by_kind": by_kind}
 
 
+def test_related_builds_the_sets_through_one_vertex_per_orbit(
+    ovoid_rows, capsys, monkeypatch
+):
+    # the witness is one orbit: the 17 lines and the 68 independent sets through vertex 0
+    calls = []
+
+    def counted(g, fam, x, y):
+        calls.append((x, y))
+        return related_set(g, fam, x, y)
+
+    monkeypatch.setattr("srgpq.cli.related_set", counted)
+    code, report, _ = _report(["related"], ovoid_rows, capsys, monkeypatch)
+    assert code == 0 and report["results"]["related_sets"] == 5440
+    assert len(calls) == 85 and {x for x, _ in calls} == {0}
+
+
 def test_group_is_an_asserted_pass(capsys, monkeypatch):
     assert run(["build", "ovoid256"]) == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
