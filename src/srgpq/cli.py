@@ -415,6 +415,20 @@ def _check_eq_pq(args, g: Graph, family: FamilyInfo):
 # the least of its orbit, so the first failure recorded is the same.
 
 
+def _vertex_checks(failures: dict, checked: dict, asserted: bool) -> list[CheckReport]:
+    """One report per name: its (orbit size, failure) list over checked[name] vertices."""
+    return [
+        CheckReport(
+            name=name,
+            passed=not found and checked[name] > 0,
+            asserted=asserted,
+            details={"vertices_checked": checked[name], "failures": sum(size for size, _ in found)},
+            witness=found[0][1] if found else None,
+        )
+        for name, found in failures.items()
+    ]
+
+
 def _check_star(args, g: Graph, family: FamilyInfo):
     failures = {"inv-formula": [], "star-identity": []}  # (orbit size, failure)
     try:
@@ -425,17 +439,8 @@ def _check_star(args, g: Graph, family: FamilyInfo):
                     failures[report.name].append((len(orbit), {"u": u, "witness": report.witness}))
     except FamilyPreconditionError as exc:
         return [_not_applicable("star-identity", str(exc))], {}
-    checks = [
-        CheckReport(
-            name=name,
-            passed=not found,
-            asserted=family.in_resolvent_regime,
-            details={"vertices_checked": g.nu, "failures": sum(size for size, _ in found)},
-            witness=found[0][1] if found else None,
-        )
-        for name, found in failures.items()
-    ]
-    return checks, {"vertices_checked": g.nu}
+    checked = dict.fromkeys(failures, g.nu)
+    return _vertex_checks(failures, checked, family.in_resolvent_regime), {"vertices_checked": g.nu}
 
 
 def _check_psi(args, g: Graph, family: FamilyInfo):
@@ -452,20 +457,10 @@ def _check_psi(args, g: Graph, family: FamilyInfo):
             failures["psi-regularity"].append((size, {"u": u, "witness": report.witness}))
         for r, count in report.details["r_distribution"].items():
             r_distribution[r] = r_distribution.get(r, 0) + size * count
-    counts = {name: sum(size for size, _ in found) for name, found in failures.items()}
     # the regularity check runs only where the cells formed
-    checked = {"psi-partition": g.nu, "psi-regularity": g.nu - counts["psi-partition"]}
-    checks = [
-        CheckReport(
-            name=name,
-            passed=not found and checked[name] > 0,
-            asserted=family.in_triple_regime,
-            details={"vertices_checked": checked[name], "failures": counts[name]},
-            witness=found[0][1] if found else None,
-        )
-        for name, found in failures.items()
-    ]
-    return checks, {"r_distribution": r_distribution}
+    unpartitioned = sum(size for size, _ in failures["psi-partition"])
+    checked = {"psi-partition": g.nu, "psi-regularity": g.nu - unpartitioned}
+    return _vertex_checks(failures, checked, family.in_triple_regime), {"r_distribution": r_distribution}
 
 
 GAMMA_RESULTS = ("order", "abelian", "transitive", "orbit_sizes", "element_order_histogram",

@@ -312,65 +312,67 @@ def is_srg(g: Graph) -> Optional[SrgParams]:
     return is_srg_report(g)[0]
 
 
+def _clique_masks(rows: Sequence[int], u: int) -> Optional[set[int]]:
+    """The cliques of <N(u)> as masks, or None when it is no disjoint union of cliques.
+
+    Lemma: <N(u)> is a disjoint union of cliques iff the closed sets
+    (N(x) & N(u)) + x, x in N(u), partition N(u), that is iff the distinct
+    ones have |N(u)| members together; they are then its cliques.  (Each x
+    lies in its own set, and an edge x ~ y puts x in the sets of both.)
+    """
+    nbhd = rows[u]
+    closed = {(rows[x] & nbhd) | (1 << x) for x in bits(nbhd)}
+    return closed if sum(map(int.bit_count, closed)) == nbhd.bit_count() else None
+
+
+def _diamond_at(rows: Sequence[int], v: int) -> tuple[int, int, int, int]:
+    """A diamond at v, sorted, where _clique_masks(rows, v) is None: v, the first
+    adjacent x < y in N(v) whose closed sets differ, and the least z of their
+    difference, which is adjacent to v and to just one of x and y."""
+    nbhd = rows[v]
+    for x in bits(nbhd):
+        closed_x = (rows[x] & nbhd) | (1 << x)
+        for y in bits(rows[x] & nbhd & ~((2 << x) - 1)):
+            closed_y = (rows[y] & nbhd) | (1 << y)
+            if closed_x != closed_y:
+                return tuple(sorted((v, x, y, next(bits(closed_x ^ closed_y)))))
+
+
 def is_diamond_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     """Neighborhood criterion: every <N(v)> must be a disjoint union of cliques.
 
     Returns (True, None) or (False, witness) where the witness induces a
-    diamond (four vertices carrying five edges).  <N(v)> is a disjoint
-    union of cliques iff the closed neighbourhoods (N(x) & N(v)) + x of its
-    vertices x partition N(v), that is iff the distinct ones have |N(v)|
-    members together: one set per vertex v.  Only at a vertex where they
-    do not does the loop over adjacent x, y in N(v) look for the first pair
-    whose closed neighbourhoods differ, which names the witness.
+    diamond (four vertices carrying five edges), found at the first vertex
+    v that fails.
     """
     rows = g.rows
     for v in range(g.nu):
-        nbhd = rows[v]
-        closed = {(rows[x] & nbhd) | (1 << x) for x in bits(nbhd)}
-        if sum(map(int.bit_count, closed)) == nbhd.bit_count():
-            continue
-        for x in bits(nbhd):
-            closed_x = (rows[x] & nbhd) | (1 << x)
-            for y in bits(rows[x] & nbhd):
-                if y < x:
-                    continue
-                closed_y = (rows[y] & nbhd) | (1 << y)
-                if closed_x != closed_y:
-                    z = next(bits(closed_x ^ closed_y))
-                    return False, tuple(sorted((v, x, y, z)))
+        if _clique_masks(rows, v) is None:
+            return False, _diamond_at(rows, v)
     return True, None
 
 
 def neighborhood_clique_cells(g: Graph, u: int, size: int) -> tuple[tuple[int, ...], ...]:
-    """Connected components of <N(u)>, each required to be a clique of the given size.
+    """The cliques of <N(u)>, sorted, each required to have the given size.
 
     This is the diamond-free neighborhood shape: raises with a diagnostic
-    naming the offending component otherwise.  Cells come back sorted.
+    naming a diamond at u when <N(u)> is no disjoint union of cliques, else
+    the first clique, by least vertex, of another size.
     """
-    nbhd = g.row(u)
-    rows = g.rows
-    remaining = nbhd
-    cells = []
-    while remaining:
-        start = remaining & -remaining
-        component = start
-        frontier = start
-        while frontier:
-            grown = component
-            for x in bits(frontier):
-                grown |= rows[x] & nbhd
-            frontier = grown & ~component
-            component = grown
-        members = tuple(bits(component))
-        if len(members) != size or any(
-            (rows[x] & component).bit_count() != size - 1 for x in members
-        ):
+    g.check_vertex(u)
+    masks = _clique_masks(g.rows, u)
+    if masks is None:
+        raise NeighborhoodStructureError(
+            f"the neighborhood of {u} is not a disjoint union of cliques: "
+            f"{_diamond_at(g.rows, u)} induce a diamond"
+        )
+    cells = sorted(tuple(bits(mask)) for mask in masks)
+    for cell in cells:
+        if len(cell) != size:
             raise NeighborhoodStructureError(
-                f"component {members} of the neighborhood of {u} is not a {size}-clique"
+                f"component {cell} of the neighborhood of {u} is not a {size}-clique"
             )
-        cells.append(members)
-        remaining &= ~component
-    return tuple(sorted(cells))
+    return tuple(cells)
 
 
 def phi_partition(g: Graph, u: int) -> TriplePartition:
@@ -387,25 +389,23 @@ def maximal_cliques_via_edges(g: Graph) -> list[tuple[int, ...]]:
     """Edge closures {u, v} + common_neighbors(u, v), deduplicated and sorted.
 
     On a diamond-free SRG these are exactly the maximal cliques; a closure
-    that is not a clique witnesses a diamond and raises.  As in
-    is_diamond_free, each vertex u is decided at once: the closures of the
-    edges at u are the closed sets (N(x) & N(u)) + x, x in N(u), plus u,
-    and they are all cliques iff the distinct closed sets have |N(u)|
-    members together.  Each clique is added at its least vertex: from the
-    closed sets with no member below u.  An edge whose closure is no
-    clique fails at both its ends, and a failing vertex u has such an edge
-    (u, y); at the first failing vertex y > u, so the first such edge in
-    edges() order lies in that vertex's row, and only the row's edges are
-    walked to name it.
+    that is not a clique witnesses a diamond and raises.  Each vertex u is
+    decided at once: the closures of the edges at u are the closed sets
+    (N(x) & N(u)) + x, x in N(u), plus u, and they are all cliques iff
+    _clique_masks finds the cliques of <N(u)>.  Each clique is added at its
+    least vertex: from the cliques of <N(u)> with no member below u.  An
+    edge whose closure is no clique fails at both its ends, and a failing
+    vertex u has such an edge (u, y); at the first failing vertex y > u, so
+    the first such edge in edges() order lies in that vertex's row, and
+    only the row's edges are walked to name it.
     """
     rows = g.rows
     cliques = []
     for u in range(g.nu):
-        nbhd = rows[u]
-        closed = {(rows[x] & nbhd) | (1 << x) for x in bits(nbhd)}
-        if sum(map(int.bit_count, closed)) != nbhd.bit_count():
-            for v in bits(nbhd >> (u + 1) << (u + 1)):
-                mask = (nbhd & rows[v]) | (1 << u) | (1 << v)
+        closed = _clique_masks(rows, u)
+        if closed is None:
+            for v in bits(rows[u] >> (u + 1) << (u + 1)):
+                mask = (rows[u] & rows[v]) | (1 << u) | (1 << v)
                 for x in bits(mask):
                     if (rows[x] | (1 << x)) & mask != mask:
                         raise CliqueClosureError(

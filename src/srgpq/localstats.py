@@ -701,22 +701,22 @@ def _neighborhood_ordering(g: Graph, u: int, lam: int) -> list[int]:
     return [x for cell in cells for x in cell] + [u]
 
 
-def verify_inv_formula(
-    g: Graph, fam: FamilyInfo, u: int, ordering: Optional[Sequence[int]] = None
-) -> CheckReport:
+def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     """Check the closed form of the neighborhood resolvent exactly.
 
     Multiplies the block matrix B by (nI - A_H) over the closed neighborhood
     H = <N[u]> and compares with n(n+1)^2(n-lam) I entrywise.  When lam = n
     the scalar vanishes and the identity is checked in its degenerate product
-    form (nI - A_H is then singular); that case is a diagnostic.
+    form (nI - A_H is then singular); that case is a diagnostic.  The cells
+    of N(u) are checked to be (lam+1)-cliques first, so A_H is the cone over
+    m disjoint K_{lam+1} and the verdict depends only on (n, lam, |N(u)|).
 
-    B is never built.  In the order given (by default the (lam+1)-clique
-    cells of N(u), then u), B + J is a I + mu J on each cell block of the
-    first k positions, a border b in the last row and column, and a corner
-    c: row i of B + J is a weighted sum of indicator masks, mu C(i) + a {i}
-    + b {k} for i < k and b [0, k) + c {k} for i = k, with C(i) the block of
-    i.  With N(j) the positions adjacent to position j in H,
+    B is never built.  In the order of _neighborhood_ordering (the cells of
+    N(u), then u), B + J is a I + mu J on each cell block of the first k
+    positions, a border b in the last row and column, and a corner c: row i
+    of B + J is a weighted sum of indicator masks, mu C(i) + a {i} + b {k}
+    for i < k and b [0, k) + c {k} for i = k, with C(i) the block of i.
+    With N(j) the positions adjacent to position j in H,
 
         (B (nI - A_H))[i][j] = n B[i][j] - sum_{t in N(j)} B[i][t]
                              = |N(j)| - n + sum_w w (n [j in m_w] - |N(j) & m_w|)
@@ -727,21 +727,13 @@ def verify_inv_formula(
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
-    if ordering is None:
-        order = _neighborhood_ordering(g, u, lam)
-    else:
-        order = list(ordering)
-        closed = sorted(bits(g.row(u) | (1 << u)))
-        if sorted(order) != closed:
-            raise LocalStatsError("ordering must enumerate the closed neighborhood of u")
+    order = _neighborhood_ordering(g, u, lam)
     size = len(order)
     k, width = size - 1, lam + 1
-    if k % width:
-        raise LocalStatsError(f"|N(u)| = {k} is not a multiple of lam+1 = {width}")
     mu = n * (n + 1)
     a, b, c = mu * (n - lam), lam + 1 - n, (lam + 1 - n) * (n + 1 - lam)
     scalar = n * (n + 1) ** 2 * (n - lam)
-    packed = transpose_rows([g.rows[y] for y in order], g.nu)  # order is N[u], checked above
+    packed = transpose_rows([g.rows[y] for y in order], g.nu)
     adjacent = [packed[x] for x in order]
 
     def term(weight: int, mask: int) -> list[int]:
@@ -803,16 +795,14 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
-    cells = neighborhood_clique_cells(g, u, lam + 1)
+    local = _neighborhood_ordering(g, u, lam)[:-1]
     rows = g.rows
-    row_u = rows[u]
-    outside_mask = ((1 << g.nu) - 1) & ~(row_u | (1 << u))
+    outside_mask = ((1 << g.nu) - 1) & ~(rows[u] | (1 << u))
     outside = tuple(bits(outside_mask))
     mu = n * (n + 1)
     scalar = n * (n + 1) ** 2 * (n - lam)
 
     # local bits follow the cells, so cell c is the bit range [c(lam+1), (c+1)(lam+1))
-    local = [x for cell in cells for x in cell]
     k, width = len(local), lam + 1
     packed = transpose_rows([rows[y] for y in local], g.nu)  # N(x) & N(u), local bits
     cell_mask = (1 << width) - 1

@@ -12,6 +12,7 @@ codec and the bit-matrix transpose one bit at a time, the row-order range,
 self-loop and symmetry checks of a Graph, check-con's m_0 from the M_0 set
 of each pair, and the PQ axiom (iii) one line and one point at a time,
 the diamond-free check one adjacent pair of every neighbourhood at a time,
+the cliques of a neighbourhood by breadth-first search over its components,
 the maximal cliques one edge closure at a time, and the related 4-sets
 from every pair in order.
 They live here only so the differential tests can demand equal results,
@@ -38,7 +39,14 @@ from srgpq.automorphism import (
 )
 from srgpq.cli import GRAPH6_HEADER, MAX_GRAPH6_VERTICES, Graph6Error, _size_prefix
 from srgpq.geometry import IncidenceStructure
-from srgpq.graphcore import CliqueClosureError, Graph, TriplePartition, bits, phi_partition
+from srgpq.graphcore import (
+    CliqueClosureError,
+    Graph,
+    NeighborhoodStructureError,
+    TriplePartition,
+    bits,
+    phi_partition,
+)
 from srgpq.localstats import (
     LocalStatsError,
     MatchedPairTable,
@@ -251,23 +259,13 @@ def _inverse_block_matrix(n: int, lam: int, cliques: int) -> list[list[int]]:
     return matrix
 
 
-def verify_inv_formula(
-    g: Graph, fam: FamilyInfo, u: int, ordering: Optional[Sequence[int]] = None
-) -> CheckReport:
+def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     """B (nI - A_H) == n(n+1)^2(n-lam) I entrywise, from the dense product."""
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
-    if ordering is None:
-        order = _neighborhood_ordering(g, u, lam)
-    else:
-        order = list(ordering)
-        closed = sorted(bits(g.row(u) | (1 << u)))
-        if sorted(order) != closed:
-            raise LocalStatsError("ordering must enumerate the closed neighborhood of u")
+    order = _neighborhood_ordering(g, u, lam)
     size = len(order)
-    cliques, remainder = divmod(size - 1, lam + 1)
-    if remainder:
-        raise LocalStatsError(f"|N(u)| = {size - 1} is not a multiple of lam+1 = {lam + 1}")
+    cliques = (size - 1) // (lam + 1)
     block = _inverse_block_matrix(n, lam, cliques)
     scalar = n * (n + 1) ** 2 * (n - lam)
     resolvent = [
@@ -688,6 +686,34 @@ def is_diamond_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]
                     z = next(bits(closed_x ^ closed_y))
                     return False, tuple(sorted((v, x, y, z)))
     return True, None
+
+
+def neighborhood_clique_cells(g: Graph, u: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The components of <N(u)> by breadth-first search, each required to be a size-clique."""
+    nbhd = g.row(u)
+    rows = g.rows
+    remaining = nbhd
+    cells = []
+    while remaining:
+        start = remaining & -remaining
+        component = start
+        frontier = start
+        while frontier:
+            grown = component
+            for x in bits(frontier):
+                grown |= rows[x] & nbhd
+            frontier = grown & ~component
+            component = grown
+        members = tuple(bits(component))
+        if len(members) != size or any(
+            (rows[x] & component).bit_count() != size - 1 for x in members
+        ):
+            raise NeighborhoodStructureError(
+                f"component {members} of the neighborhood of {u} is not a {size}-clique"
+            )
+        cells.append(members)
+        remaining &= ~component
+    return tuple(sorted(cells))
 
 
 def maximal_cliques_via_edges(g: Graph) -> list[tuple[int, ...]]:

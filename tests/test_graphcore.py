@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,7 @@ from srgpq.graphcore import (
     is_srg,
     is_srg_report,
     maximal_cliques_via_edges,
+    neighborhood_clique_cells,
     phi_partition,
     transpose_rows,
 )
@@ -360,8 +362,74 @@ def test_phi_partition_single_triangle_apex():
 
 def test_phi_partition_rejects_non_triangle_components(shrikhande):
     # Shrikhande neighborhoods are 6-cycles, not triangle unions
-    with pytest.raises(NeighborhoodStructureError):
+    message = "the neighborhood of 0 is not a disjoint union of cliques: (0, 1, 4, 5) induce a diamond"
+    with pytest.raises(NeighborhoodStructureError, match=f"^{re.escape(message)}$"):
         phi_partition(shrikhande, 0)
+
+
+def _cells_or_error(kernel, g, u, size):
+    try:
+        return "returned", kernel(g, u, size)
+    except GraphError as exc:  # NeighborhoodStructureError among them
+        return "raised", type(exc), str(exc)
+
+
+def _clique_union_at(g, u):
+    """Oracle: <N(u)> has no induced path x - y - z, so its components are cliques."""
+    nbhd = set(g.neighbors(u))
+    return all(
+        g.adjacent(x, z)
+        for y in nbhd
+        for x, z in combinations(sorted(nbhd.intersection(g.neighbors(y))), 2)
+    )
+
+
+DIAMOND_MESSAGE = re.compile(
+    r"the neighborhood of (\d+) is not a disjoint union of cliques: "
+    r"\((\d+), (\d+), (\d+), (\d+)\) induce a diamond"
+)
+
+
+def _assert_cells_agree(g, u, size):
+    """The cells or the exact error of the component search where <N(u)> is a
+    union of cliques; elsewhere a diamond at u that g really induces.  Returns
+    which of the three it was."""
+    outcome = _cells_or_error(neighborhood_clique_cells, g, u, size)
+    expected = _cells_or_error(oracles.neighborhood_clique_cells, g, u, size)
+    if not 0 <= u < g.nu or _clique_union_at(g, u):
+        assert outcome == expected
+        return "cells" if outcome[0] == "returned" else "error"
+    assert expected[:2] == ("raised", NeighborhoodStructureError)  # the search raised too
+    assert outcome[:2] == ("raised", NeighborhoodStructureError)
+    base, *diamond = map(int, DIAMOND_MESSAGE.fullmatch(outcome[2]).groups())
+    assert base == u and u in diamond and diamond == sorted(set(diamond)) and len(diamond) == 4
+    assert sum(1 for a, b in combinations(diamond, 2) if g.adjacent(a, b)) == 5
+    return "diamond"
+
+
+def test_clique_cells_match_the_component_search_on_the_witnesses(rook, shrikhande, gq35):
+    seen = {}
+    for name, g in (("rook", rook), ("shrikhande", shrikhande), ("gq35", gq35),
+                    ("ovoid256", Graph(ovoid256_rows()))):
+        for size in range(1, 5):
+            for u in range(g.nu):
+                seen.setdefault(name, set()).add(_assert_cells_agree(g, u, size))
+    assert seen == {"rook": {"cells", "error"}, "shrikhande": {"diamond"},
+                    "gq35": {"cells", "error"}, "ovoid256": {"cells", "error"}}
+
+
+def test_clique_cells_match_the_component_search_on_random_graphs():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(small_graphs(), clique_unions(), gq35_diamond_mutants()),
+           st.integers(1, 4), st.data())
+    def check(g, size, data):
+        u = data.draw(st.integers(-1, g.nu), label="u")
+        seen.add(_assert_cells_agree(g, u, size))
+
+    check()
+    assert seen == {"cells", "error", "diamond"}
 
 
 def test_maximal_cliques_counts(rook, gq35):

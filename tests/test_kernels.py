@@ -397,9 +397,9 @@ def test_sweep_rejects_bad_rows():
 # verify_inv_formula: per-row popcounts against the dense product B (nI - A_H).
 
 
-def _assert_inv_formula_agrees(g: Graph, fam: FamilyInfo, u: int, ordering=None):
-    outcome = _outcome(verify_inv_formula, g, fam, u, ordering)
-    assert outcome == _outcome(oracles.verify_inv_formula, g, fam, u, ordering)
+def _assert_inv_formula_agrees(g: Graph, fam: FamilyInfo, u: int):
+    outcome = _outcome(verify_inv_formula, g, fam, u)
+    assert outcome == _outcome(oracles.verify_inv_formula, g, fam, u)
     return outcome
 
 
@@ -411,11 +411,6 @@ def test_inv_formula_matches_the_dense_product_on_the_witnesses():
             kinds.add(_kind(_assert_inv_formula_agrees(gq35, fam, u)))
     # a wrong family's scalar fails the product, the graph's own passes it
     assert kinds == {("inv-formula", True), ("inv-formula", False)}
-    rng = random.Random(4)
-    closed = [x for x in range(64) if gq35.adjacent(0, x)] + [0]
-    for _ in range(4):  # positions, not vertices, carry the block structure
-        rng.shuffle(closed)
-        _assert_inv_formula_agrees(gq35, FamilyInfo.from_n_lam(2, 2), 0, list(closed))
     ovoid = Graph(ovoid256_rows())
     for u in random.Random(8).sample(range(256), 8):
         outcome = _assert_inv_formula_agrees(ovoid, FamilyInfo.from_n_lam(3, 2), u)
@@ -435,10 +430,9 @@ def test_inv_formula_matches_the_dense_product_on_toggled_edges():
             mutant = list(rows)
             mutant[a] ^= 1 << b
             mutant[b] ^= 1 << a
-            # the mutant's own cells, if any, and the cells of the unmutated graph
             kinds.add(_kind(_assert_inv_formula_agrees(Graph(mutant), fam, u)))
-            kinds.add(_kind(_assert_inv_formula_agrees(Graph(mutant), fam, u, order)))
-    assert {NeighborhoodStructureError, ("inv-formula", False)} <= kinds
+    # any edge toggled inside N[u] breaks the (lam+1)-cliques of N(u)
+    assert kinds == {NeighborhoodStructureError}
 
 
 @settings(max_examples=200, deadline=None)

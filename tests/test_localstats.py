@@ -366,13 +366,6 @@ def test_verify_inv_formula_gq35(gq35, fam_gq35):
     assert report.details["degenerate"]  # scalar vanishes at lam = n = 2
 
 
-def test_verify_inv_formula_wrong_ordering(gq35, fam_gq35):
-    order = [0] + [x for cell in phi_partition(gq35, 0).cells for x in cell]  # u first
-    report = verify_inv_formula(gq35, fam_gq35, 0, ordering=order)
-    assert not report.passed
-    assert report.witness is not None
-
-
 def test_verify_inv_formula_rejects_rook(rook, fam_rook):
     with pytest.raises(FamilyPreconditionError):
         verify_inv_formula(rook, fam_rook, 0)
