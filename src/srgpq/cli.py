@@ -378,7 +378,8 @@ def _check_diamond_free(args, g: Graph, _family):
 def _local_stats(args, g: Graph, family: FamilyInfo):
     if family.n <= 0 or family.lam > family.n:
         return [_not_applicable("m-spectrum", "needs n > 0 and lam <= n", n=family.n)], {}
-    sweep = m_spectrum_histogram(g, family, args.vertex)
+    orbits = vertex_orbits(g, family) if args.vertex is None else ((args.vertex,),)
+    sweep = m_spectrum_histogram(g, family, orbits)
     m0_values = [counts[0] for counts in sweep.histogram]
     results = {
         "m_spectrum_histogram": {
@@ -397,13 +398,13 @@ def _local_stats(args, g: Graph, family: FamilyInfo):
 
 
 def _check_con(args, g: Graph, family: FamilyInfo):
-    report = check_condition_con(g, family)
+    report = check_condition_con(g, vertex_orbits(g, family))
     return [report], {"m0_min": report.details["m0_min"], "m0_max": report.details["m0_max"]}
 
 
 def _check_eq_pq(args, g: Graph, family: FamilyInfo):
     try:
-        report = verify_eq_pq(g, family)
+        report = verify_eq_pq(g, family, vertex_orbits(g, family))
     except FamilyPreconditionError as exc:
         return [_not_applicable("eq-pq", str(exc))], {}
     return [report], {"triples_checked": report.details.get("triples_checked")}

@@ -132,15 +132,17 @@ def _spread(width: int, copies: int) -> int:
     return sum(1 << (s * width) for s in range(copies))
 
 
-def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
+def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> CheckReport:
     """Check (n-lam+1) p + q over all triples: lam(n+1) if v ~ w, else mu.
 
     Scans every base vertex u and every pair v < w of non-neighbors of u;
     reports the first counterexample, with p and q as pair_stats gives them.
-    The verdict at u and its first counterexample are those at any image of
-    u under an automorphism, so only the least vertex of each orbit of
-    vertex_orbits is scanned: the first failing vertex is the least of its
-    orbit, and triples_checked counts the triples of every vertex before it.
+    orbits are the vertex orbits of a group of automorphisms, each sorted,
+    by least vertex, such as vertex_orbits returns; singletons scan every
+    vertex.  The verdict at u and its first counterexample are those at any
+    image of u, so only the least vertex of each orbit is scanned: the first
+    failing vertex is the least of its orbit, and triples_checked counts the
+    triples of every vertex before it.
 
     Per base vertex, with A_v = N(u, v) in bits local to N(u):
     * slope * p is the popcount of slope copies of A_v & A_w;
@@ -153,8 +155,6 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
     So one mask z_v per v and one mask w_w per w, built once per u, give
     slope * p + q + |E_v| as the single popcount of z_v & w_w.
     """
-    from srgpq.automorphism import vertex_orbits  # automorphism imports this module
-
     slope = _require_positive_slope(fam)
     mu = fam.n * (fam.n + 1)
     adjacent_target = fam.lam * (fam.n + 1)
@@ -162,7 +162,7 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
     rows = g.rows
     per_vertex = [comb(g.nu - 1 - row.bit_count(), 2) for row in rows]  # triples at each u
     index = [0] * g.nu
-    for orbit in vertex_orbits(g, fam):
+    for orbit in orbits:
         u = orbit[0]
         row_u = rows[u]
         triples = sum(per_vertex[:u])
@@ -363,15 +363,18 @@ class SpectrumHistogram:
 
 
 def m_spectrum_histogram(
-    g: Graph, fam: FamilyInfo, vertex: Optional[int] = None
+    g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]
 ) -> SpectrumHistogram:
-    """m_spectrum over every non-adjacent (u, v), u the given vertex (default all), v ascending.
+    """m_spectrum over every non-adjacent (u, v), u a vertex of the orbits, v ascending.
 
-    The result is that of the ordered loop which calls m_spectrum on each
-    pair and stops at the first LocalStatsError: the same failure, message
-    included, and the same histogram of the pairs before it.  When every
-    pair passes, the histogram does not depend on the order of the pairs,
-    so a cheaper pass computes it:
+    orbits are vertex orbits of a group of automorphisms, each sorted, by
+    least vertex: vertex_orbits' for the full sweep, or ((u,),) for the
+    pairs at u alone.  The result is that of the ordered loop which calls
+    m_spectrum on each pair, u over the sorted vertices of the orbits, and
+    stops at the first LocalStatsError: the same failure, message included,
+    and the same histogram of the pairs before it.  When every pair passes,
+    the histogram does not depend on the order of the pairs, so a cheaper
+    pass computes it:
 
     * (u, v) and (v, u) count the same vertices, x outside N[u] u N[v], by
       the same |N(x) & N(u) & N(v)|.  So over all rows each unordered pair
@@ -382,11 +385,11 @@ def m_spectrum_histogram(
     * A (counts, degree) that has passed the moment checks is not checked
       again.
     * An automorphism maps (u, v) to a pair with the same counts and the
-      same degrees, so over all rows only the least vertex r of each orbit
-      of vertex_orbits is a row.  Each pair (r, v) stands for |O_r| ordered
-      pairs, and for |O_v| more when v is the least of its orbit O_v, in
-      which case it is checked at both ends and the row of v skips r.
-      With every orbit a singleton this is the pass above.
+      same degrees, so only the least vertex r of each orbit is a row.
+      Each pair (r, v) stands for |O_r| ordered pairs, and for |O_v| more
+      when v is the least of its orbit O_v, in which case it is checked at
+      both ends and the row of v skips r.  With every orbit a singleton
+      this is the pass above.
 
     When the pass meets a LocalStatsError, the ordered loop runs instead:
     the failing pair fails there too, and the loop names the first failure
@@ -394,14 +397,9 @@ def m_spectrum_histogram(
     """
     t_cap = fam.n * (fam.n + 1) // _require_positive_slope(fam)
     nu, rows = g.nu, g.rows
-    if vertex is None:
-        from srgpq.automorphism import vertex_orbits  # automorphism imports this module
-
-        orbits, order = vertex_orbits(g, fam), range(nu)
-    else:
-        g.check_vertex(vertex)
-        orbits, order = ((vertex,),), (vertex,)
     size = {orbit[0]: len(orbit) for orbit in orbits}  # the rows, with their orbit sizes
+    for u in size:
+        g.check_vertex(u)
     full = (1 << nu) - 1
     degrees = [row.bit_count() for row in rows]
     histogram: dict[tuple[int, ...], int] = {}
@@ -428,7 +426,7 @@ def m_spectrum_histogram(
             skipped |= 1 << u
     except LocalStatsError:
         histogram = {}
-        for u in order:
+        for u in sorted(x for orbit in orbits for x in orbit):
             for v in bits(full & ~(rows[u] | (1 << u))):
                 try:
                     counts = m_spectrum(g, fam, u, v).counts
@@ -438,40 +436,25 @@ def m_spectrum_histogram(
     return SpectrumHistogram(histogram, None)
 
 
-def predicted_m_spectrum(fam: FamilyInfo) -> dict[int, int]:
-    """The unique solution of the counting system for a lam = 2 family member.
-
-    m_0 = 2, m_n = n(n+2)(n^2-1), m_{n+1} = 2n(n^2-4), m_{n+2} = n(n+1),
-    all other indices zero.
-    """
-    if fam.lam != 2:
-        raise FamilyPreconditionError("the closed-form solution is for lam = 2 members")
-    n = fam.n
-    if n <= 0:
-        raise FamilyPreconditionError("the closed-form solution needs n > 0")
-    solution = {0: 2, n: n * (n + 2) * (n * n - 1), n + 1: 2 * n * (n * n - 4), n + 2: n * (n + 1)}
-    return {i: solution.get(i, 0) for i in range(n + 3)}
-
-
-def check_condition_con(g: Graph, fam: FamilyInfo) -> CheckReport:
+def check_condition_con(g: Graph, orbits: Sequence[Sequence[int]]) -> CheckReport:
     """m_0(u, v) >= 1 for every non-adjacent pair, with the min/max recorded.
 
-    m_0 is the same on a pair and on its image under an automorphism, so
-    only the pairs at the least vertex r of each orbit of vertex_orbits are
-    computed: r with every non-neighbour v, except the least vertices of
-    the orbits before r's, whose pairs with r were computed in their own
-    rows.  Every non-adjacent pair is the image of one of these, and the
-    first vertex in a pair with m_0 = 0, which the witness names with its
-    least such partner, is the least of its orbit.
+    orbits are the vertex orbits of a group of automorphisms, each sorted,
+    by least vertex, such as vertex_orbits returns.  m_0 is the same on a
+    pair and on its image under an automorphism, so only the pairs at the
+    least vertex r of each orbit are computed: r with every non-neighbour
+    v, except the least vertices of the orbits before r's, whose pairs with
+    r were computed in their own rows.  Every non-adjacent pair is the
+    image of one of these, and the first vertex in a pair with m_0 = 0,
+    which the witness names with its least such partner, is the least of
+    its orbit.
     """
-    from srgpq.automorphism import vertex_orbits  # automorphism imports this module
-
     m0_min: Optional[int] = None
     m0_max: Optional[int] = None
     witness = None
     full = (1 << g.nu) - 1
     skipped = 0  # the least vertices of the orbits before u's
-    for orbit in vertex_orbits(g, fam):
+    for orbit in orbits:
         u = orbit[0]
         for v in bits(full & ~(g.rows[u] | skipped | (1 << u))):
             m0 = _m0_mask(g, u, v).bit_count()
@@ -709,64 +692,41 @@ def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     the scalar vanishes and the identity is checked in its degenerate product
     form (nI - A_H is then singular); that case is a diagnostic.  The cells
     of N(u) are checked to be (lam+1)-cliques first, so A_H is the cone over
-    m disjoint K_{lam+1} and the verdict depends only on (n, lam, |N(u)|).
+    m disjoint K_{lam+1} and the verdict depends only on (n, lam, k), k = |N(u)|.
 
     B is never built.  In the order of _neighborhood_ordering (the cells of
-    N(u), then u), B + J is a I + mu J on each cell block of the first k
-    positions, a border b in the last row and column, and a corner c: row i
-    of B + J is a weighted sum of indicator masks, mu C(i) + a {i} + b {k}
-    for i < k and b [0, k) + c {k} for i = k, with C(i) the block of i.
-    With N(j) the positions adjacent to position j in H,
+    N(u), then u at position k), with d = n - lam, mu = n(n+1) and a = mu d,
+    B is mu - 1 + a [i = j] inside a cell, -1 between cells, -d on the
+    border and -d^2 at the corner.  An entry of the product is n B[i][j]
+    less the sum of B[i][t] over the neighbours t of position j in H:
 
-        (B (nI - A_H))[i][j] = n B[i][j] - sum_{t in N(j)} B[i][t]
-                             = |N(j)| - n + sum_w w (n [j in m_w] - |N(j) & m_w|)
+        diagonal, i = j < k:   n(mu - 1 + a) - lam(mu - 1) + d = (n + 1) a = scalar
+        same cell, i != j:     n(mu - 1) - lam(mu - 1) - a + d = d mu - a = 0
+        other cells:           -n + lam + d = 0
+        (k, j), j < k:         -n d + lam d + d^2 = 0
+        (i, k), i < k:         k - n d - (lam + 1) mu - a = k - n(n^2+3n-lam+1) = gap
+        (k, k):                k d - n d^2 = scalar + d gap
 
-    over the weighted masks (w, m_w) of row i.  The terms of mu C(i) and
-    b {k} are the same for every row of one cell, and a {i} changes only
-    position i and the neighbours of i, so a row costs one list comparison.
+    The first four are identities in (n, lam), so only the last two are
+    computed.  In row-major order the first mismatch is (0, k) when k > 0
+    and gap != 0, else (k, k) when d gap != 0.
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
     order = _neighborhood_ordering(g, u, lam)
-    size = len(order)
-    k, width = size - 1, lam + 1
-    mu = n * (n + 1)
-    a, b, c = mu * (n - lam), lam + 1 - n, (lam + 1 - n) * (n + 1 - lam)
+    k = len(order) - 1
     scalar = n * (n + 1) ** 2 * (n - lam)
-    packed = transpose_rows([g.rows[y] for y in order], g.nu)
-    adjacent = [packed[x] for x in order]
-
-    def term(weight: int, mask: int) -> list[int]:
-        """weight (n [j in mask] - |N(j) & mask|) at every position j."""
-        return [
-            weight * (n * (mask >> j & 1) - (row & mask).bit_count())
-            for j, row in enumerate(adjacent)
-        ]
-
-    base = [row.bit_count() - n for row in adjacent]
+    gap = k - n * (n * n + 3 * n - lam + 1)  # |N(u)| less the family valency
     witness = None
-    for i in range(size):
-        if i == k:
-            values = [sum(t) for t in zip(base, term(b, (1 << k) - 1), term(c, 1 << k))]
-        else:
-            if i % width == 0:  # the first position of a cell: its terms serve the whole cell
-                cell = ((1 << width) - 1) << i
-                shared = [sum(t) for t in zip(base, term(mu, cell), term(b, 1 << k))]
-            values = list(shared)
-            values[i] += a * n
-            for j in bits(adjacent[i]):
-                values[j] -= a
-        expected = [0] * size
-        expected[i] = scalar
-        if values != expected:
-            j = next(j for j, (got, want) in enumerate(zip(values, expected)) if got != want)
-            witness = {"entry": [order[i], order[j]], "value": values[j], "expected": expected[j]}
-            break
+    if k and gap:
+        witness = {"entry": [order[0], u], "value": gap, "expected": 0}
+    elif (n - lam) * gap:
+        witness = {"entry": [u, u], "value": scalar + (n - lam) * gap, "expected": scalar}
     return CheckReport(
         name="inv-formula",
         passed=witness is None,
         asserted=fam.in_resolvent_regime,
-        details={"dimension": size, "scalar": scalar, "degenerate": scalar == 0},
+        details={"dimension": k + 1, "scalar": scalar, "degenerate": scalar == 0},
         witness=witness,
     )
 

@@ -13,8 +13,9 @@ self-loop and symmetry checks of a Graph, check-con's m_0 from the M_0 set
 of each pair, and the PQ axiom (iii) one line and one point at a time,
 the diamond-free check one adjacent pair of every neighbourhood at a time,
 the cliques of a neighbourhood by breadth-first search over its components,
-the maximal cliques one edge closure at a time, and the related 4-sets
-from every pair in order.
+the maximal cliques one edge closure at a time, the related 4-sets
+from every pair in order, and the closed-form m-spectrum of a lam = 2
+member.
 They live here only so the differential tests can demand equal results,
 equal exception types and equal messages from the kernels.
 """
@@ -48,6 +49,7 @@ from srgpq.graphcore import (
     phi_partition,
 )
 from srgpq.localstats import (
+    FamilyPreconditionError,
     LocalStatsError,
     MatchedPairTable,
     MomentIdentityError,
@@ -149,6 +151,22 @@ def m_spectrum_histogram(
                 return histogram, {"u": u, "v": v, "error": str(exc)}
             histogram[counts] = histogram.get(counts, 0) + 1
     return histogram, None
+
+
+def predicted_m_spectrum(fam: FamilyInfo) -> dict[int, int]:
+    """The unique solution of the counting system for a lam = 2 family member.
+
+    m_0 = 2, m_n = n(n+2)(n^2-1), m_{n+1} = 2n(n^2-4), m_{n+2} = n(n+1),
+    all other indices zero.  It holds at lam = 2 only: the n = 4, lam = 3
+    member on 625 vertices has m_4 = 300, where n(n+2)(n^2-1) = 360.
+    """
+    if fam.lam != 2:
+        raise FamilyPreconditionError("the closed-form solution is for lam = 2 members")
+    n = fam.n
+    if n <= 0:
+        raise FamilyPreconditionError("the closed-form solution needs n > 0")
+    solution = {0: 2, n: n * (n + 2) * (n * n - 1), n + 1: 2 * n * (n * n - 4), n + 2: n * (n + 1)}
+    return {i: solution.get(i, 0) for i in range(n + 3)}
 
 
 def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
@@ -272,10 +290,12 @@ def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
         [n * (i == j) - int(g.adjacent(order[i], order[j])) for j in range(size)]
         for i in range(size)
     ]
+    # each column of nI - A_H by its nonzero entries: n at j, -1 at the neighbours of j
+    columns = [[(t, x) for t, x in enumerate(column) if x] for column in zip(*resolvent)]
     witness = None
     for i in range(size):
         for j in range(size):
-            value = sum(block[i][t] * resolvent[t][j] for t in range(size))
+            value = sum(block[i][t] * x for t, x in columns[j])
             expected = scalar if i == j else 0
             if value != expected:
                 witness = {"entry": [order[i], order[j]], "value": value, "expected": expected}

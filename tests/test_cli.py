@@ -602,10 +602,10 @@ def test_local_stats_error_after_the_preconditions_returns_3(
     # by the one eq-pq sweep call, is a fault of srgpq.
     kernel = getattr(srgpq.cli, name)
 
-    def failing(g, fam, *vertex):
-        if vertex in ((), (5,)):
+    def failing(g, fam, vertex_or_orbits):
+        if name == "verify_eq_pq" or vertex_or_orbits == 5:
             raise LocalStatsError("stopped partway through the sweep")
-        return kernel(g, fam, *vertex)
+        return kernel(g, fam, vertex_or_orbits)
 
     monkeypatch.setattr(f"srgpq.cli.{name}", failing)
     code, out, err = _run(capsys, [command, _graph_file(tmp_path, build_gq35())])

@@ -19,6 +19,7 @@ import pytest
 
 from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, toggle, two_switch
 from srgpq import localstats
+from srgpq.automorphism import vertex_orbits
 from srgpq.graphcore import Graph, GraphError, NeighborhoodStructureError, bits
 from srgpq.localstats import (
     FamilyPreconditionError,
@@ -127,7 +128,7 @@ def test_kernels_match_the_loops_on_gq35_mutants():
             for v in range(u + 1, g.nu)
             if not g.adjacent(u, v)
         ]
-        report = check_condition_con(g, fam)
+        report = check_condition_con(g, vertex_orbits(g, fam))
         assert (report.details["m0_min"], report.details["m0_max"]) == (min(m0), max(m0))
         assert report.details["pairs"] == len(m0)
     assert moment_failures > 0
@@ -154,7 +155,7 @@ def test_kernels_match_the_loops_on_ovoid256_mutants():
 
 
 def _assert_resolvent_kernels_agree(g: Graph, fam: FamilyInfo, bases) -> list:
-    outcomes = [_outcome(verify_eq_pq, g, fam)]
+    outcomes = [_outcome(verify_eq_pq, g, fam, vertex_orbits(g, fam))]
     assert outcomes[0] == _outcome(oracles.verify_eq_pq, g, fam)
     for u in bases:
         outcomes.append(_outcome(verify_star, g, fam, u))
@@ -247,7 +248,7 @@ def test_star_witness_names_a_toggled_pair_of_non_neighbours():
             "lhs": -scalar * adjacent,
             "rhs": -scalar * (1 - adjacent),
         }
-        eq_pq = verify_eq_pq(g, fam)
+        eq_pq = verify_eq_pq(g, fam, vertex_orbits(g, fam))
         assert eq_pq == oracles.verify_eq_pq(g, fam)
         if u == 0:  # every triple at u = 0 before (v, w) is untouched
             assert (eq_pq.witness["u"], eq_pq.witness["v"], eq_pq.witness["w"]) == (u, v, w)
@@ -261,7 +262,7 @@ VALID_FAMILIES = [fam for fam in FAMILIES if fam.n > 0 and fam.lam <= fam.n]
 
 
 def _assert_sweep_agrees(g: Graph, fam: FamilyInfo, vertex=None):
-    sweep = m_spectrum_histogram(g, fam, vertex)
+    sweep = m_spectrum_histogram(g, fam, vertex_orbits(g, fam) if vertex is None else ((vertex,),))
     histogram, failure = oracles.m_spectrum_histogram(g, fam, None if vertex is None else [vertex])
     assert (sweep.histogram, sweep.failure) == (histogram, failure)
     assert sweep.pairs_checked == sum(histogram.values())
@@ -304,7 +305,7 @@ def test_sweep_matches_the_ordered_loop_on_the_witnesses():
         # every pair has the same spectrum, so one row of the loop pins the full sweep
         v = next(x for x in range(1, 256) if not rows[0] >> x & 1)
         counts = oracles.m_spectrum(g, fam, 0, v).counts
-        assert m_spectrum_histogram(g, fam).histogram == {counts: 256 * 204}
+        assert m_spectrum_histogram(g, fam, vertex_orbits(g, fam)).histogram == {counts: 256 * 204}
         for u in random.Random(3).sample(range(256), 6):
             _assert_sweep_agrees(g, fam, u)
 
@@ -331,7 +332,7 @@ def test_sweep_failure_in_a_late_row():
     fam = FamilyInfo.from_n_lam(2, 2)
     mutant = toggle(gq35_rows(), random.Random(1))
     g = Graph(mutant)
-    passing = [u for u in range(64) if m_spectrum_histogram(g, fam, u).failure is None]
+    passing = [u for u in range(64) if m_spectrum_histogram(g, fam, ((u,),)).failure is None]
     assert len(passing) == 6
     sweep = _assert_sweep_agrees(Graph(_first(mutant, passing)), fam)
     assert sweep.failure["u"] == 6 and sweep.pairs_checked > 5 * 45
@@ -357,7 +358,7 @@ def test_sweep_checks_each_row_against_its_own_degree():
     assert sweep.failure == {"u": 1, "v": 2, "error": "sum m_i = 0, expected 2 at pair (1, 2)"}
 
 
-def test_sweep_runs_the_pair_kernel_once_per_unordered_pair(monkeypatch, trivial_orbits):
+def test_sweep_runs_the_pair_kernel_once_per_unordered_pair(monkeypatch):
     calls = []
     kernel = localstats._spectrum_masks
 
@@ -366,7 +367,8 @@ def test_sweep_runs_the_pair_kernel_once_per_unordered_pair(monkeypatch, trivial
         return kernel(*args)
 
     monkeypatch.setattr(localstats, "_spectrum_masks", counted)
-    assert m_spectrum_histogram(Graph(gq35_rows()), FamilyInfo.from_n_lam(2, 2)).failure is None
+    g, singletons = Graph(gq35_rows()), tuple((v,) for v in range(64))
+    assert m_spectrum_histogram(g, FamilyInfo.from_n_lam(2, 2), singletons).failure is None
     assert len(calls) == len({frozenset(pair) for pair in calls}) == 64 * 45 // 2
 
 
@@ -381,7 +383,8 @@ def test_sweep_runs_the_pair_kernel_once_per_pair_at_each_orbit_representative(m
 
     monkeypatch.setattr(localstats, "_spectrum_masks", counted)
     rows = gq35_rows()
-    sweep = m_spectrum_histogram(Graph(rows), FamilyInfo.from_n_lam(2, 2))
+    g, fam = Graph(rows), FamilyInfo.from_n_lam(2, 2)
+    sweep = m_spectrum_histogram(g, fam, vertex_orbits(g, fam))
     assert sweep.failure is None and sweep.pairs_checked == 64 * 45
     assert calls == [(0, v) for v in range(1, 64) if not rows[0] >> v & 1]
 
@@ -389,12 +392,13 @@ def test_sweep_runs_the_pair_kernel_once_per_pair_at_each_orbit_representative(m
 def test_sweep_rejects_bad_rows():
     g, fam = Graph(gq35_rows()), FamilyInfo.from_n_lam(2, 2)
     with pytest.raises(GraphError):
-        m_spectrum_histogram(g, fam, 64)
+        m_spectrum_histogram(g, fam, ((64,),))
     with pytest.raises(FamilyPreconditionError):
-        m_spectrum_histogram(g, FamilyInfo.from_n_lam(1, 2))
+        m_spectrum_histogram(g, FamilyInfo.from_n_lam(1, 2), vertex_orbits(g, fam))
 
 
-# verify_inv_formula: per-row popcounts against the dense product B (nI - A_H).
+# verify_inv_formula: the clique cells and the two entries that depend on
+# |N(u)|, against the dense product B (nI - A_H).
 
 
 def _assert_inv_formula_agrees(g: Graph, fam: FamilyInfo, u: int):
@@ -440,6 +444,34 @@ def test_inv_formula_matches_the_dense_product_on_toggled_edges():
 def test_inv_formula_matches_the_dense_product_on_random_graphs(g, fam, data):
     u = data.draw(st.integers(-1, g.nu), label="u")
     _assert_inv_formula_agrees(g, fam, u)
+
+
+def _cone(cliques: int, width: int) -> Graph:
+    """cliques disjoint K_width on 0 .. apex - 1, every vertex joined to apex = cliques * width."""
+    apex = cliques * width
+    edges = [(x, apex) for x in range(apex)]
+    edges += [(x, y) for x in range(apex) for y in range(x + 1, x // width * width + width)]
+    return Graph.from_edges(apex + 1, edges)
+
+
+@pytest.mark.parametrize(
+    "n", [n if n <= 5 else pytest.param(n, marks=pytest.mark.slow) for n in range(1, 9)]
+)
+def test_inv_formula_matches_the_dense_product_on_cones(n):
+    # at the apex of a cone over m disjoint K_{lam+1} the clique cells hold, so
+    # only k = m(lam+1) against the valency decides; the valency's own m passes
+    kinds = set()
+    for lam in range(n + 1):
+        valency, width = n * (n * n + 3 * n - lam + 1), lam + 1
+        sizes = set(range(5)) | ({valency // width} if valency % width == 0 else set())
+        for cliques in sorted(sizes):
+            apex, fam = cliques * width, FamilyInfo.from_n_lam(n, lam)
+            report = _assert_inv_formula_agrees(_cone(cliques, width), fam, apex)[1]
+            assert report.passed == (apex == valency or lam == n and cliques == 0)
+            kinds.add("pass" if report.passed else ("corner" if cliques == 0 else "border"))
+            if not report.passed:
+                assert report.witness["entry"] == ([apex, apex] if cliques == 0 else [0, apex])
+    assert kinds == {"pass", "border", "corner"}
 
 
 # psi-regularity: one pass over all pairs of psi cells at once, against the

@@ -14,6 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from srgpq import localstats
+from srgpq.automorphism import vertex_orbits
 from srgpq.graphcore import Graph, TriplePartition, phi_partition
 from srgpq.localstats import (
     FamilyPreconditionError,
@@ -23,7 +24,6 @@ from srgpq.localstats import (
     m_spectrum,
     matched_pairs,
     pair_stats,
-    predicted_m_spectrum,
     psi_partition,
     verify_eq_pq,
     verify_inv_formula,
@@ -96,7 +96,7 @@ def test_pair_stats_adjacent_branch_value(gq35):
 
 
 def test_verify_eq_pq_passes_exhaustively(gq35, fam_gq35):
-    report = verify_eq_pq(gq35, fam_gq35)
+    report = verify_eq_pq(gq35, fam_gq35, vertex_orbits(gq35, fam_gq35))
     assert report.passed
     assert report.details["triples_checked"] == 64 * (45 * 44 // 2)
     assert report.severity == "diagnostic"  # n = 2 is outside the proved range
@@ -104,14 +104,14 @@ def test_verify_eq_pq_passes_exhaustively(gq35, fam_gq35):
 
 def test_verify_eq_pq_detects_mutation(gq35, fam_gq35):
     mutated = gq35.toggle_edge(0, gq35.neighbors(0)[0])
-    report = verify_eq_pq(mutated, fam_gq35)
+    report = verify_eq_pq(mutated, fam_gq35, vertex_orbits(mutated, fam_gq35))
     assert not report.passed
     assert report.witness is not None
 
 
 def test_verify_eq_pq_rejects_rook_family(rook, fam_rook):
     with pytest.raises(FamilyPreconditionError):
-        verify_eq_pq(rook, fam_rook)
+        verify_eq_pq(rook, fam_rook, vertex_orbits(rook, fam_rook))
 
 
 def test_m_spectrum_distribution(gq35, fam_gq35):
@@ -144,9 +144,9 @@ def test_m_spectrum_rejects_negative_family(rook, fam_rook):
 
 def test_predicted_m_spectrum_formula():
     # n = 2 reproduces the measured witness distribution
-    assert predicted_m_spectrum(FamilyInfo.from_n_lam(2, 2)) == {0: 2, 1: 0, 2: 24, 3: 0, 4: 6}
+    assert oracles.predicted_m_spectrum(FamilyInfo.from_n_lam(2, 2)) == {0: 2, 1: 0, 2: 24, 3: 0, 4: 6}
     # n = 3: m_3 = 3*5*8 = 120, m_4 = 2*3*5 = 30, m_5 = 12
-    assert predicted_m_spectrum(FamilyInfo.from_n_lam(3, 2)) == {
+    assert oracles.predicted_m_spectrum(FamilyInfo.from_n_lam(3, 2)) == {
         0: 2,
         1: 0,
         2: 0,
@@ -155,25 +155,25 @@ def test_predicted_m_spectrum_formula():
         5: 12,
     }
     # the totals match the first moment identity at n = 3: nu-2k+mu-2
-    assert sum(predicted_m_spectrum(FamilyInfo.from_n_lam(3, 2)).values()) == 256 - 102 + 12 - 2
+    assert sum(oracles.predicted_m_spectrum(FamilyInfo.from_n_lam(3, 2)).values()) == 256 - 102 + 12 - 2
 
 
 def test_m_spectrum_matches_prediction(gq35, fam_gq35):
-    predicted = predicted_m_spectrum(fam_gq35)
+    predicted = oracles.predicted_m_spectrum(fam_gq35)
     spectrum = m_spectrum(gq35, fam_gq35, 0, _outside(gq35, 0)[3])
     for i, count in predicted.items():
         assert spectrum.counts[i] == count
 
 
 def test_check_condition_con_gq35(gq35, fam_gq35):
-    report = check_condition_con(gq35, fam_gq35)
+    report = check_condition_con(gq35, vertex_orbits(gq35, fam_gq35))
     assert report.passed
     assert report.details["m0_min"] == report.details["m0_max"] == 2
     assert report.severity == "asserted-pass"
 
 
 def test_check_condition_con_rook(rook, fam_rook):
-    report = check_condition_con(rook, fam_rook)
+    report = check_condition_con(rook, vertex_orbits(rook, fam_rook))
     assert report.passed
     assert report.details["m0_min"] == 4  # the rook satisfies (con) with slack
 
@@ -409,7 +409,7 @@ def test_nondegenerate_identities_on_clebsch():
     # resolvent scalar n(n+1)^2(n-lam) = 4 is nonzero (invertible case)
     g = _clebsch()
     fam = FamilyInfo.from_n_lam(1, 0)
-    report = verify_eq_pq(g, fam)
+    report = verify_eq_pq(g, fam, vertex_orbits(g, fam))
     assert report.passed and report.severity == "asserted-pass"
     for u in (0, 9):
         inv_report = verify_inv_formula(g, fam, u)

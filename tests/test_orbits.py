@@ -48,14 +48,14 @@ OVOID = FamilyInfo.from_n_lam(3, 2)
 
 
 def _histogram(g: Graph, fam: FamilyInfo):
-    sweep = m_spectrum_histogram(g, fam)
+    sweep = m_spectrum_histogram(g, fam, vertex_orbits(g, fam))
     return sweep.histogram, sweep.failure
 
 
 SWEEPS = {
-    "check-con": check_condition_con,
+    "check-con": lambda g, fam: check_condition_con(g, vertex_orbits(g, fam)),
     "local-stats": _histogram,
-    "eq-pq": verify_eq_pq,
+    "eq-pq": lambda g, fam: verify_eq_pq(g, fam, vertex_orbits(g, fam)),
     "check-star": lambda g, fam: _check_star(None, g, fam),
     "check-psi": lambda g, fam: _check_psi(None, g, fam),
 }

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import srgpq
 
@@ -34,3 +36,38 @@ def test_only_localstats_binds_the_matched_pair_table():
         if info.name != "localstats":
             module = importlib.import_module(f"srgpq.{info.name}")
             assert "matched_pairs" not in vars(module), info.name
+
+
+def _package_imports(tree: ast.Module, modules: set[str]) -> set[str]:
+    """The modules of srgpq that a module imports at its top level (srgpq imports absolutely)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name.split(".")[1] for name in names if name.startswith("srgpq.")} & modules
+
+
+def test_imports_sit_at_module_level_and_form_a_dag():
+    # a function-local import is how a cycle between modules hides; localstats
+    # takes its orbits from the caller and never reaches automorphism
+    files = {path.stem: path for path in Path(srgpq.__file__).parent.glob("*.py")}
+    graph = {}
+    for name, path in files.items():
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [
+                    node.lineno
+                    for node in ast.walk(function)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+                assert not nested, (name, function.name, nested)
+        graph[name] = _package_imports(tree, set(files))
+    assert "automorphism" not in graph["localstats"]
+    done: set[str] = set()
+    while len(done) < len(graph):  # peel off the modules whose imports are all peeled
+        ready = {name for name, imports in graph.items() if name not in done and imports <= done}
+        assert ready, sorted(set(graph) - done)
+        done |= ready

@@ -27,13 +27,13 @@ from srgpq.automorphism import (
 from srgpq.cli import _check_psi, _related, run
 from srgpq.graphcore import Graph
 from srgpq.localstats import (
-    predicted_m_spectrum,
     psi_partition,
     verify_inv_formula,
     verify_psi_regularity,
     verify_star,
 )
 from srgpq.params import FamilyInfo
+from tests import oracles
 
 FAMILY = FamilyInfo.from_n_lam(3, 2)
 
@@ -68,7 +68,7 @@ def test_local_stats_is_an_asserted_pass_with_the_predicted_spectrum(
     histogram = report["results"]["m_spectrum_histogram"]
     assert histogram == {"2 0 0 120 30 12 0": 256 * 204}
     # the spectrum runs to t = mu / (n - lam + 1) = 6; the closed form stops at n + 2 = 5
-    predicted = predicted_m_spectrum(FAMILY)
+    predicted = oracles.predicted_m_spectrum(FAMILY)
     assert list(histogram) == [" ".join(str(predicted.get(i, 0)) for i in range(7))]
     assert report["results"]["m0_range"] == [2, 2]
 
