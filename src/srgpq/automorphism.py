@@ -325,7 +325,9 @@ def _three_cycles(nu: int, oriented: Sequence[tuple[tuple[int, int, int], int]])
     return Permutation(tuple(images))
 
 
-def canonical_sigma_family(g: Graph, fam: FamilyInfo, z: int = 0) -> dict[int, Permutation]:
+def canonical_sigma_family(
+    g: Graph, fam: FamilyInfo, kept: dict[int, Permutation], z: int = 0
+) -> dict[int, Permutation]:
     """One automorphism per vertex, normalized by sigma_u(z) = sigma_z^{-1}(u).
 
     sigma_z is build_sigma's permutation at z; for every other u it is
@@ -333,12 +335,14 @@ def canonical_sigma_family(g: Graph, fam: FamilyInfo, z: int = 0) -> dict[int, P
     normalization.  At most one can, and SigmaNormalizationError is raised
     when neither does.
 
-    build_sigma runs only at z and at the least vertex r of each orbit of
-    the sigmas that vertex_orbits keeps, and those builds are reused.  The
-    other vertices u of the orbit are reached breadth-first from r over
-    the kept sigmas, a Schreier transversal: t_u = s t_x for the kept sigma
-    s with s(x) = u.  Before the normalization u gets t_u sigma_r t_u^{-1},
-    which is s conjugating the permutation at x.
+    kept maps base vertices to build_sigma's permutations there, such as
+    the sigmas that verified_sigmas keeps.  build_sigma runs only at z and
+    at the least vertex r of each orbit of the kept sigmas, and the kept
+    builds are reused.  The other vertices u of the orbit are reached
+    breadth-first from r over the kept sigmas, a Schreier transversal:
+    t_u = s t_x for the kept sigma s with s(x) = u.  Before the
+    normalization u gets t_u sigma_r t_u^{-1}, which is s conjugating the
+    permutation at x.
 
     Lemma: an automorphism t with t(r) = u maps the phi and psi cells at r
     onto those at u.  So t sigma_r t^{-1} turns every cell at u as a
@@ -353,7 +357,7 @@ def canonical_sigma_family(g: Graph, fam: FamilyInfo, z: int = 0) -> dict[int, P
     same.  With singleton orbits, every vertex is built.
     """
     g.check_vertex(z)
-    _, built = _verified_sigmas(g, fam)
+    built = dict(kept)
     generators = [(sigma.images, sigma.inverse().images) for sigma in built.values()]
     if z not in built:
         built[z] = build_sigma(g, fam, z)
@@ -609,26 +613,30 @@ def generate_gamma(
 
 
 def vertex_orbits(g: Graph, fam: FamilyInfo) -> tuple[tuple[int, ...], ...]:
-    """The vertex orbits of a group generated by verified sigmas, each sorted, by least vertex.
+    """The vertex orbits of verified_sigmas, for a sweep that takes its orbits.
 
     A per-base-vertex check gives the same verdict at every vertex of an
     orbit of an automorphism group, so a sweep may visit the least vertex
-    of each orbit and count it once per vertex of the orbit.  Only lam = 2
-    members have sigmas; for any other family every orbit is a singleton.
-    The first sigma is built at vertex 0 and each next one at the least
-    vertex outside the orbit of 0.  Building stops at one orbit, at a build
-    that raises one of SIGMA_ERRORS or does not merge two orbits, or after
-    nu.bit_length() builds, and the orbits of the sigmas kept so far are
-    returned.  build_sigma returns only permutations that pass its
-    automorphism check, so these are always orbits of automorphisms.
+    of each orbit and count it once per vertex of the orbit.
     """
-    return _verified_sigmas(g, fam)[0]
+    return verified_sigmas(g, fam)[0]
 
 
-def _verified_sigmas(
+def verified_sigmas(
     g: Graph, fam: FamilyInfo
 ) -> tuple[tuple[tuple[int, ...], ...], dict[int, Permutation]]:
-    """vertex_orbits' orbits, and the sigmas it kept, by the vertex each was built at."""
+    """The vertex orbits of a group generated by verified sigmas, and the sigmas kept.
+
+    The orbits are each sorted, by least vertex; the sigmas are keyed by
+    the vertex each was built at.  Only lam = 2 members have sigmas; for
+    any other family every orbit is a singleton.  The first sigma is built
+    at vertex 0 and each next one at the least vertex outside the orbit of
+    0.  Building stops at one orbit, at a build that raises one of
+    SIGMA_ERRORS or does not merge two orbits, or after nu.bit_length()
+    builds, and the orbits of the sigmas kept so far are returned.
+    build_sigma returns only permutations that pass its automorphism
+    check, so these are always orbits of automorphisms.
+    """
     orbits = tuple((v,) for v in range(g.nu))
     kept: dict[int, Permutation] = {}
     if fam.lam != 2:

@@ -21,20 +21,21 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from srgpq.automorphism import (
     SIGMA_ERRORS,
     ClosureCapError,
+    Permutation,
     RelatedSetError,
     canonical_sigma_family,
     generate_gamma,
     related_set,
+    verified_sigmas,
     verify_inverse_law,
     verify_involution_property,
-    vertex_orbits,
 )
 from srgpq.geometry import (
     GeometryError,
@@ -308,35 +309,88 @@ def _not_applicable(name: str, reason: str, **details) -> CheckReport:
     return CheckReport(name=name, passed=False, asserted=False, details=details)
 
 
-def _family_context(g: Graph) -> tuple[CheckReport, Optional[FamilyInfo]]:
-    """The preconditions check of the family analyses, and the family member or None."""
-    params, witness = is_srg_report(g)
-    family = None
+@dataclass(frozen=True)
+class FamilyContext:
+    """A family member and the sigmas verified on the input, built once per call.
+
+    orbits and sigmas are what verified_sigmas returns for the member: the
+    vertex orbits of the group the sigmas generate, and each sigma by the
+    vertex it was built at.
+    """
+
+    family: FamilyInfo
+    orbits: tuple[tuple[int, ...], ...]
+    sigmas: dict[int, Permutation]
+
+    @classmethod
+    def of(cls, g: Graph, family: FamilyInfo) -> "FamilyContext":
+        return cls(family, *verified_sigmas(g, family))
+
+
+def _proposed_family(g: Graph) -> Optional[FamilyInfo]:
+    """The family member of the parameters read at row 0 of a regular graph, or None.
+
+    lam and mu are the common neighbours of 0 with its least neighbour and
+    with its least non-neighbour.  On a strongly regular graph these are
+    its parameters.
+    """
+    rows = g.rows
+    if not rows or any(row.bit_count() != rows[0].bit_count() for row in rows):
+        return None
+    neighbours, others = rows[0], ((1 << g.nu) - 2) & ~rows[0]
+    if not (neighbours and others):
+        return None
+    lam = (rows[0] & rows[(neighbours & -neighbours).bit_length() - 1]).bit_count()
+    mu = (rows[0] & rows[(others & -others).bit_length() - 1]).bit_count()
+    try:
+        return detect_family(SrgParams(g.nu, neighbours.bit_count(), lam, mu))
+    except ParameterError:
+        return None
+
+
+def _family_context(g: Graph) -> tuple[CheckReport, Optional[FamilyContext]]:
+    """The preconditions check of the family analyses, and the member's context or None.
+
+    The context comes first, for the member proposed from row 0: the orbits
+    of its verified sigmas cut both precondition checks to one row per
+    orbit, and the analysis reuses the orbits and the sigmas.  The proposal
+    changes only the speed, never a verdict: every kept sigma passed
+    build_sigma's automorphism check, and automorphisms preserve adjacency,
+    common-neighbour counts and diamonds.  Without a proposal every orbit
+    is a singleton, and the checks visit every vertex.  The preconditions
+    pass only on a strongly regular graph, whose parameters are those read
+    at row 0, so the member is then the proposal.
+    """
+    proposal = _proposed_family(g)
+    context = None if proposal is None else FamilyContext.of(g, proposal)
+    orbits = None if context is None else context.orbits
+    params, witness = is_srg_report(g, orbits)
+    passed = False
     details = {"requirement": "strongly-regular"}
     if params is not None:
-        ok, diamond = is_diamond_free(g)
-        family = detect_family(params) if ok else None
+        ok, diamond = is_diamond_free(g, orbits)
         details = {"params": params}
         if not ok:
             details["requirement"] = "diamond-free"
             witness = {"induced_diamond": list(diamond)}
-        elif family is None:
+        elif context is None:
             details["requirement"] = "family-member"
             witness = {"error": "mu is not of the form n(n+1) matching nu and k"}
         else:
-            details["family"] = asdict(family)
+            details["family"] = asdict(context.family)
+            passed = True
     check = CheckReport(
-        name="preconditions", passed=family is not None, asserted=True, details=details, witness=witness
+        name="preconditions", passed=passed, asserted=True, details=details, witness=witness
     )
-    return check, family
+    return check, context if passed else None
 
 
-# Analyses: (args, input, family member or None) -> (checks, results).  They
+# Analyses: (args, input, FamilyContext or None) -> (checks, results).  They
 # call the library through this module's globals at call time, so perfbench's
 # tracer, which patches those names, sees every call.
 
 
-def _feasibility(args, _input, _family):
+def _feasibility(args, _input, _context):
     def parse():
         params = SrgParams(args.nu, args.k, args.lam, args.mu)
         return params, {"params": params}
@@ -344,7 +398,7 @@ def _feasibility(args, _input, _family):
     return _parameter_report(parse)
 
 
-def _pq_params(args, _input, _family):
+def _pq_params(args, _input, _context):
     def parse():
         pq = PqParams(args.s, args.t, args.mu)
         return pq_to_srg(pq), {"pq_params": pq, "generalized_quadrangle": pq.is_generalized_quadrangle}
@@ -352,7 +406,7 @@ def _pq_params(args, _input, _family):
     return _parameter_report(parse)
 
 
-def _check_srg(args, g: Graph, _family):
+def _check_srg(args, g: Graph, _context):
     params, witness = is_srg_report(g)
     check = CheckReport(
         name="strongly-regular",
@@ -364,7 +418,7 @@ def _check_srg(args, g: Graph, _family):
     return [check], {"srg_params": None} if params is None else _spectrum_results(params)
 
 
-def _check_diamond_free(args, g: Graph, _family):
+def _check_diamond_free(args, g: Graph, _context):
     ok, witness = is_diamond_free(g)
     check = CheckReport(
         name="diamond-free",
@@ -375,10 +429,11 @@ def _check_diamond_free(args, g: Graph, _family):
     return [check], {"diamond_free": ok}
 
 
-def _local_stats(args, g: Graph, family: FamilyInfo):
+def _local_stats(args, g: Graph, context: FamilyContext):
+    family = context.family
     if family.n <= 0 or family.lam > family.n:
         return [_not_applicable("m-spectrum", "needs n > 0 and lam <= n", n=family.n)], {}
-    orbits = vertex_orbits(g, family) if args.vertex is None else ((args.vertex,),)
+    orbits = context.orbits if args.vertex is None else ((args.vertex,),)
     sweep = m_spectrum_histogram(g, family, orbits)
     m0_values = [counts[0] for counts in sweep.histogram]
     results = {
@@ -397,20 +452,20 @@ def _local_stats(args, g: Graph, family: FamilyInfo):
     return [check], results
 
 
-def _check_con(args, g: Graph, family: FamilyInfo):
-    report = check_condition_con(g, vertex_orbits(g, family))
+def _check_con(args, g: Graph, context: FamilyContext):
+    report = check_condition_con(g, context.orbits)
     return [report], {"m0_min": report.details["m0_min"], "m0_max": report.details["m0_max"]}
 
 
-def _check_eq_pq(args, g: Graph, family: FamilyInfo):
+def _check_eq_pq(args, g: Graph, context: FamilyContext):
     try:
-        report = verify_eq_pq(g, family, vertex_orbits(g, family))
+        report = verify_eq_pq(g, context.family, context.orbits)
     except FamilyPreconditionError as exc:
         return [_not_applicable("eq-pq", str(exc))], {}
     return [report], {"triples_checked": report.details.get("triples_checked")}
 
 
-# The per-vertex sweeps visit the least vertex of each orbit of vertex_orbits
+# The per-vertex sweeps visit the least vertex of each orbit of the context
 # and count it once per vertex of its orbit: an automorphism carries each
 # check's verdict and witness at u to its image.  The first failing vertex is
 # the least of its orbit, so the first failure recorded is the same.
@@ -430,10 +485,11 @@ def _vertex_checks(failures: dict, checked: dict, asserted: bool) -> list[CheckR
     ]
 
 
-def _check_star(args, g: Graph, family: FamilyInfo):
+def _check_star(args, g: Graph, context: FamilyContext):
+    family = context.family
     failures = {"inv-formula": [], "star-identity": []}  # (orbit size, failure)
     try:
-        for orbit in vertex_orbits(g, family):
+        for orbit in context.orbits:
             u = orbit[0]
             for report in (verify_inv_formula(g, family, u), verify_star(g, family, u)):
                 if not report.passed:
@@ -444,10 +500,11 @@ def _check_star(args, g: Graph, family: FamilyInfo):
     return _vertex_checks(failures, checked, family.in_resolvent_regime), {"vertices_checked": g.nu}
 
 
-def _check_psi(args, g: Graph, family: FamilyInfo):
+def _check_psi(args, g: Graph, context: FamilyContext):
+    family = context.family
     failures = {"psi-partition": [], "psi-regularity": []}  # (orbit size, failure)
     r_distribution: dict[str, int] = {}
-    for orbit in vertex_orbits(g, family):
+    for orbit in context.orbits:
         u, size = orbit[0], len(orbit)
         try:
             report = verify_psi_regularity(g, family, u)
@@ -468,10 +525,10 @@ GAMMA_RESULTS = ("order", "abelian", "transitive", "orbit_sizes", "element_order
                  "fixed_point_histogram", "order_power_of_two")
 
 
-def _sigma(args, g: Graph, family: FamilyInfo):
-    asserted = family.in_triple_regime
+def _sigma(args, g: Graph, context: FamilyContext):
+    asserted = context.family.in_triple_regime
     try:
-        sigma_family = canonical_sigma_family(g, family, z=args.base)
+        sigma_family = canonical_sigma_family(g, context.family, context.sigmas, z=args.base)
     except SIGMA_ERRORS as exc:
         return [_error_check("sigma-family", asserted, {"base": args.base}, exc)], {}
     orders = sorted({sigma.order() for sigma in sigma_family.values()})
@@ -491,10 +548,11 @@ def _sigma(args, g: Graph, family: FamilyInfo):
     return checks, {"sigma_images": images}
 
 
-def _group(args, g: Graph, family: FamilyInfo):
+def _group(args, g: Graph, context: FamilyContext):
+    family = context.family
     asserted = family.in_triple_regime
     try:
-        sigma_family = canonical_sigma_family(g, family, z=args.base)
+        sigma_family = canonical_sigma_family(g, family, context.sigmas, z=args.base)
         report = generate_gamma(sigma_family, family, cap=args.cap)
     except SIGMA_ERRORS + (ClosureCapError,) as exc:
         return [_error_check("gamma-closure", asserted, {}, exc)], {}
@@ -522,19 +580,20 @@ def _group(args, g: Graph, family: FamilyInfo):
     return checks, results
 
 
-def _related(args, g: Graph, family: FamilyInfo):
+def _related(args, g: Graph, context: FamilyContext):
     """The partition of the pairs into related 4-sets, from one row per orbit.
 
     An automorphism maps related sets to related sets, so every pair passes
-    related_set iff every pair at the least vertex of each orbit of
-    vertex_orbits passes.  On a pass the sets partition the pairs, and a
+    related_set iff every pair at the least vertex of each orbit of the
+    context passes.  On a pass the sets partition the pairs, and a
     clique set holds 6 edges and an independent one 6 non-edges, so the
     counts follow from the edge count.  On a failure the rows are every
     vertex, in order: that is the loop over all pairs in combinations
     order, which names the first failing pair and counts the sets before it.
     With singleton orbits the first pass already is that loop.
     """
-    rows = [orbit[0] for orbit in vertex_orbits(g, family)]
+    family = context.family
+    rows = [orbit[0] for orbit in context.orbits]
     kinds, witness = _related_rows(g, family, rows)
     if witness is None:
         edges, pairs = g.edge_count, g.nu * (g.nu - 1) // 2
@@ -579,7 +638,7 @@ def _related_rows(g: Graph, family: FamilyInfo, rows: Sequence[int]):
     return kinds, None
 
 
-def _pq_axioms(args, incidence, _family):
+def _pq_axioms(args, incidence, _context):
     report = verify_pq_axioms(incidence)
     results = {
         "points": incidence.num_points,
@@ -597,7 +656,7 @@ def _pq_axioms(args, incidence, _family):
     return [check], results
 
 
-def _diophantine(args, _input, _family):
+def _diophantine(args, _input, _context):
     solutions = solve_diophantine_17(args.max)
     expected = [pair for pair in DIOPHANTINE_REFERENCE if pair[0] <= args.max]
     check = CheckReport(
@@ -610,7 +669,7 @@ def _diophantine(args, _input, _family):
     return [check], {"solutions": solutions}
 
 
-def _certificate(args, _input, _family):
+def _certificate(args, _input, _context):
     system = pq_3_35_20_certificate()
     results = {
         "unknowns": list(system.unknowns),
@@ -704,12 +763,12 @@ def _analyze(args) -> int:
     input_seconds = time.perf_counter() - started
     checks: list[CheckReport] = []
     results: dict = {}
-    family = None
+    context = None
     if args.kind == FAMILY:
-        precondition, family = _family_context(source)
+        precondition, context = _family_context(source)
         checks.append(precondition)
-    if args.kind != FAMILY or family is not None:
-        found, results = args.analysis(args, source, family)
+    if args.kind != FAMILY or context is not None:
+        found, results = args.analysis(args, source, context)
         checks.extend(found)
 
     document = {"command": args._argv, "results": _jsonable(results)}

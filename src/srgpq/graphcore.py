@@ -263,8 +263,21 @@ def common_neighbors(g: Graph, vs: Sequence[int]) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
-def is_srg_report(g: Graph) -> tuple[Optional[SrgParams], Optional[dict]]:
-    """(params, None) when g is a nontrivial SRG, else (None, witness dict)."""
+def is_srg_report(
+    g: Graph, orbits: Optional[Sequence[Sequence[int]]] = None
+) -> tuple[Optional[SrgParams], Optional[dict]]:
+    """(params, None) when g is a nontrivial SRG, else (None, witness dict).
+
+    orbits are the vertex orbits of a group of automorphisms, each sorted,
+    by least vertex; None stands for the singletons.  Regularity is checked
+    on every row.  Common-neighbour counts are the same on a pair and on
+    its image under an automorphism, so the pairs are tested only at the
+    least vertex r of each orbit: r with every vertex except the least
+    vertices of the orbits before r's, as check_condition_con does.  Every
+    pair is the image of one of these, so the verdict is that of all pairs.
+    With singletons this is the loop over the pairs u < v, and an orbit
+    pass that fails reruns it, so the witness is always that loop's.
+    """
     if g.nu < 4:
         return None, {"reason": "too-few-vertices", "nu": g.nu}
     rows = g.rows
@@ -273,11 +286,27 @@ def is_srg_report(g: Graph) -> tuple[Optional[SrgParams], Optional[dict]]:
         d = rows[v].bit_count()
         if d != k:
             return None, {"reason": "not-regular", "vertex": v, "degree": d, "expected": k}
+    singletons = tuple((v,) for v in range(g.nu))
+    orbits = singletons if orbits is None else orbits
+    params, witness = _pair_counts(g, k, orbits)
+    if witness is not None and len(orbits) < g.nu:
+        params, witness = _pair_counts(g, k, singletons)
+    return params, witness
+
+
+def _pair_counts(
+    g: Graph, k: int, orbits: Sequence[Sequence[int]]
+) -> tuple[Optional[SrgParams], Optional[dict]]:
+    """is_srg_report's verdict on a k-regular graph from the pairs at each orbit's least vertex."""
+    rows = g.rows
     lam: Optional[int] = None
     mu: Optional[int] = None
-    for u in range(g.nu):
+    rest = list(range(g.nu))  # every vertex but the least vertices of the orbits so far
+    for orbit in orbits:
+        u = orbit[0]
+        rest.remove(u)
         row_u = rows[u]
-        for v in range(u + 1, g.nu):
+        for v in rest:
             count = (row_u & rows[v]).bit_count()
             if row_u >> v & 1:
                 if lam is None:
@@ -338,15 +367,20 @@ def _diamond_at(rows: Sequence[int], v: int) -> tuple[int, int, int, int]:
                 return tuple(sorted((v, x, y, next(bits(closed_x ^ closed_y)))))
 
 
-def is_diamond_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
+def is_diamond_free(
+    g: Graph, orbits: Optional[Sequence[Sequence[int]]] = None
+) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     """Neighborhood criterion: every <N(v)> must be a disjoint union of cliques.
 
     Returns (True, None) or (False, witness) where the witness induces a
     diamond (four vertices carrying five edges), found at the first vertex
-    v that fails.
+    v that fails.  orbits are as for is_srg_report, None for the
+    singletons.  An automorphism maps diamonds to diamonds, so only the
+    least vertex of each orbit is tested, in ascending order: the first
+    vertex that fails is the least of its orbit.
     """
     rows = g.rows
-    for v in range(g.nu):
+    for v in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
         if _clique_masks(rows, v) is None:
             return False, _diamond_at(rows, v)
     return True, None

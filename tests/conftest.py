@@ -10,7 +10,7 @@ from srgpq.params import FamilyInfo
 
 @pytest.fixture
 def trivial_orbits(monkeypatch):
-    """Make build_sigma raise: vertex_orbits gives singletons, and sweeps visit every vertex."""
+    """Make build_sigma raise: verified_sigmas keeps none, and sweeps visit every vertex."""
     from srgpq.automorphism import SigmaConstructionError
 
     def refuse(g, fam, u):
@@ -46,15 +46,16 @@ def fam_rook():
 
 @pytest.fixture(scope="session")
 def sigma_family(gq35, fam_gq35):
-    from srgpq.automorphism import canonical_sigma_family
+    from srgpq.automorphism import canonical_sigma_family, verified_sigmas
 
-    return canonical_sigma_family(gq35, fam_gq35, z=0)
+    return canonical_sigma_family(gq35, fam_gq35, verified_sigmas(gq35, fam_gq35)[1], z=0)
 
 
 @pytest.fixture(scope="session")
 def sigma_family_n3():
     """The canonical sigma family of the n = 3 witness (about 0.02 s); copy it before mutating."""
-    from srgpq.automorphism import canonical_sigma_family
+    from srgpq.automorphism import canonical_sigma_family, verified_sigmas
     from srgpq.geometry import build_ovoid256
 
-    return canonical_sigma_family(build_ovoid256(), FamilyInfo.from_n_lam(3, 2))
+    g, fam = build_ovoid256(), FamilyInfo.from_n_lam(3, 2)
+    return canonical_sigma_family(g, fam, verified_sigmas(g, fam)[1])

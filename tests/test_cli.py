@@ -3,8 +3,10 @@ exit codes, and report determinism."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import random
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srgpq.cli
-from perfbench.inputs import ovoid256_rows, relabel, seeded_permutation
+from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, seeded_permutation, toggle, two_switch
 from srgpq.cli import Graph6Error, _build_parser, parse_graph6, run, serialize_graph6
 from srgpq.geometry import build_gq35, build_rook4, build_shrikhande
 from srgpq.automorphism import RelatedSetError, SigmaConstructionError
@@ -22,6 +24,7 @@ from srgpq.graphcore import Graph, GraphError
 from srgpq.localstats import LocalStatsError
 from srgpq.params import FamilyInfo
 from tests import oracles
+from tests.test_orbits import FAMILY_COMMANDS, GQ35, OVOID, _sigma_0_switch
 
 
 def _run(capsys, argv):
@@ -275,9 +278,11 @@ def test_related_reruns_the_ordered_loop_after_a_failing_orbit_pass(monkeypatch)
     monkeypatch.setattr("srgpq.cli.related_set", refusing)
     monkeypatch.setattr("tests.oracles.related_set", refusing)
     two_orbits = (tuple(range(10)), tuple(range(10, 64)))
-    monkeypatch.setattr("srgpq.cli.vertex_orbits", lambda g, fam: two_orbits)
+    monkeypatch.setattr("srgpq.cli.verified_sigmas", lambda g, fam: (two_orbits, {}))
     gq35, family = build_gq35(), FamilyInfo.from_n_lam(2, 2)
-    checks, results = srgpq.cli._related(None, gq35, family)
+    precondition, context = srgpq.cli._family_context(gq35)
+    assert precondition.passed and context == srgpq.cli.FamilyContext(family, two_orbits, {})
+    checks, results = srgpq.cli._related(None, gq35, context)
     assert (checks, results) == oracles.related(gq35, family)
     orbit_kinds, orbit_witness = srgpq.cli._related_rows(gq35, family, [0, 10])
     assert orbit_witness == checks[0].witness and orbit_kinds != results["by_kind"]
@@ -307,7 +312,8 @@ def _related_cases():
 
 @pytest.mark.parametrize("g, family", _related_cases())
 def test_related_matches_the_ordered_loop(g, family):
-    assert srgpq.cli._related(None, g, family) == oracles.related(g, family)
+    context = srgpq.cli.FamilyContext.of(g, family)
+    assert srgpq.cli._related(None, g, context) == oracles.related(g, family)
 
 
 def test_check_star_records_a_failing_vertex(
@@ -565,6 +571,40 @@ def test_rook_family_commands_are_diagnostic(capsys, tmp_path):
     assert code == 0
     names = {check["name"]: check for check in report["checks"]}
     assert names["m-spectrum"]["severity"] == "diagnostic"
+
+
+def _regular_or_mutant(data) -> list[int]:
+    """Rows of a random circulant, or of a toggled, 2-switched or sigma_0-switched witness."""
+    kind = data.draw(st.sampled_from(["circulant", "gq35", "ovoid256", "rook4", "shrikhande"]))
+    if kind == "circulant":
+        nu = data.draw(st.integers(min_value=4, max_value=40), label="nu")
+        steps = data.draw(st.sets(st.integers(1, nu // 2)), label="steps")
+        mask = sum(1 << s | 1 << (nu - s) % nu for s in steps)
+        rows = [((mask << v) | (mask >> (nu - v))) & ((1 << nu) - 1) for v in range(nu)]
+        return relabel(rows, seeded_permutation(nu, random.Random(data.draw(st.integers(0, 99)))))
+    witnesses = {"gq35": (gq35_rows(), GQ35), "ovoid256": (ovoid256_rows(), OVOID),
+                 "rook4": (list(build_rook4().rows), None), "shrikhande": (list(build_shrikhande().rows), None)}
+    rows, family = witnesses[kind]
+    seed = data.draw(st.integers(0, 1 << 16), label="seed")
+    mutations = ["toggle", "two-switch"] + (["sigma_0-switch"] if family else [])
+    mutation = data.draw(st.sampled_from(mutations), label="mutation")
+    if mutation == "sigma_0-switch":
+        return _sigma_0_switch(rows, family, seed)
+    return (toggle if mutation == "toggle" else two_switch)(rows, random.Random(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_family_commands_on_regular_graphs_and_mutants_exit_0_or_1(data):
+    # the sigmas are built before the preconditions, on inputs that fail them too
+    text = serialize_graph6(Graph(_regular_or_mutant(data))) + "\n"
+    for command in FAMILY_COMMANDS:
+        stdout = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout):
+            patch.setattr("sys.stdin", io.StringIO(text))
+            code = run([command, "-"])
+        assert code in (0, 1), command
+        assert json.loads(stdout.getvalue())["checks"][0]["name"] == "preconditions"
 
 
 def _raise(exc):

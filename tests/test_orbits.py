@@ -1,5 +1,13 @@
 """Orbit reduction: vertex_orbits, the sweeps that visit one vertex per orbit, and the family.
 
+The driver builds the verified sigmas of the member proposed at row 0 once
+per call, before the preconditions.  is_srg_report and is_diamond_free must
+give, with the driver's orbits, what they give with singleton orbits, the
+loops over every pair and every vertex: on the witnesses, relabelled
+copies, mutants and random graphs with a known automorphism, and when a
+patched proposal makes the orbit pass fail.  Every analysis must build the
+sigmas it built before, each once.
+
 check-con, local-stats, eq-pq, check-star and check-psi must give the
 report of their full pass, which they run when every build_sigma raises and
 every orbit is a singleton, and the report built from the references in
@@ -22,22 +30,26 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srgpq.cli
 from perfbench.inputs import gq35_rows, ovoid256_rows, toggle, two_switch
-from srgpq import automorphism
+from srgpq import automorphism, graphcore
 from srgpq.automorphism import (
     Permutation,
     SigmaAutomorphismError,
     SigmaConstructionError,
     SigmaSeedError,
+    automorphism_witness,
     build_sigma,
     canonical_sigma_family,
+    verified_sigmas,
     vertex_orbits,
 )
-from srgpq.cli import _check_psi, _check_star
-from srgpq.geometry import build_rook4
-from srgpq.graphcore import Graph
+from srgpq.cli import FamilyContext, _check_psi, _check_star, serialize_graph6
+from srgpq.geometry import build_gq35, build_ovoid256, build_rook4, build_shrikhande
+from srgpq.graphcore import Graph, is_diamond_free, is_srg_report
 from srgpq.localstats import check_condition_con, m_spectrum_histogram, verify_eq_pq
 from srgpq.params import FamilyInfo
 from tests import oracles
@@ -56,8 +68,8 @@ SWEEPS = {
     "check-con": lambda g, fam: check_condition_con(g, vertex_orbits(g, fam)),
     "local-stats": _histogram,
     "eq-pq": lambda g, fam: verify_eq_pq(g, fam, vertex_orbits(g, fam)),
-    "check-star": lambda g, fam: _check_star(None, g, fam),
-    "check-psi": lambda g, fam: _check_psi(None, g, fam),
+    "check-star": lambda g, fam: _check_star(None, g, FamilyContext.of(g, fam)),
+    "check-psi": lambda g, fam: _check_psi(None, g, FamilyContext.of(g, fam)),
 }
 
 
@@ -300,24 +312,18 @@ def test_sweeps_match_the_full_pass_at_n3(monkeypatch):
 # The sigma family by transport, against the build at every vertex.
 
 
-def _family(function, g: Graph, fam: FamilyInfo, z: int):
+def _family(function, *args):
     """The family's items in key order, or the type and message of what it raised."""
-    outcome = _outcome(function, g, fam, z)
+    outcome = _outcome(function, *args)
     return ("returned", list(outcome[1].items())) if outcome[0] == "returned" else outcome
 
 
 def _transported(g: Graph, fam: FamilyInfo, z: int, monkeypatch, builds=None):
     """canonical_sigma_family with at most builds sigmas kept as generators (None: any)."""
-    verified = automorphism._verified_sigmas
-
-    def partial(graph, family):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(automorphism, "build_sigma", _limited(builds, []))
-            return verified(graph, family)
-
     with monkeypatch.context() as patch:
-        patch.setattr(automorphism, "_verified_sigmas", partial)
-        return _family(canonical_sigma_family, g, fam, z)
+        patch.setattr(automorphism, "build_sigma", _limited(builds, []))
+        _, kept = verified_sigmas(g, fam)
+    return _family(canonical_sigma_family, g, fam, kept, z)
 
 
 @pytest.mark.parametrize("name", list(_gq35_inputs()))
@@ -351,7 +357,7 @@ def test_the_family_by_transport_is_the_build_at_every_vertex_at_n3(ovoid_famili
         assert _transported(g, OVOID, 5, monkeypatch, builds) == expected, f"{builds} builds"
 
 
-def test_the_family_raises_as_the_build_at_every_vertex():
+def test_the_family_raises_as_the_build_at_every_vertex(monkeypatch):
     # rook4 fails its first build; a sigma_0-mutant keeps sigma_0 and fails at
     # vertex 1, a representative, or at z = 5, where it is mutated
     cases = [
@@ -361,18 +367,214 @@ def test_the_family_raises_as_the_build_at_every_vertex():
     ]
     for g, fam in cases:
         for z in (0, 5):
-            outcome = _family(canonical_sigma_family, g, fam, z)
+            outcome = _transported(g, fam, z, monkeypatch)
             assert outcome[0] == "raised"
             assert outcome == _family(oracles.canonical_sigma_family, g, fam, z)
 
 
 def test_the_family_builds_at_z_and_at_the_representatives_only(monkeypatch):
-    # vertex_orbits' builds at 0, 1, 4, 16 (and 64 at n = 3) are reused; z = 5 is one more
+    # verified_sigmas' builds at 0, 1, 4, 16 (and 64 at n = 3) are reused; z = 5 is one more
     cases = ((gq35_rows(), GQ35, [0, 1, 4, 16]), (ovoid256_rows(), OVOID, [0, 1, 4, 16, 64]))
     for rows, fam, kept in cases:
         g = Graph(rows)
         for z, builds in ((0, kept), (1, kept), (5, kept + [5])):
             made: list = []
             monkeypatch.setattr(automorphism, "build_sigma", _limited(None, made))
-            canonical_sigma_family(g, fam, z)
+            canonical_sigma_family(g, fam, verified_sigmas(g, fam)[1], z)
             assert made == builds
+
+
+# The preconditions by orbit, against the loops over every pair and every vertex.
+
+
+def _sigma_0_switch(rows: list[int], fam: FamilyInfo, seed: int) -> list[int]:
+    """rows with a 2-switch ab, cd -> ac, bd and its images under sigma_0: regular, sigma_0 kept."""
+    sigma = build_sigma(Graph(rows), fam, 0)
+    nu = len(rows)
+    edges = [(u, v) for u in range(1, nu) for v in range(u + 1, nu) if rows[u] >> v & 1]
+    rng = random.Random(seed)
+    while True:
+        quad = sum(rng.sample(edges, 2), ())
+        mutant = list(rows)
+        for _ in range(3):
+            a, b, c, d = quad
+            switchable = mutant[a] >> b & mutant[c] >> d & 1 and not mutant[a] >> c & 1
+            if len(set(quad)) < 4 or not switchable or mutant[b] >> d & 1:
+                break
+            for x, y in ((a, b), (c, d), (a, c), (b, d)):
+                mutant[x] ^= 1 << y
+                mutant[y] ^= 1 << x
+            quad = tuple(sigma(x) for x in quad)
+        else:
+            return mutant
+
+
+def _precondition_inputs() -> dict:
+    """Rows by name: four witnesses, a relabelled copy, a toggle and a 2-switch of each."""
+    rng = random.Random(23)
+    witnesses = {
+        "gq35": gq35_rows(),
+        "ovoid256": ovoid256_rows(),
+        "rook4": list(build_rook4().rows),
+        "shrikhande": list(build_shrikhande().rows),
+    }
+    graphs = {}
+    for seed, (name, rows) in enumerate(witnesses.items()):
+        graphs[name] = rows
+        graphs[f"{name}-relabelled"] = _shuffled(rows, seed)
+        graphs[f"{name}-toggle"] = toggle(rows, rng)
+        graphs[f"{name}-two-switch"] = two_switch(rows, rng)
+    graphs["gq35-sigma_0-switch"] = _sigma_0_switch(gq35_rows(), GQ35, 0)
+    graphs["ovoid256-sigma_0-switch"] = _sigma_0_switch(ovoid256_rows(), OVOID, 2)
+    return graphs
+
+
+def _driver_orbits(g: Graph):
+    """The orbits that the driver's preconditions check g with, and their check."""
+    seen = []
+    kernel = srgpq.cli.is_srg_report
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(srgpq.cli, "is_srg_report",
+                      lambda graph, orbits: seen.append(orbits) or kernel(graph, orbits))
+        check, _ = srgpq.cli._family_context(g)
+    return seen[0], check
+
+
+def _singletons(graph: Graph, fam: FamilyInfo):
+    """A stand-in for verified_sigmas that keeps no sigma."""
+    return tuple((v,) for v in range(graph.nu)), {}
+
+
+def _all_pairs_check(g: Graph):
+    """The driver's preconditions check with singleton orbits."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(srgpq.cli, "verified_sigmas", _singletons)
+        return srgpq.cli._family_context(g)[0]
+
+
+def _assert_preconditions_agree(g: Graph, orbits) -> None:
+    singletons = tuple((v,) for v in range(g.nu))
+    assert is_srg_report(g, orbits) == is_srg_report(g, singletons) == is_srg_report(g)
+    assert is_diamond_free(g, orbits) == is_diamond_free(g, singletons) == is_diamond_free(g)
+    assert is_diamond_free(g) == oracles.is_diamond_free(g)
+
+
+# orbits of the driver: one for a witness or a relabelled copy with sigmas,
+# the 3-cycles of sigma_0 for a mutant that keeps it, else singletons
+DRIVER_ORBITS = {"gq35": 1, "ovoid256": 1, "gq35-sigma_0-switch": 22, "ovoid256-sigma_0-switch": 86}
+
+
+@pytest.mark.parametrize("name", list(_precondition_inputs()))
+def test_preconditions_by_the_driver_orbits_match_the_loops(name):
+    rows = _precondition_inputs()[name]
+    g = Graph(rows)
+    orbits, check = _driver_orbits(g)
+    _assert_preconditions_agree(g, orbits)
+    assert check == _all_pairs_check(g)
+    expected = DRIVER_ORBITS.get(name.removesuffix("-relabelled"), len(rows))
+    assert (len(rows) if orbits is None else len(orbits)) == expected
+
+
+def _invariant_graph(data) -> tuple[Graph, tuple]:
+    """A random graph made of whole orbits of vertex pairs under a random permutation.
+
+    Returns the graph and the cycles of the permutation, its vertex orbits.
+    A rotation of all vertices gives a circulant, which is regular, and one
+    of each of c blocks of vertices gives c orbits.
+    """
+    nu = data.draw(st.integers(min_value=4, max_value=14), label="nu")
+    blocks = data.draw(st.sampled_from([c for c in (1, 2, 3) if nu % c == 0] + [None]), label="blocks")
+    if blocks is None:
+        images = tuple(data.draw(st.permutations(range(nu)), label="images"))
+    else:
+        size = nu // blocks
+        images = tuple(v - v % size + (v + 1) % size for v in range(nu))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, nu - 1), st.integers(0, nu - 1)), max_size=2 * nu))
+    rows = [0] * nu
+    for a, b in pairs:
+        start = (a, b)
+        while a != b:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+            a, b = images[a], images[b]
+            if (a, b) == start:
+                break
+    g = Graph(rows)
+    assert automorphism_witness(g, Permutation(images)) is None
+    return g, automorphism._orbits([images], nu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_preconditions_by_orbit_match_the_loops_on_random_graphs(data):
+    g, orbits = _invariant_graph(data)
+    _assert_preconditions_agree(g, orbits)
+    driver_orbits, check = _driver_orbits(g)
+    _assert_preconditions_agree(g, driver_orbits)
+    assert check == _all_pairs_check(g)
+
+
+def test_a_failing_orbit_pass_reruns_the_loop_over_every_pair(capsys, tmp_path, monkeypatch):
+    # Under a patched proposal of two orbits, rows 0 and 10, the orbit pass of a
+    # 2-switched gq35 fails at the pair (10, 4).  The loop over the pairs u < v
+    # fails first at (2, 26), and the rerun names that pair, through the
+    # library and through the driver, byte for byte.
+    g = Graph(two_switch(gq35_rows(), random.Random(6)))
+    two_orbits = (tuple(range(10)), tuple(range(10, 64)))
+    orbit_pass = graphcore._pair_counts(g, 18, two_orbits)
+    reference = is_srg_report(g)
+    assert orbit_pass[1]["pair"] == [10, 4] and reference[1]["pair"] == [2, 26]
+    assert is_srg_report(g, two_orbits) == reference
+    path = tmp_path / "switched.g6"
+    path.write_text(serialize_graph6(g) + "\n")
+    reports = []
+    for seam in (lambda graph, fam: (two_orbits, {}), _singletons):
+        with monkeypatch.context() as patch:
+            patch.setattr(srgpq.cli, "verified_sigmas", seam)
+            reports.append((srgpq.cli.run(["check-con", str(path)]), capsys.readouterr().out))
+    assert reports[0] == reports[1] and reports[0][0] == 1
+    assert '"pair": [\n          2,\n          26\n        ]' in reports[0][1]
+
+
+def _recorded(made: list):
+    """build_sigma that appends each base vertex to made."""
+
+    def recorded(g, fam, u):
+        made.append(u)
+        return build_sigma(g, fam, u)
+
+    return recorded
+
+
+FAMILY_COMMANDS = ("check-con", "check-eq-pq", "check-star", "check-psi", "related", "local-stats",
+                   "sigma", "group")
+
+
+@pytest.mark.parametrize("builder, builds", [(build_gq35, [0, 1, 4, 16]),
+                                             (build_ovoid256, [0, 1, 4, 16, 64])],
+                         ids=["gq35", "ovoid256"])
+def test_each_family_call_builds_each_sigma_once(builder, builds, capsys, tmp_path, monkeypatch):
+    made: list = []
+    monkeypatch.setattr(automorphism, "build_sigma", _recorded(made))
+    path = tmp_path / "witness.g6"
+    path.write_text(serialize_graph6(builder()) + "\n")
+    for command in ("check-srg", "check-diamond-free") + FAMILY_COMMANDS:
+        made.clear()
+        extra = ["--base", "0"] if command in ("sigma", "group") else []
+        assert srgpq.cli.run([command, str(path), *extra]) == 0, command
+        assert made == (builds if command in FAMILY_COMMANDS else []), command
+    capsys.readouterr()
+
+
+def test_rook4_builds_at_vertex_0_in_the_context(capsys, tmp_path, monkeypatch):
+    # The first build, at 0, raises on rook4, so every orbit is a singleton
+    # and no sigma is kept: sigma and group try the base vertex once more.
+    made: list = []
+    monkeypatch.setattr(automorphism, "build_sigma", _recorded(made))
+    path = tmp_path / "rook4.g6"
+    path.write_text(serialize_graph6(build_rook4()) + "\n")
+    for command in FAMILY_COMMANDS:
+        made.clear()
+        assert srgpq.cli.run([command, str(path)]) == 0, command
+        assert made == ([0, 0] if command in ("sigma", "group") else [0]), command
+    capsys.readouterr()

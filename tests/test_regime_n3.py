@@ -24,7 +24,7 @@ from srgpq.automorphism import (
     generate_gamma,
     related_set,
 )
-from srgpq.cli import _check_psi, _related, run
+from srgpq.cli import FamilyContext, _check_psi, _related, run
 from srgpq.graphcore import Graph
 from srgpq.localstats import (
     psi_partition,
@@ -145,7 +145,7 @@ def test_related_fails_on_a_toggled_edge(ovoid_rows):
     # the toggled graph is no SRG, so the analysis runs with the unmutated family
     v = next(x for x in range(1, 256) if not ovoid_rows[0] >> x & 1)
     mutant = Graph(ovoid_rows).toggle_edge(0, v)
-    checks, _ = _related(None, mutant, FAMILY)
+    checks, _ = _related(None, mutant, FamilyContext.of(mutant, FAMILY))
     assert checks[0].severity == "asserted-fail"
     x, y = checks[0].witness["pair"]
     with pytest.raises(RelatedSetError) as raised:
@@ -192,7 +192,7 @@ def test_check_psi_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
 def test_check_psi_fails_on_a_toggled_edge(ovoid_rows):
     # the toggled graph is no SRG, so the analysis runs with the unmutated family
     mutant = Graph(ovoid_rows).toggle_edge(113, 242)
-    checks, _ = _check_psi(None, mutant, FAMILY)
+    checks, _ = _check_psi(None, mutant, FamilyContext.of(mutant, FAMILY))
     regularity = {check.name: check for check in checks}["psi-regularity"]
     assert regularity.severity == "asserted-fail"
     u = regularity.witness["u"]

@@ -36,6 +36,7 @@ from srgpq.automorphism import (
     automorphism_witness,
     build_sigma,
     canonical_sigma_family,
+    verified_sigmas,
     generate_gamma,
     verify_involution_property,
 )
@@ -104,7 +105,8 @@ def test_gamma_matches_the_oracle_on_gq35(sigma_family):
 def _relabelled_gq35_family():
     rows = gq35_rows()
     images = seeded_permutation(len(rows), random.Random(11))
-    return canonical_sigma_family(Graph(relabel(rows, images)), GQ35, z=images[5])
+    g = Graph(relabel(rows, images))
+    return canonical_sigma_family(g, GQ35, verified_sigmas(g, GQ35)[1], z=images[5])
 
 
 def test_gamma_matches_the_oracle_on_a_relabelled_gq35():
