@@ -612,16 +612,6 @@ def generate_gamma(
     )
 
 
-def vertex_orbits(g: Graph, fam: FamilyInfo) -> tuple[tuple[int, ...], ...]:
-    """The vertex orbits of verified_sigmas, for a sweep that takes its orbits.
-
-    A per-base-vertex check gives the same verdict at every vertex of an
-    orbit of an automorphism group, so a sweep may visit the least vertex
-    of each orbit and count it once per vertex of the orbit.
-    """
-    return verified_sigmas(g, fam)[0]
-
-
 def verified_sigmas(
     g: Graph, fam: FamilyInfo
 ) -> tuple[tuple[tuple[int, ...], ...], dict[int, Permutation]]:
@@ -635,7 +625,7 @@ def verified_sigmas(
     SIGMA_ERRORS or does not merge two orbits, or after nu.bit_length()
     builds, and the orbits of the sigmas kept so far are returned.
     build_sigma returns only permutations that pass its automorphism
-    check, so these are always orbits of automorphisms.
+    check, so these orbits keep graphcore.is_srg_report's orbit contract.
     """
     orbits = tuple((v,) for v in range(g.nu))
     kept: dict[int, Permutation] = {}

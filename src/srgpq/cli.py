@@ -322,10 +322,6 @@ class FamilyContext:
     orbits: tuple[tuple[int, ...], ...]
     sigmas: dict[int, Permutation]
 
-    @classmethod
-    def of(cls, g: Graph, family: FamilyInfo) -> "FamilyContext":
-        return cls(family, *verified_sigmas(g, family))
-
 
 def _proposed_family(g: Graph) -> Optional[FamilyInfo]:
     """The family member of the parameters read at row 0 of a regular graph, or None.
@@ -362,7 +358,7 @@ def _family_context(g: Graph) -> tuple[CheckReport, Optional[FamilyContext]]:
     at row 0, so the member is then the proposal.
     """
     proposal = _proposed_family(g)
-    context = None if proposal is None else FamilyContext.of(g, proposal)
+    context = None if proposal is None else FamilyContext(proposal, *verified_sigmas(g, proposal))
     orbits = None if context is None else context.orbits
     params, witness = is_srg_report(g, orbits)
     passed = False

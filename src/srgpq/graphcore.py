@@ -253,30 +253,31 @@ class TriplePartition:
         raise GraphError(f"vertex {v} not covered by the partition")
 
 
-def common_neighbors(g: Graph, vs: Sequence[int]) -> tuple[int, ...]:
-    """Intersection of the open neighborhoods of vs, ascending."""
-    if not vs:
-        raise GraphError("need at least one vertex")
-    mask = g.row(vs[0])
-    for v in vs[1:]:
-        mask &= g.row(v)
-    return tuple(bits(mask))
-
-
 def is_srg_report(
     g: Graph, orbits: Optional[Sequence[Sequence[int]]] = None
 ) -> tuple[Optional[SrgParams], Optional[dict]]:
     """(params, None) when g is a nontrivial SRG, else (None, witness dict).
 
-    orbits are the vertex orbits of a group of automorphisms, each sorted,
-    by least vertex; None stands for the singletons.  Regularity is checked
-    on every row.  Common-neighbour counts are the same on a pair and on
-    its image under an automorphism, so the pairs are tested only at the
-    least vertex r of each orbit: r with every vertex except the least
-    vertices of the orbits before r's, as check_condition_con does.  Every
-    pair is the image of one of these, so the verdict is that of all pairs.
-    With singletons this is the loop over the pairs u < v, and an orbit
-    pass that fails reruns it, so the witness is always that loop's.
+    The orbit contract, which every check here and in localstats that takes
+    orbits relies on: orbits are the vertex orbits of a group of
+    automorphisms of g, each sorted, listed by least vertex, and None
+    stands for the singletons.  On other orbits the verdict is unspecified.
+
+    Regularity is checked on every row.  The pairs are tested in rows, one
+    at the least vertex r of each orbit: r with every vertex except the
+    least vertices of the earlier orbits, as check_condition_con does.
+    With singletons these are the pairs u < v, in order.  The orbit pass
+    names the same first failing pair as that loop:
+    * row 0 comes first in both and sets lam and mu the same way;
+    * the loop's first failing row u is the least vertex of its orbit: an
+      automorphism a with a(u) < u maps the failing pair onto one with the
+      same adjacency and count in the earlier row min(a(u), a(v));
+    * every pair the orbit pass sees before row u, and in row u every
+      (u, v) with v < u, is a pair {x, y} with min(x, y) < u, which the
+      loop has passed: this holds also for the pairs (r, v) whose v < r is
+      no least vertex.  Row u's pairs with v > u are the loop's row u, in
+      order.
+    So the verdict is that of all pairs too.
     """
     if g.nu < 4:
         return None, {"reason": "too-few-vertices", "nu": g.nu}
@@ -286,24 +287,10 @@ def is_srg_report(
         d = rows[v].bit_count()
         if d != k:
             return None, {"reason": "not-regular", "vertex": v, "degree": d, "expected": k}
-    singletons = tuple((v,) for v in range(g.nu))
-    orbits = singletons if orbits is None else orbits
-    params, witness = _pair_counts(g, k, orbits)
-    if witness is not None and len(orbits) < g.nu:
-        params, witness = _pair_counts(g, k, singletons)
-    return params, witness
-
-
-def _pair_counts(
-    g: Graph, k: int, orbits: Sequence[Sequence[int]]
-) -> tuple[Optional[SrgParams], Optional[dict]]:
-    """is_srg_report's verdict on a k-regular graph from the pairs at each orbit's least vertex."""
-    rows = g.rows
     lam: Optional[int] = None
     mu: Optional[int] = None
     rest = list(range(g.nu))  # every vertex but the least vertices of the orbits so far
-    for orbit in orbits:
-        u = orbit[0]
+    for u in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
         rest.remove(u)
         row_u = rows[u]
         for v in rest:
@@ -337,7 +324,11 @@ def _pair_counts(
 
 
 def is_srg(g: Graph) -> Optional[SrgParams]:
-    """SRG parameters of g, or None when g is not a nontrivial SRG."""
+    """SRG parameters of g, or None when g is not a nontrivial SRG.
+
+    Kept as public API on purpose, the one-call check for library users;
+    the analyses call is_srg_report, which also names a witness.
+    """
     return is_srg_report(g)[0]
 
 
@@ -374,10 +365,10 @@ def is_diamond_free(
 
     Returns (True, None) or (False, witness) where the witness induces a
     diamond (four vertices carrying five edges), found at the first vertex
-    v that fails.  orbits are as for is_srg_report, None for the
-    singletons.  An automorphism maps diamonds to diamonds, so only the
-    least vertex of each orbit is tested, in ascending order: the first
-    vertex that fails is the least of its orbit.
+    v that fails.  orbits keep is_srg_report's orbit contract.  An
+    automorphism maps diamonds to diamonds, so only the least vertex of
+    each orbit is tested, in ascending order: the first vertex that fails
+    is the least of its orbit.
     """
     rows = g.rows
     for v in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
@@ -420,7 +411,7 @@ def phi_partition(g: Graph, u: int) -> TriplePartition:
 
 
 def maximal_cliques_via_edges(g: Graph) -> list[tuple[int, ...]]:
-    """Edge closures {u, v} + common_neighbors(u, v), deduplicated and sorted.
+    """Edge closures {u, v} + (N(u) & N(v)), deduplicated and sorted.
 
     On a diamond-free SRG these are exactly the maximal cliques; a closure
     that is not a clique witnesses a diamond and raises.  Each vertex u is

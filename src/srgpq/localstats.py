@@ -137,12 +137,11 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
 
     Scans every base vertex u and every pair v < w of non-neighbors of u;
     reports the first counterexample, with p and q as pair_stats gives them.
-    orbits are the vertex orbits of a group of automorphisms, each sorted,
-    by least vertex, such as vertex_orbits returns; singletons scan every
-    vertex.  The verdict at u and its first counterexample are those at any
-    image of u, so only the least vertex of each orbit is scanned: the first
-    failing vertex is the least of its orbit, and triples_checked counts the
-    triples of every vertex before it.
+    orbits keep graphcore.is_srg_report's orbit contract; singletons scan
+    every vertex.  The verdict at u and its first counterexample are those
+    at any image of u, so only the least vertex of each orbit is scanned:
+    the first failing vertex is the least of its orbit, and triples_checked
+    counts the triples of every vertex before it.
 
     Per base vertex, with A_v = N(u, v) in bits local to N(u):
     * slope * p is the popcount of slope copies of A_v & A_w;
@@ -367,14 +366,14 @@ def m_spectrum_histogram(
 ) -> SpectrumHistogram:
     """m_spectrum over every non-adjacent (u, v), u a vertex of the orbits, v ascending.
 
-    orbits are vertex orbits of a group of automorphisms, each sorted, by
-    least vertex: vertex_orbits' for the full sweep, or ((u,),) for the
-    pairs at u alone.  The result is that of the ordered loop which calls
-    m_spectrum on each pair, u over the sorted vertices of the orbits, and
-    stops at the first LocalStatsError: the same failure, message included,
-    and the same histogram of the pairs before it.  When every pair passes,
-    the histogram does not depend on the order of the pairs, so a cheaper
-    pass computes it:
+    orbits keep graphcore.is_srg_report's orbit contract: the driver's for
+    the full sweep, or ((u,),) for the pairs at u alone.  The result is
+    that of the ordered loop which calls m_spectrum on each pair, u over
+    the sorted vertices of the orbits, and stops at the first
+    LocalStatsError: the same failure, message included, and the same
+    histogram of the pairs before it.  When every pair passes, the
+    histogram does not depend on the order of the pairs, so a cheaper pass
+    computes it:
 
     * (u, v) and (v, u) count the same vertices, x outside N[u] u N[v], by
       the same |N(x) & N(u) & N(v)|.  So over all rows each unordered pair
@@ -391,9 +390,10 @@ def m_spectrum_histogram(
       both ends and the row of v skips r.  With every orbit a singleton
       this is the pass above.
 
-    When the pass meets a LocalStatsError, the ordered loop runs instead:
-    the failing pair fails there too, and the loop names the first failure
-    and the histogram before it exactly.
+    When the pass meets a LocalStatsError, the ordered loop runs instead.
+    The pass has weighted its pairs by orbit and counted pairs beyond the
+    first failure, so only the loop rebuilds the histogram before it, which
+    the failing report prints, and names that failure.
     """
     t_cap = fam.n * (fam.n + 1) // _require_positive_slope(fam)
     nu, rows = g.nu, g.rows
@@ -439,15 +439,14 @@ def m_spectrum_histogram(
 def check_condition_con(g: Graph, orbits: Sequence[Sequence[int]]) -> CheckReport:
     """m_0(u, v) >= 1 for every non-adjacent pair, with the min/max recorded.
 
-    orbits are the vertex orbits of a group of automorphisms, each sorted,
-    by least vertex, such as vertex_orbits returns.  m_0 is the same on a
-    pair and on its image under an automorphism, so only the pairs at the
-    least vertex r of each orbit are computed: r with every non-neighbour
-    v, except the least vertices of the orbits before r's, whose pairs with
-    r were computed in their own rows.  Every non-adjacent pair is the
-    image of one of these, and the first vertex in a pair with m_0 = 0,
-    which the witness names with its least such partner, is the least of
-    its orbit.
+    orbits keep graphcore.is_srg_report's orbit contract.  m_0 is the same
+    on a pair and on its image under an automorphism, so only the pairs at
+    the least vertex r of each orbit are computed: r with every
+    non-neighbour v, except the least vertices of the orbits before r's,
+    whose pairs with r were computed in their own rows.  Every
+    non-adjacent pair is the image of one of these, and the first vertex in
+    a pair with m_0 = 0, which the witness names with its least such
+    partner, is the least of its orbit.
     """
     m0_min: Optional[int] = None
     m0_max: Optional[int] = None

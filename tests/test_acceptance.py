@@ -13,9 +13,9 @@ from srgpq.automorphism import (
     SigmaConstructionError,
     build_sigma,
     generate_gamma,
+    verified_sigmas,
     verify_inverse_law,
     verify_involution_property,
-    vertex_orbits,
 )
 from srgpq.certificates import pq_3_35_20_certificate
 from srgpq.cli import parse_graph6, run, serialize_graph6
@@ -90,7 +90,7 @@ def test_criterion_2_geometry_round_trip(gq35):
 
 
 def test_criterion_3_eq_pq_exhaustive(gq35, fam_gq35):
-    report = verify_eq_pq(gq35, fam_gq35, vertex_orbits(gq35, fam_gq35))
+    report = verify_eq_pq(gq35, fam_gq35, verified_sigmas(gq35, fam_gq35)[0])
     ok = (
         report.passed
         and report.details["triples_checked"] == 64 * (45 * 44 // 2)
@@ -123,7 +123,7 @@ def test_criterion_4_moment_system(gq35, fam_gq35):
             p = len(nu_set & nv_set & set(gq35.neighbors(x)))
             brute[p] = brute.get(p, 0) + 1
         ok = ok and all(expected[i] == brute.get(i, 0) for i in range(7))
-    con = check_condition_con(gq35, vertex_orbits(gq35, fam_gq35))
+    con = check_condition_con(gq35, verified_sigmas(gq35, fam_gq35)[0])
     ok = ok and con.passed and con.details["m0_min"] == 2 and con.details["m0_max"] == 2
     _record(4, ok, "m-spectrum (2,0,24,0,6) with exact moments 32/72/60 and m_0 = 2 everywhere")
 
@@ -232,7 +232,7 @@ def test_criterion_10_mutation_robustness(rook, gq35, fam_gq35, capsys):
         ok = ok and code == 1
         ok = ok and check["severity"] == "asserted-fail" and check["witness"] is not None
         # inner checks also detect mutations when forced past the preconditions
-        eq_report = verify_eq_pq(mutated, fam_gq35, vertex_orbits(mutated, fam_gq35))
+        eq_report = verify_eq_pq(mutated, fam_gq35, verified_sigmas(mutated, fam_gq35)[0])
         ok = ok and not eq_report.passed and eq_report.witness is not None
         sigma_failed = False
         try:

@@ -19,7 +19,7 @@ import srgpq.cli
 from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, seeded_permutation, toggle, two_switch
 from srgpq.cli import Graph6Error, _build_parser, parse_graph6, run, serialize_graph6
 from srgpq.geometry import build_gq35, build_rook4, build_shrikhande
-from srgpq.automorphism import RelatedSetError, SigmaConstructionError
+from srgpq.automorphism import RelatedSetError, SigmaConstructionError, verified_sigmas
 from srgpq.graphcore import Graph, GraphError
 from srgpq.localstats import LocalStatsError
 from srgpq.params import FamilyInfo
@@ -312,7 +312,7 @@ def _related_cases():
 
 @pytest.mark.parametrize("g, family", _related_cases())
 def test_related_matches_the_ordered_loop(g, family):
-    context = srgpq.cli.FamilyContext.of(g, family)
+    context = srgpq.cli.FamilyContext(family, *verified_sigmas(g, family))
     assert srgpq.cli._related(None, g, context) == oracles.related(g, family)
 
 

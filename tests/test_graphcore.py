@@ -23,7 +23,6 @@ from srgpq.graphcore import (
     Graph,
     GraphError,
     NeighborhoodStructureError,
-    common_neighbors,
     is_diamond_free,
     is_srg,
     is_srg_report,
@@ -208,21 +207,6 @@ def test_from_edges_and_toggle_edge_match_the_loop_oracle(nu):
             g.toggle_edge(nu - 1, nu - 1)
         with pytest.raises(GraphError, match=f"vertex {nu} out of range"):
             g.toggle_edge(0, nu)
-
-
-def test_common_neighbors_rook(rook):
-    # (0,0) is vertex 0, (1,1) is vertex 5; common neighbors are (0,1)=1, (1,0)=4
-    assert common_neighbors(rook, [0, 5]) == (1, 4)
-    assert common_neighbors(rook, [0]) == rook.neighbors(0)
-    with pytest.raises(GraphError):
-        common_neighbors(rook, [])
-    with pytest.raises(GraphError):
-        common_neighbors(rook, [0, 99])
-
-
-def test_common_neighbors_adjacent_pairs_gq35(gq35):
-    for u, v in [(0, x) for x in gq35.neighbors(0)[:5]]:
-        assert len(common_neighbors(gq35, [u, v])) == 2
 
 
 def test_is_srg_witnesses(rook, shrikhande, gq35):

@@ -19,7 +19,7 @@ import pytest
 
 from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, toggle, two_switch
 from srgpq import localstats
-from srgpq.automorphism import vertex_orbits
+from srgpq.automorphism import verified_sigmas
 from srgpq.graphcore import Graph, GraphError, NeighborhoodStructureError, bits
 from srgpq.localstats import (
     FamilyPreconditionError,
@@ -128,7 +128,7 @@ def test_kernels_match_the_loops_on_gq35_mutants():
             for v in range(u + 1, g.nu)
             if not g.adjacent(u, v)
         ]
-        report = check_condition_con(g, vertex_orbits(g, fam))
+        report = check_condition_con(g, verified_sigmas(g, fam)[0])
         assert (report.details["m0_min"], report.details["m0_max"]) == (min(m0), max(m0))
         assert report.details["pairs"] == len(m0)
     assert moment_failures > 0
@@ -155,7 +155,7 @@ def test_kernels_match_the_loops_on_ovoid256_mutants():
 
 
 def _assert_resolvent_kernels_agree(g: Graph, fam: FamilyInfo, bases) -> list:
-    outcomes = [_outcome(verify_eq_pq, g, fam, vertex_orbits(g, fam))]
+    outcomes = [_outcome(verify_eq_pq, g, fam, verified_sigmas(g, fam)[0])]
     assert outcomes[0] == _outcome(oracles.verify_eq_pq, g, fam)
     for u in bases:
         outcomes.append(_outcome(verify_star, g, fam, u))
@@ -248,7 +248,7 @@ def test_star_witness_names_a_toggled_pair_of_non_neighbours():
             "lhs": -scalar * adjacent,
             "rhs": -scalar * (1 - adjacent),
         }
-        eq_pq = verify_eq_pq(g, fam, vertex_orbits(g, fam))
+        eq_pq = verify_eq_pq(g, fam, verified_sigmas(g, fam)[0])
         assert eq_pq == oracles.verify_eq_pq(g, fam)
         if u == 0:  # every triple at u = 0 before (v, w) is untouched
             assert (eq_pq.witness["u"], eq_pq.witness["v"], eq_pq.witness["w"]) == (u, v, w)
@@ -262,7 +262,7 @@ VALID_FAMILIES = [fam for fam in FAMILIES if fam.n > 0 and fam.lam <= fam.n]
 
 
 def _assert_sweep_agrees(g: Graph, fam: FamilyInfo, vertex=None):
-    sweep = m_spectrum_histogram(g, fam, vertex_orbits(g, fam) if vertex is None else ((vertex,),))
+    sweep = m_spectrum_histogram(g, fam, verified_sigmas(g, fam)[0] if vertex is None else ((vertex,),))
     histogram, failure = oracles.m_spectrum_histogram(g, fam, None if vertex is None else [vertex])
     assert (sweep.histogram, sweep.failure) == (histogram, failure)
     assert sweep.pairs_checked == sum(histogram.values())
@@ -305,7 +305,7 @@ def test_sweep_matches_the_ordered_loop_on_the_witnesses():
         # every pair has the same spectrum, so one row of the loop pins the full sweep
         v = next(x for x in range(1, 256) if not rows[0] >> x & 1)
         counts = oracles.m_spectrum(g, fam, 0, v).counts
-        assert m_spectrum_histogram(g, fam, vertex_orbits(g, fam)).histogram == {counts: 256 * 204}
+        assert m_spectrum_histogram(g, fam, verified_sigmas(g, fam)[0]).histogram == {counts: 256 * 204}
         for u in random.Random(3).sample(range(256), 6):
             _assert_sweep_agrees(g, fam, u)
 
@@ -384,7 +384,7 @@ def test_sweep_runs_the_pair_kernel_once_per_pair_at_each_orbit_representative(m
     monkeypatch.setattr(localstats, "_spectrum_masks", counted)
     rows = gq35_rows()
     g, fam = Graph(rows), FamilyInfo.from_n_lam(2, 2)
-    sweep = m_spectrum_histogram(g, fam, vertex_orbits(g, fam))
+    sweep = m_spectrum_histogram(g, fam, verified_sigmas(g, fam)[0])
     assert sweep.failure is None and sweep.pairs_checked == 64 * 45
     assert calls == [(0, v) for v in range(1, 64) if not rows[0] >> v & 1]
 
@@ -394,7 +394,7 @@ def test_sweep_rejects_bad_rows():
     with pytest.raises(GraphError):
         m_spectrum_histogram(g, fam, ((64,),))
     with pytest.raises(FamilyPreconditionError):
-        m_spectrum_histogram(g, FamilyInfo.from_n_lam(1, 2), vertex_orbits(g, fam))
+        m_spectrum_histogram(g, FamilyInfo.from_n_lam(1, 2), verified_sigmas(g, fam)[0])
 
 
 # verify_inv_formula: the clique cells and the two entries that depend on

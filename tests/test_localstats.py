@@ -14,7 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from srgpq import localstats
-from srgpq.automorphism import vertex_orbits
+from srgpq.automorphism import verified_sigmas
 from srgpq.graphcore import Graph, TriplePartition, phi_partition
 from srgpq.localstats import (
     FamilyPreconditionError,
@@ -96,7 +96,7 @@ def test_pair_stats_adjacent_branch_value(gq35):
 
 
 def test_verify_eq_pq_passes_exhaustively(gq35, fam_gq35):
-    report = verify_eq_pq(gq35, fam_gq35, vertex_orbits(gq35, fam_gq35))
+    report = verify_eq_pq(gq35, fam_gq35, verified_sigmas(gq35, fam_gq35)[0])
     assert report.passed
     assert report.details["triples_checked"] == 64 * (45 * 44 // 2)
     assert report.severity == "diagnostic"  # n = 2 is outside the proved range
@@ -104,14 +104,14 @@ def test_verify_eq_pq_passes_exhaustively(gq35, fam_gq35):
 
 def test_verify_eq_pq_detects_mutation(gq35, fam_gq35):
     mutated = gq35.toggle_edge(0, gq35.neighbors(0)[0])
-    report = verify_eq_pq(mutated, fam_gq35, vertex_orbits(mutated, fam_gq35))
+    report = verify_eq_pq(mutated, fam_gq35, verified_sigmas(mutated, fam_gq35)[0])
     assert not report.passed
     assert report.witness is not None
 
 
 def test_verify_eq_pq_rejects_rook_family(rook, fam_rook):
     with pytest.raises(FamilyPreconditionError):
-        verify_eq_pq(rook, fam_rook, vertex_orbits(rook, fam_rook))
+        verify_eq_pq(rook, fam_rook, verified_sigmas(rook, fam_rook)[0])
 
 
 def test_m_spectrum_distribution(gq35, fam_gq35):
@@ -166,14 +166,14 @@ def test_m_spectrum_matches_prediction(gq35, fam_gq35):
 
 
 def test_check_condition_con_gq35(gq35, fam_gq35):
-    report = check_condition_con(gq35, vertex_orbits(gq35, fam_gq35))
+    report = check_condition_con(gq35, verified_sigmas(gq35, fam_gq35)[0])
     assert report.passed
     assert report.details["m0_min"] == report.details["m0_max"] == 2
     assert report.severity == "asserted-pass"
 
 
 def test_check_condition_con_rook(rook, fam_rook):
-    report = check_condition_con(rook, vertex_orbits(rook, fam_rook))
+    report = check_condition_con(rook, verified_sigmas(rook, fam_rook)[0])
     assert report.passed
     assert report.details["m0_min"] == 4  # the rook satisfies (con) with slack
 
@@ -409,7 +409,7 @@ def test_nondegenerate_identities_on_clebsch():
     # resolvent scalar n(n+1)^2(n-lam) = 4 is nonzero (invertible case)
     g = _clebsch()
     fam = FamilyInfo.from_n_lam(1, 0)
-    report = verify_eq_pq(g, fam, vertex_orbits(g, fam))
+    report = verify_eq_pq(g, fam, verified_sigmas(g, fam)[0])
     assert report.passed and report.severity == "asserted-pass"
     for u in (0, 9):
         inv_report = verify_inv_formula(g, fam, u)

@@ -1,12 +1,13 @@
-"""Orbit reduction: vertex_orbits, the sweeps that visit one vertex per orbit, and the family.
+"""Orbit reduction: verified_sigmas, the sweeps that visit one vertex per orbit, and the family.
 
 The driver builds the verified sigmas of the member proposed at row 0 once
 per call, before the preconditions.  is_srg_report and is_diamond_free must
 give, with the driver's orbits, what they give with singleton orbits, the
 loops over every pair and every vertex: on the witnesses, relabelled
-copies, mutants and random graphs with a known automorphism, and when a
-patched proposal makes the orbit pass fail.  Every analysis must build the
-sigmas it built before, each once.
+copies, mutants and random graphs with a known automorphism.  On the two
+mutants that keep sigma_0 the orbit pass must name the loop's first failing
+pair by itself.  Every analysis must build the sigmas it built before, each
+once.
 
 check-con, local-stats, eq-pq, check-star and check-psi must give the
 report of their full pass, which they run when every build_sigma raises and
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 
 import srgpq.cli
 from perfbench.inputs import gq35_rows, ovoid256_rows, toggle, two_switch
-from srgpq import automorphism, graphcore
+from srgpq import automorphism
 from srgpq.automorphism import (
     Permutation,
     SigmaAutomorphismError,
@@ -45,7 +46,6 @@ from srgpq.automorphism import (
     build_sigma,
     canonical_sigma_family,
     verified_sigmas,
-    vertex_orbits,
 )
 from srgpq.cli import FamilyContext, _check_psi, _check_star, serialize_graph6
 from srgpq.geometry import build_gq35, build_ovoid256, build_rook4, build_shrikhande
@@ -60,24 +60,24 @@ OVOID = FamilyInfo.from_n_lam(3, 2)
 
 
 def _histogram(g: Graph, fam: FamilyInfo):
-    sweep = m_spectrum_histogram(g, fam, vertex_orbits(g, fam))
+    sweep = m_spectrum_histogram(g, fam, verified_sigmas(g, fam)[0])
     return sweep.histogram, sweep.failure
 
 
 SWEEPS = {
-    "check-con": lambda g, fam: check_condition_con(g, vertex_orbits(g, fam)),
+    "check-con": lambda g, fam: check_condition_con(g, verified_sigmas(g, fam)[0]),
     "local-stats": _histogram,
-    "eq-pq": lambda g, fam: verify_eq_pq(g, fam, vertex_orbits(g, fam)),
-    "check-star": lambda g, fam: _check_star(None, g, FamilyContext.of(g, fam)),
-    "check-psi": lambda g, fam: _check_psi(None, g, FamilyContext.of(g, fam)),
+    "eq-pq": lambda g, fam: verify_eq_pq(g, fam, verified_sigmas(g, fam)[0]),
+    "check-star": lambda g, fam: _check_star(None, g, FamilyContext(fam, *verified_sigmas(g, fam))),
+    "check-psi": lambda g, fam: _check_psi(None, g, FamilyContext(fam, *verified_sigmas(g, fam))),
 }
 
 
 def _limited(builds, made: list):
-    """build_sigma that raises from build number builds + 1 of each vertex_orbits call on."""
+    """build_sigma that raises from build number builds + 1 of each verified_sigmas call on."""
 
     def limited(g, fam, u):
-        if u == 0:  # vertex_orbits builds at 0 first, and never again
+        if u == 0:  # verified_sigmas builds at 0 first, and never again
             made.clear()
         if builds is not None and len(made) >= builds:
             raise SigmaConstructionError(f"build {len(made) + 1} refused")
@@ -92,7 +92,7 @@ def _sweeps(g: Graph, fam: FamilyInfo, monkeypatch, builds=None):
     made: list = []
     with monkeypatch.context() as patch:
         patch.setattr(automorphism, "build_sigma", _limited(builds, made))
-        orbits = vertex_orbits(g, fam)
+        orbits = verified_sigmas(g, fam)[0]
         return orbits, {name: _outcome(sweep, g, fam) for name, sweep in SWEEPS.items()}
 
 
@@ -143,7 +143,7 @@ def test_vertex_orbits_are_transitive_on_the_witnesses(monkeypatch):
         for copy in (rows, _shuffled(rows, 7)):
             made: list = []
             monkeypatch.setattr(automorphism, "build_sigma", _limited(None, made))
-            assert vertex_orbits(Graph(copy), fam) == (tuple(range(len(rows))),)
+            assert verified_sigmas(Graph(copy), fam)[0] == (tuple(range(len(rows))),)
             assert made[0] == 0 and len(made) == builds
 
 
@@ -151,7 +151,7 @@ def test_vertex_orbits_build_the_next_sigma_outside_the_orbit_of_0(monkeypatch):
     made: list = []
     monkeypatch.setattr(automorphism, "build_sigma", _limited(None, made))
     g = Graph(gq35_rows())
-    vertex_orbits(g, GQ35)
+    verified_sigmas(g, GQ35)
     for k in range(1, len(made)):
         orbits = automorphism._orbits([build_sigma(g, GQ35, u).images for u in made[:k]], g.nu)
         assert made[k] == orbits[1][0]
@@ -166,19 +166,19 @@ def test_vertex_orbits_are_singletons_without_sigmas(monkeypatch):
 
     monkeypatch.setattr(automorphism, "build_sigma", recorded)
     # only lam = 2 members have sigmas: nothing is built for any other family
-    assert vertex_orbits(Graph(gq35_rows()), FamilyInfo.from_n_lam(2, 1)) == tuple(
+    assert verified_sigmas(Graph(gq35_rows()), FamilyInfo.from_n_lam(2, 1))[0] == tuple(
         (v,) for v in range(64)
     )
     assert made == []
     # a first build that raises: rook4, the n = -2 member, and a vertex with no neighbours
-    assert vertex_orbits(build_rook4(), FamilyInfo.from_n_lam(-2, 2)) == tuple(
+    assert verified_sigmas(build_rook4(), FamilyInfo.from_n_lam(-2, 2))[0] == tuple(
         (v,) for v in range(16)
     )
-    assert vertex_orbits(Graph([0, 0, 0, 0]), GQ35) == ((0,), (1,), (2,), (3,))
+    assert verified_sigmas(Graph([0, 0, 0, 0]), GQ35)[0] == ((0,), (1,), (2,), (3,))
     assert made == [0, 0]
     # one vertex is one orbit, and no vertex none: nothing to build
-    assert vertex_orbits(Graph([0]), GQ35) == ((0,),)
-    assert vertex_orbits(Graph([]), GQ35) == ()
+    assert verified_sigmas(Graph([0]), GQ35)[0] == ((0,),)
+    assert verified_sigmas(Graph([]), GQ35)[0] == ()
     assert made == [0, 0]
 
 
@@ -195,7 +195,7 @@ def test_a_failed_automorphism_check_leaves_the_orbits_of_sigma_0(monkeypatch):
         return build_sigma(graph, fam, u)
 
     monkeypatch.setattr(automorphism, "build_sigma", second_fails)
-    orbits = vertex_orbits(g, GQ35)
+    orbits = verified_sigmas(g, GQ35)[0]
     assert orbits == _cycles(sigma_0)
     assert len(orbits) == 22 and len(made) == 2
 
@@ -210,14 +210,14 @@ def test_vertex_orbits_stop_at_a_build_that_merges_nothing_and_after_bit_length_
         return Permutation(tuple(images))
 
     monkeypatch.setattr(automorphism, "build_sigma", swap)
-    orbits = vertex_orbits(Graph([0] * 8), GQ35)
+    orbits = verified_sigmas(Graph([0] * 8), GQ35)[0]
     assert orbits == ((0, 1, 2, 3, 4),) + tuple((v,) for v in range(5, 8))  # 8.bit_length() builds
 
     def identity_after_0(g, fam, u):
         return swap(g, fam, u) if u == 0 else Permutation.identity(g.nu)
 
     monkeypatch.setattr(automorphism, "build_sigma", identity_after_0)
-    assert vertex_orbits(Graph([0] * 8), GQ35) == ((0, 1),) + tuple((v,) for v in range(2, 8))
+    assert verified_sigmas(Graph([0] * 8), GQ35)[0] == ((0, 1),) + tuple((v,) for v in range(2, 8))
 
 
 def test_build_sigma_names_a_vertex_without_neighbours():
@@ -462,6 +462,10 @@ def _assert_preconditions_agree(g: Graph, orbits) -> None:
 # orbits of the driver: one for a witness or a relabelled copy with sigmas,
 # the 3-cycles of sigma_0 for a mutant that keeps it, else singletons
 DRIVER_ORBITS = {"gq35": 1, "ovoid256": 1, "gq35-sigma_0-switch": 22, "ovoid256-sigma_0-switch": 86}
+# The u < v loop first fails at these pairs, in row 1, the least vertex of a
+# 3-cycle of sigma_0.  The orbit pass names the same pair from its own rows,
+# as is_srg_report's docstring proves for the orbits of any automorphisms.
+FIRST_FAILING_PAIRS = {"gq35-sigma_0-switch": ([1, 28], GQ35), "ovoid256-sigma_0-switch": ([1, 51], OVOID)}
 
 
 @pytest.mark.parametrize("name", list(_precondition_inputs()))
@@ -473,6 +477,11 @@ def test_preconditions_by_the_driver_orbits_match_the_loops(name):
     assert check == _all_pairs_check(g)
     expected = DRIVER_ORBITS.get(name.removesuffix("-relabelled"), len(rows))
     assert (len(rows) if orbits is None else len(orbits)) == expected
+    if name in FIRST_FAILING_PAIRS:
+        pair, fam = FIRST_FAILING_PAIRS[name]
+        assert is_srg_report(g, orbits)[1]["pair"] == pair
+        orbit = next(orbit for orbit in orbits if 1 in orbit)
+        assert len(orbit) == 3 and orbit in _cycles(build_sigma(g, fam, 0))
 
 
 def _invariant_graph(data) -> tuple[Graph, tuple]:
@@ -512,28 +521,6 @@ def test_preconditions_by_orbit_match_the_loops_on_random_graphs(data):
     driver_orbits, check = _driver_orbits(g)
     _assert_preconditions_agree(g, driver_orbits)
     assert check == _all_pairs_check(g)
-
-
-def test_a_failing_orbit_pass_reruns_the_loop_over_every_pair(capsys, tmp_path, monkeypatch):
-    # Under a patched proposal of two orbits, rows 0 and 10, the orbit pass of a
-    # 2-switched gq35 fails at the pair (10, 4).  The loop over the pairs u < v
-    # fails first at (2, 26), and the rerun names that pair, through the
-    # library and through the driver, byte for byte.
-    g = Graph(two_switch(gq35_rows(), random.Random(6)))
-    two_orbits = (tuple(range(10)), tuple(range(10, 64)))
-    orbit_pass = graphcore._pair_counts(g, 18, two_orbits)
-    reference = is_srg_report(g)
-    assert orbit_pass[1]["pair"] == [10, 4] and reference[1]["pair"] == [2, 26]
-    assert is_srg_report(g, two_orbits) == reference
-    path = tmp_path / "switched.g6"
-    path.write_text(serialize_graph6(g) + "\n")
-    reports = []
-    for seam in (lambda graph, fam: (two_orbits, {}), _singletons):
-        with monkeypatch.context() as patch:
-            patch.setattr(srgpq.cli, "verified_sigmas", seam)
-            reports.append((srgpq.cli.run(["check-con", str(path)]), capsys.readouterr().out))
-    assert reports[0] == reports[1] and reports[0][0] == 1
-    assert '"pair": [\n          2,\n          26\n        ]' in reports[0][1]
 
 
 def _recorded(made: list):

@@ -23,6 +23,7 @@ from srgpq.automorphism import (
     RelatedSetError,
     generate_gamma,
     related_set,
+    verified_sigmas,
 )
 from srgpq.cli import FamilyContext, _check_psi, _related, run
 from srgpq.graphcore import Graph
@@ -145,7 +146,7 @@ def test_related_fails_on_a_toggled_edge(ovoid_rows):
     # the toggled graph is no SRG, so the analysis runs with the unmutated family
     v = next(x for x in range(1, 256) if not ovoid_rows[0] >> x & 1)
     mutant = Graph(ovoid_rows).toggle_edge(0, v)
-    checks, _ = _related(None, mutant, FamilyContext.of(mutant, FAMILY))
+    checks, _ = _related(None, mutant, FamilyContext(FAMILY, *verified_sigmas(mutant, FAMILY)))
     assert checks[0].severity == "asserted-fail"
     x, y = checks[0].witness["pair"]
     with pytest.raises(RelatedSetError) as raised:
@@ -192,7 +193,7 @@ def test_check_psi_sweep_is_an_asserted_pass(ovoid_rows, capsys, monkeypatch):
 def test_check_psi_fails_on_a_toggled_edge(ovoid_rows):
     # the toggled graph is no SRG, so the analysis runs with the unmutated family
     mutant = Graph(ovoid_rows).toggle_edge(113, 242)
-    checks, _ = _check_psi(None, mutant, FamilyContext.of(mutant, FAMILY))
+    checks, _ = _check_psi(None, mutant, FamilyContext(FAMILY, *verified_sigmas(mutant, FAMILY)))
     regularity = {check.name: check for check in checks}["psi-regularity"]
     assert regularity.severity == "asserted-fail"
     u = regularity.witness["u"]
