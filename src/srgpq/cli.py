@@ -48,7 +48,14 @@ from srgpq.geometry import (
     parse_incidence,
     verify_pq_axioms,
 )
-from srgpq.graphcore import Graph, GraphError, is_diamond_free, is_srg_report, transpose_rows
+from srgpq.graphcore import (
+    Graph,
+    GraphError,
+    is_diamond_free,
+    is_srg_report,
+    row_zero_counts,
+    transpose_rows,
+)
 from srgpq.localstats import (
     FamilyPreconditionError,
     PartitionError,
@@ -326,20 +333,15 @@ class FamilyContext:
 def _proposed_family(g: Graph) -> Optional[FamilyInfo]:
     """The family member of the parameters read at row 0 of a regular graph, or None.
 
-    lam and mu are the common neighbours of 0 with its least neighbour and
-    with its least non-neighbour.  On a strongly regular graph these are
-    its parameters.
+    lam and mu are those of row_zero_counts.  On a strongly regular graph
+    these are its parameters.
     """
     rows = g.rows
-    if not rows or any(row.bit_count() != rows[0].bit_count() for row in rows):
+    lam, mu = row_zero_counts(rows)
+    if lam is None or mu is None or any(row.bit_count() != rows[0].bit_count() for row in rows):
         return None
-    neighbours, others = rows[0], ((1 << g.nu) - 2) & ~rows[0]
-    if not (neighbours and others):
-        return None
-    lam = (rows[0] & rows[(neighbours & -neighbours).bit_length() - 1]).bit_count()
-    mu = (rows[0] & rows[(others & -others).bit_length() - 1]).bit_count()
     try:
-        return detect_family(SrgParams(g.nu, neighbours.bit_count(), lam, mu))
+        return detect_family(SrgParams(g.nu, rows[0].bit_count(), lam, mu))
     except ParameterError:
         return None
 

@@ -11,10 +11,10 @@ whose directions form the elliptic quadric of PG(3,4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence
 
-from srgpq.graphcore import Graph, bits, is_srg_report, maximal_cliques_via_edges
+from srgpq.graphcore import Graph, bits, is_srg_report, maximal_cliques_via_edges, row_zero_counts
 from srgpq.params import ParameterError, PqParams
 
 
@@ -68,22 +68,35 @@ class PqAxiomReport:
         return self.params is not None
 
 
-def _line_masks(inc: IncidenceStructure) -> list[int]:
-    masks = []
-    for line in inc.lines:
+def _incidence_masks(inc: IncidenceStructure) -> tuple[list[int], list[int], list[int], Optional[dict]]:
+    """The line masks, point degrees and collinearity masks, from one pass over the lines.
+
+    The fourth value is the axiom (ii) witness: the first pair of points
+    on two lines, in line order and then in the pair order of the sorted
+    line, or None.  Before a line is added, coll[a] & mask holds the
+    points of the line that share an earlier line with a; at the least
+    such a these are all above a, and exactly one earlier line holds a
+    and the least of them.
+    """
+    line_masks: list[int] = []
+    degree = [0] * inc.num_points
+    coll = [0] * inc.num_points
+    repeated = None
+    for index, line in enumerate(inc.lines):
         mask = 0
         for p in line:
             mask |= 1 << p
-        masks.append(mask)
-    return masks
-
-
-def _collinearity_masks(num_points: int, line_masks: Sequence[int]) -> list[int]:
-    coll = [0] * num_points
-    for mask in line_masks:
-        for p in bits(mask):
-            coll[p] |= mask & ~(1 << p)
-    return coll
+        for a in sorted(line):
+            shared = coll[a] & mask
+            if shared and repeated is None:
+                b = (shared & -shared).bit_length() - 1
+                both = 1 << a | 1 << b
+                first = next(j for j, earlier in enumerate(line_masks) if earlier & both == both)
+                repeated = {"points": [a, b], "lines": [first, index]}
+            coll[a] |= mask ^ 1 << a
+            degree[a] += 1
+        line_masks.append(mask)
+    return line_masks, degree, coll, repeated
 
 
 def _off_line_witness(line_masks: Sequence[int], coll: Sequence[int]) -> Optional[dict]:
@@ -125,48 +138,35 @@ def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
             return violation(
                 "i", {"line": index, "size": len(line), "expected": s_plus_one}
             )
-    degree = [0] * inc.num_points
-    for line in inc.lines:
-        for p in line:
-            degree[p] += 1
+    line_masks, degree, coll, repeated = _incidence_masks(inc)
     t_plus_one = degree[0] if degree else 0  # no points: mu stays undefined below
     for p, d in enumerate(degree):
         if d != t_plus_one:
             return violation("i", {"point": p, "degree": d, "expected": t_plus_one})
 
     # (ii) two points on at most one common line
-    pair_line: dict[tuple[int, int], int] = {}
-    for index, line in enumerate(inc.lines):
-        for a, b in combinations(sorted(line), 2):
-            if (a, b) in pair_line:
-                return violation(
-                    "ii", {"points": [a, b], "lines": [pair_line[(a, b)], index]}
-                )
-            pair_line[(a, b)] = index
+    if repeated is not None:
+        return violation("ii", repeated)
 
     # (iii) a point off a line is collinear with at most one of its points
-    line_masks = _line_masks(inc)
-    coll = _collinearity_masks(inc.num_points, line_masks)
     witness = _off_line_witness(line_masks, coll)
     if witness is not None:
         return violation("iii", witness)
 
-    # (iv) every non-collinear pair sees exactly mu common collinear points
-    mu: Optional[int] = None
+    # (iv) every non-collinear pair sees exactly mu common collinear points.
+    # By (i) and (ii) every point is collinear with s(t + 1) others, so
+    # point 0 has a non-collinear point iff some point has, and mu is read there.
+    _, mu = row_zero_counts(coll)
+    if mu is None:
+        return violation("degenerate", {"detail": "no non-collinear point pair; mu undefined"})
     for a in range(inc.num_points):
         for b in range(a + 1, inc.num_points):
             if coll[a] >> b & 1:
                 continue
             count = (coll[a] & coll[b]).bit_count()
-            if mu is None:
-                mu = count
-            elif mu != count:
-                return violation(
-                    "iv", {"points": [a, b], "common": count, "expected": mu}
-                )
+            if count != mu:
+                return violation("iv", {"points": [a, b], "common": count, "expected": mu})
 
-    if mu is None:
-        return violation("degenerate", {"detail": "no non-collinear point pair; mu undefined"})
     try:
         params = PqParams(s_plus_one - 1, t_plus_one - 1, mu)
     except ParameterError as exc:
@@ -181,7 +181,7 @@ def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
 
 def collinearity_graph(inc: IncidenceStructure) -> Graph:
     """Graph on the points, adjacent iff co-incident with some line."""
-    return Graph(_collinearity_masks(inc.num_points, _line_masks(inc)))
+    return Graph(_incidence_masks(inc)[2])
 
 
 def graph_to_pq(g: Graph) -> IncidenceStructure:

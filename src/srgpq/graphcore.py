@@ -246,11 +246,21 @@ class TriplePartition:
     def covered(self) -> frozenset[int]:
         return frozenset(v for cell in self.cells for v in cell)
 
-    def cell_of(self, v: int) -> tuple[int, int, int]:
-        for cell in self.cells:
-            if v in cell:
-                return cell
-        raise GraphError(f"vertex {v} not covered by the partition")
+
+def row_zero_counts(rows: Sequence[int]) -> tuple[Optional[int], Optional[int]]:
+    """Common neighbours of vertex 0 with its least neighbour and with its least non-neighbour.
+
+    None where 0 has no such vertex.  These are the first adjacent and the
+    first non-adjacent pair of the u < v loop: on a strongly regular graph
+    the counts are lam and mu, and on the collinearity masks of a partial
+    quadrangle s - 1 and mu.
+    """
+    row = rows[0] if rows else 0
+
+    def count(mask: int) -> Optional[int]:
+        return (row & rows[(mask & -mask).bit_length() - 1]).bit_count() if mask else None
+
+    return count(row), count((1 << len(rows)) - 1 & ~(row | 1))
 
 
 def is_srg_report(
@@ -268,7 +278,9 @@ def is_srg_report(
     least vertices of the earlier orbits, as check_condition_con does.
     With singletons these are the pairs u < v, in order.  The orbit pass
     names the same first failing pair as that loop:
-    * row 0 comes first in both and sets lam and mu the same way;
+    * both compare every pair with the lam and mu of row_zero_counts, the
+      counts of the loop's first adjacent and first non-adjacent pair; a
+      regular graph without one of them is complete or edgeless;
     * the loop's first failing row u is the least vertex of its orbit: an
       automorphism a with a(u) < u maps the failing pair onto one with the
       same adjacency and count in the earlier row min(a(u), a(v));
@@ -287,36 +299,19 @@ def is_srg_report(
         d = rows[v].bit_count()
         if d != k:
             return None, {"reason": "not-regular", "vertex": v, "degree": d, "expected": k}
-    lam: Optional[int] = None
-    mu: Optional[int] = None
+    lam, mu = row_zero_counts(rows)
+    if lam is None or mu is None:
+        return None, {"reason": "complete-or-edgeless"}
     rest = list(range(g.nu))  # every vertex but the least vertices of the orbits so far
     for u in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
         rest.remove(u)
         row_u = rows[u]
         for v in rest:
             count = (row_u & rows[v]).bit_count()
-            if row_u >> v & 1:
-                if lam is None:
-                    lam = count
-                elif lam != count:
-                    return None, {
-                        "reason": "adjacent-pair-mismatch",
-                        "pair": [u, v],
-                        "common": count,
-                        "expected": lam,
-                    }
-            else:
-                if mu is None:
-                    mu = count
-                elif mu != count:
-                    return None, {
-                        "reason": "nonadjacent-pair-mismatch",
-                        "pair": [u, v],
-                        "common": count,
-                        "expected": mu,
-                    }
-    if lam is None or mu is None:
-        return None, {"reason": "complete-or-edgeless"}
+            expected = lam if row_u >> v & 1 else mu
+            if count != expected:
+                reason = "adjacent-pair-mismatch" if row_u >> v & 1 else "nonadjacent-pair-mismatch"
+                return None, {"reason": reason, "pair": [u, v], "common": count, "expected": expected}
     try:
         return SrgParams(g.nu, k, lam, mu), None
     except ParameterError as exc:

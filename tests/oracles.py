@@ -10,7 +10,10 @@ at a time, the sigma propagation with one mapping dict a cell, one
 adjacency row bit by bit, the Diophantine search over every n, the graph6
 codec and the bit-matrix transpose one bit at a time, the row-order range,
 self-loop and symmetry checks of a Graph, check-con's m_0 from the M_0 set
-of each pair, and the PQ axiom (iii) one line and one point at a time,
+of each pair, the SRG check with lam and mu set by the first adjacent and
+the first non-adjacent pair it meets, the PQ axioms with a dict of every
+collinear pair for (ii) and mu set by the first non-collinear pair of (iv),
+and the PQ axiom (iii) one line and one point at a time,
 the diamond-free check one adjacent pair of every neighbourhood at a time,
 the cliques of a neighbourhood by breadth-first search over its components,
 the maximal cliques one edge closure at a time, the related 4-sets
@@ -39,7 +42,7 @@ from srgpq.automorphism import (
     related_set,
 )
 from srgpq.cli import GRAPH6_HEADER, MAX_GRAPH6_VERTICES, Graph6Error, _size_prefix
-from srgpq.geometry import IncidenceStructure
+from srgpq.geometry import IncidenceStructure, PqAxiomReport
 from srgpq.graphcore import (
     CliqueClosureError,
     Graph,
@@ -61,7 +64,7 @@ from srgpq.localstats import (
     pair_stats,
     psi_partition as _psi_partition,
 )
-from srgpq.params import FamilyInfo, fixed_point_bound
+from srgpq.params import FamilyInfo, ParameterError, PqParams, SrgParams, fixed_point_bound
 from srgpq.reports import CheckReport
 
 
@@ -590,14 +593,105 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     )
 
 
-def off_line_witness(inc: IncidenceStructure) -> Optional[dict]:
-    """PQ axiom (iii) at every (line, point off it), collinearity read off the lines."""
+def is_srg_report(
+    g: Graph, orbits: Optional[Sequence[Sequence[int]]] = None
+) -> tuple[Optional[SrgParams], Optional[dict]]:
+    """The SRG check with lam and mu set by the first adjacent and non-adjacent pair it meets."""
+    if g.nu < 4:
+        return None, {"reason": "too-few-vertices", "nu": g.nu}
+    rows = g.rows
+    k = rows[0].bit_count()
+    for v in range(1, g.nu):
+        d = rows[v].bit_count()
+        if d != k:
+            return None, {"reason": "not-regular", "vertex": v, "degree": d, "expected": k}
+    lam: Optional[int] = None
+    mu: Optional[int] = None
+    rest = list(range(g.nu))
+    for u in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
+        rest.remove(u)
+        for v in rest:
+            count = (rows[u] & rows[v]).bit_count()
+            if rows[u] >> v & 1:
+                if lam is None:
+                    lam = count
+                elif lam != count:
+                    return None, {"reason": "adjacent-pair-mismatch", "pair": [u, v],
+                                  "common": count, "expected": lam}
+            elif mu is None:
+                mu = count
+            elif mu != count:
+                return None, {"reason": "nonadjacent-pair-mismatch", "pair": [u, v],
+                              "common": count, "expected": mu}
+    if lam is None or mu is None:
+        return None, {"reason": "complete-or-edgeless"}
+    try:
+        return SrgParams(g.nu, k, lam, mu), None
+    except ParameterError as exc:
+        return None, {"reason": "trivial-parameters", "detail": str(exc)}
+
+
+def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
+    """The PQ axioms with a dict of every collinear pair for (ii) and mu set by (iv)'s first pair."""
+
+    def violation(axiom: str, witness: dict) -> PqAxiomReport:
+        return PqAxiomReport(None, False, axiom, witness)
+
+    s_plus_one = len(inc.lines[0])
+    for index, line in enumerate(inc.lines):
+        if len(line) != s_plus_one:
+            return violation("i", {"line": index, "size": len(line), "expected": s_plus_one})
+    degree = [0] * inc.num_points
+    for line in inc.lines:
+        for p in line:
+            degree[p] += 1
+    t_plus_one = degree[0] if degree else 0
+    for p, d in enumerate(degree):
+        if d != t_plus_one:
+            return violation("i", {"point": p, "degree": d, "expected": t_plus_one})
+    pair_line: dict[tuple[int, int], int] = {}
+    for index, line in enumerate(inc.lines):
+        for a, b in combinations(sorted(line), 2):
+            if (a, b) in pair_line:
+                return violation("ii", {"points": [a, b], "lines": [pair_line[(a, b)], index]})
+            pair_line[(a, b)] = index
+    witness = off_line_witness(inc)
+    if witness is not None:
+        return violation("iii", witness)
+    coll = collinearity_masks(inc)
+    mu: Optional[int] = None
+    for a in range(inc.num_points):
+        for b in range(a + 1, inc.num_points):
+            if coll[a] >> b & 1:
+                continue
+            count = (coll[a] & coll[b]).bit_count()
+            if mu is None:
+                mu = count
+            elif mu != count:
+                return violation("iv", {"points": [a, b], "common": count, "expected": mu})
+    if mu is None:
+        return violation("degenerate", {"detail": "no non-collinear point pair; mu undefined"})
+    try:
+        params = PqParams(s_plus_one - 1, t_plus_one - 1, mu)
+    except ParameterError as exc:
+        return violation("degenerate", {"detail": str(exc)})
+    return PqAxiomReport(params, params.is_generalized_quadrangle, None, None)
+
+
+def collinearity_masks(inc: IncidenceStructure) -> list[int]:
+    """The points collinear with each point, one pair of points of a line at a time."""
     coll = [0] * inc.num_points
     for line in inc.lines:
         for p in line:
             for q in line:
                 if q != p:
                     coll[p] |= 1 << q
+    return coll
+
+
+def off_line_witness(inc: IncidenceStructure) -> Optional[dict]:
+    """PQ axiom (iii) at every (line, point off it), collinearity read off the lines."""
+    coll = collinearity_masks(inc)
     for index, line in enumerate(inc.lines):
         mask = sum(1 << q for q in line)
         for p in range(inc.num_points):

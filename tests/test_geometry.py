@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,7 @@ from srgpq.geometry import (
     parse_incidence,
     verify_pq_axioms,
 )
-from srgpq.geometry import _collinearity_masks, _line_masks, _off_line_witness
+from srgpq.geometry import _incidence_masks, _off_line_witness
 from srgpq.graphcore import Graph, is_diamond_free, is_srg
 from srgpq.params import PqParams, SrgParams
 from tests import oracles
@@ -212,9 +213,64 @@ incidences = st.integers(1, 9).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(incidences)
 def test_axiom_iii_witness_matches_the_point_loop_on_small_incidences(inc):
-    line_masks = _line_masks(inc)
-    witness = _off_line_witness(line_masks, _collinearity_masks(inc.num_points, line_masks))
-    assert witness == oracles.off_line_witness(inc)
+    line_masks, _, coll, _ = _incidence_masks(inc)
+    assert _off_line_witness(line_masks, coll) == oracles.off_line_witness(inc)
+
+
+@st.composite
+def parallel_classes(draw):
+    """Lines from random parallel classes, each line unsorted, the lines shuffled.
+
+    Each class splits the points into lines of one size, so every line has
+    that size and every point lies on one line of each class; a line that
+    recurs in a later class is kept once, which lowers its points' degrees.
+    """
+    size, per_class = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    points = size * per_class
+    lines: dict[frozenset, tuple[int, ...]] = {}
+    for _ in range(draw(st.integers(2, 4))):
+        order = draw(st.permutations(range(points)))
+        for start in range(0, points, size):
+            line = tuple(order[start:start + size])
+            lines.setdefault(frozenset(line), line)
+    return IncidenceStructure(points, tuple(draw(st.permutations(list(lines.values())))))
+
+
+def _shuffled_incidence(inc: IncidenceStructure, seed: int) -> IncidenceStructure:
+    """inc with its points relabelled and its lines, and the points of each, shuffled."""
+    rng = random.Random(seed)
+    labels = rng.sample(range(inc.num_points), inc.num_points)
+    lines = [rng.sample([labels[p] for p in line], len(line)) for line in inc.lines]
+    rng.shuffle(lines)
+    return IncidenceStructure(inc.num_points, tuple(map(tuple, lines)))
+
+
+def test_pq_axioms_match_the_pair_dict_and_lazy_mu_on_parallel_classes():
+    verdicts = set()
+
+    @settings(max_examples=600, deadline=None)
+    @given(parallel_classes())
+    def check(inc):
+        report = verify_pq_axioms(inc)
+        assert report == oracles.verify_pq_axioms(inc)
+        assert collinearity_graph(inc) == Graph(oracles.collinearity_masks(inc))
+        verdicts.add(report.violated_axiom)
+
+    check()
+    assert {"i", "ii", "iii", "iv", None} <= verdicts
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("builder", [build_rook4, build_gq35, build_ovoid256])
+def test_pq_axioms_match_the_pair_dict_and_lazy_mu_on_the_witnesses(builder, seed):
+    inc = graph_to_pq(builder())
+    if seed is not None:
+        inc = _shuffled_incidence(inc, seed)
+    report = verify_pq_axioms(inc)
+    assert report.ok and report == oracles.verify_pq_axioms(inc)
+    broken = IncidenceStructure(inc.num_points, inc.lines[:-1])  # one point degree drops
+    assert verify_pq_axioms(broken) == oracles.verify_pq_axioms(broken)
+    assert verify_pq_axioms(broken).violated_axiom == "i"
 
 
 def test_axiom_iv_violation_hexagon():

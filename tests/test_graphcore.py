@@ -227,6 +227,51 @@ def test_is_srg_rejects_complete():
     assert params is None and witness["reason"] == "complete-or-edgeless"
 
 
+def _circulant(nu: int, jumps, labels=None) -> Graph:
+    """The circulant graph on Z_nu with the given jumps, vertex x relabelled labels[x]."""
+    labels = labels or range(nu)
+    pairs = [(u, v) for u, v in combinations(range(nu), 2) if min(v - u, nu - v + u) in jumps]
+    return Graph.from_edges(nu, [(labels[u], labels[v]) for u, v in pairs])
+
+
+@st.composite
+def srg_check_graphs(draw):
+    """A complete, edgeless, random (mostly irregular) or relabelled circulant graph on 0..14 vertices."""
+    nu = draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(["complete", "edgeless", "random", "circulant"]))
+    pairs = list(combinations(range(nu), 2))
+    if kind == "circulant":
+        jumps = draw(st.sets(st.integers(1, max(1, nu // 2))))
+        return _circulant(nu, jumps, draw(st.permutations(range(nu))))
+    if kind == "random":
+        chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        pairs = [pair for pair, keep in zip(pairs, chosen) if keep]
+    return Graph.from_edges(nu, pairs if kind != "edgeless" else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(srg_check_graphs())
+def test_is_srg_report_matches_the_lazy_loop(g):
+    assert is_srg_report(g) == oracles.is_srg_report(g)
+
+
+def test_is_srg_report_matches_the_lazy_loop_on_every_circulant():
+    # every circulant on 0..14 vertices, complete and edgeless included, as
+    # built and relabelled: they reach every verdict of a regular graph
+    reasons = set()
+    for nu in range(15):
+        rng = random.Random(nu)
+        for size in range(nu // 2 + 1):
+            for jumps in combinations(range(1, nu // 2 + 1), size):
+                for labels in (None, rng.sample(range(nu), nu)):
+                    g = _circulant(nu, jumps, labels)
+                    params, witness = is_srg_report(g)
+                    assert (params, witness) == oracles.is_srg_report(g)
+                    reasons.add("srg" if witness is None else witness["reason"])
+    assert reasons == {"too-few-vertices", "complete-or-edgeless", "trivial-parameters",
+                       "adjacent-pair-mismatch", "nonadjacent-pair-mismatch", "srg"}
+
+
 def test_is_srg_agrees_with_matrix_identity(rook, shrikhande):
     for g in (rook, shrikhande):
         params = is_srg(g)

@@ -455,6 +455,7 @@ def _all_pairs_check(g: Graph):
 def _assert_preconditions_agree(g: Graph, orbits) -> None:
     singletons = tuple((v,) for v in range(g.nu))
     assert is_srg_report(g, orbits) == is_srg_report(g, singletons) == is_srg_report(g)
+    assert is_srg_report(g, orbits) == oracles.is_srg_report(g, orbits) == oracles.is_srg_report(g)
     assert is_diamond_free(g, orbits) == is_diamond_free(g, singletons) == is_diamond_free(g)
     assert is_diamond_free(g) == oracles.is_diamond_free(g)
 
