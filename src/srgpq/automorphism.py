@@ -9,12 +9,13 @@ permutation is always re-checked as a graph automorphism: the construction
 must also run (and fail loudly) on inputs outside the proofs' hypotheses.
 
 Both steps run in bulk on the renumbering of graphcore.transpose_rows.  The
-propagation carries the orientations of all cells as masks over one
-cell-ordered transpose, and the automorphism check compares perm(N(x)) with
-N(perm(x)) for every x from one transpose of the permuted rows.  Each step
-raises its own error: the masks name the cells a gap leaves undefined, and
-only after they meet a conflict does a worklist over them name the conflict
-that the propagation one matched pair at a time would meet first.
+matchings come from localstats.matched_pairs as masks over one cell-ordered
+transpose, the propagation carries the orientations of all cells over
+them, and the automorphism check compares perm(N(x)) with N(perm(x)) for
+every x from one transpose of the permuted rows.  Each step raises its own
+error: the masks name the cells a gap leaves undefined, and only after
+they meet a conflict does a worklist over them name the conflict that the
+propagation one matched pair at a time would meet first.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from srgpq.graphcore import Graph, GraphError, bits, phi_partition, transpose_rows
-from srgpq.localstats import LocalStatsError, _m0_mask, psi_partition
+from srgpq.localstats import LocalStatsError, _m0_mask, matched_pairs, psi_partition
 from srgpq.params import FamilyInfo, fixed_point_bound
 from srgpq.reports import CheckReport
 
@@ -182,19 +183,20 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
 
     The seed is the ascending 3-cycle (a b c) on the lexicographically least
     cell of the triangle partition at u.  Seeding the descending cycle
-    instead would propagate through the same table in the same order, every
-    transferred map inverted, so it yields exactly the inverse permutation;
-    callers take ``.inverse()``.
+    instead would propagate through the same matchings in the same order,
+    every transferred map inverted, so it yields exactly the inverse
+    permutation; callers take ``.inverse()``.
 
-    The orientations of all cells propagate at once as masks.  Raises on
-    conflicting definitions, incomplete propagation, or a final permutation
-    that fails the unconditional automorphism check.
+    The orientations of all cells propagate at once over the masks of
+    localstats.matched_pairs.  Raises on conflicting definitions, incomplete
+    propagation, or a final permutation that fails the unconditional
+    automorphism check.
     """
     phi = phi_partition(g, u)
     if not phi.cells:
         raise SigmaSeedError(f"vertex {u} has no neighbours, so no triangle cell to seed")
     psi = psi_partition(g, fam, u)
-    sigma = _sigma_from_masks(g, phi.cells, psi.cells)
+    sigma = _sigma_from_masks(g, phi.cells, psi.cells, *matched_pairs(g, u, phi, psi))
     witness = automorphism_witness(g, sigma)
     if witness is not None:
         raise SigmaAutomorphismError(f"adjacency not preserved at pair {witness}")
@@ -208,49 +210,24 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
 # in either direction.
 
 
-def _matchings(
-    g: Graph, phi_cells: Sequence[tuple[int, int, int]], psi_cells: Sequence[tuple[int, int, int]]
-) -> tuple[list[int], list[int]]:
-    """For each phi cell, masks of its one-regular psi cells and of the reflected ones among them.
-
-    Psi cell j is local bits 3j..3j+2, so local[a] is N(a) on the psi cells,
-    and bit 3j of each mask.  A phi cell (a0, a1, a2) is one-regular to psi
-    cell j iff each of its three rows has one bit in field j and together
-    they have all three.  The bijection then keeps the cell order, rotated,
-    iff a1's bit is a0's bit moved up one place, cyclically; otherwise it
-    reflects it, and carrying an orientation across it flips it.
-    """
-    rows = g.rows
-    local = transpose_rows([rows[x] for cell in psi_cells for x in cell], g.nu)
-    ones = ((1 << 3 * len(psi_cells)) - 1) // 7  # bit 3j for every psi cell j
-    matched, flips = [], []
-    for a0, a1, a2 in phi_cells:
-        l0, l1, l2 = local[a0], local[a1], local[a2]
-        union = l0 | l1 | l2
-        onereg = union & union >> 1 & union >> 2 & ones
-        for row in (l0, l1, l2):
-            count = (row & ones) + (row >> 1 & ones) + (row >> 2 & ones)
-            onereg &= count & ~(count >> 1)  # a count of 1
-        rotated = ((l0 & ones * 3) << 1 | l0 >> 2 & ones) & l1
-        matched.append(onereg)
-        flips.append(onereg & ~(rotated | rotated >> 1 | rotated >> 2))
-    return matched, flips
-
-
 def _sigma_from_masks(
-    g: Graph, phi_cells: Sequence[tuple[int, int, int]], psi_cells: Sequence[tuple[int, int, int]]
+    g: Graph,
+    phi_cells: Sequence[tuple[int, int, int]],
+    psi_cells: Sequence[tuple[int, int, int]],
+    matched: Sequence[int],
+    flips: Sequence[int],
 ) -> Permutation:
     """The propagation over all cells at once, raising at a conflict or a gap.
 
     The orientations are bit i of one mask for phi cell i and bit 3j of
-    another for psi cell j, as in the masks of _matchings.  A phi cell is
-    visited once, after one of its psi cells is defined: it is checked
-    against its defined psi cells and defines the others.  So every matched
-    pair of the seed's component is checked when its later end is reached,
-    whether the component has a conflict does not depend on the order of
-    the visits, and without one every orientation in it is forced.
+    another for psi cell j, as in the masks matched and flips of
+    localstats.matched_pairs.  A phi cell is visited once, after one of its
+    psi cells is defined: it is checked against its defined psi cells and
+    defines the others.  So every matched pair of the seed's component is
+    checked when its later end is reached, whether the component has a
+    conflict does not depend on the order of the visits, and without one
+    every orientation in it is forced.
     """
-    matched, flips = _matchings(g, phi_cells, psi_cells)
     ones = ((1 << 3 * len(psi_cells)) - 1) // 7
     phi_turned = 0  # the seed's ascending 3-cycle on phi cell 0
     psi_defined, psi_turned = matched[0], flips[0]

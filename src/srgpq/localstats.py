@@ -3,8 +3,9 @@
 This module measures, on a concrete graph, the quantities that drive the
 family's feasibility analysis: the triple counts p and cross-adjacency counts
 q, the distribution of p-values over the non-neighborhood of a pair, the
-partition of non-neighbors into independent triples, matchings between
-triangle cells and independent cells, and the two exact block-matrix
+partition of non-neighbors into independent triples, the one-regular
+matchings between triangle cells and independent cells (as the masks that
+automorphism.build_sigma propagates over), and the two exact block-matrix
 identities tying the neighborhood of a vertex to the rest of the graph.
 
 Checks distinguish asserted results from diagnostics measured outside the
@@ -68,26 +69,6 @@ class MSpectrum:
     @property
     def t_cap(self) -> int:
         return len(self.counts) - 1
-
-
-@dataclass(frozen=True)
-class MatchedPairTable:
-    """Classification of every (triangle cell, independent cell) pair at a vertex.
-
-    kinds[i][j] is "edgeless", "one-regular", or "other"; for one-regular
-    pairs, bijections[(i, j)] maps each triangle vertex to its unique neighbor
-    in the independent cell.
-    """
-
-    base_vertex: int
-    phi_cells: tuple[tuple[int, int, int], ...]
-    psi_cells: tuple[tuple[int, int, int], ...]
-    kinds: tuple[tuple[str, ...], ...]
-    bijections: dict[tuple[int, int], dict[int, int]]
-
-    def matched_degree(self, j: int) -> int:
-        """Number of triangle cells matched to independent cell j."""
-        return sum(1 for i in range(len(self.phi_cells)) if self.kinds[i][j] == "one-regular")
 
 
 def _require_positive_slope(fam: FamilyInfo) -> int:
@@ -512,49 +493,35 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
 
 def matched_pairs(
     g: Graph, u: int, phi: TriplePartition, psi: TriplePartition
-) -> MatchedPairTable:
-    """Classify every (phi cell, psi cell) pair as edgeless, one-regular, or other.
+) -> tuple[list[int], list[int]]:
+    """For each phi cell, masks of its one-regular psi cells and of the reflected ones among them.
 
-    Each psi cell is one mask, and each phi vertex's row is restricted once
-    to the union of the psi cells.  A psi cell that no row of a phi cell
-    touches is edgeless; only the touched ones are classified.
+    Psi cell j is local bits 3j..3j+2, so local[a] is N(a) on the psi cells,
+    and bit 3j of each mask.  A phi cell (a0, a1, a2) is one-regular to psi
+    cell j iff each of its three rows has one bit in field j and together
+    they have all three.  The bijection then keeps the cell order, rotated,
+    iff a1's bit is a0's bit moved up one place, cyclically; otherwise it
+    reflects it, and carrying an orientation across it flips it.
     """
     if phi.base_vertex != u or psi.base_vertex != u:
         raise LocalStatsError("partitions built at a different base vertex")
     if phi.kind != "phi" or psi.kind != "psi":
         raise LocalStatsError("need a phi partition and a psi partition")
-    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in psi.cells]
-    covered = sum(masks)
-    kinds = []
-    bijections: dict[tuple[int, int], dict[int, int]] = {}
-    for i, phi_cell in enumerate(phi.cells):
-        a0, a1, a2 = phi_cell
-        r0, r1, r2 = (g.row(a) & covered for a in phi_cell)
-        touched = r0 | r1 | r2
-        row_kinds = []
-        for j, mask in enumerate(masks):
-            if not touched & mask:
-                row_kinds.append("edgeless")
-                continue
-            m0, m1, m2 = r0 & mask, r1 & mask, r2 & mask
-            # one neighbour each, and together all three: a bijection
-            if m0 | m1 | m2 == mask and m0.bit_count() == m1.bit_count() == m2.bit_count() == 1:
-                row_kinds.append("one-regular")
-                bijections[(i, j)] = {
-                    a0: m0.bit_length() - 1,
-                    a1: m1.bit_length() - 1,
-                    a2: m2.bit_length() - 1,
-                }
-            else:
-                row_kinds.append("other")
-        kinds.append(tuple(row_kinds))
-    return MatchedPairTable(
-        base_vertex=u,
-        phi_cells=phi.cells,
-        psi_cells=psi.cells,
-        kinds=tuple(kinds),
-        bijections=bijections,
-    )
+    rows = g.rows
+    local = transpose_rows([rows[x] for cell in psi.cells for x in cell], g.nu)
+    ones = ((1 << 3 * len(psi.cells)) - 1) // 7  # bit 3j for every psi cell j
+    matched, flips = [], []
+    for a0, a1, a2 in phi.cells:
+        l0, l1, l2 = local[a0], local[a1], local[a2]
+        union = l0 | l1 | l2
+        onereg = union & union >> 1 & union >> 2 & ones
+        for row in (l0, l1, l2):
+            count = (row & ones) + (row >> 1 & ones) + (row >> 2 & ones)
+            onereg &= count & ~(count >> 1)  # a count of 1
+        rotated = ((l0 & ones * 3) << 1 | l0 >> 2 & ones) & l1
+        matched.append(onereg)
+        flips.append(onereg & ~(rotated | rotated >> 1 | rotated >> 2))
+    return matched, flips
 
 
 def _psi_regularity(

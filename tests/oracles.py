@@ -25,6 +25,7 @@ equal exception types and equal messages from the kernels.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -54,7 +55,6 @@ from srgpq.graphcore import (
 from srgpq.localstats import (
     FamilyPreconditionError,
     LocalStatsError,
-    MatchedPairTable,
     MomentIdentityError,
     MSpectrum,
     PairBoundError,
@@ -498,6 +498,22 @@ def generate_gamma(
         bound_satisfied=bound_satisfied,
         order_power_of_two=order & (order - 1) == 0,
     )
+
+
+@dataclass(frozen=True)
+class MatchedPairTable:
+    """Classification of every (triangle cell, independent cell) pair at a vertex.
+
+    kinds[i][j] is "edgeless", "one-regular", or "other"; for one-regular
+    pairs, bijections[(i, j)] maps each triangle vertex to its unique neighbor
+    in the independent cell.
+    """
+
+    base_vertex: int
+    phi_cells: tuple[tuple[int, int, int], ...]
+    psi_cells: tuple[tuple[int, int, int], ...]
+    kinds: tuple[tuple[str, ...], ...]
+    bijections: dict[tuple[int, int], dict[int, int]]
 
 
 def matched_pairs(

@@ -196,16 +196,11 @@ def test_psi_partition_fails_on_rook(rook, fam_rook):
 def test_matched_pairs_gq35(gq35, fam_gq35):
     phi = phi_partition(gq35, 0)
     psi = psi_partition(gq35, fam_gq35, 0)
-    table = matched_pairs(gq35, 0, phi, psi)
-    flat = [kind for row in table.kinds for kind in row]
-    assert len(flat) == 90
-    assert all(kind == "one-regular" for kind in flat)
-    # each psi cell is matched to all mu = 6 phi cells here
-    assert all(table.matched_degree(j) == 6 for j in range(15))
-    for (i, j), mapping in table.bijections.items():
-        for a, b in mapping.items():
-            assert gq35.adjacent(a, b)
-            assert a in table.phi_cells[i] and b in table.psi_cells[j]
+    matched, flips = matched_pairs(gq35, 0, phi, psi)
+    # every one of the 6 phi cells is matched to all 15 psi cells: bit 3j for each j
+    assert len(phi.cells) == 6 and len(psi.cells) == 15
+    assert matched == [sum(1 << 3 * j for j in range(15))] * 6
+    assert len(flips) == 6 and all(flip & ~row == 0 for flip, row in zip(flips, matched))
 
 
 def test_matched_pairs_rejects_foreign_partition(gq35, fam_gq35):

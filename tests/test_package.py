@@ -9,6 +9,7 @@ import types
 from pathlib import Path
 
 import srgpq
+from srgpq import automorphism, localstats
 
 
 def test_all_names_exactly_the_public_attributes():
@@ -29,13 +30,14 @@ def test_only_graphcore_knows_the_packed_bit_matrix_format():
             assert not helpers & set(vars(module)), info.name
 
 
-def test_only_localstats_binds_the_matched_pair_table():
-    # build_sigma reads the matchings from automorphism._matchings' masks,
-    # never from the table
-    for info in pkgutil.iter_modules(srgpq.__path__):
-        if info.name != "localstats":
-            module = importlib.import_module(f"srgpq.{info.name}")
-            assert "matched_pairs" not in vars(module), info.name
+def test_build_sigma_runs_the_one_matched_pair_kernel():
+    # the (phi cell, psi cell) matching lives in localstats.matched_pairs;
+    # its per-pair table is a test oracle
+    assert automorphism.matched_pairs is localstats.matched_pairs
+    names = ["srgpq"] + [f"srgpq.{info.name}" for info in pkgutil.iter_modules(srgpq.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        assert not {"MatchedPairTable", "_matchings"} & set(vars(module)), name
 
 
 def _package_imports(tree: ast.Module, modules: set[str]) -> set[str]:

@@ -6,19 +6,22 @@ sigma_u sigma_v^{-1}.  Both must give the same group and the same report,
 and the same ClosureCapError at the same cap.  verify_involution_property,
 which proves a pass from the quotients q_u, must give the report of its
 reference, which squares every quotient sigma_u sigma_v^{-1}.
-matched_pairs and automorphism_witness must give the tables and the witness
-pairs of their one-pair-at-a-time and bit-by-bit references, on the
-witnesses, on their mutants, on broken permutations and on random graphs.
-build_sigma, which carries the orientations of all cells as masks, must
-succeed or fail as the propagation with one mapping dict a cell does, with
-the same message: also on the masks of tampered tables, which reach its
-conflict and coverage checks, and on tampered partitions.  On the
-witnesses no conflict is ever named.
+matched_pairs must give the masks read off the table of its
+one-pair-at-a-time reference, and automorphism_witness the witness pairs of
+its bit-by-bit reference, on the witnesses, on their mutants, on broken
+permutations and on random graphs.  build_sigma, which carries the
+orientations of all cells over the masks of matched_pairs, must succeed or
+fail as the propagation with one mapping dict a cell does, with the same
+message: also on the masks of tampered tables, which reach its conflict and
+coverage checks, and on tampered partitions.  On the witnesses no conflict
+is ever named.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gzip
+import json
 import random
 
 import pytest
@@ -26,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, seeded_permutation
+from perfbench.tracing import Tracer
 from srgpq import automorphism
 from srgpq.automorphism import (
     ClosureCapError,
@@ -40,7 +44,7 @@ from srgpq.automorphism import (
     generate_gamma,
     verify_involution_property,
 )
-from srgpq.graphcore import Graph, TriplePartition, phi_partition
+from srgpq.graphcore import Graph, phi_partition
 from srgpq.localstats import matched_pairs, psi_partition
 from srgpq.params import FamilyInfo
 from tests import oracles
@@ -279,7 +283,7 @@ def test_generate_gamma_rejects_an_empty_family():
 
 
 def _masks(table) -> tuple[list[int], list[int]]:
-    """The masks of _matchings read off a table's bijections.
+    """The masks of matched_pairs read off a table's bijections.
 
     Bit 3j of matched[i] for each bijection (i, j), and of flips[i] where it
     reflects the cell order.
@@ -293,13 +297,10 @@ def _masks(table) -> tuple[list[int], list[int]]:
 
 
 def _assert_matched_pairs_agree(g: Graph, u: int, phi, psi):
-    table = matched_pairs(g, u, phi, psi)
+    """The kernel's masks against the reference table's, and the kinds of pair the table holds."""
     reference = oracles.matched_pairs(g, u, phi, psi)
-    assert table.kinds == reference.kinds
-    assert table.bijections == reference.bijections
-    assert list(table.bijections) == list(reference.bijections)
-    assert automorphism._matchings(g, phi.cells, psi.cells) == _masks(reference)
-    return {kind for row in table.kinds for kind in row}
+    assert matched_pairs(g, u, phi, psi) == _masks(reference)
+    return {kind for row in reference.kinds for kind in row}
 
 
 def _assert_witnesses_agree(g: Graph, perm: Permutation):
@@ -432,14 +433,9 @@ def _outcomes_on_tampered_masks(monkeypatch, g: Graph, fam: FamilyInfo, tamper, 
     """build_sigma on the masks of the tampered table, and the oracle on that table, at each u."""
     table = _tampered(tamper)
     monkeypatch.setattr("tests.oracles.matched_pairs", table)
+    monkeypatch.setattr("srgpq.automorphism.matched_pairs", lambda *args: _masks(table(*args)))
     outcomes = []
     for u in vertices:
-        def matchings(g, phi_cells, psi_cells, u=u):
-            phi = TriplePartition(base_vertex=u, cells=tuple(phi_cells), kind="phi")
-            psi = TriplePartition(base_vertex=u, cells=tuple(psi_cells), kind="psi")
-            return _masks(table(g, u, phi, psi))
-
-        monkeypatch.setattr("srgpq.automorphism._matchings", matchings)
         outcome = _outcome(build_sigma, g, fam, u)
         assert outcome == _outcome(oracles.build_sigma, g, fam, u)
         outcomes.append(outcome)
@@ -517,7 +513,7 @@ def _reflected_matching(rows: list[int], fam: FamilyInfo, u: int, index: int) ->
     """rows with one matching at u reflected by a 2-switch: its two cells' orientations conflict."""
     g = Graph(rows)
     phi = phi_partition(g, u)
-    table = matched_pairs(g, u, phi, psi_partition(g, fam, u))
+    table = oracles.matched_pairs(g, u, phi, psi_partition(g, fam, u))
     i, j = list(table.bijections)[index]
     t0, t1, _ = phi.cells[i]
     a0, a1 = table.bijections[(i, j)][t0], table.bijections[(i, j)][t1]
@@ -560,16 +556,35 @@ def test_build_sigma_matches_the_oracle_on_tampered_inputs(graph, fam, monkeypat
 
 def test_the_masks_decline_a_cell_that_no_matching_reaches(gq35):
     phi, psi = phi_partition(gq35, 0), psi_partition(gq35, GQ35, 0)
-    assert automorphism._sigma_from_masks(gq35, phi.cells, psi.cells) == build_sigma(gq35, GQ35, 0)
+
+    def sigma(phi, psi):
+        masks = matched_pairs(gq35, 0, phi, psi)
+        return automorphism._sigma_from_masks(gq35, phi.cells, psi.cells, *masks)
+
+    assert sigma(phi, psi) == build_sigma(gq35, GQ35, 0)
     # a triangle cell as an extra independent cell: its own rows meet it twice, the others never
     with pytest.raises(SigmaCoverageError) as gap:
-        automorphism._sigma_from_masks(gq35, phi.cells, psi.cells + (phi.cells[1],))
+        sigma(phi, dataclasses.replace(psi, cells=psi.cells + (phi.cells[1],)))
     assert str(gap.value) == "propagation left cells undefined: [('psi', 15)]"
     # an extra triangle cell holding the base vertex, whose row misses every independent cell
     extra = (0,) + psi.cells[0][1:]
     with pytest.raises(SigmaCoverageError) as gap:
-        automorphism._sigma_from_masks(gq35, phi.cells + (extra,), psi.cells)
+        sigma(dataclasses.replace(phi, cells=phi.cells + (extra,)), psi)
     assert str(gap.value) == "propagation left cells undefined: [('phi', 6)]"
+
+
+def test_the_trace_books_matched_pairs_under_build_sigma(gq35, tmp_path):
+    # the per-layer metric localstats.matched_pairs.* counts the kernel build_sigma runs
+    with Tracer() as tracer:
+        automorphism.build_sigma(gq35, GQ35, 0)
+    tracer.write(tmp_path / "spans.json.gz")
+    with gzip.open(tmp_path / "spans.json.gz", "rt", encoding="ascii") as handle:
+        document = json.load(handle)
+    names = [document["names"][span[0]] for span in document["spans"]]
+    parents = [span[3] for span in document["spans"]]
+    (kernel,) = [index for index, name in enumerate(names) if name == "localstats.matched_pairs"]
+    assert names.count("automorphism.build_sigma") == 1
+    assert names[parents[kernel]] == "automorphism.build_sigma"
 
 
 WITNESSES = ((gq35_rows, GQ35, None), (ovoid256_rows, OVOID, 16))
