@@ -180,6 +180,22 @@ def transpose_rows(rows: Sequence[int], nu: int) -> list[int]:
     return [unpack_row(data, height, x) for x in range(nu)]
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_fields(mask: int, nu: int, width: int) -> int:
+    """Bits 0..nu-1 of mask, bit x moved to bit x * width: one field of width bits each.
+
+    width is a positive multiple of 8.  The binary digits of mask, reversed
+    so that character x is bit x, become bytes 0 and 1, laid width / 8 bytes
+    apart into a zero little-endian buffer.
+    """
+    step = width >> 3
+    fields = bytearray(nu * step)
+    fields[::step] = format(mask, f"0{nu}b")[::-1][:nu].encode("ascii").translate(_DIGIT_BYTES)
+    return int.from_bytes(fields, "little")
+
+
 def _has_self_loop(data: bytes, width: int) -> bool:
     """Whether a packed square bit matrix has a diagonal bit set."""
     # diagonal bit r = 8q + low lies in byte q * (8 width + 1) + low * width

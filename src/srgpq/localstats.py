@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from srgpq.graphcore import Graph, TriplePartition, bits, neighborhood_clique_cells, transpose_rows
+from srgpq.graphcore import (
+    Graph,
+    TriplePartition,
+    _bit_fields,
+    bits,
+    neighborhood_clique_cells,
+    transpose_rows,
+)
 from srgpq.params import FamilyInfo
 from srgpq.reports import CheckReport
 
@@ -697,6 +704,19 @@ def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     )
 
 
+def _star_width(n: int, lam: int, k: int) -> int:
+    """Bits per field of verify_star's row sums: the least multiple of 8 with top < 2**width.
+
+    top bounds every field: with mu = n(n+1), a = mu(n - lam) and
+    k = |N(u)|, a left field is at most a k + mu (lam+1) k + scalar and a
+    right one at most scalar n + k^2 (see verify_star).
+    """
+    mu = n * (n + 1)
+    scalar = n * (n + 1) ** 2 * (n - lam)
+    top = max(mu * (n - lam) * k + mu * (lam + 1) * k + scalar, scalar * n + k * k)
+    return 8 * max(1, -(-top.bit_length() // 8))
+
+
 def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     """Check the rank identity in Schur-complement form, exactly.
 
@@ -710,54 +730,74 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     live only in that row and column, drop out.  What is left of B is
     a I + mu J on each (lam+1)-clique cell C of N(u), minus J, so
 
-        (Y B Y^T)[v][w] = a |A_v & A_w| + mu sum_C |A_v & C| |A_w & C| - |A_v| |A_w|
+        (Y B Y^T)[v][w] = a |A_v & A_w| + mu sum_C |A_v & C| |A_w & C| - d_v d_w
 
-    with A_v = N(u, v) and a = mu(n - lam).  The clique sum is
-    sum over x in A_v of |A_w & C(x)|, the popcount of A_v against the levels
-    {cells C : |A_w & C| > t}, t <= lam.  Per v, (n+1) copies of A_v; per w,
-    (n-lam) copies of A_w and the lam+1 levels: one popcount per entry.  Both
-    sides are symmetric, so the first mismatch in row-major order lies on or
-    above the diagonal, and only those entries are scanned.
+    with A_v = N(u, v), d_v = |A_v|, mu = n(n+1) and a = mu(n - lam).
+
+    A row at a time.  Give every vertex w its own field of width bits in
+    one integer, e_w = 1 << w * width, and let S_y be the fields of
+    N(y) & outside for y in N(u), T_y = a S_y + mu sum_{y' in C(y)} S_y'
+    and D = sum_{y in N(u)} S_y = sum_w d_w e_w.  The clique sum is
+    sum over y in A_v of |C(y) & A_w|, so row v of Y B Y^T is
+    sum_{y in A_v} T_y - d_v D, and row v of the identity holds iff
+
+        sum_{y in A_v} T_y + scalar X_v == scalar n e_v + d_v D
+
+    with X_v the fields of N(v) & outside.  Both sides are sums of
+    non-negative fields: a, mu and scalar are non-negative since
+    0 < n and lam <= n.  A left field is at most a k + mu (lam+1) k + scalar
+    and a right one at most scalar n + k^2, k = |N(u)|, since
+    |A_v & A_w| <= k and the cells have lam + 1 members; _star_width picks
+    width above both.  So no field carries into the next, and the two
+    integers are equal iff every entry of row v is.
+
+    The rows are scanned in ascending v.  Both sides of the identity are
+    symmetric, so at the first failing row v every entry (v, w) with w < v
+    in outside equals (w, v), which passed in row w, and the fields of the
+    vertices not in outside are zero on both sides.  The lowest differing
+    field is then the first mismatch of row v, at some w >= v, and no
+    earlier row holds one: it is the first mismatch in row-major order.
+    Its entry's own sides are recovered by taking scalar X_vw + d_v d_w
+    off both fields.
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
-    local = _neighborhood_ordering(g, u, lam)[:-1]
-    rows = g.rows
-    outside_mask = ((1 << g.nu) - 1) & ~(rows[u] | (1 << u))
-    outside = tuple(bits(outside_mask))
+    cells = neighborhood_clique_cells(g, u, lam + 1)
+    rows, nu = g.rows, g.nu
+    row_u = rows[u]
+    outside_mask = ((1 << nu) - 1) & ~(row_u | (1 << u))
     mu = n * (n + 1)
+    a = mu * (n - lam)
     scalar = n * (n + 1) ** 2 * (n - lam)
+    k = row_u.bit_count()
+    width = _star_width(n, lam, k)
 
-    # local bits follow the cells, so cell c is the bit range [c(lam+1), (c+1)(lam+1))
-    k, width = len(local), lam + 1
-    packed = transpose_rows([rows[y] for y in local], g.nu)  # N(x) & N(u), local bits
-    cell_mask = (1 << width) - 1
-    spread_v, spread_w = _spread(k, n + 1), _spread(k, n - lam)
-    index = [0] * g.nu
-    v_masks, w_masks, degrees = [], [], []
-    for i, v in enumerate(outside):
-        index[v] = i
-        a = packed[v]
-        w = a * spread_w
-        for c in {x // width for x in bits(a)}:  # the level t sits in copy n - lam + t
-            mask = cell_mask << (c * width)
-            for t in range((a & mask).bit_count()):
-                w |= mask << ((n - lam + t) * k)
-        v_masks.append(a * spread_v)
-        w_masks.append(w)
-        degrees.append(a.bit_count())
+    terms = [0] * nu  # T_y at each y in N(u)
+    total = 0  # D
+    for cell in cells:
+        fields = [_bit_fields(rows[y] & outside_mask, nu, width) for y in cell]
+        cell_sum = sum(fields)
+        total += cell_sum
+        for y, field in zip(cell, fields):
+            terms[y] = a * field + mu * cell_sum
 
     witness = None
-    for i, v in enumerate(outside):
-        y, d = v_masks[i], degrees[i]
-        rhs = [mu * (y & w).bit_count() - d * e for w, e in zip(w_masks[i:], degrees[i:])]
-        lhs = [0] * len(rhs)
-        lhs[0] = scalar * n
-        for w in bits(rows[v] & outside_mask & ~((2 << v) - 1)):
-            lhs[index[w] - i] = -scalar
-        if lhs != rhs:
-            j = next(j for j, (want, got) in enumerate(zip(lhs, rhs)) if want != got)
-            witness = {"entry": [v, outside[i + j]], "lhs": lhs[j], "rhs": rhs[j]}
+    for v in bits(outside_mask):
+        common = row_u & rows[v]
+        d_v = common.bit_count()
+        left = scalar * _bit_fields(rows[v] & outside_mask, nu, width)
+        left += sum([terms[y] for y in bits(common)])
+        right = (scalar * n << v * width) + d_v * total
+        if left != right:
+            differ = left ^ right
+            w = ((differ & -differ).bit_length() - 1) // width
+            ones = (1 << width) - 1
+            shared = scalar * (rows[v] >> w & 1) + d_v * (row_u & rows[w]).bit_count()
+            witness = {
+                "entry": [v, w],
+                "lhs": (right >> w * width & ones) - shared,
+                "rhs": (left >> w * width & ones) - shared,
+            }
             break
     return CheckReport(
         name="star-identity",
@@ -765,7 +805,7 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
         asserted=fam.in_resolvent_regime,
         details={
             "base_vertex": u,
-            "outside_block": len(outside),
+            "outside_block": outside_mask.bit_count(),
             "neighborhood_block": k + 1,
             "scalar": scalar,
             "degenerate": scalar == 0,

@@ -8,7 +8,7 @@ the squared quotients of the sigma family, the closure of all nu^2
 quotients, one (phi cell, psi cell) pair at a time, one pair of psi cells
 at a time, the sigma propagation with one mapping dict a cell, one
 adjacency row bit by bit, the Diophantine search over every n, the graph6
-codec and the bit-matrix transpose one bit at a time, the row-order range,
+codec, the bit-matrix transpose and the bit fields one bit at a time, the row-order range,
 self-loop and symmetry checks of a Graph, check-con's m_0 from the M_0 set
 of each pair, the SRG check with lam and mu set by the first adjacent and
 the first non-adjacent pair it meets, the PQ axioms with a dict of every
@@ -926,6 +926,11 @@ def graph_rows_error(rows: Sequence[int]) -> Optional[str]:
 def transpose_rows(rows: Sequence[int], nu: int) -> list[int]:
     """The transpose of rows of nu bits, one bit at a time."""
     return [sum((row >> x & 1) << i for i, row in enumerate(rows)) for x in range(nu)]
+
+
+def bit_fields(mask: int, nu: int, width: int) -> int:
+    """Bits 0..nu-1 of mask, each moved to its own field of width bits, one bit at a time."""
+    return sum((mask >> x & 1) << x * width for x in range(nu))
 
 
 def parse_graph6(text: str) -> Graph:

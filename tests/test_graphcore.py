@@ -23,6 +23,7 @@ from srgpq.graphcore import (
     Graph,
     GraphError,
     NeighborhoodStructureError,
+    _bit_fields,
     is_diamond_free,
     is_srg,
     is_srg_report,
@@ -156,6 +157,29 @@ def test_transpose_rows_matches_the_bit_oracle(m, nu, seed):
     rng = random.Random(seed)
     rows = [rng.getrandbits(nu) for _ in range(m)]
     assert transpose_rows(rows, nu) == oracles.transpose_rows(rows, nu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nu=st.integers(min_value=0, max_value=150),
+    width=st.sampled_from([8, 16, 24, 32, 64]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(nu=0, width=8, seed=1)
+@example(nu=1, width=8, seed=2)
+@example(nu=1, width=64, seed=3)
+@example(nu=13, width=16, seed=4)  # nu not a multiple of 8
+@example(nu=64, width=32, seed=5)
+@example(nu=150, width=64, seed=6)
+def test_bit_fields_match_the_bit_oracle_and_round_trip(nu, width, seed):
+    ones = (1 << width) - 1
+    for mask in (0, (1 << nu) - 1, random.Random(seed).getrandbits(nu)):
+        fields = _bit_fields(mask, nu, width)
+        assert fields == oracles.bit_fields(mask, nu, width)
+        assert fields >> nu * width == 0
+        # round trip: every field holds its bit and nothing else
+        assert [fields >> x * width & ones for x in range(nu)] == [mask >> x & 1 for x in range(nu)]
+        assert _bit_fields(mask | 5 << nu, nu, width) == fields  # bits from nu on are dropped
 
 
 @pytest.mark.parametrize("nu", [nu for nu in VALIDATION_SIZES if nu >= 3])

@@ -170,10 +170,10 @@ def _kind(outcome) -> object:
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs, st.sampled_from(FAMILIES), st.data())
-def test_resolvent_kernels_match_the_oracles_on_random_graphs(g, fam, data):
-    u = data.draw(st.integers(-1, g.nu), label="u")
-    _assert_resolvent_kernels_agree(g, fam, [u])
+@given(graphs, st.sampled_from(FAMILIES))
+def test_resolvent_kernels_match_the_oracles_on_random_graphs(g, fam):
+    # star at every vertex, and at the out-of-range -1 and nu
+    _assert_resolvent_kernels_agree(g, fam, range(-1, g.nu + 1))
 
 
 def test_random_graphs_reach_every_resolvent_outcome():
@@ -252,6 +252,59 @@ def test_star_witness_names_a_toggled_pair_of_non_neighbours():
         assert eq_pq == oracles.verify_eq_pq(g, fam)
         if u == 0:  # every triple at u = 0 before (v, w) is untouched
             assert (eq_pq.witness["u"], eq_pq.witness["v"], eq_pq.witness["w"]) == (u, v, w)
+
+
+def _assert_star_agrees(g: Graph, fam: FamilyInfo, u: int):
+    outcome = _outcome(verify_star, g, fam, u)
+    assert outcome == _outcome(oracles.verify_star, g, fam, u)
+    return outcome
+
+
+def test_star_matches_the_dense_product_on_ovoid256_mutants():
+    # whole reports, witness entry, lhs and rhs included, at the mutated rows, at
+    # a neighbour of each and at 0 (the gq35 mutants are in
+    # test_resolvent_kernels_match_the_oracles_on_gq35_mutants, with eq-pq,
+    # whose oracle is too slow at n = 3)
+    fam, rows, kinds = FamilyInfo.from_n_lam(3, 2), ovoid256_rows(), set()
+    for mutant in _mutants(rows, seed=17):
+        g = Graph(mutant)
+        changed = _changed(rows, mutant)
+        for u in changed + [next(bits(rows[x])) for x in changed] + [0]:
+            kinds.add(_kind(_assert_star_agrees(g, fam, u)))
+    assert kinds == {("star-identity", False), NeighborhoodStructureError}
+
+
+def test_star_witness_on_the_diagonal():
+    # toggling v ~ y, v the least non-neighbour of u and y in N(u), moves d_v
+    # and so every entry of row v, which is the first row: the diagonal fails first
+    fam = FamilyInfo.from_n_lam(3, 2)
+    rows = ovoid256_rows()
+    scalar = 48  # n (n+1)^2 (n-lam) at n = 3, lam = 2
+    for u in (0, 200):
+        v = next(x for x in range(len(rows)) if x != u and not rows[u] >> x & 1)
+        for y in sorted(bits(rows[u]))[:2]:
+            mutant = list(rows)
+            mutant[v] ^= 1 << y
+            mutant[y] ^= 1 << v
+            report = _assert_star_agrees(Graph(mutant), fam, u)[1]
+            assert report.severity == "asserted-fail"
+            assert report.witness["entry"] == [v, v]
+            assert report.witness["lhs"] == scalar * fam.n != report.witness["rhs"]
+
+
+def test_star_width_holds_every_field_and_the_next_narrower_width_does_not():
+    # (n, lam, k): a cone apex's neighbour, the n = 3 witness, the 625- and 14 641-vertex
+    # elliptic-quadric members
+    for n, lam, k, expected in ((1, 0, 1, 8), (3, 2, 51, 16), (4, 3, 104, 16), (10, 9, 1220, 24)):
+        mu, scalar = n * (n + 1), n * (n + 1) ** 2 * (n - lam)
+        top = max(mu * (n - lam) * k + mu * (lam + 1) * k + scalar, scalar * n + k * k)
+        width = localstats._star_width(n, lam, k)
+        assert width == expected and top < 1 << width
+        assert width == 8 or top >= 1 << width - 8
+    # on the n = 3 witness the diagonal itself, scalar n + d_v^2 = 144 + 144, needs 16 bits
+    rows = ovoid256_rows()
+    outside = [x for x in range(1, len(rows)) if not rows[0] >> x & 1]
+    assert max(48 * 3 + (rows[0] & rows[v]).bit_count() ** 2 for v in outside) == 288
 
 
 # The local-stats sweep: each unordered pair computed once and checked for both
@@ -472,6 +525,29 @@ def test_inv_formula_matches_the_dense_product_on_cones(n):
             if not report.passed:
                 assert report.witness["entry"] == ([apex, apex] if cliques == 0 else [0, apex])
     assert kinds == {"pass", "border", "corner"}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_star_matches_the_dense_product_on_cones(n):
+    # at vertex 0 of a cone with two or more cliques, N(0) is one (lam+1)-clique
+    # and every outside w has A_w = {apex}: the diagonal of the first outside
+    # vertex fails, so the dense product stops there and n = 6..8 need no slow
+    # marker.  The widest field is 8 bits up to n = 2 and 16 from n = 3.
+    widths = set()
+    for lam in range(n + 1):
+        valency, width = n * (n * n + 3 * n - lam + 1), lam + 1
+        sizes = set(range(5)) | ({valency // width} if valency % width == 0 else set())
+        fam = FamilyInfo.from_n_lam(n, lam)
+        widths.add(localstats._star_width(n, lam, width))
+        for cliques in sorted(sizes):
+            g = _cone(cliques, width)
+            assert _assert_star_agrees(g, fam, cliques * width)[1].passed  # nothing outside
+            if cliques:
+                report = _assert_star_agrees(g, fam, 0)[1]
+                assert report.passed == (cliques == 1)
+                if cliques > 1:
+                    assert report.witness["entry"] == [width, width]
+    assert max(widths) == (8 if n <= 2 else 16)
 
 
 # psi-regularity: one pass over all pairs of psi cells at once, against the
