@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from srgpq.graphcore import Graph, bits, is_srg_report, maximal_cliques_via_edges, row_zero_counts
+from srgpq.graphcore import (
+    Graph,
+    _bit_field_rows,
+    bits,
+    is_srg_report,
+    maximal_cliques_via_edges,
+    row_zero_counts,
+)
 from srgpq.params import ParameterError, PqParams
 
 
@@ -118,6 +125,46 @@ def _off_line_witness(line_masks: Sequence[int], coll: Sequence[int]) -> Optiona
     return None
 
 
+def _mu_witness(lines: Sequence[Sequence[int]], coll: Sequence[int], mu: int) -> Optional[dict]:
+    """The first non-collinear pair a < b with other than mu common collinear points, or None.
+
+    Needs axioms (i) to (iii).  A point a at a time: give every point b its
+    own field of width bits and let F_c be the fields of coll[c].  By (ii)
+    the lines through a meet only in a, so the sum over them of the F_c of
+    their points has |coll[a] & coll[b]| in field b for every b not
+    collinear with a: each line L through a adds |L & coll[b]|, and a
+    itself is not in coll[b].  A field is at most the points on the lines
+    through a, which the width holds, as it holds mu, so no field carries
+    into the next.  The fields of the points not collinear with a, a left
+    out, must each read mu: one comparison of two integers.  The count is
+    symmetric in a and b, so at the first failing point a every pair
+    (b, a) with b < a passed in row b, and the lowest differing field is
+    the first failing b of row a.
+    """
+    count = len(coll)
+    reach = [0] * count  # per point, the points on the lines through it, with repeats
+    for line in lines:
+        for p in line:
+            reach[p] += len(line)
+    width = 8 * max(1, -(-max([mu, *reach]).bit_length() // 8))
+    fields = _bit_field_rows(coll, count, width)
+    sums = [0] * count  # per point a, the sum over the lines through a
+    for line in lines:
+        line_sum = sum([fields[p] for p in line])
+        for p in line:
+            sums[p] += line_sum
+    ones = sum(1 << b * width for b in range(count))
+    field = (1 << width) - 1
+    for a, row_sum in enumerate(sums):
+        apart = ones - fields[a] - (1 << a * width)
+        common = row_sum & apart * field
+        if common != mu * apart:
+            differ = common ^ mu * apart
+            b = ((differ & -differ).bit_length() - 1) // width
+            return {"points": [a, b], "common": common >> b * width & field, "expected": mu}
+    return None
+
+
 def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
     """Check the four PQ axioms; report parameters or the first violation."""
     if not inc.lines:
@@ -159,13 +206,9 @@ def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
     _, mu = row_zero_counts(coll)
     if mu is None:
         return violation("degenerate", {"detail": "no non-collinear point pair; mu undefined"})
-    for a in range(inc.num_points):
-        for b in range(a + 1, inc.num_points):
-            if coll[a] >> b & 1:
-                continue
-            count = (coll[a] & coll[b]).bit_count()
-            if count != mu:
-                return violation("iv", {"points": [a, b], "common": count, "expected": mu})
+    witness = _mu_witness(inc.lines, coll, mu)
+    if witness is not None:
+        return violation("iv", witness)
 
     try:
         params = PqParams(s_plus_one - 1, t_plus_one - 1, mu)

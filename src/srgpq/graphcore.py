@@ -8,6 +8,8 @@ operation here is read-only.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -37,7 +39,9 @@ def bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple graph on vertices 0..nu-1 with bitset adjacency rows."""
 
-    __slots__ = ("nu", "_rows")
+    # _frame: localstats' cell frame at the last base vertex asked for, a
+    # cache of values of the rows, so the graph stays immutable
+    __slots__ = ("nu", "_rows", "_frame")
 
     def __init__(self, rows: Sequence[int]):
         rows = tuple(rows)
@@ -56,6 +60,7 @@ class Graph:
             raise GraphError(f"adjacency not symmetric at ({v}, {next(bits(extra))})")
         self.nu = nu
         self._rows = rows
+        self._frame = None
 
     @classmethod
     def from_edges(cls, nu: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -172,28 +177,63 @@ def transpose_rows(rows: Sequence[int], nu: int) -> list[int]:
 
     Bit i of column x is bit x of rows[i].  Given the adjacency rows of an
     ordered vertex list, column x is N(x) on that list, renumbered into bits
-    by list position.
+    by list position.  Up to 64 rows are padded to 64, so that every column
+    is one 8-byte word and one array conversion reads them all.
     """
     width = (nu + 7) >> 3
-    data = transpose_packed(pack_rows(rows, width), width)
+    data = pack_rows(rows, width)
+    if len(rows) <= 64:
+        data += bytes(64 * width - len(data))  # zero rows up to 64
+        words = array("Q", transpose_packed(data, width))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words.tolist()[:nu]
+    data = transpose_packed(data, width)
     height = (len(rows) + 7) >> 3
     return [unpack_row(data, height, x) for x in range(nu)]
 
 
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+def _bit_field_rows(masks: Sequence[int], nu: int, width: int) -> list[int]:
+    """Bits 0..nu-1 of each mask, bit x moved to bit x * width: one field of width bits each.
 
-
-def _bit_fields(mask: int, nu: int, width: int) -> int:
-    """Bits 0..nu-1 of mask, bit x moved to bit x * width: one field of width bits each.
-
-    width is a positive multiple of 8.  The binary digits of mask, reversed
-    so that character x is bit x, become bytes 0 and 1, laid width / 8 bytes
-    apart into a zero little-endian buffer.
+    width is a positive multiple of 8.  The masks, cut to nu bits, are laid
+    one after another in a byte string, and for each bit position t of a
+    byte one C-level translate gives bit t of every byte as a byte 0 or 1,
+    which a strided slice assignment lays width bits apart into a zero
+    little-endian buffer of the fields of all the masks.
     """
     step = width >> 3
-    fields = bytearray(nu * step)
-    fields[::step] = format(mask, f"0{nu}b")[::-1][:nu].encode("ascii").translate(_DIGIT_BYTES)
-    return int.from_bytes(fields, "little")
+    length = (nu + 7) >> 3
+    if not length:
+        return [0] * len(masks)
+    full = (1 << nu) - 1
+    data = b"".join([(mask & full).to_bytes(length, "little") for mask in masks])
+    fields = bytearray(8 * step * len(data))
+    for t in range(8):
+        fields[t * step::8 * step] = data.translate(_BIT_OF[t])
+    size = 8 * step * length
+    view = memoryview(fields)
+    return [int.from_bytes(view[start:start + size], "little") for start in range(0, len(fields), size)]
+
+
+_NONZERO_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+
+
+def _nonzero_fields(value: int, count: int, width: int) -> int:
+    """The mask of the fields of value, a sum of count fields of width bits, that are not zero.
+
+    The inverse of _bit_field_rows on values whose fields are 0 or 1.  Each
+    field is folded into its lowest byte, and those bytes become the
+    binary digits 0 and 1, highest field first.
+    """
+    if not value:
+        return 0
+    step = width >> 3
+    folded = value
+    for shift in range(1, step):
+        folded |= value >> 8 * shift
+    lowest = folded.to_bytes(count * step, "little")[::step]
+    return int(lowest.translate(_NONZERO_DIGITS)[::-1], 2)
 
 
 def _has_self_loop(data: bytes, width: int) -> bool:

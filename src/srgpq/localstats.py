@@ -19,12 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
+from operator import add, or_
+from typing import Callable, Optional, Sequence
 
 from srgpq.graphcore import (
     Graph,
     TriplePartition,
-    _bit_fields,
+    _bit_field_rows,
+    _clique_masks,
+    _nonzero_fields,
     bits,
     neighborhood_clique_cells,
     transpose_rows,
@@ -141,6 +144,12 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
       |E_v| - e = |E_v & ~E_w|.
     So one mask z_v per v and one mask w_w per w, built once per u, give
     slope * p + q + |E_v| as the single popcount of z_v & w_w.
+
+    Under the driver's preconditions (a diamond-free SRG in the family,
+    n > 0) the identity holds at u iff verify_star's does: every
+    off-diagonal entry of the star identity at u is mu times this one
+    less its target, and the diagonal holds identically (derived in
+    verify_star).
     """
     slope = _require_positive_slope(fam)
     mu = fam.n * (fam.n + 1)
@@ -240,6 +249,125 @@ def _m0_mask(g: Graph, u: int, v: int) -> int:
     for c in bits(row_u & row_v):
         covered |= rows[c]
     return ((1 << g.nu) - 1) & ~covered
+
+
+class _Frame:
+    """One base vertex u: N(u) ordered by cells, N(u, x) as local masks, and cell groups.
+
+    The cells are the cliques of <N(u)> when it is a disjoint union of
+    cliques, sorted by least vertex as neighborhood_clique_cells sorts
+    them, and singletons otherwise.  order lists N(u) cell by cell, and
+    local[x] is N(x) & N(u) with bit i for order[i], from one transpose.
+
+    Per row the kernels at u want a sum or a union, over the y of
+    N(u, v), of a value of y.  A non-neighbour v of u meets a cell in at
+    most one vertex unless the graph has a diamond through u: two, x and
+    y, with x ~ y would make u, v, x, y one.  So, as in the method of
+    Arlazarov, Dinic, Kronrod and Faradzev, tables serve groups of
+    consecutive cells: a group's table holds the sum or union for every
+    key that takes at most one bit from each of its cells, and a row costs
+    one lookup per group.  A row whose key is not in a table is summed
+    over its bits, which is the same sum.
+
+    The kernels at one u share the frame through _frame.
+    """
+
+    __slots__ = ("rows", "u", "outside", "order", "local", "groups", "m0")
+
+    def __init__(self, g: Graph, u: int):
+        g.check_vertex(u)
+        rows = g.rows
+        row_u = rows[u]
+        cliques = _clique_masks(rows, u)
+        if cliques is None:
+            cells = [(y,) for y in bits(row_u)]
+        else:
+            cells = sorted(tuple(bits(mask)) for mask in cliques)
+        self.rows, self.u = rows, u
+        self.outside = ((1 << g.nu) - 1) & ~(row_u | 1 << u)
+        self.order = [y for cell in cells for y in cell]
+        self.local = transpose_rows([rows[y] for y in self.order], g.nu)
+        size = max(map(len, cells), default=1)
+        per = _group_size(len(cells), size, len(self.order), self.outside.bit_count())
+        self.groups = []  # (shift, span, the local bits of each cell above shift)
+        shift = 0
+        for start in range(0, len(cells), per):
+            offsets, low = [], 0
+            for cell in cells[start:start + per]:
+                offsets.append(range(low, low + len(cell)))
+                low += len(cell)
+            self.groups.append((shift, (1 << low) - 1, offsets))
+            shift += low
+        self.m0: Optional[dict[int, int]] = None  # psi_partition's M_0 masks
+
+    def tables(self, values: Sequence[int], combine: Callable[[int, int], int]) -> list:
+        """(shift, span, table) per group: table[key] combines values[shift + i] over the bits i of key."""
+        tables = []
+        for shift, span, offsets in self.groups:
+            table = {0: 0}
+            for cell in offsets:
+                table.update([
+                    (key | 1 << i, combine(total, values[shift + i]))
+                    for key, total in list(table.items())
+                    for i in cell
+                ])
+            tables.append((shift, span, table))
+        return tables
+
+
+def _group_size(cells: int, size: int, k: int, rows: int) -> int:
+    """Cells per table group: the g with the fewest additions over the tables and the rows.
+
+    A group of g cells of `size` members has (size + 1)^g keys and the rows
+    cost one lookup a group, so g minimises
+    ceil(cells / g) ((size + 1)^g + rows), among the g whose tables hold at
+    most 8k values together, k = |N(u)|.  On the n = 3 witness (17 cells of
+    3, 204 rows) that is 3, on GQ(3,5) (6 cells of 3, 45 rows) 2.
+    """
+    best, least = 1, None
+    for g in range(1, cells + 1):
+        groups = -(-cells // g)
+        if g > 1 and groups * (size + 1) ** g > 8 * k:
+            break
+        cost = groups * ((size + 1) ** g + rows)
+        if least is None or cost < least:
+            best, least = g, cost
+    return best
+
+
+def _frame(g: Graph, u: int) -> _Frame:
+    """The frame of g at u, kept on g until a frame at another vertex is asked for.
+
+    So the kernels run at one u in turn, such as star, psi-regularity with
+    its partition and then build_sigma's partition, build it once.
+    """
+    frame = g._frame
+    if frame is None or frame.u != u:
+        frame = g._frame = _Frame(g, u)
+    return frame
+
+
+def _m0_masks(frame: _Frame, targets: int) -> dict[int, int]:
+    """M_0(u, v) for every v of targets, non-neighbours of u, from union tables.
+
+    With outside the non-neighbours of u, M_0(u, v) is outside less N[v]
+    and the N(c) & outside of the c in N(u, v), as in _m0_mask.
+    """
+    rows, outside, local = frame.rows, frame.outside, frame.local
+    values = [rows[y] & outside for y in frame.order]
+    tables = frame.tables(values, or_)
+    masks = {}
+    for v in bits(targets):
+        key = local[v]
+        covered = rows[v] | 1 << v
+        try:
+            for shift, span, table in tables:
+                covered |= table[key >> shift & span]
+        except KeyError:  # two bits in one cell
+            for i in bits(key):
+                covered |= values[i]
+        masks[v] = outside & ~covered
+    return masks
 
 
 def _bit_slices(sources: Sequence[int], common: int) -> list[int]:
@@ -439,12 +567,12 @@ def check_condition_con(g: Graph, orbits: Sequence[Sequence[int]]) -> CheckRepor
     m0_min: Optional[int] = None
     m0_max: Optional[int] = None
     witness = None
-    full = (1 << g.nu) - 1
     skipped = 0  # the least vertices of the orbits before u's
     for orbit in orbits:
         u = orbit[0]
-        for v in bits(full & ~(g.rows[u] | skipped | (1 << u))):
-            m0 = _m0_mask(g, u, v).bit_count()
+        frame = _frame(g, u)
+        for v, mask in _m0_masks(frame, frame.outside & ~skipped).items():
+            m0 = mask.bit_count()
             m0_min = m0 if m0_min is None else min(m0_min, m0)
             m0_max = m0 if m0_max is None else max(m0_max, m0)
             if m0 == 0 and witness is None:
@@ -468,15 +596,19 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
     with pairwise p_u = 0 and the cells a partition: a member w of an earlier
     cell has M_0(u, w) equal to the rest of that cell, so no later cell
     through w passes the mutual check.
+
+    Every M_0(u, v) comes from the union tables of the frame at u, once.
     """
-    row_u = g.row(u)
-    outside = ((1 << g.nu) - 1) & ~(row_u | (1 << u))
+    frame = _frame(g, u)
+    if frame.m0 is None:
+        frame.m0 = _m0_masks(frame, frame.outside)
+    m0_of = frame.m0
     placed = 0
     cells = []
-    for v in bits(outside):
+    for v in bits(frame.outside):
         if placed >> v & 1:
             continue
-        m0 = _m0_mask(g, u, v)
+        m0 = m0_of[v]
         if m0.bit_count() != 2:
             raise PartitionError(
                 f"m_0({u}, {v}) = {m0.bit_count()}, need exactly 2 for an independent-triple cell"
@@ -485,7 +617,7 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
         cell = tuple(bits(cell_mask))
         for member in cell:
             # M_0(u, v) is m0 itself; the other two members are checked for mutuality
-            if member != v and _m0_mask(g, u, member) != cell_mask ^ (1 << member):
+            if member != v and m0_of[member] != cell_mask ^ (1 << member):
                 other = tuple(bits(cell_mask ^ (1 << member)))
                 raise PartitionError(
                     f"not a partition: vertex {member} of cell {cell} has "
@@ -536,19 +668,36 @@ def _psi_regularity(
 ) -> tuple[dict[int, int], int, Optional[dict]]:
     """The r_distribution, the violations and the first witness of the cells.
 
-    Cell j is local bits 3j..3j+2, so packed[x] is N(x) on the cells and the
-    sum of its three bit fields holds deg(x -> cell j) in field j.  Two cells
-    induce a regular bipartite graph iff each side's members agree on the
-    other's field (the edge count then makes both degrees r), so a pair is
-    irregular where a member of either cell disagrees with the others.  r = 3
-    is a field with both low bits set.  For a member a, p_u(a, b) for every b
-    at once is the bit-sliced sum of packed[c] over c in N(u) & N(a); over the
-    later cells it must equal max(0, r - 1) where a ~ b and n + r elsewhere,
-    plane by plane, with r replicated from field to member bits by * 7; where
-    n + r < 0 every non-adjacent p is wrong.  Each irregular pair, each r = 3
-    and each wrong p is one violation.  The witness comes from the first pair
-    with a fault: its irregularity, else its r = 3, else its first wrong
-    (a, b) in cell order.
+    Cell j is member bits 3j..3j+2, so packed[x] is N(x) on the cells and
+    the sum of its three bit fields holds deg(x -> cell j) in field j.  Two
+    cells induce a regular bipartite graph iff each side's members agree on
+    the other's field (the edge count then makes both degrees r), so a pair
+    is irregular where a member of either cell disagrees with the others.
+    r = 3 is a field with both low bits set.  Each irregular pair, each
+    r = 3 and each wrong p is one violation.  The witness comes from the
+    first pair with a fault: its irregularity, else its r = 3, else its
+    first wrong (a, b) in cell order.
+
+    The p-values a row at a time.  Give every member b its own field of
+    width bits, let F_x be the fields of packed[x] and P_a the sum of F_c
+    over c in N(u) & N(a), summed by the tables of the frame at u: field b
+    of P_a is p_u(a, b).  For a member a of cell j, the checked fields C
+    are the members of the later cells k whose pair with j is regular with
+    r <= 2.  r = 0 leaves a no neighbour in cell k, so p = max(0, r - 1)
+    where a ~ b and p = n + r elsewhere is one rule,
+    p + (n + 1) [a ~ b] == n + r, and row a is right iff
+
+        (P_a & C) + (n + 1) (F_a & C) == n C + R_j
+
+    with P_a & C the fields C keeps of P_a, and R_j the fields C keeps of
+    r, each cell's three sums of F_a0, a0 the first member of j, repeated
+    over its members.  Add K C, K = max(0, -n), to both sides.  A field of
+    the left is then p + (n + 1) [a ~ b] + K, between 0 and k + |n| + 1
+    with k = |N(u)| since p <= k, and one of the right is n + r + K,
+    between 0 and |n| + 2; _p_width picks width above both.  So no field
+    carries into the next, the two integers are equal iff every checked
+    field is right, and the fields where they differ are the wrong b of
+    row a, which n + r < 0 makes every non-adjacent b.
     """
     rows = g.rows
     row_u = rows[u]
@@ -567,12 +716,10 @@ def _psi_regularity(
         for field in bits((differ | differ >> 1) & ones & ~(1 << 3 * j)):
             k = field // 3
             irregular[min(j, k)] |= 1 << 3 * max(j, k)
-    width = max(1, n + 2).bit_length()  # the planes of the largest expected p
-    due = [(max(0, r - 1), n + r) for r in range(3)]  # the expected p where a ~ b, and where not
     r_counts = [0, 0, 0, 0]
     violations = 0
-    witness = None
-    for j, cell in enumerate(cells):
+    checked_cells, out_of_range = [], []  # per cell j: bits 3k of later regular cells, r <= 2 and r = 3
+    for j in range(count):
         later = (1 << 3 * count) - (8 << 3 * j)  # the member bits of the cells after j
         regular = later & ones & ~irregular[j]
         low, high = degrees[j][0] & regular, degrees[j][0] >> 1 & regular
@@ -580,31 +727,47 @@ def _psi_regularity(
         for r, fields in enumerate(by_r):
             r_counts[r] += fields.bit_count()
         violations += irregular[j].bit_count() + by_r[3].bit_count()
-        # the expected p in planes over the member bits; never: the fields where n + r < 0
-        together, apart = [0] * width, [0] * width
-        never = 0
-        for (p_adjacent, p_apart), fields in zip(due, by_r):
-            mask = fields * 7
-            if p_apart < 0:
-                never |= mask
-            for t in range(width):
-                together[t] |= mask if p_adjacent >> t & 1 else 0
-                apart[t] |= mask if p_apart >= 0 and p_apart >> t & 1 else 0
-        checked = (by_r[0] | by_r[1] | by_r[2]) * 7
+        checked_cells.append(by_r[0] | by_r[1] | by_r[2])
+        out_of_range.append(by_r[3])
+
+    frame = _frame(g, u)
+    degree, size = len(frame.order), 3 * count
+    width = _p_width(n, degree)
+    converted = _bit_field_rows(
+        [packed[y] for y in frame.order]
+        + [packed[a] for cell in cells for a in cell]
+        + [cells_j * 7 for cells_j in checked_cells],
+        size,
+        width,
+    )
+    values, adjacent, checks = converted[:degree], converted[degree:degree + size], converted[degree + size:]
+    tables = frame.tables(values, add)
+    full = (1 << width) - 1
+    firsts = sum(full << 3 * j * width for j in range(count))  # the field of each first member
+    repeat = 1 | 1 << width | 1 << 2 * width
+    lift = max(0, -n)
+    witness = None
+    for j, cell in enumerate(cells):
+        checked = checks[j]
+        keep = checked * full
+        first = adjacent[3 * j]
+        r_fields = ((first + (first >> width) + (first >> 2 * width)) & firsts) * repeat
+        right = n * checked + (r_fields & keep)
         wrong = []  # per member a, the b with a wrong p_u(a, b)
-        for a in cell:
-            planes = _bit_slices(packed, row_u & rows[a])  # p_u(a, b) at every b
-            adjacent = packed[a]
-            wrong_a = never & ~adjacent
-            for t in range(max(width, len(planes))):  # a p past the expected planes is wrong too
-                got = planes[t] & checked if t < len(planes) else 0
-                want = apart[t] ^ (adjacent & (apart[t] ^ together[t])) if t < width else 0
-                if got != want:
-                    wrong_a |= got ^ want
+        for a, f_a in zip(cell, adjacent[3 * j:3 * j + 3]):
+            key = frame.local[a]
+            try:
+                p = sum([table[key >> low & span] for low, span, table in tables])
+            except KeyError:  # two bits in one cell of N(u)
+                p = sum([values[i] for i in bits(key)])
+            left = (p & keep) + (n + 1) * (f_a & checked)
+            wrong_a = 0
+            if left != right:
+                wrong_a = _nonzero_fields((left + lift * checked) ^ (right + lift * checked), size, width)
             violations += wrong_a.bit_count()
             wrong.append(wrong_a)
         members = wrong[0] | wrong[1] | wrong[2]
-        faults = irregular[j] | by_r[3] | (members | members >> 1 | members >> 2) & ones
+        faults = irregular[j] | out_of_range[j] | (members | members >> 1 | members >> 2) & ones
         if witness is not None or not faults:
             continue
         field = (faults & -faults).bit_length() - 1  # the first faulting pair (j, k)
@@ -624,6 +787,11 @@ def _psi_regularity(
                 "reason": "p-value-mismatch", "pair": [a, b], "r": r, "p": p, "expected": expected,
             }
     return {r: c for r, c in enumerate(r_counts) if c}, violations, witness
+
+
+def _p_width(n: int, k: int) -> int:
+    """Bits per field of _psi_regularity's rows: the least multiple of 8 above k + |n| + 2."""
+    return 8 * max(1, -(-(k + abs(n) + 2).bit_length() // 8))
 
 
 def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
@@ -704,6 +872,10 @@ def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     )
 
 
+# verify_star converts the rows X_v to fields a batch of this many bits at a time.
+_BATCH_BITS = 1 << 18
+
+
 def _star_width(n: int, lam: int, k: int) -> int:
     """Bits per field of verify_star's row sums: the least multiple of 8 with top < 2**width.
 
@@ -751,6 +923,12 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     width above both.  So no field carries into the next, and the two
     integers are equal iff every entry of row v is.
 
+    The frame at u orders N(u) by these cells and sums T_y - D over A_v
+    with its tables, so a row costs one lookup per group of cells and
+    X_v comes from one conversion for a batch of rows: the row holds iff
+    sum_{y in A_v} (T_y - D) + scalar X_v == scalar n e_v, the identity
+    above less d_v D on both sides.
+
     The rows are scanned in ascending v.  Both sides of the identity are
     symmetric, so at the first failing row v every entry (v, w) with w < v
     in outside equals (w, v), which passed in row w, and the fields of the
@@ -759,36 +937,64 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     earlier row holds one: it is the first mismatch in row-major order.
     Its entry's own sides are recovered by taking scalar X_vw + d_v d_w
     off both fields.
+
+    Star and eq-pq.  Under the driver's preconditions, a diamond-free SRG
+    in the family with n > 0, star holds at u iff verify_eq_pq's identity
+    holds at every pair of non-neighbours of u.  There d_v = mu for every
+    v outside, and A_v meets each cell at most once (two members would
+    make a diamond with u and v), so with p = |A_v & A_w| and q the
+    adjacent pairs of A_v x A_w, which lie in one cell,
+    sum_C |A_v & C| |A_w & C| = p + q.  For v != w, entry (v, w) is then
+
+        a p + mu (p + q) - mu^2 = mu ((n - lam + 1) p + q - mu),
+
+    and it must be -scalar [v ~ w] = -mu (n + 1)(n - lam) [v ~ w].  As
+    mu > 0, that is (n - lam + 1) p + q = mu where v !~ w and
+    mu - (n + 1)(n - lam) = lam (n + 1) where v ~ w: eq-pq's two targets.
+    The diagonal holds identically: a mu + mu mu - mu^2 = a mu = scalar n.
+    check-star adds the inv-formula at u.
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
     cells = neighborhood_clique_cells(g, u, lam + 1)
+    frame = _frame(g, u)
     rows, nu = g.rows, g.nu
     row_u = rows[u]
-    outside_mask = ((1 << nu) - 1) & ~(row_u | (1 << u))
+    outside_mask = frame.outside
     mu = n * (n + 1)
     a = mu * (n - lam)
     scalar = n * (n + 1) ** 2 * (n - lam)
     k = row_u.bit_count()
     width = _star_width(n, lam, k)
 
-    terms = [0] * nu  # T_y at each y in N(u)
-    total = 0  # D
+    fields = _bit_field_rows([rows[y] & outside_mask for y in frame.order], nu, width)
+    total = sum(fields)  # D
+    terms = []  # T_y - D by local bit: the frame orders N(u) by these cells
     for cell in cells:
-        fields = [_bit_fields(rows[y] & outside_mask, nu, width) for y in cell]
-        cell_sum = sum(fields)
-        total += cell_sum
-        for y, field in zip(cell, fields):
-            terms[y] = a * field + mu * cell_sum
+        cell_fields = fields[len(terms):len(terms) + len(cell)]
+        cell_sum = sum(cell_fields)
+        terms += [a * field + mu * cell_sum - total for field in cell_fields]
+    tables = frame.tables(terms, add)
 
     witness = None
-    for v in bits(outside_mask):
-        common = row_u & rows[v]
-        d_v = common.bit_count()
-        left = scalar * _bit_fields(rows[v] & outside_mask, nu, width)
-        left += sum([terms[y] for y in bits(common)])
-        right = (scalar * n << v * width) + d_v * total
-        if left != right:
+    diagonal = scalar * n
+    outside = list(bits(outside_mask))
+    batch = max(1, _BATCH_BITS // (nu * width + 1))
+    adjacency = (  # X_v, a batch of rows at a time
+        x_v
+        for start in range(0, len(outside), batch)
+        for x_v in _bit_field_rows([rows[v] & outside_mask for v in outside[start:start + batch]], nu, width)
+    )
+    for v, x_v in zip(outside, adjacency):
+        key = frame.local[v]
+        try:
+            left = sum([table[key >> low & span] for low, span, table in tables], scalar * x_v)
+        except KeyError:  # two bits in one cell of N(u)
+            left = sum([terms[i] for i in bits(key)], scalar * x_v)
+        if left != diagonal << v * width:
+            d_v = key.bit_count()
+            left += d_v * total
+            right = (diagonal << v * width) + d_v * total
             differ = left ^ right
             w = ((differ & -differ).bit_length() - 1) // width
             ones = (1 << width) - 1

@@ -278,7 +278,7 @@ def test_related_reruns_the_ordered_loop_after_a_failing_orbit_pass(monkeypatch)
     monkeypatch.setattr("srgpq.cli.related_set", refusing)
     monkeypatch.setattr("tests.oracles.related_set", refusing)
     two_orbits = (tuple(range(10)), tuple(range(10, 64)))
-    monkeypatch.setattr("srgpq.cli.verified_sigmas", lambda g, fam: (two_orbits, {}))
+    monkeypatch.setattr("srgpq.cli._verified_sigmas", lambda g, fam: (two_orbits, {}, None))
     gq35, family = build_gq35(), FamilyInfo.from_n_lam(2, 2)
     precondition, context = srgpq.cli._family_context(gq35)
     assert precondition.passed and context == srgpq.cli.FamilyContext(family, two_orbits, {})

@@ -23,7 +23,8 @@ from srgpq.graphcore import (
     Graph,
     GraphError,
     NeighborhoodStructureError,
-    _bit_fields,
+    _bit_field_rows,
+    _nonzero_fields,
     is_diamond_free,
     is_srg,
     is_srg_report,
@@ -173,13 +174,16 @@ def test_transpose_rows_matches_the_bit_oracle(m, nu, seed):
 @example(nu=150, width=64, seed=6)
 def test_bit_fields_match_the_bit_oracle_and_round_trip(nu, width, seed):
     ones = (1 << width) - 1
-    for mask in (0, (1 << nu) - 1, random.Random(seed).getrandbits(nu)):
-        fields = _bit_fields(mask, nu, width)
+    masks = (0, (1 << nu) - 1, random.Random(seed).getrandbits(nu))
+    converted = _bit_field_rows(masks, nu, width)  # one buffer for all three
+    for mask, fields in zip(masks, converted):
         assert fields == oracles.bit_fields(mask, nu, width)
         assert fields >> nu * width == 0
         # round trip: every field holds its bit and nothing else
         assert [fields >> x * width & ones for x in range(nu)] == [mask >> x & 1 for x in range(nu)]
-        assert _bit_fields(mask | 5 << nu, nu, width) == fields  # bits from nu on are dropped
+        assert _nonzero_fields(fields * ones, nu, width) == mask
+    dropped = _bit_field_rows([mask | 5 << nu for mask in masks], nu, width)
+    assert dropped == converted  # bits from nu on are dropped
 
 
 @pytest.mark.parametrize("nu", [nu for nu in VALIDATION_SIZES if nu >= 3])

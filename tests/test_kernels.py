@@ -587,3 +587,131 @@ def test_psi_regularity_matches_the_per_pair_loop_on_mutants():
             for u in sorted(set(vertices) | set(_changed(rows, mutant))):
                 kinds.add(_kind(_assert_psi_regularity_agrees(g, fam, u)))
     assert kinds == {("psi-regularity", True), ("psi-regularity", False), PartitionError}
+
+
+# The cell frame: psi_partition, verify_psi_regularity, verify_star and
+# check_condition_con read N(u, v) through the tables of one frame per base
+# vertex, and each must give its oracle's result, or raise its exception.
+
+
+def _assert_frame_kernels_agree(g: Graph, fam: FamilyInfo, u: int) -> list:
+    outcomes = []
+    for kernel, oracle in (
+        (psi_partition, oracles.psi_partition),
+        (verify_psi_regularity, oracles.verify_psi_regularity),
+        (verify_star, oracles.verify_star),
+    ):
+        outcomes.append(_outcome(kernel, g, fam, u))
+        assert outcomes[-1] == _outcome(oracle, g, fam, u)
+    return outcomes
+
+
+def _assert_con_agrees(g: Graph, fam: FamilyInfo):
+    expected = oracles.check_condition_con(g, fam)
+    assert check_condition_con(g, tuple((v,) for v in range(g.nu))) == expected
+    assert check_condition_con(g, verified_sigmas(g, fam)[0]) == expected
+
+
+def _has_direct_rows(g: Graph, u: int) -> bool:
+    """Whether some non-neighbour of u meets a cell of the frame at u twice."""
+    frame = localstats._frame(g, u)
+    cells = [
+        sum(1 << i for i in cell) << shift
+        for shift, _, offsets in frame.groups
+        for cell in offsets
+    ]
+    return any((frame.local[v] & cell).bit_count() > 1 for v in bits(frame.outside) for cell in cells)
+
+
+def test_frame_kernels_match_the_oracles_on_the_witnesses():
+    for rows, fam, vertices in (
+        (gq35_rows(), FamilyInfo.from_n_lam(2, 2), (0, 5, 37, 63)),
+        (ovoid256_rows(), FamilyInfo.from_n_lam(3, 2), (0, 5, 101)),
+    ):
+        g = Graph(rows)
+        for u in vertices:
+            outcomes = _assert_frame_kernels_agree(g, fam, u)
+            assert outcomes[0][0] == "returned"
+            assert [_kind(outcome) for outcome in outcomes[1:]] == [
+                ("psi-regularity", True), ("star-identity", True)]
+            assert not _has_direct_rows(g, u)
+    g, fam = Graph(gq35_rows()), FamilyInfo.from_n_lam(2, 2)
+    _assert_con_agrees(g, fam)
+
+
+def test_frame_m0_masks_match_the_oracle_on_ovoid256():
+    # check-con's oracle takes every pair; here every row of three base vertices
+    g = Graph(ovoid256_rows())
+    for u in (0, 5, 101):
+        frame = localstats._frame(g, u)
+        masks = localstats._m0_masks(frame, frame.outside)
+        assert {v: tuple(bits(mask)) for v, mask in masks.items()} == {
+            v: oracles.m0_set(g, u, v) for v in bits(frame.outside)
+        }
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_frame_kernels_match_the_oracles_on_cones(n):
+    for lam in range(n + 1):
+        fam, width = FamilyInfo.from_n_lam(n, lam), lam + 1
+        for cliques in range(5):
+            g = _cone(cliques, width)
+            for u in {0, cliques * width} & set(range(g.nu)):
+                _assert_frame_kernels_agree(g, fam, u)
+            _assert_con_agrees(g, fam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs, st.sampled_from(FAMILIES), st.data())
+def test_frame_kernels_match_the_oracles_on_random_graphs(g, fam, data):
+    u = data.draw(st.integers(-1, g.nu), label="u")
+    _assert_frame_kernels_agree(g, fam, u)
+    _assert_con_agrees(g, fam)
+
+
+def test_rows_that_meet_a_cell_twice_are_summed_directly():
+    # v, a non-neighbour of u = 0 with a neighbour x in a cell C of N(0), is
+    # joined to a second vertex of C: its key has two bits in one cell and is
+    # in no table.  The real psi cells of the witness, passed in as the
+    # partition, take the regularity check to that row too.
+    fam, rows = FamilyInfo.from_n_lam(3, 2), ovoid256_rows()
+    cells = localstats.neighborhood_clique_cells(Graph(rows), 0, 3)
+    psi = psi_partition(Graph(rows), fam, 0)
+    kinds = set()
+    outside = [x for x in range(1, 256) if not rows[0] >> x & 1]
+    for v in (outside[0], outside[-1]):
+        x = next(bits(rows[v] & rows[0]))
+        y = next(c for cell in cells if x in cell for c in cell if c != x)
+        mutant = list(rows)
+        mutant[v] |= 1 << y
+        mutant[y] |= 1 << v
+        g = Graph(mutant)
+        assert _has_direct_rows(g, 0)
+        kinds.update(_kind(outcome) for outcome in _assert_frame_kernels_agree(g, fam, 0)[1:])
+        frame = localstats._frame(g, 0)  # check-con's rows at 0; its oracle takes every pair
+        masks = localstats._m0_masks(frame, frame.outside)
+        assert {v: tuple(bits(mask)) for v, mask in masks.items()} == {
+            v: oracles.m0_set(g, 0, v) for v in outside
+        }
+        partition = lambda g, fam, u: psi  # noqa: E731
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(localstats, "psi_partition", partition)
+            patch.setattr(oracles, "_psi_partition", partition)
+            report = verify_psi_regularity(g, fam, 0)
+            assert report == oracles.verify_psi_regularity(g, fam, 0)
+            kinds.add(_kind(("returned", report)))
+    assert ("star-identity", False) in kinds and ("psi-regularity", False) in kinds
+
+
+def test_frame_kernels_match_the_oracles_at_the_failing_vertices_of_a_toggled_ovoid256():
+    # toggle_edge(113, 242): vertex 0 fails psi-regularity by an irregular
+    # pair of cells and vertex 8 by 48 wrong p-values; the violations, the
+    # r_distribution and the witness must be the oracle's
+    fam = FamilyInfo.from_n_lam(3, 2)
+    g = Graph(ovoid256_rows()).toggle_edge(113, 242)
+    reasons = {}
+    for u in (0, 8, 113, 242):
+        outcomes = _assert_frame_kernels_agree(g, fam, u)
+        if outcomes[1][0] == "returned":
+            reasons[u] = (outcomes[1][1].witness["reason"], outcomes[1][1].details["violations"])
+    assert reasons[0] == ("not-regular", 1) and reasons[8] == ("p-value-mismatch", 48)
