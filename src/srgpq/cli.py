@@ -54,7 +54,6 @@ from srgpq.graphcore import (
     is_diamond_free,
     is_srg_report,
     row_zero_counts,
-    transpose_rows,
 )
 from srgpq.localstats import (
     FamilyPreconditionError,
@@ -169,12 +168,19 @@ def parse_graph6(text: str) -> Graph:
 
     encoded = data[position:].translate(_TO_BASE64)
     stream = base64.b64decode(encoded + b"A" * (-len(encoded) % 4)).translate(_REVERSED_BITS)
-    lower = [0] * nu  # row j below the diagonal: column j of the upper triangle
-    for j in range(1, nu):
-        start = j * (j - 1) >> 1
-        column = int.from_bytes(stream[start >> 3:(start + j + 7) >> 3], "little")
-        lower[j] = column >> (start & 7) & ((1 << j) - 1)
-    return Graph([row | upper for row, upper in zip(lower, transpose_rows(lower, nu))])
+    # Row j below the diagonal is column j of the upper triangle.  The
+    # columns are read sixteen at a time, from the whole bytes of each block
+    # that serialize_graph6 writes.
+    lower = [0] if nu else []
+    for first in range(1, nu, 16):
+        end = min(first + 16, nu)
+        start = first * (first - 1) >> 4  # the block's first byte
+        length = ((first + end - 1) * (end - first) // 2 + 7) >> 3
+        block = int.from_bytes(stream[start:start + length], "little")
+        for j in range(first, end):
+            lower.append(block & ((1 << j) - 1))
+            block >>= j
+    return Graph.from_lower(lower)
 
 
 def _size_prefix(nu: int) -> list[int]:

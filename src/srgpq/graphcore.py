@@ -11,6 +11,7 @@ import functools
 import sys
 from array import array
 from dataclasses import dataclass
+from operator import or_, rshift
 from typing import Iterable, Iterator, Optional, Sequence
 
 from srgpq.params import ParameterError, SrgParams
@@ -63,6 +64,28 @@ class Graph:
         self._frame = None
 
     @classmethod
+    def from_lower(cls, lower: Sequence[int]) -> "Graph":
+        """The graph whose row j below the diagonal is lower[j], each 0 <= lower[j] < 2**j.
+
+        Its rows are L | L^T from one transpose.  They are symmetric: bit x
+        of row v is bit x of L[v] or bit v of L[x], and so is bit v of row
+        x.  They are loop-free: bit v of L[v] is zero, since L[v] < 2**v,
+        and so is bit v of L^T[v], which is bit v of L[v].  Each is below
+        2**nu, since L^T has nu columns and L[v] < 2**v.  So __init__'s
+        pack, transpose and compare would prove nothing more.
+        """
+        lower = tuple(lower)
+        nu = len(lower)
+        if any(map(rshift, lower, range(nu))):  # a negative row shifts to -1
+            j = next(j for j, row in enumerate(lower) if row >> j)
+            raise GraphError(f"lower-triangle row {j} is not in 0..2**{j} - 1")
+        graph = cls.__new__(cls)
+        graph.nu = nu
+        graph._rows = tuple(map(or_, lower, transpose_rows(lower, nu)))
+        graph._frame = None
+        return graph
+
+    @classmethod
     def from_edges(cls, nu: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * nu
         for u, v in edges:
@@ -106,7 +129,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self._rows) // 2
+        return sum(map(int.bit_count, self._rows)) // 2
 
     def toggle_edge(self, u: int, v: int) -> "Graph":
         """New graph with the edge (u, v) added or removed."""
@@ -178,7 +201,8 @@ def transpose_rows(rows: Sequence[int], nu: int) -> list[int]:
     Bit i of column x is bit x of rows[i].  Given the adjacency rows of an
     ordered vertex list, column x is N(x) on that list, renumbered into bits
     by list position.  Up to 64 rows are padded to 64, so that every column
-    is one 8-byte word and one array conversion reads them all.
+    is one 8-byte word and one array conversion reads them all; more rows
+    give columns of height bytes, each read from one slice of the transpose.
     """
     width = (nu + 7) >> 3
     data = pack_rows(rows, width)
@@ -190,7 +214,7 @@ def transpose_rows(rows: Sequence[int], nu: int) -> list[int]:
         return words.tolist()[:nu]
     data = transpose_packed(data, width)
     height = (len(rows) + 7) >> 3
-    return [unpack_row(data, height, x) for x in range(nu)]
+    return [int.from_bytes(data[start:start + height], "little") for start in range(0, nu * height, height)]
 
 
 def _bit_field_rows(masks: Sequence[int], nu: int, width: int) -> list[int]:

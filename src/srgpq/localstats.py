@@ -267,12 +267,13 @@ class _Frame:
     consecutive cells: a group's table holds the sum or union for every
     key that takes at most one bit from each of its cells, and a row costs
     one lookup per group.  A row whose key is not in a table is summed
-    over its bits, which is the same sum.
+    over its bits, which is the same sum; so is every row of a frame
+    without tables, where that costs less than the tables.
 
     The kernels at one u share the frame through _frame.
     """
 
-    __slots__ = ("rows", "u", "outside", "order", "local", "groups", "m0")
+    __slots__ = ("rows", "u", "outside", "order", "local", "groups", "m0", "members")
 
     def __init__(self, g: Graph, u: int):
         g.check_vertex(u)
@@ -288,17 +289,29 @@ class _Frame:
         self.order = [y for cell in cells for y in cell]
         self.local = transpose_rows([rows[y] for y in self.order], g.nu)
         size = max(map(len, cells), default=1)
-        per = _group_size(len(cells), size, len(self.order), self.outside.bit_count())
+        keys = sum((rows[y] & self.outside).bit_count() for y in self.order)  # bits of the rows' keys
+        per = _group_size(len(cells), size, len(self.order), self.outside.bit_count(), keys)
         self.groups = []  # (shift, span, the local bits of each cell above shift)
-        shift = 0
-        for start in range(0, len(cells), per):
-            offsets, low = [], 0
-            for cell in cells[start:start + per]:
-                offsets.append(range(low, low + len(cell)))
-                low += len(cell)
-            self.groups.append((shift, (1 << low) - 1, offsets))
-            shift += low
+        if not per:  # no tables: one group of no cells, whose table misses every key but 0
+            self.groups.append((0, -1, []))
+        else:
+            shift = 0
+            for start in range(0, len(cells), per):
+                offsets, low = [], 0
+                for cell in cells[start:start + per]:
+                    offsets.append(range(low, low + len(cell)))
+                    low += len(cell)
+                self.groups.append((shift, (1 << low) - 1, offsets))
+                shift += low
         self.m0: Optional[dict[int, int]] = None  # psi_partition's M_0 masks
+        self.members: Optional[tuple] = None  # (psi cells, the transpose of their members' rows)
+
+    def member_columns(self, cells: Sequence[tuple[int, ...]]) -> list[int]:
+        """transpose_rows of the cells' member rows, cell by cell, kept for the last cells asked for."""
+        if self.members is None or self.members[0] != cells:
+            rows = self.rows
+            self.members = (cells, transpose_rows([rows[x] for cell in cells for x in cell], len(rows)))
+        return self.members[1]
 
     def tables(self, values: Sequence[int], combine: Callable[[int, int], int]) -> list:
         """(shift, span, table) per group: table[key] combines values[shift + i] over the bits i of key."""
@@ -315,22 +328,24 @@ class _Frame:
         return tables
 
 
-def _group_size(cells: int, size: int, k: int, rows: int) -> int:
-    """Cells per table group: the g with the fewest additions over the tables and the rows.
+def _group_size(cells: int, size: int, k: int, rows: int, keys: int) -> int:
+    """Cells per table group, or 0 for no tables: the option with the fewest additions.
 
     A group of g cells of `size` members has (size + 1)^g keys and the rows
-    cost one lookup a group, so g minimises
-    ceil(cells / g) ((size + 1)^g + rows), among the g whose tables hold at
-    most 8k values together, k = |N(u)|.  On the n = 3 witness (17 cells of
-    3, 204 rows) that is 3, on GQ(3,5) (6 cells of 3, 45 rows) 2.
+    cost one lookup a group, so g costs ceil(cells / g) ((size + 1)^g + rows),
+    among the g whose tables hold at most 8k values together, k = |N(u)|.
+    Without tables each row is summed over its bits, which costs keys, the
+    bits of all the rows' keys.  On the n = 3 witness (17 cells of 3, 204
+    rows, 2448 key bits) that is 3, on GQ(3,5) (6 cells of 3, 45 rows, 270)
+    2, and on rook4 (2 cells of 3, 9 rows, 18) 0.
     """
-    best, least = 1, None
+    best, least = 0, keys
     for g in range(1, cells + 1):
         groups = -(-cells // g)
         if g > 1 and groups * (size + 1) ** g > 8 * k:
             break
         cost = groups * ((size + 1) ** g + rows)
-        if least is None or cost < least:
+        if cost < least:
             best, least = g, cost
     return best
 
@@ -339,7 +354,8 @@ def _frame(g: Graph, u: int) -> _Frame:
     """The frame of g at u, kept on g until a frame at another vertex is asked for.
 
     So the kernels run at one u in turn, such as star, psi-regularity with
-    its partition and then build_sigma's partition, build it once.
+    its partition and then build_sigma's partition and matched pairs, build
+    it, the M_0 masks and the psi members' columns once.
     """
     frame = g._frame
     if frame is None or frame.u != u:
@@ -363,7 +379,7 @@ def _m0_masks(frame: _Frame, targets: int) -> dict[int, int]:
         try:
             for shift, span, table in tables:
                 covered |= table[key >> shift & span]
-        except KeyError:  # two bits in one cell
+        except KeyError:  # two bits in one cell, or no tables
             for i in bits(key):
                 covered |= values[i]
         masks[v] = outside & ~covered
@@ -636,7 +652,8 @@ def matched_pairs(
     """For each phi cell, masks of its one-regular psi cells and of the reflected ones among them.
 
     Psi cell j is local bits 3j..3j+2, so local[a] is N(a) on the psi cells,
-    and bit 3j of each mask.  A phi cell (a0, a1, a2) is one-regular to psi
+    and bit 3j of each mask.  The frame at u keeps local, which
+    _psi_regularity reads too.  A phi cell (a0, a1, a2) is one-regular to psi
     cell j iff each of its three rows has one bit in field j and together
     they have all three.  The bijection then keeps the cell order, rotated,
     iff a1's bit is a0's bit moved up one place, cyclically; otherwise it
@@ -646,8 +663,7 @@ def matched_pairs(
         raise LocalStatsError("partitions built at a different base vertex")
     if phi.kind != "phi" or psi.kind != "psi":
         raise LocalStatsError("need a phi partition and a psi partition")
-    rows = g.rows
-    local = transpose_rows([rows[x] for cell in psi.cells for x in cell], g.nu)
+    local = _frame(g, u).member_columns(psi.cells)
     ones = ((1 << 3 * len(psi.cells)) - 1) // 7  # bit 3j for every psi cell j
     matched, flips = [], []
     for a0, a1, a2 in phi.cells:
@@ -701,7 +717,8 @@ def _psi_regularity(
     """
     rows = g.rows
     row_u = rows[u]
-    packed = transpose_rows([rows[x] for cell in cells for x in cell], g.nu)
+    frame = _frame(g, u)
+    packed = frame.member_columns(cells)
     count = len(cells)
     ones = ((1 << 3 * count) - 1) // 7  # bit 3j for every cell j
     degrees = [
@@ -730,7 +747,6 @@ def _psi_regularity(
         checked_cells.append(by_r[0] | by_r[1] | by_r[2])
         out_of_range.append(by_r[3])
 
-    frame = _frame(g, u)
     degree, size = len(frame.order), 3 * count
     width = _p_width(n, degree)
     converted = _bit_field_rows(
@@ -758,7 +774,7 @@ def _psi_regularity(
             key = frame.local[a]
             try:
                 p = sum([table[key >> low & span] for low, span, table in tables])
-            except KeyError:  # two bits in one cell of N(u)
+            except KeyError:  # two bits in one cell of N(u), or no tables
                 p = sum([values[i] for i in bits(key)])
             left = (p & keep) + (n + 1) * (f_a & checked)
             wrong_a = 0
@@ -989,7 +1005,7 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
         key = frame.local[v]
         try:
             left = sum([table[key >> low & span] for low, span, table in tables], scalar * x_v)
-        except KeyError:  # two bits in one cell of N(u)
+        except KeyError:  # two bits in one cell of N(u), or no tables
             left = sum([terms[i] for i in bits(key)], scalar * x_v)
         if left != diagonal << v * width:
             d_v = key.bit_count()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from srgpq import graphcore
 from srgpq.cli import (
     GRAPH6_HEADER,
     MAX_GRAPH6_VERTICES,
@@ -76,6 +77,32 @@ def test_round_trip_matches_the_oracle_and_networkx(nu, density, seed):
     decoded = nx.from_graph6_bytes(encoded.encode())
     assert decoded.number_of_nodes() == nu
     assert sorted(map(sorted, decoded.edges())) == sorted(map(list, g.edges()))
+
+
+@pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("nu", [0, 1, 2, 15, 16, 17, 18, 33, 63, 64, 65, 66, 129, 255, 256, 257])
+def test_parse_matches_the_oracle_and_networkx_at_block_edges(nu, density):
+    # the decoder reads sixteen columns a block: sizes on both sides of each
+    # block edge, of the 64-row transpose and of the four-character prefix
+    g = _random_graph(nu, density, seed=nu)
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(nu))
+    nx_graph.add_edges_from(g.edges())
+    encoded = nx.to_graph6_bytes(nx_graph, header=False).decode("ascii").strip()
+    assert parse_graph6(encoded) == g == oracles.parse_graph6(encoded)
+
+
+@pytest.mark.parametrize("nu", [17, 64, 65, 300])
+def test_one_parse_transposes_once(monkeypatch, nu):
+    encoded = serialize_graph6(_random_graph(nu, 0.5, nu))
+    expected = oracles.parse_graph6(encoded)
+    widths = []
+    transpose = graphcore.transpose_packed
+    monkeypatch.setattr(
+        graphcore, "transpose_packed", lambda data, width: widths.append(width) or transpose(data, width)
+    )
+    assert parse_graph6(encoded) == expected
+    assert widths == [(nu + 7) >> 3]
 
 
 GQ35 = serialize_graph6(build_gq35())

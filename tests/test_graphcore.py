@@ -160,6 +160,44 @@ def test_transpose_rows_matches_the_bit_oracle(m, nu, seed):
     assert transpose_rows(rows, nu) == oracles.transpose_rows(rows, nu)
 
 
+@pytest.mark.parametrize("m", [65, 204, 256, 300])
+@pytest.mark.parametrize("nu", [9, 255, 257])
+def test_transpose_rows_above_64_rows_matches_the_bit_oracle(m, nu):
+    # more than 64 rows: columns of several bytes, each one slice of the transpose
+    rng = random.Random(1000 * m + nu)
+    rows = [rng.getrandbits(nu) for _ in range(m)]
+    assert transpose_rows(rows, nu) == oracles.transpose_rows(rows, nu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu=st.integers(min_value=0, max_value=150), seed=st.integers(min_value=0, max_value=2**32))
+@example(nu=64, seed=1)
+@example(nu=65, seed=2)
+def test_from_lower_is_the_graph_of_its_lower_triangle(nu, seed):
+    rng = random.Random(seed)
+    lower = [rng.getrandbits(j) for j in range(nu)]
+    upper = oracles.transpose_rows(lower, nu)
+    g = Graph.from_lower(lower)
+    assert g == Graph([row | column for row, column in zip(lower, upper)])
+    assert g.nu == nu and g.rows == Graph(g.rows).rows
+
+
+@pytest.mark.parametrize("nu", [1, 5, 64, 70])
+def test_from_lower_rejects_a_row_outside_the_lower_triangle(nu):
+    rng = random.Random(nu)
+    lower = [rng.getrandbits(j) for j in range(nu)]
+    for j in {0, 1, nu // 2, nu - 1} & set(range(nu)):
+        for fault in (-1, ~lower[j], lower[j] | 1 << j, lower[j] | 1 << (j + 9)):
+            bad = list(lower)
+            bad[j] = fault
+            message = f"lower-triangle row {j} is not in 0..2**{j} - 1"
+            with pytest.raises(GraphError, match=re.escape(message)):
+                Graph.from_lower(bad)
+            bad[-1] = -1  # the first bad row is named
+            with pytest.raises(GraphError, match=re.escape(f"lower-triangle row {j} ")):
+                Graph.from_lower(bad)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     nu=st.integers(min_value=0, max_value=150),

@@ -11,6 +11,7 @@ and 2-switch mutants of both witnesses.
 from __future__ import annotations
 
 import random
+from operator import add
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ import pytest
 
 from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, toggle, two_switch
 from srgpq import localstats
-from srgpq.automorphism import verified_sigmas
+from srgpq.automorphism import build_sigma, verified_sigmas
+from srgpq.geometry import build_rook4
 from srgpq.graphcore import Graph, GraphError, NeighborhoodStructureError, bits
 from srgpq.localstats import (
     FamilyPreconditionError,
@@ -621,6 +623,37 @@ def _has_direct_rows(g: Graph, u: int) -> bool:
         for cell in offsets
     ]
     return any((frame.local[v] & cell).bit_count() > 1 for v in bits(frame.outside) for cell in cells)
+
+
+def test_frame_takes_the_cheapest_table_option():
+    # GQ(3,5) keeps 2 cells a group and the n = 3 witness 3; on rook4 the 9
+    # rows hold 18 key bits, fewer additions than any table, so it has none
+    assert localstats._group_size(6, 3, 18, 45, 270) == 2
+    assert localstats._group_size(17, 3, 51, 204, 2448) == 3
+    assert localstats._group_size(2, 3, 6, 9, 18) == 0
+    for rows, per in ((gq35_rows(), 2), (ovoid256_rows(), 3)):
+        frame = localstats._Frame(Graph(rows), 0)
+        assert max(len(offsets) for _, _, offsets in frame.groups) == per
+    rook, fam = build_rook4(), FamilyInfo.from_n_lam(-2, 2)
+    for u in (0, 7):
+        frame = localstats._Frame(rook, u)
+        assert frame.tables(range(6), add) == [(0, -1, {0: 0})]
+        _assert_frame_kernels_agree(rook, fam, u)
+    _assert_con_agrees(rook, fam)
+
+
+def test_psi_regularity_then_build_sigma_transpose_the_psi_members_once(monkeypatch):
+    g, fam = Graph(ovoid256_rows()), FamilyInfo.from_n_lam(3, 2)
+    heights = []
+    transpose = localstats.transpose_rows
+    monkeypatch.setattr(
+        localstats, "transpose_rows", lambda rows, nu: heights.append(len(rows)) or transpose(rows, nu)
+    )
+    assert verify_psi_regularity(g, fam, 5).passed
+    build_sigma(g, fam, 5)
+    assert heights == [51, 204]  # N(u) for the frame, then the members of the 68 psi cells
+    build_sigma(g, fam, 6)  # a new base vertex, a new frame
+    assert heights == [51, 204, 51, 204]
 
 
 def test_frame_kernels_match_the_oracles_on_the_witnesses():
