@@ -15,14 +15,16 @@ from itertools import product
 from typing import Optional, Sequence
 
 from srgpq.graphcore import (
+    CliqueClosureError,
     Graph,
     _bit_field_rows,
     bits,
     is_srg_report,
+    line_sum_srg_report,
     maximal_cliques_via_edges,
     row_zero_counts,
 )
-from srgpq.params import ParameterError, PqParams
+from srgpq.params import ParameterError, PqParams, SrgParams
 
 
 class GeometryError(ValueError):
@@ -43,7 +45,7 @@ class IncidenceStructure:
     def __post_init__(self):
         seen: set[tuple[int, ...]] = set()
         for line in self.lines:
-            if any(not 0 <= p < self.num_points for p in line):
+            if line and (min(line) < 0 or max(line) >= self.num_points):
                 raise GeometryError(f"line {line} has a point outside 0..{self.num_points - 1}")
             if len(set(line)) != len(line):
                 raise GeometryError(f"line {line} repeats a point")
@@ -106,62 +108,72 @@ def _incidence_masks(inc: IncidenceStructure) -> tuple[list[int], list[int], lis
     return line_masks, degree, coll, repeated
 
 
-def _off_line_witness(line_masks: Sequence[int], coll: Sequence[int]) -> Optional[dict]:
-    """The first line, and its least point off it, collinear with two or more of its points.
+def _line_sum_witness(
+    lines: Sequence[Sequence[int]],
+    line_masks: Sequence[int],
+    coll: Sequence[int],
+    degree: Sequence[int],
+    mu: Optional[int],
+) -> Optional[tuple[str, dict]]:
+    """The first violation of axiom (iii), then of (iv), from one pass over the lines, or None.
 
-    Per line, ones holds the points collinear with some point of the line
-    so far and twos those collinear with at least two of them, so twos
-    minus the line is every offending point at once.
-    """
-    for index, mask in enumerate(line_masks):
-        ones = twos = 0
-        for q in bits(mask):
-            twos |= ones & coll[q]
-            ones |= coll[q]
-        off = twos & ~mask
-        if off:
-            p = (off & -off).bit_length() - 1
-            return {"point": p, "line": index, "collinear_points": list(bits(coll[p] & mask))}
-    return None
+    The masks and point degrees are _incidence_masks'; mu is the count
+    row_zero_counts reads off coll, None when point 0 is collinear with
+    every other point, which is reported after (iii).  The (iii) witness
+    needs lines of one size s + 1 only; (iv) needs axioms (i) and (ii):
+    t + 1 lines through each point as well, and two points on at most one
+    line.
 
+    Give every point b its own field of width bits, let F(M) put bit b of
+    a mask M into field b and e_b = F({b}), and let G_p = F(coll[p]) - s e_p.
+    The line sum S_L, the sum of G_p over the points p of L, has field
+    q = |coll[q] & L| for a point q off L and field 0 for q on L, where
+    the s other points of L are all of coll[q] & L: no field of S_L
+    borrows from the next.
 
-def _mu_witness(lines: Sequence[Sequence[int]], coll: Sequence[int], mu: int) -> Optional[dict]:
-    """The first non-collinear pair a < b with other than mu common collinear points, or None.
+    (iii): the first line L whose S_L has a field of 2 or more names the
+    first offending line, and its lowest such field the least offending
+    point.
 
-    Needs axioms (i) to (iii).  A point a at a time: give every point b its
-    own field of width bits and let F_c be the fields of coll[c].  By (ii)
-    the lines through a meet only in a, so the sum over them of the F_c of
-    their points has |coll[a] & coll[b]| in field b for every b not
-    collinear with a: each line L through a adds |L & coll[b]|, and a
-    itself is not in coll[b].  A field is at most the points on the lines
-    through a, which the width holds, as it holds mu, so no field carries
-    into the next.  The fields of the points not collinear with a, a left
-    out, must each read mu: one comparison of two integers.  The count is
-    symmetric in a and b, so at the first failing point a every pair
-    (b, a) with b < a passed in row b, and the lowest differing field is
-    the first failing b of row a.
+    (iv): T_a, the sum of S_L over the lines through a, once every line
+    passed (iii).  By (ii) the lines through a less a partition coll[a],
+    so field b of T_a is |coll[a] & coll[b]| for every b not collinear
+    with a and other than a: each line L through a adds |L & coll[b]|,
+    and a itself is not in coll[b].  The fields of those b must each read
+    mu: one comparison of two integers.  By (iii) every field of T_a is at
+    most t + 1, and so is mu, the count at a pair (0, b) of them; a field
+    of S_L is at most s + 1, so a width holding both keeps every field
+    from carrying into the next.  The count is symmetric in a and b, so at
+    the first failing point a every pair (b, a) with b < a passed in row
+    b, and the lowest differing field is the first failing b of row a.
+    No list of line sums is kept: S_L is added to its points' T_a at once.
     """
     count = len(coll)
-    reach = [0] * count  # per point, the points on the lines through it, with repeats
-    for line in lines:
-        for p in line:
-            reach[p] += len(line)
-    width = 8 * max(1, -(-max([mu, *reach]).bit_length() // 8))
+    s = len(lines[0]) - 1
+    width = 8 * max(1, -(-max([s + 1, *degree]).bit_length() // 8))
     fields = _bit_field_rows(coll, count, width)
-    sums = [0] * count  # per point a, the sum over the lines through a
-    for line in lines:
+    fields = [f - (s << p * width) for p, f in enumerate(fields)]  # G_p
+    field = (1 << width) - 1
+    ones = ((1 << count * width) - 1) // field  # 1 in every field
+    twos = ones * (field - 1)  # every bit of a field but its lowest
+    sums = [0] * count  # per point a, T_a
+    for index, line in enumerate(lines):
         line_sum = sum([fields[p] for p in line])
+        over = line_sum & twos
+        if over:
+            p = ((over & -over).bit_length() - 1) // width
+            return "iii", {"point": p, "line": index, "collinear_points": list(bits(coll[p] & line_masks[index]))}
         for p in line:
             sums[p] += line_sum
-    ones = sum(1 << b * width for b in range(count))
-    field = (1 << width) - 1
+    if mu is None:
+        return "degenerate", {"detail": "no non-collinear point pair; mu undefined"}
     for a, row_sum in enumerate(sums):
-        apart = ones - fields[a] - (1 << a * width)
+        apart = ones - fields[a] - (s + 1 << a * width)  # ones - F(coll[a]) - e_a
         common = row_sum & apart * field
         if common != mu * apart:
             differ = common ^ mu * apart
             b = ((differ & -differ).bit_length() - 1) // width
-            return {"points": [a, b], "common": common >> b * width & field, "expected": mu}
+            return "iv", {"points": [a, b], "common": common >> b * width & field, "expected": mu}
     return None
 
 
@@ -195,20 +207,15 @@ def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
     if repeated is not None:
         return violation("ii", repeated)
 
-    # (iii) a point off a line is collinear with at most one of its points
-    witness = _off_line_witness(line_masks, coll)
-    if witness is not None:
-        return violation("iii", witness)
-
-    # (iv) every non-collinear pair sees exactly mu common collinear points.
-    # By (i) and (ii) every point is collinear with s(t + 1) others, so
-    # point 0 has a non-collinear point iff some point has, and mu is read there.
+    # (iii) a point off a line is collinear with at most one of its points,
+    # and (iv) every non-collinear pair sees exactly mu common collinear
+    # points.  By (i) and (ii) every point is collinear with s(t + 1)
+    # others, so point 0 has a non-collinear point iff some point has, and
+    # mu is read there.
     _, mu = row_zero_counts(coll)
-    if mu is None:
-        return violation("degenerate", {"detail": "no non-collinear point pair; mu undefined"})
-    witness = _mu_witness(inc.lines, coll, mu)
-    if witness is not None:
-        return violation("iv", witness)
+    failure = _line_sum_witness(inc.lines, line_masks, coll, degree, mu)
+    if failure is not None:
+        return violation(*failure)
 
     try:
         params = PqParams(s_plus_one - 1, t_plus_one - 1, mu)
@@ -228,11 +235,28 @@ def collinearity_graph(inc: IncidenceStructure) -> Graph:
 
 
 def graph_to_pq(g: Graph) -> IncidenceStructure:
-    """Points = vertices, lines = maximal cliques, for a diamond-free SRG."""
-    params, witness = is_srg_report(g)
+    """Points = vertices, lines = maximal cliques, for a diamond-free SRG.
+
+    The cliques come first, and the SRG verdict is read off them by
+    line_sum_srg_report, with is_srg_report's verdict and witness.  Only
+    when the clique pass raises does is_srg_report run, so that a graph
+    that is no SRG is rejected as such either way.  The cliques come
+    sorted, each and as a list.
+    """
+    try:
+        lines = maximal_cliques_via_edges(g)
+    except CliqueClosureError:
+        _require_srg(is_srg_report(g))
+        raise
+    _require_srg(line_sum_srg_report(g, lines))
+    return IncidenceStructure(g.nu, tuple(lines))
+
+
+def _require_srg(report: tuple[Optional[SrgParams], Optional[dict]]) -> None:
+    """Raise GeometryError with the witness of an SRG report that holds no parameters."""
+    params, witness = report
     if params is None:
         raise GeometryError(f"input is not a nontrivial SRG: {witness}")
-    return IncidenceStructure.from_lines(g.nu, maximal_cliques_via_edges(g))
 
 
 def build_shrikhande() -> Graph:

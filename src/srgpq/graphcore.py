@@ -12,7 +12,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from operator import or_, rshift
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from srgpq.params import ParameterError, SrgParams
 
@@ -343,6 +343,45 @@ def row_zero_counts(rows: Sequence[int]) -> tuple[Optional[int], Optional[int]]:
     return count(row), count((1 << len(rows)) - 1 & ~(row | 1))
 
 
+def _srg_report(
+    g: Graph, first_mismatch: Callable[[int, int, int], Optional[dict]]
+) -> tuple[Optional[SrgParams], Optional[dict]]:
+    """The SRG verdict around a pair test: (params, None), or (None, witness dict).
+
+    Rejects fewer than 4 vertices, then the first vertex whose degree is
+    not k, the degree of vertex 0, then a graph without an adjacent or a
+    non-adjacent pair; reads lam and mu off row_zero_counts; asks
+    first_mismatch(k, lam, mu) for the witness of the first failing pair;
+    and last rejects trivial parameters.
+    """
+    if g.nu < 4:
+        return None, {"reason": "too-few-vertices", "nu": g.nu}
+    rows = g.rows
+    k = rows[0].bit_count()
+    for v in range(1, g.nu):
+        d = rows[v].bit_count()
+        if d != k:
+            return None, {"reason": "not-regular", "vertex": v, "degree": d, "expected": k}
+    lam, mu = row_zero_counts(rows)
+    if lam is None or mu is None:
+        return None, {"reason": "complete-or-edgeless"}
+    witness = first_mismatch(k, lam, mu)
+    if witness is not None:
+        return None, witness
+    try:
+        return SrgParams(g.nu, k, lam, mu), None
+    except ParameterError as exc:
+        return None, {"reason": "trivial-parameters", "detail": str(exc)}
+
+
+def _pair_mismatch(rows: Sequence[int], u: int, v: int, lam: int, mu: int) -> dict:
+    """The witness dict of a pair whose common neighbours are not lam or mu as adjacency asks."""
+    count = (rows[u] & rows[v]).bit_count()
+    if rows[u] >> v & 1:
+        return {"reason": "adjacent-pair-mismatch", "pair": [u, v], "common": count, "expected": lam}
+    return {"reason": "nonadjacent-pair-mismatch", "pair": [u, v], "common": count, "expected": mu}
+
+
 def is_srg_report(
     g: Graph, orbits: Optional[Sequence[Sequence[int]]] = None
 ) -> tuple[Optional[SrgParams], Optional[dict]]:
@@ -371,31 +410,70 @@ def is_srg_report(
       order.
     So the verdict is that of all pairs too.
     """
-    if g.nu < 4:
-        return None, {"reason": "too-few-vertices", "nu": g.nu}
     rows = g.rows
-    k = rows[0].bit_count()
-    for v in range(1, g.nu):
-        d = rows[v].bit_count()
-        if d != k:
-            return None, {"reason": "not-regular", "vertex": v, "degree": d, "expected": k}
-    lam, mu = row_zero_counts(rows)
-    if lam is None or mu is None:
-        return None, {"reason": "complete-or-edgeless"}
-    rest = list(range(g.nu))  # every vertex but the least vertices of the orbits so far
-    for u in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
-        rest.remove(u)
-        row_u = rows[u]
-        for v in rest:
-            count = (row_u & rows[v]).bit_count()
-            expected = lam if row_u >> v & 1 else mu
-            if count != expected:
-                reason = "adjacent-pair-mismatch" if row_u >> v & 1 else "nonadjacent-pair-mismatch"
-                return None, {"reason": reason, "pair": [u, v], "common": count, "expected": expected}
-    try:
-        return SrgParams(g.nu, k, lam, mu), None
-    except ParameterError as exc:
-        return None, {"reason": "trivial-parameters", "detail": str(exc)}
+
+    def first_mismatch(k: int, lam: int, mu: int) -> Optional[dict]:
+        rest = list(range(g.nu))  # every vertex but the least vertices of the orbits so far
+        for u in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
+            rest.remove(u)
+            row_u = rows[u]
+            for v in rest:
+                if (row_u & rows[v]).bit_count() != (lam if row_u >> v & 1 else mu):
+                    return _pair_mismatch(rows, u, v, lam, mu)
+        return None
+
+    return _srg_report(g, first_mismatch)
+
+
+def line_sum_srg_report(
+    g: Graph, lines: Sequence[Sequence[int]]
+) -> tuple[Optional[SrgParams], Optional[dict]]:
+    """is_srg_report(g), read off lines, the maximal cliques of g that
+    maximal_cliques_via_edges returns, a vertex at a time.
+
+    The lines through a, less a, partition N(a): each is a clique of
+    <N(a)> plus a.  Give each vertex b its own field of width
+    bits, and let F(M) put bit b of a mask M into field b.  The line sum
+    S_L is the sum of F(N(x)) over the points x of L, and T_a the sum of
+    S_L over the d_a lines through a.  Then
+        T_a = d_a F(N(a)) + sum of F(N(x)) over x in N(a),
+    so field b of T_a is |N(a) & N(b)|, plus d_a when a ~ b, and field a
+    is k, as a is not in N(a).  A field is at most k + d_a, and so is
+    every value it is compared with (lam < k and mu <= k); each line
+    through a holds a vertex of N(a) of its own, so d_a <= k and a width
+    holding 2k keeps every field from carrying into the next.  Vertex a
+    passes iff T_a equals its expected value, k in field a, lam + d_a in
+    the fields of N(a) and mu elsewhere: one integer comparison.
+
+    The witness is that of the u < v loop.  Vertex a fails iff some pair
+    {a, b} fails, as the count is symmetric, so the first failing vertex u
+    is the least vertex of any failing pair, and the lowest differing
+    field of T_u is the least v with {u, v} failing; v > u, since no pair
+    {v, u} with v < u fails.  That is the loop's first failing pair.
+    """
+    rows = g.rows
+    nu = g.nu
+
+    def first_mismatch(k: int, lam: int, mu: int) -> Optional[dict]:
+        width = 8 * -(-(2 * k).bit_length() // 8)
+        fields = _bit_field_rows(rows, nu, width)
+        sums = [0] * nu  # per vertex a, T_a
+        through = [0] * nu  # per vertex a, d_a
+        for line in lines:
+            line_sum = sum([fields[x] for x in line])
+            for x in line:
+                sums[x] += line_sum
+                through[x] += 1
+        field = (1 << width) - 1
+        base = mu * (((1 << nu * width) - 1) // field)  # mu in every field
+        for a, total in enumerate(sums):
+            expected = base + (lam + through[a] - mu) * fields[a] + (k - mu << a * width)
+            if total != expected:
+                differ = total ^ expected
+                return _pair_mismatch(rows, a, ((differ & -differ).bit_length() - 1) // width, lam, mu)
+        return None
+
+    return _srg_report(g, first_mismatch)
 
 
 def is_srg(g: Graph) -> Optional[SrgParams]:
@@ -407,17 +485,30 @@ def is_srg(g: Graph) -> Optional[SrgParams]:
     return is_srg_report(g)[0]
 
 
-def _clique_masks(rows: Sequence[int], u: int) -> Optional[set[int]]:
+def _clique_masks(
+    rows: Sequence[int], u: int, closed: Optional[Sequence[int]] = None
+) -> Optional[set[int]]:
     """The cliques of <N(u)> as masks, or None when it is no disjoint union of cliques.
 
     Lemma: <N(u)> is a disjoint union of cliques iff the closed sets
-    (N(x) & N(u)) + x, x in N(u), partition N(u), that is iff the distinct
-    ones have |N(u)| members together; they are then its cliques.  (Each x
-    lies in its own set, and an edge x ~ y puts x in the sets of both.)
+    N[x] & N(u), x in N(u), partition N(u), that is iff the distinct ones
+    have |N(u)| members together; they are then its cliques.  (Each x lies
+    in its own set, and an edge x ~ y puts x in the sets of both.)  The
+    closed rows N[x] = N(x) + x are closed[x]; a pass over all vertices
+    builds them once with closed_rows, and a single call without them
+    closes the rows of N(u) as it reads them.
     """
     nbhd = rows[u]
-    closed = {(rows[x] & nbhd) | (1 << x) for x in bits(nbhd)}
-    return closed if sum(map(int.bit_count, closed)) == nbhd.bit_count() else None
+    if closed is None:
+        cells = {(rows[x] & nbhd) | 1 << x for x in bits(nbhd)}
+    else:
+        cells = {closed[x] & nbhd for x in bits(nbhd)}
+    return cells if sum(map(int.bit_count, cells)) == nbhd.bit_count() else None
+
+
+def closed_rows(rows: Sequence[int]) -> list[int]:
+    """The closed rows N[x] = N(x) + x of every vertex x."""
+    return [row | 1 << x for x, row in enumerate(rows)]
 
 
 def _diamond_at(rows: Sequence[int], v: int) -> tuple[int, int, int, int]:
@@ -446,8 +537,9 @@ def is_diamond_free(
     is the least of its orbit.
     """
     rows = g.rows
+    closed = closed_rows(rows)
     for v in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
-        if _clique_masks(rows, v) is None:
+        if _clique_masks(rows, v, closed) is None:
             return False, _diamond_at(rows, v)
     return True, None
 
@@ -491,27 +583,29 @@ def maximal_cliques_via_edges(g: Graph) -> list[tuple[int, ...]]:
     On a diamond-free SRG these are exactly the maximal cliques; a closure
     that is not a clique witnesses a diamond and raises.  Each vertex u is
     decided at once: the closures of the edges at u are the closed sets
-    (N(x) & N(u)) + x, x in N(u), plus u, and they are all cliques iff
+    N[x] & N(u), x in N(u), plus u, and they are all cliques iff
     _clique_masks finds the cliques of <N(u)>.  Each clique is added at its
-    least vertex: from the cliques of <N(u)> with no member below u.  An
-    edge whose closure is no clique fails at both its ends, and a failing
-    vertex u has such an edge (u, y); at the first failing vertex y > u, so
-    the first such edge in edges() order lies in that vertex's row, and
-    only the row's edges are walked to name it.
+    least vertex: from the cliques of <N(u)> with no member below u, so
+    the list is sorted when each vertex's few cliques are.  An edge whose
+    closure is no clique fails at both its ends, and a failing vertex u
+    has such an edge (u, y); at the first failing vertex y > u, so the
+    first such edge in edges() order lies in that vertex's row, and only
+    the row's edges are walked to name it.
     """
     rows = g.rows
+    closed = closed_rows(rows)
     cliques = []
     for u in range(g.nu):
-        closed = _clique_masks(rows, u)
-        if closed is None:
+        cells = _clique_masks(rows, u, closed)
+        if cells is None:
             for v in bits(rows[u] >> (u + 1) << (u + 1)):
                 mask = (rows[u] & rows[v]) | (1 << u) | (1 << v)
                 for x in bits(mask):
-                    if (rows[x] | (1 << x)) & mask != mask:
+                    if closed[x] & mask != mask:
                         raise CliqueClosureError(
                             f"closure of edge ({u}, {v}) is not a clique "
                             f"(vertex {x} misses a member); graph is not diamond-free"
                         )
         below = (1 << u) - 1
-        cliques.extend(tuple(bits(c | 1 << u)) for c in closed if not c & below)
-    return sorted(cliques)
+        cliques.extend(sorted(tuple(bits(c | 1 << u)) for c in cells if not c & below))
+    return cliques

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfbench.inputs import gq35_rows, ovoid256_rows
+from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, rook4_rows, seeded_permutation, toggle, two_switch
 from srgpq.geometry import (
     GF4_MUL,
     GeometryError,
@@ -26,8 +26,16 @@ from srgpq.geometry import (
     parse_incidence,
     verify_pq_axioms,
 )
-from srgpq.geometry import _incidence_masks, _off_line_witness
-from srgpq.graphcore import Graph, is_diamond_free, is_srg
+from srgpq.geometry import _incidence_masks, _line_sum_witness
+from srgpq.graphcore import (
+    CliqueClosureError,
+    Graph,
+    GraphError,
+    is_diamond_free,
+    is_srg,
+    line_sum_srg_report,
+    row_zero_counts,
+)
 from srgpq.params import PqParams, SrgParams
 from tests import oracles
 
@@ -149,6 +157,103 @@ def test_graph_to_pq_rejects_non_srg():
         graph_to_pq(k4)
 
 
+def _round_trip(to_pq, g):
+    """to_pq(g), or the class and message of the GeometryError or GraphError it raised."""
+    try:
+        return to_pq(g)
+    except (GeometryError, GraphError) as exc:
+        return type(exc), str(exc)
+
+
+def _srg_check_then_cliques(g: Graph) -> IncidenceStructure:
+    """graph_to_pq as the SRG check over every pair, then the per-edge clique loop."""
+    params, witness = oracles.is_srg_report(g)
+    if params is None:
+        raise GeometryError(f"input is not a nontrivial SRG: {witness}")
+    return IncidenceStructure.from_lines(g.nu, oracles.maximal_cliques_via_edges(g))
+
+
+def _assert_round_trip_agrees(g: Graph) -> str:
+    """Assert graph_to_pq(g) equals the composition; name the path it took and its verdict."""
+    outcome = _round_trip(graph_to_pq, g)
+    assert outcome == _round_trip(_srg_check_then_cliques, g)
+    try:
+        cliques = oracles.maximal_cliques_via_edges(g)
+    except CliqueClosureError:
+        return f"fallback: {outcome[0].__name__}"
+    params, witness = line_sum_srg_report(g, cliques)
+    assert (params, witness) == oracles.is_srg_report(g)
+    return "line sums: " + ("srg" if witness is None else witness["reason"])
+
+
+def _circulant(nu: int, jumps) -> Graph:
+    return Graph.from_edges(nu, [(u, v) for u, v in combinations(range(nu), 2) if min(v - u, nu - v + u) in jumps])
+
+
+def _round_trip_inputs() -> dict[str, Graph]:
+    """The witnesses and relabelled copies, seeded mutants of GQ(3,5) and the n = 3
+    witness, Shrikhande, and small graphs: Petersen, whose lines have 2 points,
+    the triangular prism, cycles, paths, K4, edgeless graphs and graphs on fewer than 4 vertices."""
+    graphs = {}
+    for name, rows in (("rook4", rook4_rows()), ("gq35", gq35_rows()), ("ovoid256", ovoid256_rows())):
+        graphs[name] = Graph(rows)
+        for seed in range(2):
+            graphs[f"{name}/relabelled-{seed}"] = Graph(relabel(rows, seeded_permutation(len(rows), random.Random(seed))))
+    for name, rows in (("gq35", gq35_rows()), ("ovoid256", ovoid256_rows())):
+        for seed in range(4):
+            graphs[f"{name}/2-switch-{seed}"] = Graph(two_switch(rows, random.Random(seed)))
+            graphs[f"{name}/toggle-{seed}"] = Graph(toggle(rows, random.Random(seed)))
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    graphs["shrikhande"] = build_shrikhande()
+    graphs["petersen"] = Graph.from_edges(10, petersen)
+    graphs["prism"] = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    for nu in range(3, 10):
+        graphs[f"cycle-{nu}"] = _circulant(nu, {1})
+        graphs[f"path-{nu}"] = Graph.from_edges(nu, [(v, v + 1) for v in range(nu - 1)])
+    graphs["k4"] = _circulant(4, {1, 2})
+    for nu in range(6):
+        graphs[f"edgeless-{nu}"] = Graph.from_edges(nu, [])
+    return graphs
+
+
+def test_graph_to_pq_matches_the_srg_check_then_the_clique_loop():
+    paths = {name: _assert_round_trip_agrees(g) for name, g in _round_trip_inputs().items()}
+    assert paths["shrikhande"] == "fallback: CliqueClosureError"
+    assert paths["petersen"] == paths["ovoid256/relabelled-1"] == "line sums: srg"
+    assert paths["prism"] == "line sums: adjacent-pair-mismatch"
+    assert paths["cycle-6"] == "line sums: nonadjacent-pair-mismatch"
+    assert paths["path-5"] == "line sums: not-regular"
+    assert paths["ovoid256/2-switch-0"] == paths["gq35/toggle-0"] == "fallback: GeometryError"
+    assert {paths["k4"], paths["edgeless-5"], paths["path-3"]} == {
+        "line sums: complete-or-edgeless", "line sums: too-few-vertices"}
+
+
+@st.composite
+def round_trip_graphs(draw):
+    """A graph on up to 9 vertices, or a relabelled circulant on up to 14."""
+    nu = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        jumps = draw(st.sets(st.integers(1, max(1, nu // 2))))
+        labels = draw(st.permutations(range(nu)))
+        return Graph(relabel([*_circulant(nu, jumps).rows], labels))
+    pairs = list(combinations(range(min(nu, 9)), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(min(nu, 9), [pair for pair, keep in zip(pairs, chosen) if keep])
+
+
+def test_graph_to_pq_matches_the_srg_check_then_the_clique_loop_on_random_graphs():
+    paths = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(round_trip_graphs())
+    def check(g):
+        paths.add(_assert_round_trip_agrees(g))
+
+    check()
+    assert {"fallback: GeometryError", "line sums: nonadjacent-pair-mismatch"} <= paths
+
+
 def test_collinearity_graph_single_line():
     inc = IncidenceStructure.from_lines(4, [(0, 1, 2, 3)])
     g = collinearity_graph(inc)
@@ -196,25 +301,43 @@ def test_axiom_iii_witness_matches_the_point_loop(case):
     assert report.witness == oracles.off_line_witness(inc)
 
 
+# lines of one size, which the line pass's axiom (iii) test needs; point
+# degrees may differ and two points may share two lines, failing (i) or (ii)
 incidences = st.integers(1, 9).flatmap(
-    lambda points: st.builds(
-        IncidenceStructure.from_lines,
-        st.just(points),
-        st.lists(
-            st.frozensets(st.integers(0, points - 1), min_size=1, max_size=min(points, 4)),
-            min_size=1,
-            max_size=12,
-            unique=True,
-        ),
+    lambda points: st.integers(1, min(points, 4)).flatmap(
+        lambda size: st.builds(
+            IncidenceStructure.from_lines,
+            st.just(points),
+            st.lists(
+                st.frozensets(st.integers(0, points - 1), min_size=size, max_size=size),
+                min_size=1,
+                max_size=12,
+                unique=True,
+            ),
+        )
     )
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(incidences)
-def test_axiom_iii_witness_matches_the_point_loop_on_small_incidences(inc):
-    line_masks, _, coll, _ = _incidence_masks(inc)
-    assert _off_line_witness(line_masks, coll) == oracles.off_line_witness(inc)
+def test_axiom_iii_witness_matches_the_point_loop_on_small_incidences():
+    verdicts = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(incidences)
+    def check(inc):
+        line_masks, degree, coll, repeated = _incidence_masks(inc)
+        failure = _line_sum_witness(inc.lines, line_masks, coll, degree, row_zero_counts(coll)[1])
+        witness = failure[1] if failure is not None and failure[0] == "iii" else None
+        assert witness == oracles.off_line_witness(inc)
+        if len(set(degree)) > 1:
+            verdicts.add("i")
+        if repeated is not None:
+            verdicts.add("ii")
+        if witness is not None:
+            verdicts.add("iii")
+
+    check()
+    assert verdicts == {"i", "ii", "iii"}
 
 
 @st.composite
