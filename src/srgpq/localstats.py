@@ -18,9 +18,10 @@ diagnostically; the identities still hold there, in degenerate form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 from operator import add, or_
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from srgpq.graphcore import (
     Graph,
@@ -118,11 +119,6 @@ def pair_stats(g: Graph, u: int, v: int, w: int) -> PairStats:
     return PairStats(u=u, v=v, w=w, p=p, q=q)
 
 
-def _spread(width: int, copies: int) -> int:
-    """The multiplier that lays copies side-by-side copies of a mask narrower than width bits."""
-    return sum(1 << (s * width) for s in range(copies))
-
-
 def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> CheckReport:
     """Check (n-lam+1) p + q over all triples: lam(n+1) if v ~ w, else mu.
 
@@ -134,16 +130,35 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
     the first failing vertex is the least of its orbit, and triples_checked
     counts the triples of every vertex before it.
 
-    Per base vertex, with A_v = N(u, v) in bits local to N(u):
-    * slope * p is the popcount of slope copies of A_v & A_w;
-    * the ordered count q' = sum over x in A_v of |N(x) & A_w| is
-      sum over y in A_w of m_v(y), m_v(y) = |N(y) & A_v|, so it is the
-      popcount of A_w against the levels {y : m_v(y) > t}, t < max |N(y) & N(u)|;
-    * q = q' - e, where e counts the edges of <N(u)> inside A_v & A_w: with
-      E_v the edges of <N(u)> with both ends in A_v, e = |E_v & E_w| and
-      |E_v| - e = |E_v & ~E_w|.
-    So one mask z_v per v and one mask w_w per w, built once per u, give
-    slope * p + q + |E_v| as the single popcount of z_v & w_w.
+    A row v at a time, on the frame at u.  With A_v = N(u, v), S_x the
+    fields of N(x) & outside and T'_x from _row_terms, field w of the sum
+    of T'_x over A_v is slope p + q', q' = sum_{x in A_v} |N(x) & A_w| the
+    adjacent pairs of A_v x A_w in order.  q' counts an edge inside
+    A_v & A_w twice and every other pair of q once, so q = q' - e, and e
+    is field w of E_v, the sum of S_x & S_y over the edges {x, y} inside
+    A_v.  With gap = mu - lam (n + 1) = (n + 1)(n - lam) and X_v the
+    fields of N(v) & outside, field w of
+
+        L_v = sum_{x in A_v} T'_x - E_v + gap X_v
+
+    is slope p + q + gap [v ~ w], which is mu iff the identity holds at
+    (v, w), on any graph.  Row v holds iff the fields above v of L_v and
+    of mu O agree, O the fields of outside.
+
+    No field carries or borrows: slope > 0 and lam <= n make gap >= 0
+    and n > 0 makes mu > 0, so a field of L_v is 0 off outside and
+    between 0 and k (slope + depth) + gap on it, with k = |N(u)|, depth
+    the most neighbours an x of N(u) has in N(u), p <= k and
+    q <= q' <= k depth; the width holds that and mu.  So the integers
+    above bit (v + 1) width are equal iff every w > v is right, and the
+    lowest field where they differ is the first failing w of row v: the
+    (v, w) loop's first failure, as the rows before passed.  Its value is
+    that field less gap [v ~ w], and triples_checked adds the pairs of the
+    rows before v and those of row v up to w.
+
+    E_v is 0 unless A_v holds an edge of <N(u)>, so only the rows of
+    inner compute it: on a frame of clique cells the rows that meet a
+    cell twice, which miss the tables, and on singleton cells any row.
 
     Under the driver's preconditions (a diamond-free SRG in the family,
     n > 0) the identity holds at u iff verify_star's does: every
@@ -154,66 +169,44 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
     slope = _require_positive_slope(fam)
     mu = fam.n * (fam.n + 1)
     adjacent_target = fam.lam * (fam.n + 1)
-    full = (1 << g.nu) - 1
+    gap = mu - adjacent_target
     rows = g.rows
     per_vertex = [comb(g.nu - 1 - row.bit_count(), 2) for row in rows]  # triples at each u
-    index = [0] * g.nu
     for orbit in orbits:
         u = orbit[0]
-        row_u = rows[u]
-        triples = sum(per_vertex[:u])
-        outside_mask = full & ~(row_u | (1 << u))
-        outside = tuple(bits(outside_mask))
-        local = tuple(bits(row_u))
-        k = len(local)
-        packed = transpose_rows([rows[y] for y in local], g.nu)  # N(x) & N(u), local bits
-        local_rows = [packed[x] for x in local]
-        # number the edges of <N(u)>; low[i] / high[i]: edges whose lower / higher end is i
-        low, high = [0] * k, [0] * k
-        edges = 0
-        for i, row in enumerate(local_rows):
-            for j in bits(row & ~((2 << i) - 1)):
-                low[i] |= 1 << edges
-                high[j] |= 1 << edges
-                edges += 1
-        depth = max((row.bit_count() for row in local_rows), default=0)  # bounds m_v(y)
-        copies = slope + depth
-        spread_z, spread_w = _spread(k, slope), _spread(k, copies)
-        z_masks, w_masks, e_counts = [], [], []
-        for i, v in enumerate(outside):
-            index[v] = i
-            a = packed[v]
-            reach = lows = highs = 0
-            for x in bits(a):
-                reach |= local_rows[x]
-                lows |= low[x]
-                highs |= high[x]
-            inner = lows & highs  # E_v
-            z = a * spread_z | inner << (copies * k)
-            for y in bits(reach):  # the level t of m_v sits in copy slope + t
-                for t in range((local_rows[y] & a).bit_count()):
-                    z |= 1 << ((slope + t) * k + y)
-            z_masks.append(z)
-            w_masks.append(a * spread_w | (((1 << edges) - 1) & ~inner) << (copies * k))
-            e_counts.append(inner.bit_count())
-        for i, v in enumerate(outside):
-            z = z_masks[i]
-            counts = [(z & w).bit_count() for w in w_masks[i + 1 :]]
-            expected = [mu + e_counts[i]] * len(counts)
-            for w in bits(rows[v] & outside_mask & ~((2 << v) - 1)):
-                expected[index[w] - i - 1] = adjacent_target + e_counts[i]
-            if counts == expected:
-                triples += len(counts)
+        frame = _frame(g, u)
+        local, order, outside = frame.local, frame.order, frame.outside
+        depth = max((local[x].bit_count() for x in order), default=0)
+        width = _width(max(len(order) * (slope + depth) + gap, mu))
+        fields, terms = _row_terms(frame, width, slope)
+        tables = frame.tables(terms, add)
+        inner = 0  # the v whose A_v holds an edge {x, y} of <N(u)>
+        for i, x in enumerate(order):
+            for j in bits(local[x] & ~((2 << i) - 1)):
+                inner |= rows[x] & rows[order[j]]
+        target = mu * _bit_field_rows([outside], g.nu, width)[0]
+        for v, x_v in frame.outside_fields(width):
+            key = local[v]
+            left = frame.fold(tables, key) + gap * x_v
+            if inner >> v & 1:
+                for i in bits(key):
+                    for j in bits(local[order[i]] & key & ~((2 << i) - 1)):
+                        left -= fields[i] & fields[j]
+            low = (v + 1) * width
+            if left >> low == target >> low:
                 continue
-            j = next(j for j, (got, want) in enumerate(zip(counts, expected)) if got != want)
-            w = outside[i + 1 + j]
-            p = (row_u & rows[v] & rows[w]).bit_count()
-            value = counts[j] - e_counts[i]
+            differ = (left ^ target) >> low
+            w = v + 1 + ((differ & -differ).bit_length() - 1) // width
+            adjacent = rows[v] >> w & 1
+            p = (rows[u] & rows[v] & rows[w]).bit_count()
+            value = (left >> w * width & ((1 << width) - 1)) - gap * adjacent
+            m, before = outside.bit_count(), (outside & ((1 << v) - 1)).bit_count()
+            triples = comb(m, 2) - comb(m - before, 2) + (outside & ((2 << w) - (2 << v))).bit_count()
             return CheckReport(
                 name="eq-pq",
                 passed=False,
                 asserted=fam.in_resolvent_regime,
-                details={"triples_checked": triples + j + 1},
+                details={"triples_checked": sum(per_vertex[:u]) + triples},
                 witness={
                     "u": u,
                     "v": v,
@@ -221,7 +214,7 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
                     "p": p,
                     "q": value - slope * p,
                     "value": value,
-                    "expected": expected[j] - e_counts[i],
+                    "expected": adjacent_target if adjacent else mu,
                 },
             )
     return CheckReport(
@@ -256,8 +249,9 @@ class _Frame:
 
     The cells are the cliques of <N(u)> when it is a disjoint union of
     cliques, sorted by least vertex as neighborhood_clique_cells sorts
-    them, and singletons otherwise.  order lists N(u) cell by cell, and
-    local[x] is N(x) & N(u) with bit i for order[i], from one transpose.
+    them, and cliques says so; otherwise they are singletons.  order lists
+    N(u) cell by cell, and local[x] is N(x) & N(u) with bit i for order[i],
+    from one transpose.
 
     Per row the kernels at u want a sum or a union, over the y of
     N(u, v), of a value of y.  A non-neighbour v of u meets a cell in at
@@ -268,12 +262,13 @@ class _Frame:
     key that takes at most one bit from each of its cells, and a row costs
     one lookup per group.  A row whose key is not in a table is summed
     over its bits, which is the same sum; so is every row of a frame
-    without tables, where that costs less than the tables.
+    without tables, where that costs less than the tables.  fold is that
+    lookup.
 
     The kernels at one u share the frame through _frame.
     """
 
-    __slots__ = ("rows", "u", "outside", "order", "local", "groups", "m0", "members")
+    __slots__ = ("rows", "u", "outside", "cells", "cliques", "order", "local", "groups", "m0", "members")
 
     def __init__(self, g: Graph, u: int):
         g.check_vertex(u)
@@ -284,7 +279,7 @@ class _Frame:
             cells = [(y,) for y in bits(row_u)]
         else:
             cells = sorted(tuple(bits(mask)) for mask in cliques)
-        self.rows, self.u = rows, u
+        self.rows, self.u, self.cells, self.cliques = rows, u, cells, cliques is not None
         self.outside = ((1 << g.nu) - 1) & ~(row_u | 1 << u)
         self.order = [y for cell in cells for y in cell]
         self.local = transpose_rows([rows[y] for y in self.order], g.nu)
@@ -313,8 +308,11 @@ class _Frame:
             self.members = (cells, transpose_rows([rows[x] for cell in cells for x in cell], len(rows)))
         return self.members[1]
 
-    def tables(self, values: Sequence[int], combine: Callable[[int, int], int]) -> list:
-        """(shift, span, table) per group: table[key] combines values[shift + i] over the bits i of key."""
+    def tables(self, values: Sequence[int], combine: Callable[[int, int], int]) -> tuple:
+        """(values, combine, tables) for fold, one (shift, span, table) in tables per group.
+
+        table[key] combines values[shift + i] over the bits i of key.
+        """
         tables = []
         for shift, span, offsets in self.groups:
             table = {0: 0}
@@ -325,7 +323,29 @@ class _Frame:
                     for i in cell
                 ])
             tables.append((shift, span, table))
-        return tables
+        return values, combine, tables
+
+    def fold(self, tables: tuple, key: int) -> int:
+        """The values of the local bits of key combined, from the tables of tables(values, combine)."""
+        values, combine, groups = tables
+        total = 0
+        try:
+            for shift, span, table in groups:
+                total = combine(total, table[key >> shift & span])
+        except KeyError:  # two bits in one cell of N(u), or no tables
+            return reduce(combine, [values[i] for i in bits(key)], 0)
+        return total
+
+    def outside_fields(self, width: int) -> Iterator[tuple[int, int]]:
+        """(v, X_v) for every non-neighbour v of u, ascending: X_v is N(v) & outside as fields of width bits.
+
+        The rows are converted a batch of about 2**18 bits at a time.
+        """
+        rows, outside, nu = self.rows, list(bits(self.outside)), len(self.rows)
+        batch = max(1, (1 << 18) // (nu * width + 1))
+        for start in range(0, len(outside), batch):
+            vertices = outside[start:start + batch]
+            yield from zip(vertices, _bit_field_rows([rows[v] & self.outside for v in vertices], nu, width))
 
 
 def _group_size(cells: int, size: int, k: int, rows: int, keys: int) -> int:
@@ -369,21 +389,9 @@ def _m0_masks(frame: _Frame, targets: int) -> dict[int, int]:
     With outside the non-neighbours of u, M_0(u, v) is outside less N[v]
     and the N(c) & outside of the c in N(u, v), as in _m0_mask.
     """
-    rows, outside, local = frame.rows, frame.outside, frame.local
-    values = [rows[y] & outside for y in frame.order]
-    tables = frame.tables(values, or_)
-    masks = {}
-    for v in bits(targets):
-        key = local[v]
-        covered = rows[v] | 1 << v
-        try:
-            for shift, span, table in tables:
-                covered |= table[key >> shift & span]
-        except KeyError:  # two bits in one cell, or no tables
-            for i in bits(key):
-                covered |= values[i]
-        masks[v] = outside & ~covered
-    return masks
+    rows, outside = frame.rows, frame.outside
+    tables = frame.tables([rows[y] & outside for y in frame.order], or_)
+    return {v: outside & ~(rows[v] | 1 << v | frame.fold(tables, frame.local[v])) for v in bits(targets)}
 
 
 def _bit_slices(sources: Sequence[int], common: int) -> list[int]:
@@ -710,7 +718,7 @@ def _psi_regularity(
     over its members.  Add K C, K = max(0, -n), to both sides.  A field of
     the left is then p + (n + 1) [a ~ b] + K, between 0 and k + |n| + 1
     with k = |N(u)| since p <= k, and one of the right is n + r + K,
-    between 0 and |n| + 2; _p_width picks width above both.  So no field
+    between 0 and |n| + 2; _width picks width above both.  So no field
     carries into the next, the two integers are equal iff every checked
     field is right, and the fields where they differ are the wrong b of
     row a, which n + r < 0 makes every non-adjacent b.
@@ -748,7 +756,7 @@ def _psi_regularity(
         out_of_range.append(by_r[3])
 
     degree, size = len(frame.order), 3 * count
-    width = _p_width(n, degree)
+    width = _width(degree + abs(n) + 2)
     converted = _bit_field_rows(
         [packed[y] for y in frame.order]
         + [packed[a] for cell in cells for a in cell]
@@ -771,12 +779,7 @@ def _psi_regularity(
         right = n * checked + (r_fields & keep)
         wrong = []  # per member a, the b with a wrong p_u(a, b)
         for a, f_a in zip(cell, adjacent[3 * j:3 * j + 3]):
-            key = frame.local[a]
-            try:
-                p = sum([table[key >> low & span] for low, span, table in tables])
-            except KeyError:  # two bits in one cell of N(u), or no tables
-                p = sum([values[i] for i in bits(key)])
-            left = (p & keep) + (n + 1) * (f_a & checked)
+            left = (frame.fold(tables, frame.local[a]) & keep) + (n + 1) * (f_a & checked)
             wrong_a = 0
             if left != right:
                 wrong_a = _nonzero_fields((left + lift * checked) ^ (right + lift * checked), size, width)
@@ -805,9 +808,9 @@ def _psi_regularity(
     return {r: c for r, c in enumerate(r_counts) if c}, violations, witness
 
 
-def _p_width(n: int, k: int) -> int:
-    """Bits per field of _psi_regularity's rows: the least multiple of 8 above k + |n| + 2."""
-    return 8 * max(1, -(-(k + abs(n) + 2).bit_length() // 8))
+def _width(top: int) -> int:
+    """Bits per field of a row kernel: the least multiple of 8 with top < 2**width."""
+    return 8 * max(1, -(-top.bit_length() // 8))
 
 
 def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
@@ -888,10 +891,6 @@ def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     )
 
 
-# verify_star converts the rows X_v to fields a batch of this many bits at a time.
-_BATCH_BITS = 1 << 18
-
-
 def _star_width(n: int, lam: int, k: int) -> int:
     """Bits per field of verify_star's row sums: the least multiple of 8 with top < 2**width.
 
@@ -902,7 +901,19 @@ def _star_width(n: int, lam: int, k: int) -> int:
     mu = n * (n + 1)
     scalar = n * (n + 1) ** 2 * (n - lam)
     top = max(mu * (n - lam) * k + mu * (lam + 1) * k + scalar, scalar * n + k * k)
-    return 8 * max(1, -(-top.bit_length() // 8))
+    return _width(top)
+
+
+def _row_terms(frame: _Frame, width: int, slope: int) -> tuple[list[int], list[int]]:
+    """S and T' by local bit of the frame: verify_star's and verify_eq_pq's row terms.
+
+    S_x is N(x) & outside as fields of width bits and
+    T'_x = slope S_x + sum_{y in N(x) & N(u)} S_y, for x in N(u).
+    """
+    fields = _bit_field_rows([frame.rows[y] & frame.outside for y in frame.order], len(frame.rows), width)
+    local = frame.local
+    terms = [sum([fields[j] for j in bits(local[x])], slope * s_x) for x, s_x in zip(frame.order, fields)]
+    return fields, terms
 
 
 def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
@@ -925,7 +936,9 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     A row at a time.  Give every vertex w its own field of width bits in
     one integer, e_w = 1 << w * width, and let S_y be the fields of
     N(y) & outside for y in N(u), T_y = a S_y + mu sum_{y' in C(y)} S_y'
-    and D = sum_{y in N(u)} S_y = sum_w d_w e_w.  The clique sum is
+    and D = sum_{y in N(u)} S_y = sum_w d_w e_w.  N(y) & N(u) is C(y)
+    less y, so T_y = mu T'_y, T'_y = (n - lam + 1) S_y + sum of S_y' over
+    y' in N(y) & N(u) as _row_terms gives it.  The clique sum is
     sum over y in A_v of |C(y) & A_w|, so row v of Y B Y^T is
     sum_{y in A_v} T_y - d_v D, and row v of the identity holds iff
 
@@ -939,11 +952,11 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     width above both.  So no field carries into the next, and the two
     integers are equal iff every entry of row v is.
 
-    The frame at u orders N(u) by these cells and sums T_y - D over A_v
-    with its tables, so a row costs one lookup per group of cells and
-    X_v comes from one conversion for a batch of rows: the row holds iff
-    sum_{y in A_v} (T_y - D) + scalar X_v == scalar n e_v, the identity
-    above less d_v D on both sides.
+    The frame at u, whose cells are checked to be these cliques, sums
+    T_y - D over A_v with its tables, so a row costs one lookup per group
+    of cells and X_v comes from one conversion for a batch of rows: the
+    row holds iff sum_{y in A_v} (T_y - D) + scalar X_v == scalar n e_v,
+    the identity above less d_v D on both sides.
 
     The rows are scanned in ascending v.  Both sides of the identity are
     symmetric, so at the first failing row v every entry (v, w) with w < v
@@ -972,41 +985,25 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
-    cells = neighborhood_clique_cells(g, u, lam + 1)
     frame = _frame(g, u)
-    rows, nu = g.rows, g.nu
+    if not frame.cliques or any(len(cell) != lam + 1 for cell in frame.cells):
+        neighborhood_clique_cells(g, u, lam + 1)  # raises, naming a diamond or the first such cell
+    rows = g.rows
     row_u = rows[u]
-    outside_mask = frame.outside
     mu = n * (n + 1)
-    a = mu * (n - lam)
     scalar = n * (n + 1) ** 2 * (n - lam)
     k = row_u.bit_count()
     width = _star_width(n, lam, k)
 
-    fields = _bit_field_rows([rows[y] & outside_mask for y in frame.order], nu, width)
+    fields, terms = _row_terms(frame, width, n - lam + 1)
     total = sum(fields)  # D
-    terms = []  # T_y - D by local bit: the frame orders N(u) by these cells
-    for cell in cells:
-        cell_fields = fields[len(terms):len(terms) + len(cell)]
-        cell_sum = sum(cell_fields)
-        terms += [a * field + mu * cell_sum - total for field in cell_fields]
-    tables = frame.tables(terms, add)
+    tables = frame.tables([mu * term - total for term in terms], add)  # T_y - D by local bit
 
     witness = None
     diagonal = scalar * n
-    outside = list(bits(outside_mask))
-    batch = max(1, _BATCH_BITS // (nu * width + 1))
-    adjacency = (  # X_v, a batch of rows at a time
-        x_v
-        for start in range(0, len(outside), batch)
-        for x_v in _bit_field_rows([rows[v] & outside_mask for v in outside[start:start + batch]], nu, width)
-    )
-    for v, x_v in zip(outside, adjacency):
+    for v, x_v in frame.outside_fields(width):
         key = frame.local[v]
-        try:
-            left = sum([table[key >> low & span] for low, span, table in tables], scalar * x_v)
-        except KeyError:  # two bits in one cell of N(u), or no tables
-            left = sum([terms[i] for i in bits(key)], scalar * x_v)
+        left = frame.fold(tables, key) + scalar * x_v
         if left != diagonal << v * width:
             d_v = key.bit_count()
             left += d_v * total
@@ -1027,7 +1024,7 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
         asserted=fam.in_resolvent_regime,
         details={
             "base_vertex": u,
-            "outside_block": outside_mask.bit_count(),
+            "outside_block": frame.outside.bit_count(),
             "neighborhood_block": k + 1,
             "scalar": scalar,
             "degenerate": scalar == 0,

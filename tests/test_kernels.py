@@ -22,7 +22,7 @@ from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, toggle, two_swit
 from srgpq import localstats
 from srgpq.automorphism import build_sigma, verified_sigmas
 from srgpq.geometry import build_rook4
-from srgpq.graphcore import Graph, GraphError, NeighborhoodStructureError, bits
+from srgpq.graphcore import Graph, GraphError, NeighborhoodStructureError, _clique_masks, bits
 from srgpq.localstats import (
     FamilyPreconditionError,
     LocalStatsError,
@@ -150,10 +150,11 @@ def test_kernels_match_the_loops_on_ovoid256_mutants():
     assert moment_failures > 0
 
 
-# The resolvent checks: the closed-form star identity and the per-u eq-pq masks.
-# The full eq-pq sweep of the unmutated n = 3 witness (5 300 736 triples) is
-# compared through the CLI pin in tests/test_regime_n3.py, captured when
-# verify_eq_pq was the pair_stats loop; the loop itself takes about a minute.
+# The resolvent checks: the star identity and eq-pq, a row at a time on the
+# frame at each base vertex.  The full eq-pq sweep of the unmutated n = 3
+# witness (5 300 736 triples) is compared through the CLI pin in
+# tests/test_regime_n3.py, captured when verify_eq_pq was the pair_stats loop;
+# the loop itself takes about a minute.
 
 
 def _assert_resolvent_kernels_agree(g: Graph, fam: FamilyInfo, bases) -> list:
@@ -211,6 +212,55 @@ def test_resolvent_kernels_match_the_oracles_on_the_witnesses():
         assert report == oracles.verify_star(ovoid, FamilyInfo.from_n_lam(3, 2), u)
 
 
+def test_eq_pq_matches_the_oracle_on_ovoid256_two_switches():
+    # each seed's first failure is at u = 0, after thousands of passing triples
+    fam, rows = FamilyInfo.from_n_lam(3, 2), ovoid256_rows()
+    for seed, triples in ((0, 4273), (2, 4970), (6, 7169), (10, 10497)):
+        g = Graph(two_switch(rows, random.Random(seed)))
+        report = verify_eq_pq(g, fam, verified_sigmas(g, fam)[0])
+        assert report == oracles.verify_eq_pq(g, fam)
+        assert report.witness["u"] == 0 and report.details["triples_checked"] == triples
+
+
+def _inner_edge_rows(cliques: bool) -> tuple[list[int], int, int]:
+    """GQ(3,5) with its first two non-neighbours v, w of 0 joined to both ends of an edge x ~ y of N(0).
+
+    A_v and A_w then share the edge {x, y} of a cell {x, y, z}, so (v, w),
+    the first triple at 0, needs eq-pq's inner-edge correction.  Without
+    cliques, y !~ z too, and <N(0)> is no disjoint union of cliques.
+    """
+    mutant = gq35_rows()
+    v, w = [x for x in range(1, 64) if not mutant[0] >> x & 1][:2]
+    x = next(bits(mutant[v] & mutant[0]))
+    y, z = bits(mutant[x] & mutant[0])
+    for a, b in ((v, x), (v, y), (w, x), (w, y)):
+        mutant[a] |= 1 << b
+        mutant[b] |= 1 << a
+    if not cliques:
+        mutant[y] ^= 1 << z
+        mutant[z] ^= 1 << y
+    return mutant, v, w
+
+
+@pytest.mark.parametrize("cliques", [True, False])
+def test_eq_pq_takes_the_edges_inside_a_v_off_on_both_frame_kinds(cliques):
+    # a clique-cell frame with tables, where v's key takes two bits of one
+    # cell and misses them, and a frame of singleton cells; the first triple
+    # fails either way, so its value and the whole report pin the correction
+    fam = FamilyInfo.from_n_lam(2, 2)
+    mutant, v, w = _inner_edge_rows(cliques)
+    g = Graph(mutant)
+    frame = localstats._frame(g, 0)
+    assert frame.cliques == cliques
+    common = frame.local[v] & frame.local[w]  # A_v & A_w, which holds an edge of <N(0)>
+    assert any(frame.local[frame.order[i]] & common for i in bits(common))
+    if cliques:
+        assert all(span != -1 for _, span, _ in frame.groups) and _has_direct_rows(g, 0)
+    report = _assert_resolvent_kernels_agree(g, fam, [0])[0][1]
+    assert report.witness == {"u": 0, "v": v, "w": w, "p": 3, "q": 5, "value": 8, "expected": 6}
+    assert report.details["triples_checked"] == 1
+
+
 def test_resolvent_kernels_match_the_oracles_on_gq35_mutants():
     fam = FamilyInfo.from_n_lam(2, 2)
     rows = gq35_rows()
@@ -264,9 +314,8 @@ def _assert_star_agrees(g: Graph, fam: FamilyInfo, u: int):
 
 def test_star_matches_the_dense_product_on_ovoid256_mutants():
     # whole reports, witness entry, lhs and rhs included, at the mutated rows, at
-    # a neighbour of each and at 0 (the gq35 mutants are in
-    # test_resolvent_kernels_match_the_oracles_on_gq35_mutants, with eq-pq,
-    # whose oracle is too slow at n = 3)
+    # a neighbour of each and at 0 (eq-pq's oracle sweeps every vertex, so
+    # its n = 3 mutants are those whose first failure is early)
     fam, rows, kinds = FamilyInfo.from_n_lam(3, 2), ovoid256_rows(), set()
     for mutant in _mutants(rows, seed=17):
         g = Graph(mutant)
@@ -552,6 +601,57 @@ def test_star_matches_the_dense_product_on_cones(n):
     assert max(widths) == (8 if n <= 2 else 16)
 
 
+def _assert_star_terms_are_mu_eq_pq_terms(g: Graph, fam: FamilyInfo, u: int) -> bool:
+    """Whether <N(u)> is a disjoint union of cliques, and there verify_star's T_y against mu T'_y.
+
+    T_y = a S_y + mu sum_{y' in C(y)} S_y' is built here from the cliques,
+    C(y) the clique of y and S_y the fields of N(y) & outside; T'_y comes
+    from _row_terms, which verify_eq_pq sums and verify_star scales by mu.
+    T_y = mu T'_y is an identity of integers, so any field width shows it.
+    """
+    cliques = _clique_masks(g.rows, u)
+    if cliques is None:
+        return False
+    rows, n, lam, width = g.rows, fam.n, fam.lam, 8
+    mu = n * (n + 1)
+    outside = ((1 << g.nu) - 1) & ~(rows[u] | 1 << u)
+    clique_of = {y: mask for mask in cliques for y in bits(mask)}
+
+    def fields(y: int) -> int:
+        return sum(1 << w * width for w in bits(rows[y] & outside))
+
+    frame = localstats._Frame(g, u)
+    terms = localstats._row_terms(frame, width, n - lam + 1)[1]
+    assert [mu * term for term in terms] == [
+        mu * (n - lam) * fields(y) + mu * sum(map(fields, bits(clique_of[y]))) for y in frame.order
+    ]
+    return True
+
+
+def test_star_terms_are_mu_times_eq_pq_terms_on_the_witnesses_and_cones():
+    for rows, fam, vertices in (
+        (gq35_rows(), FamilyInfo.from_n_lam(2, 2), range(0, 64, 7)),
+        (ovoid256_rows(), FamilyInfo.from_n_lam(3, 2), (0, 5, 101, 255)),
+    ):
+        g = Graph(rows)
+        assert all(_assert_star_terms_are_mu_eq_pq_terms(g, fam, u) for u in vertices)
+    for n in range(1, 9):  # the cone grid of the star and inv-formula tests
+        for lam in range(n + 1):
+            valency, width = n * (n * n + 3 * n - lam + 1), lam + 1
+            fam = FamilyInfo.from_n_lam(n, lam)
+            for cliques in set(range(5)) | ({valency // width} if valency % width == 0 else set()):
+                g = _cone(cliques, width)
+                for u in {0, cliques * width} & set(range(g.nu)):
+                    assert _assert_star_terms_are_mu_eq_pq_terms(g, fam, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.sampled_from(VALID_FAMILIES))
+def test_star_terms_are_mu_times_eq_pq_terms_on_random_graphs(g, fam):
+    for u in range(g.nu):
+        _assert_star_terms_are_mu_eq_pq_terms(g, fam, u)
+
+
 # psi-regularity: one pass over all pairs of psi cells at once, against the
 # per-pair loop.
 
@@ -637,7 +737,7 @@ def test_frame_takes_the_cheapest_table_option():
     rook, fam = build_rook4(), FamilyInfo.from_n_lam(-2, 2)
     for u in (0, 7):
         frame = localstats._Frame(rook, u)
-        assert frame.tables(range(6), add) == [(0, -1, {0: 0})]
+        assert frame.tables(range(6), add)[2] == [(0, -1, {0: 0})]  # no tables: one empty group
         _assert_frame_kernels_agree(rook, fam, u)
     _assert_con_agrees(rook, fam)
 
