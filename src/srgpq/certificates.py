@@ -1,245 +1,131 @@
-"""Exact linear-system certificates for combinatorial nonexistence arguments.
+"""The counting system that rules out a diamond-free SRG(676, 108, 2, 20).
 
-A counting system is a small integer linear system whose unknowns are
-nonnegative integer counts.  The solver row-reduces over the rationals,
-expresses pivot unknowns as affine forms in the free unknowns, and decides
-nonnegative-integer feasibility for systems with at most one free unknown
-(the only shape this toolkit produces).  Inconsistent systems come with a
-certificate: the multipliers of a rational combination of the input
-equations reducing to 0 = nonzero.
+Such a graph is the collinearity graph of a PQ(3, 35, 20), the n = 4
+member of the lam = 2 family.  Counting how the triangles of a
+neighbourhood meet one outside triangle gives three integer equations in
+four counts, built here from n and solved in closed form with s_3 free.
+At n = 4 no non-negative value of s_3 solves them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import ceil, floor, lcm
-from typing import Optional, Sequence
-
-
-class CertificateError(ValueError):
-    """Malformed counting system input."""
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class AffineForm:
     """constant + sum coefficient_i * unknown_i over the free unknowns."""
 
-    constant: Fraction
-    coefficients: dict[str, Fraction] = field(default_factory=dict)
-
-    def evaluate(self, assignment: dict[str, Fraction]) -> Fraction:
-        total = self.constant
-        for name, coefficient in self.coefficients.items():
-            total += coefficient * assignment[name]
-        return total
+    constant: int
+    coefficients: dict[str, int]
 
     def render(self) -> str:
         parts = [str(self.constant)]
         for name in sorted(self.coefficients):
             coefficient = self.coefficients[name]
-            if coefficient == 0:
-                continue
-            sign = "+" if coefficient > 0 else "-"
-            magnitude = abs(coefficient)
-            term = name if magnitude == 1 else f"{magnitude}*{name}"
-            parts.append(f"{sign} {term}")
+            term = name if abs(coefficient) == 1 else f"{abs(coefficient)}*{name}"
+            parts.append(f"{'+' if coefficient > 0 else '-'} {term}")
         return " ".join(parts)
 
 
 @dataclass(frozen=True)
 class CountingSystem:
-    """A solved integer counting system.
+    """An integer counting system and its solved form.
 
     parametric_solution maps every unknown to an affine form in the free
-    unknowns.  feasible is True/False when nonnegative-integer solvability
-    was decided, None when the free space has dimension two or more.
+    unknowns; feasible says whether some non-negative integer values of
+    the free unknowns make every form non-negative.
     """
 
     unknowns: tuple[str, ...]
     equations: tuple[tuple[tuple[int, ...], int], ...]
     parametric_solution: dict[str, AffineForm]
     free_unknowns: tuple[str, ...]
-    feasible: Optional[bool]
-    example: Optional[dict[str, int]] = None
-    inconsistency_certificate: Optional[tuple[str, ...]] = None
-
-    def substituted_residuals(self) -> list[tuple[AffineForm, int]]:
-        """Each equation with the parametric solution substituted in, symbolically."""
-        residuals = []
-        for coefficients, rhs in self.equations:
-            constant = Fraction(0)
-            combined: dict[str, Fraction] = {}
-            for coefficient, name in zip(coefficients, self.unknowns):
-                if coefficient == 0:
-                    continue
-                form = self.parametric_solution[name]
-                constant += coefficient * form.constant
-                for free, value in form.coefficients.items():
-                    combined[free] = combined.get(free, Fraction(0)) + coefficient * value
-            residuals.append((AffineForm(constant, combined), rhs))
-        return residuals
+    feasible: bool
 
     def substitution_is_identical(self) -> bool:
         """True when every equation reduces to rhs = rhs with no free-term residue."""
-        for form, rhs in self.substituted_residuals():
-            if form.constant != rhs:
+        forms = [self.parametric_solution[name] for name in self.unknowns]
+        for coefficients, rhs in self.equations:
+            if sum(c * form.constant for c, form in zip(coefficients, forms)) != rhs:
                 return False
-            if any(value != 0 for value in form.coefficients.values()):
-                return False
+            for free in self.free_unknowns:
+                if sum(c * form.coefficients.get(free, 0) for c, form in zip(coefficients, forms)):
+                    return False
         return True
 
 
-def _feasibility_one_free(
-    unknowns: Sequence[str], solution: dict[str, AffineForm], free: str
-) -> tuple[Optional[bool], Optional[dict[str, int]]]:
-    """Nonnegative-integer feasibility when exactly one unknown is free.
+def _counting_system(n: int) -> tuple[CountingSystem, range]:
+    """The counting system of the family member with parameter n, and the values of s_3 it allows.
 
-    Intersects the rational interval forced by every affine nonnegativity
-    constraint, then scans integers (one residue window suffices when the
-    interval is unbounded, since integrality of the forms is periodic).
+    The member is a diamond-free SRG with lam = 2 and mu = n(n + 1), so
+    every edge lies on one line, a 4-clique, and N(u) is t + 1 disjoint
+    triangles (cells), t = (n + 3)(n^2 - 1)/3.  Fix u, x in N(u) and a
+    triangle T of N(x) that avoids u; s_i counts the cells of N(u), other
+    than x's, that send i edges to T.  From lam = 2 and diamond-freeness:
+
+    (a) T misses N[u].  T avoids u, and a w in T adjacent to u would be a
+        common neighbour of u and x, so on the line ux; but w is on the
+        line x + T, and two lines through x share only x.
+    (b) Each w in T has at most one neighbour in any cell of N(u), so none
+        in x's cell other than x: two, c ~ c', would make u, c, c', w a
+        diamond, as w !~ u by (a).
+    (c) Each c in N(u) outside x's cell has at most one neighbour in T:
+        two, w ~ w', would make x, w, w', c a diamond, as c !~ x
+        (adjacent vertices of N(u) share a cell).
+
+    So the edges from a cell C to T form a matching, of 0 to 3 edges.
+
+    - sum s_i = t counts the t cells other than x's.
+    - sum i s_i = 3 mu - 3 counts the edges from T to those cells: each w
+      in T has mu common neighbours with u by (a), x is one of them, and
+      by (b) no other lies in x's cell.
+    - s_2 + 3 s_3 = 3(n + 3) counts the pairs of matching edges from one
+      cell.  Take one of T's three pairs {w, w'}.  Its pairs of matching
+      edges are the adjacent (c, c') with c in N(u, w) and c' in N(u, w'):
+      adjacent vertices of N(u) share a cell.  These are the q of the
+      p/q identity (n - 1) p + q = 2(n + 1) at the adjacent non-neighbours
+      w, w' of u, less those through x, of which by (b) there are none.
+      N(w) & N(w') = {x, w''}, w'' the third vertex of T, so p = 1 and
+      q = n + 3.  This equation needs the p/q identity, which the paper
+      derives for lam <= n - 1; n = 4 qualifies.
+
+    With s_3 free the solved form is s_0 = t - 3n^2 + 12 - s_3,
+    s_1 = 3n^2 - 3n - 21 + 3 s_3 and s_2 = 3(n + 3) - 3 s_3, integral for
+    every integer s_3.  Every form is non-negative iff
+    max(0, -(3n^2 - 3n - 21)/3) <= s_3 <= min(n + 3, t - 3n^2 + 12): that
+    is s_3 = 5 at n = 2, s_3 = 1 at n = 3, none at n = 4 (s_0 = -1 - s_3)
+    and 0..13 at n = 10.
     """
-    lower = Fraction(0)  # the free unknown is itself a count
-    upper: Optional[Fraction] = None
-    for name in unknowns:
-        form = solution[name]
-        coefficient = form.coefficients.get(free, Fraction(0))
-        if coefficient == 0:
-            if form.constant < 0:
-                return False, None
-            continue
-        boundary = -form.constant / coefficient
-        if coefficient > 0:
-            lower = max(lower, boundary)
-        else:
-            upper = boundary if upper is None else min(upper, boundary)
-    if upper is not None and lower > upper:
-        return False, None
-
-    denominators = [solution[name].constant.denominator for name in unknowns]
-    denominators += [
-        solution[name].coefficients.get(free, Fraction(0)).denominator for name in unknowns
-    ]
-    window = lcm(*denominators) if denominators else 1
-
-    start = ceil(lower)
-    if upper is None:
-        stop = start + window - 1
-    else:
-        stop = floor(upper)
-    for candidate in range(start, stop + 1):
-        assignment = {free: Fraction(candidate)}
-        values = {name: solution[name].evaluate(assignment) for name in unknowns}
-        if all(value >= 0 and value.denominator == 1 for value in values.values()):
-            return True, {name: int(value) for name, value in values.items()}
-    return False, None
-
-
-def solve_counting_system(
-    equations: Sequence[tuple[Sequence[int], int]], unknowns: Sequence[str]
-) -> CountingSystem:
-    """Row-reduce an integer linear system exactly and decide count feasibility.
-
-    Free columns are the non-pivot unknowns (highest-indexed unknowns stay
-    free under left-to-right pivoting).  Systems with two or more free
-    unknowns report feasible=None rather than searching.
-    """
-    unknowns = tuple(unknowns)
-    width = len(unknowns)
-    if not equations:
-        raise CertificateError("need at least one equation")
-    for coefficients, _ in equations:
-        if len(coefficients) != width:
-            raise CertificateError(
-                f"equation width {len(coefficients)} does not match {width} unknowns"
-            )
-    equations = tuple((tuple(map(int, coeffs)), int(rhs)) for coeffs, rhs in equations)
-
-    height = len(equations)
-    # augmented with the identity to track row operations for certificates
-    rows = [
-        [Fraction(c) for c in coeffs]
-        + [Fraction(rhs)]
-        + [Fraction(1 if i == j else 0) for j in range(height)]
-        for i, ((coeffs, rhs)) in enumerate(equations)
-    ]
-    pivot_of_column: dict[int, int] = {}
-    pivot_row = 0
-    for column in range(width):
-        target = next((r for r in range(pivot_row, height) if rows[r][column] != 0), None)
-        if target is None:
-            continue
-        rows[pivot_row], rows[target] = rows[target], rows[pivot_row]
-        scale = rows[pivot_row][column]
-        rows[pivot_row] = [value / scale for value in rows[pivot_row]]
-        for r in range(height):
-            if r != pivot_row and rows[r][column] != 0:
-                factor = rows[r][column]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_of_column[column] = pivot_row
-        pivot_row += 1
-        if pivot_row == height:
-            break
-
-    # inconsistent row: all zero coefficients, nonzero rhs
-    for r in range(height):
-        if all(rows[r][c] == 0 for c in range(width)) and rows[r][width] != 0:
-            multipliers = tuple(str(rows[r][width + 1 + j]) for j in range(height))
-            zero = AffineForm(Fraction(0))
-            return CountingSystem(
-                unknowns=unknowns,
-                equations=equations,
-                parametric_solution={name: zero for name in unknowns},
-                free_unknowns=(),
-                feasible=False,
-                inconsistency_certificate=multipliers,
-            )
-
-    free = tuple(unknowns[c] for c in range(width) if c not in pivot_of_column)
-    solution: dict[str, AffineForm] = {}
-    for column, name in enumerate(unknowns):
-        if column not in pivot_of_column:
-            solution[name] = AffineForm(Fraction(0), {name: Fraction(1)})
-            continue
-        row = rows[pivot_of_column[column]]
-        coefficients = {
-            unknowns[c]: -row[c]
-            for c in range(width)
-            if c != column and c not in pivot_of_column and row[c] != 0
-        }
-        solution[name] = AffineForm(row[width], coefficients)
-
-    if not free:
-        values = {name: solution[name].constant for name in unknowns}
-        ok = all(v >= 0 and v.denominator == 1 for v in values.values())
-        example = {name: int(v) for name, v in values.items()} if ok else None
-        feasible: Optional[bool] = ok
-    elif len(free) == 1:
-        feasible, example = _feasibility_one_free(unknowns, solution, free[0])
-    else:
-        feasible, example = None, None
-
-    return CountingSystem(
-        unknowns=unknowns,
+    t = (n + 3) * (n * n - 1) // 3
+    mu = n * (n + 1)
+    equations = (
+        ((1, 1, 1, 1), t),
+        ((0, 1, 2, 3), 3 * mu - 3),
+        ((0, 0, 1, 3), 3 * (n + 3)),
+    )
+    s_0, s_1, s_2 = t - 3 * n * n + 12, 3 * n * n - 3 * n - 21, 3 * (n + 3)
+    solution = {
+        "s_0": AffineForm(s_0, {"s_3": -1}),
+        "s_1": AffineForm(s_1, {"s_3": 3}),
+        "s_2": AffineForm(s_2, {"s_3": -3}),
+        "s_3": AffineForm(0, {"s_3": 1}),
+    }
+    s_3 = range(max(0, -(s_1 // 3)), min(n + 3, s_0) + 1)
+    system = CountingSystem(
+        unknowns=tuple(solution),
         equations=equations,
         parametric_solution=solution,
-        free_unknowns=free,
-        feasible=feasible,
-        example=example,
+        free_unknowns=("s_3",),
+        feasible=len(s_3) > 0,
     )
+    return system, s_3
 
 
 def pq_3_35_20_certificate() -> CountingSystem:
     """The counting system ruling out a diamond-free SRG(676, 108, 2, 20).
 
-    Counts s_i of triangle cells in a vertex neighborhood sending i edges to
-    a fixed external triangle satisfy s_0+s_1+s_2+s_3 = 35, s_1+2s_2+3s_3 = 57
-    and s_2+3s_3 = 21, which forces s_0 = -1 - s_3 < 0.
+    At n = 4 it is s_0+s_1+s_2+s_3 = 35, s_1+2s_2+3s_3 = 57 and
+    s_2+3s_3 = 21, which forces s_0 = -1 - s_3 < 0.
     """
-    unknowns = ("s_0", "s_1", "s_2", "s_3")
-    equations = [
-        ((1, 1, 1, 1), 35),
-        ((0, 1, 2, 3), 57),
-        ((0, 0, 1, 3), 21),
-    ]
-    return solve_counting_system(equations, unknowns)
+    return _counting_system(4)[0]

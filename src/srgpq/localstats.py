@@ -383,6 +383,18 @@ def _frame(g: Graph, u: int) -> _Frame:
     return frame
 
 
+def _clique_frame(g: Graph, u: int, size: int) -> _Frame:
+    """The frame at u, whose cells must be the size-cliques of <N(u)>.
+
+    Raises as neighborhood_clique_cells does, naming a diamond at u or the
+    first cell of another size.
+    """
+    frame = _frame(g, u)
+    if not frame.cliques or any(len(cell) != size for cell in frame.cells):
+        neighborhood_clique_cells(g, u, size)  # raises
+    return frame
+
+
 def _m0_masks(frame: _Frame, targets: int) -> dict[int, int]:
     """M_0(u, v) for every v of targets, non-neighbours of u, from union tables.
 
@@ -838,12 +850,6 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     )
 
 
-def _neighborhood_ordering(g: Graph, u: int, lam: int) -> list[int]:
-    """N[u] ordered by the size-(lam+1) clique cells of the neighborhood, u last."""
-    cells = neighborhood_clique_cells(g, u, lam + 1)
-    return [x for cell in cells for x in cell] + [u]
-
-
 def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     """Check the closed form of the neighborhood resolvent exactly.
 
@@ -854,8 +860,8 @@ def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     of N(u) are checked to be (lam+1)-cliques first, so A_H is the cone over
     m disjoint K_{lam+1} and the verdict depends only on (n, lam, k), k = |N(u)|.
 
-    B is never built.  In the order of _neighborhood_ordering (the cells of
-    N(u), then u at position k), with d = n - lam, mu = n(n+1) and a = mu d,
+    B is never built.  In the order of the frame at u (the cells of N(u),
+    then u at position k), with d = n - lam, mu = n(n+1) and a = mu d,
     B is mu - 1 + a [i = j] inside a cell, -1 between cells, -d on the
     border and -d^2 at the corner.  An entry of the product is n B[i][j]
     less the sum of B[i][t] over the neighbours t of position j in H:
@@ -873,13 +879,13 @@ def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
-    order = _neighborhood_ordering(g, u, lam)
-    k = len(order) - 1
+    frame = _clique_frame(g, u, lam + 1)
+    k = len(frame.order)
     scalar = n * (n + 1) ** 2 * (n - lam)
     gap = k - n * (n * n + 3 * n - lam + 1)  # |N(u)| less the family valency
     witness = None
     if k and gap:
-        witness = {"entry": [order[0], u], "value": gap, "expected": 0}
+        witness = {"entry": [frame.order[0], u], "value": gap, "expected": 0}
     elif (n - lam) * gap:
         witness = {"entry": [u, u], "value": scalar + (n - lam) * gap, "expected": scalar}
     return CheckReport(
@@ -985,9 +991,7 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     """
     _require_positive_slope(fam)
     n, lam = fam.n, fam.lam
-    frame = _frame(g, u)
-    if not frame.cliques or any(len(cell) != lam + 1 for cell in frame.cells):
-        neighborhood_clique_cells(g, u, lam + 1)  # raises, naming a diamond or the first such cell
+    frame = _clique_frame(g, u, lam + 1)
     rows = g.rows
     row_u = rows[u]
     mu = n * (n + 1)

@@ -50,6 +50,7 @@ from srgpq.graphcore import (
     NeighborhoodStructureError,
     TriplePartition,
     bits,
+    neighborhood_clique_cells as _clique_cells,
     phi_partition,
 )
 from srgpq.localstats import (
@@ -59,7 +60,6 @@ from srgpq.localstats import (
     MSpectrum,
     PairBoundError,
     PartitionError,
-    _neighborhood_ordering,
     _require_positive_slope,
     pair_stats,
     psi_partition as _psi_partition,
@@ -278,6 +278,11 @@ def _inverse_block_matrix(n: int, lam: int, cliques: int) -> list[list[int]]:
         matrix[k][t] += b
     matrix[k][k] += c
     return matrix
+
+
+def _neighborhood_ordering(g: Graph, u: int, lam: int) -> list[int]:
+    """N[u] ordered by the size-(lam+1) clique cells of the neighborhood, u last."""
+    return [x for cell in _clique_cells(g, u, lam + 1) for x in cell] + [u]
 
 
 def verify_inv_formula(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:

@@ -3,6 +3,7 @@ exit codes, and report determinism."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -189,6 +190,24 @@ def test_check_star_command(capsys, tmp_path):
     assert names["inv-formula"]["passed"] is True
     assert names["star-identity"]["passed"] is True
     assert report["results"]["vertices_checked"] == 64
+
+
+def test_check_star_finds_the_cliques_of_each_neighbourhood_once_per_frame(capsys, tmp_path, monkeypatch):
+    # the sigma builds at 1, 4, 16 and 0 each find them for phi_partition and
+    # for the frame; inv-formula and star then share one frame at 0
+    calls = collections.Counter()
+    kernel = srgpq.graphcore._clique_masks
+
+    def counted(rows, u, closed=None):
+        if closed is None:  # the all-vertex passes close the rows first
+            calls[u] += 1
+        return kernel(rows, u, closed)
+
+    monkeypatch.setattr("srgpq.graphcore._clique_masks", counted)
+    monkeypatch.setattr("srgpq.localstats._clique_masks", counted)
+    code, _, _ = _run_json(capsys, ["check-star", _graph_file(tmp_path, build_gq35())])
+    assert code == 0
+    assert calls == {0: 3, 1: 2, 4: 2, 16: 2}
 
 
 def test_local_stats_command(capsys, tmp_path):

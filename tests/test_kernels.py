@@ -532,7 +532,7 @@ def test_inv_formula_matches_the_dense_product_on_toggled_edges():
                       (ovoid256_rows(), FamilyInfo.from_n_lam(3, 2))):
         for _ in range(3):
             u = rng.randrange(len(rows))
-            order = localstats._neighborhood_ordering(Graph(rows), u, fam.lam)
+            order = oracles._neighborhood_ordering(Graph(rows), u, fam.lam)
             # an edge inside N[u], so A_H itself changes
             a, b = rng.sample(order, 2)
             mutant = list(rows)

@@ -19,7 +19,7 @@ def test_all_names_exactly_the_public_attributes():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(srgpq.__all__) == sorted(public)
-    assert len(srgpq.__all__) == len(public) == 55
+    assert len(srgpq.__all__) == len(public) == 54
 
 
 def test_only_graphcore_knows_the_packed_bit_matrix_format():
