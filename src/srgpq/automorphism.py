@@ -26,8 +26,8 @@ from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from srgpq.graphcore import Graph, GraphError, bits, phi_partition, transpose_rows
-from srgpq.localstats import LocalStatsError, _m0_mask, matched_pairs, psi_partition
+from srgpq.graphcore import Graph, GraphError, TriplePartition, bits, transpose_rows
+from srgpq.localstats import LocalStatsError, _clique_frame, _m0_mask, matched_pairs, psi_partition
 from srgpq.params import FamilyInfo, fixed_point_bound
 from srgpq.reports import CheckReport
 
@@ -188,11 +188,12 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
     permutation; callers take ``.inverse()``.
 
     The orientations of all cells propagate at once over the masks of
-    localstats.matched_pairs.  Raises on conflicting definitions, incomplete
-    propagation, or a final permutation that fails the unconditional
-    automorphism check.
+    localstats.matched_pairs.  Raises as phi_partition does, from the cells
+    of the frame at u that psi_partition reuses, and on conflicting
+    definitions, incomplete propagation, or a final permutation that fails
+    the unconditional automorphism check.
     """
-    phi = phi_partition(g, u)
+    phi = TriplePartition(base_vertex=u, cells=tuple(_clique_frame(g, u, 3).cells), kind="phi")
     if not phi.cells:
         raise SigmaSeedError(f"vertex {u} has no neighbours, so no triangle cell to seed")
     psi = psi_partition(g, fam, u)
@@ -329,9 +330,9 @@ def canonical_sigma_family(
     propagation at u forces from the seed's 3-cycle: it is build_sigma's
     permutation at u or its inverse, and the normalization picks the same
     one.  Vertices are visited as by a build at every vertex, z and then
-    0..nu-1, each r built when first reached: a build fails at u iff it
-    fails at the least vertex of u's orbit, so the first error is the
-    same.  With singleton orbits, every vertex is built.
+    0..nu-1, each r built when first reached, so by Lemma 1 of
+    graphcore.orbit_rows the first error is the same.  With singleton
+    orbits, every vertex is built.
     """
     g.check_vertex(z)
     built = dict(kept)
@@ -602,7 +603,7 @@ def verified_sigmas(
     SIGMA_ERRORS or does not merge two orbits, or after nu.bit_length()
     builds, and the orbits of the sigmas kept so far are returned.
     build_sigma returns only permutations that pass its automorphism
-    check, so these orbits keep graphcore.is_srg_report's orbit contract.
+    check, so these orbits keep graphcore.orbit_rows' contract.
     """
     orbits, kept, _ = _verified_sigmas(g, fam)
     return orbits, kept

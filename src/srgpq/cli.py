@@ -53,6 +53,7 @@ from srgpq.graphcore import (
     GraphError,
     is_diamond_free,
     is_srg_report,
+    orbit_rows,
     row_zero_counts,
 )
 from srgpq.localstats import (
@@ -362,9 +363,9 @@ def _family_context(g: Graph) -> tuple[CheckReport, Optional[FamilyContext]]:
     of its verified sigmas cut both precondition checks to one row per
     orbit, and the analysis reuses the orbits and the sigmas.  The proposal
     changes only the speed, never a verdict: every kept sigma passed
-    build_sigma's automorphism check, and automorphisms preserve adjacency,
-    common-neighbour counts and diamonds.  Without a proposal every orbit
-    is a singleton, and the checks visit every vertex.  The preconditions
+    build_sigma's automorphism check, so the orbits keep
+    graphcore.orbit_rows' contract.  Without a proposal the orbits are
+    None, and the checks visit every vertex.  The preconditions
     pass only on a strongly regular graph, whose parameters are those read
     at row 0, so the member is then the proposal.
     """
@@ -472,12 +473,6 @@ def _check_eq_pq(args, g: Graph, context: FamilyContext):
     return [report], {"triples_checked": report.details.get("triples_checked")}
 
 
-# The per-vertex sweeps visit the least vertex of each orbit of the context
-# and count it once per vertex of its orbit: an automorphism carries each
-# check's verdict and witness at u to its image.  The first failing vertex is
-# the least of its orbit, so the first failure recorded is the same.
-
-
 def _vertex_checks(failures: dict, checked: dict, asserted: bool) -> list[CheckReport]:
     """One report per name: its (orbit size, failure) list over checked[name] vertices."""
     return [
@@ -496,11 +491,10 @@ def _check_star(args, g: Graph, context: FamilyContext):
     family = context.family
     failures = {"inv-formula": [], "star-identity": []}  # (orbit size, failure)
     try:
-        for orbit in context.orbits:
-            u = orbit[0]
+        for u, size, _ in orbit_rows(g.nu, context.orbits):
             for report in (verify_inv_formula(g, family, u), verify_star(g, family, u)):
                 if not report.passed:
-                    failures[report.name].append((len(orbit), {"u": u, "witness": report.witness}))
+                    failures[report.name].append((size, {"u": u, "witness": report.witness}))
     except FamilyPreconditionError as exc:
         return [_not_applicable("star-identity", str(exc))], {}
     checked = dict.fromkeys(failures, g.nu)
@@ -511,8 +505,7 @@ def _check_psi(args, g: Graph, context: FamilyContext):
     family = context.family
     failures = {"psi-partition": [], "psi-regularity": []}  # (orbit size, failure)
     r_distribution: dict[str, int] = {}
-    for orbit in context.orbits:
-        u, size = orbit[0], len(orbit)
+    for u, size, _ in orbit_rows(g.nu, context.orbits):
         try:
             report = verify_psi_regularity(g, family, u)
         except PartitionError as exc:
@@ -595,25 +588,24 @@ def _group(args, g: Graph, context: FamilyContext):
 
 
 def _related(args, g: Graph, context: FamilyContext):
-    """The partition of the pairs into related 4-sets, from one row per orbit.
+    """The partition of the pairs into related 4-sets, from the rows of graphcore.orbit_rows.
 
-    An automorphism maps related sets to related sets, so every pair passes
-    related_set iff every pair at the least vertex of each orbit of the
-    context passes.  On a pass the sets partition the pairs, and a
-    clique set holds 6 edges and an independent one 6 non-edges, so the
-    counts follow from the edge count.  On a failure the rows are every
-    vertex, in order: that is the loop over all pairs in combinations
-    order, which names the first failing pair and counts the sets before it.
-    With singleton orbits the first pass already is that loop.
+    An automorphism maps related sets to related sets, so by Lemma 2 of
+    orbit_rows every pair passes related_set iff the pairs of the rows do.
+    On a pass the sets partition the pairs, and a clique set holds 6 edges
+    and an independent one 6 non-edges, so the counts follow from the edge
+    count.  On a failure the rows are every vertex, in order: that is the
+    loop over all pairs in combinations order, which names the first
+    failing pair and counts the sets before it.  With singleton orbits the
+    first pass already is that loop.
     """
     family = context.family
-    rows = [orbit[0] for orbit in context.orbits]
-    kinds, witness = _related_rows(g, family, rows)
+    kinds, witness = _related_rows(g, family, context.orbits)
     if witness is None:
         edges, pairs = g.edge_count, g.nu * (g.nu - 1) // 2
         kinds = {"clique": edges // 6, "independent-with-M0": (pairs - edges) // 6}
-    elif len(rows) < g.nu:
-        kinds, witness = _related_rows(g, family, range(g.nu))
+    elif len(context.orbits) < g.nu:
+        kinds, witness = _related_rows(g, family, None)
     sets = sum(kinds.values())
     check = CheckReport(
         name="related-partition",
@@ -625,18 +617,16 @@ def _related(args, g: Graph, context: FamilyContext):
     return [check], {"related_sets": sets, "by_kind": kinds}
 
 
-def _related_rows(g: Graph, family: FamilyInfo, rows: Sequence[int]):
-    """Set counts by kind and the first failure, from related_set at each row vertex x.
+def _related_rows(g: Graph, family: FamilyInfo, orbits: Optional[Sequence[Sequence[int]]]):
+    """Set counts by kind and the first failure, from related_set at each row x of orbit_rows.
 
-    It is called at every y that is neither an earlier row vertex nor
-    covered: covered[x] holds the y whose pair with x lies in a verified
-    set, which related_set has regenerated from each of its pairs.
+    It is called at every y outside earlier that is not covered: covered[x]
+    holds the y whose pair with x lies in a verified set, which
+    related_set has regenerated from each of its pairs.
     """
     kinds = {"clique": 0, "independent-with-M0": 0}
     covered = [0] * g.nu
-    earlier = 0
-    for x in rows:
-        earlier |= 1 << x
+    for x, _, earlier in orbit_rows(g.nu, orbits):
         todo = ((1 << g.nu) - 1) & ~earlier
         while todo := todo & ~covered[x]:
             y = (todo & -todo).bit_length() - 1

@@ -382,39 +382,57 @@ def _pair_mismatch(rows: Sequence[int], u: int, v: int, lam: int, mu: int) -> di
     return {"reason": "nonadjacent-pair-mismatch", "pair": [u, v], "common": count, "expected": mu}
 
 
+def orbit_rows(nu: int, orbits: Optional[Sequence[Sequence[int]]]) -> Iterator[tuple[int, int, int]]:
+    """(r, |O_r|, earlier) for the least vertex r of each orbit O_r, ascending.
+
+    earlier masks the least vertices up to and including r.  Every sweep
+    that takes orbits visits them here, under this contract: orbits are the
+    vertex orbits of a group G of automorphisms of the graph on 0..nu-1,
+    each sorted, listed by least vertex, and None stands for the
+    singletons, the plain loop.  On other orbits the verdict is
+    unspecified.  The sweeps check what every a in G carries, verdict and
+    witness, from a vertex or an unordered pair to its image.
+
+    Lemma 1.  The first failing vertex u is the least of its orbit, else
+    a(u) < u fails first.  So the rows meet the same first failure after
+    the same passing vertices, and r counts for the |O_r| of its orbit.
+
+    Lemma 2.  The rows r, each with the v outside earlier, cover every
+    orbit of pairs and meet the u < v loop's first failing pair first.
+    * Cover: with r the least vertex of x's orbit, no later than y's, and
+      a(x) = r, {x, y} maps to {r, a(y)}, a(y) no least vertex before r.
+    * Order: the loop's first failing row u is the least of its orbit, else
+      a(u) < u maps its failing pair into the earlier row min(a(u), a(v)).
+      Every pair met before row u, or in it with v < u, has an end below u,
+      which the loop passed; row u's v > u are its own, in order.
+    * Count: (r, v) over all v != r stands for the ordered pairs (x, y),
+      x in O_r, |O_r| each, by an a_x with a_x(r) = x for each x.  A row
+      skips (r, v) with v an earlier least vertex, met as (v, r), which a
+      symmetric count weights |O_r| more.
+    """
+    earlier = 0
+    for orbit in ((v,) for v in range(nu)) if orbits is None else orbits:
+        r = orbit[0]
+        earlier |= 1 << r
+        yield r, len(orbit), earlier
+
+
 def is_srg_report(
     g: Graph, orbits: Optional[Sequence[Sequence[int]]] = None
 ) -> tuple[Optional[SrgParams], Optional[dict]]:
     """(params, None) when g is a nontrivial SRG, else (None, witness dict).
 
-    The orbit contract, which every check here and in localstats that takes
-    orbits relies on: orbits are the vertex orbits of a group of
-    automorphisms of g, each sorted, listed by least vertex, and None
-    stands for the singletons.  On other orbits the verdict is unspecified.
-
-    Regularity is checked on every row.  The pairs are tested in rows, one
-    at the least vertex r of each orbit: r with every vertex except the
-    least vertices of the earlier orbits, as check_condition_con does.
-    With singletons these are the pairs u < v, in order.  The orbit pass
-    names the same first failing pair as that loop:
-    * both compare every pair with the lam and mu of row_zero_counts, the
-      counts of the loop's first adjacent and first non-adjacent pair; a
-      regular graph without one of them is complete or edgeless;
-    * the loop's first failing row u is the least vertex of its orbit: an
-      automorphism a with a(u) < u maps the failing pair onto one with the
-      same adjacency and count in the earlier row min(a(u), a(v));
-    * every pair the orbit pass sees before row u, and in row u every
-      (u, v) with v < u, is a pair {x, y} with min(x, y) < u, which the
-      loop has passed: this holds also for the pairs (r, v) whose v < r is
-      no least vertex.  Row u's pairs with v > u are the loop's row u, in
-      order.
-    So the verdict is that of all pairs too.
+    Regularity is checked on every row, and the pairs in the rows of
+    orbit_rows against the lam and mu of row_zero_counts, the counts of the
+    u < v loop's first adjacent and first non-adjacent pair; a regular graph
+    without both is complete or edgeless.  orbits keep orbit_rows'
+    contract, and by its Lemma 2 the witness is that loop's.
     """
     rows = g.rows
 
     def first_mismatch(k: int, lam: int, mu: int) -> Optional[dict]:
-        rest = list(range(g.nu))  # every vertex but the least vertices of the orbits so far
-        for u in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
+        rest = list(range(g.nu))  # the vertices outside earlier: a list iterates faster than bits()
+        for u, _, _ in orbit_rows(g.nu, orbits):
             rest.remove(u)
             row_u = rows[u]
             for v in rest:
@@ -531,14 +549,12 @@ def is_diamond_free(
 
     Returns (True, None) or (False, witness) where the witness induces a
     diamond (four vertices carrying five edges), found at the first vertex
-    v that fails.  orbits keep is_srg_report's orbit contract.  An
-    automorphism maps diamonds to diamonds, so only the least vertex of
-    each orbit is tested, in ascending order: the first vertex that fails
-    is the least of its orbit.
+    v that fails.  orbits keep orbit_rows' contract: only its rows are
+    tested, and by its Lemma 1 the first of them that fails is that vertex.
     """
     rows = g.rows
     closed = closed_rows(rows)
-    for v in range(g.nu) if orbits is None else (orbit[0] for orbit in orbits):
+    for v, _, _ in orbit_rows(g.nu, orbits):
         if _clique_masks(rows, v, closed) is None:
             return False, _diamond_at(rows, v)
     return True, None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from math import comb
 from operator import add, or_
 from typing import Callable, Iterator, Optional, Sequence
@@ -31,6 +32,7 @@ from srgpq.graphcore import (
     _nonzero_fields,
     bits,
     neighborhood_clique_cells,
+    orbit_rows,
     transpose_rows,
 )
 from srgpq.params import FamilyInfo
@@ -124,11 +126,9 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
 
     Scans every base vertex u and every pair v < w of non-neighbors of u;
     reports the first counterexample, with p and q as pair_stats gives them.
-    orbits keep graphcore.is_srg_report's orbit contract; singletons scan
-    every vertex.  The verdict at u and its first counterexample are those
-    at any image of u, so only the least vertex of each orbit is scanned:
-    the first failing vertex is the least of its orbit, and triples_checked
-    counts the triples of every vertex before it.
+    orbits keep graphcore.orbit_rows' contract, and only its rows are
+    scanned: by its Lemma 1 the first failing row is the first failing
+    vertex, and triples_checked counts the triples of every vertex before it.
 
     A row v at a time, on the frame at u.  With A_v = N(u, v), S_x the
     fields of N(x) & outside and T'_x from _row_terms, field w of the sum
@@ -172,8 +172,7 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
     gap = mu - adjacent_target
     rows = g.rows
     per_vertex = [comb(g.nu - 1 - row.bit_count(), 2) for row in rows]  # triples at each u
-    for orbit in orbits:
-        u = orbit[0]
+    for u, _, _ in orbit_rows(g.nu, orbits):
         frame = _frame(g, u)
         local, order, outside = frame.local, frame.order, frame.outside
         depth = max((local[x].bit_count() for x in order), default=0)
@@ -518,8 +517,8 @@ def m_spectrum_histogram(
 ) -> SpectrumHistogram:
     """m_spectrum over every non-adjacent (u, v), u a vertex of the orbits, v ascending.
 
-    orbits keep graphcore.is_srg_report's orbit contract: the driver's for
-    the full sweep, or ((u,),) for the pairs at u alone.  The result is
+    orbits keep graphcore.orbit_rows' contract: the driver's for the full
+    sweep, or ((u,),) for the pairs at u alone.  The result is
     that of the ordered loop which calls m_spectrum on each pair, u over
     the sorted vertices of the orbits, and stops at the first
     LocalStatsError: the same failure, message included, and the same
@@ -528,19 +527,15 @@ def m_spectrum_histogram(
     computes it:
 
     * (u, v) and (v, u) count the same vertices, x outside N[u] u N[v], by
-      the same |N(x) & N(u) & N(v)|.  So over all rows each unordered pair
-      is computed once, at v > u, and checked against the moment targets
-      of both rows, which differ through k = deg(u).
+      the same |N(x) & N(u) & N(v)|, and an automorphism maps (u, v) to a
+      pair with the same counts and degrees.  So the pairs are the rows of
+      orbit_rows with the v outside earlier, weighted as its Lemma 2 counts
+      them.  A pair whose v is a row stands for (v, u) too, and is checked
+      against the moment targets of both, which differ through k = deg(u).
     * Per row u, the rows of the neighbours c of u are restricted to the
       outside of N[u] once, not once per v.
     * A (counts, degree) that has passed the moment checks is not checked
       again.
-    * An automorphism maps (u, v) to a pair with the same counts and the
-      same degrees, so only the least vertex r of each orbit is a row.
-      Each pair (r, v) stands for |O_r| ordered pairs, and for |O_v| more
-      when v is the least of its orbit O_v, in which case it is checked at
-      both ends and the row of v skips r.  With every orbit a singleton
-      this is the pass above.
 
     When the pass meets a LocalStatsError, the ordered loop runs instead.
     The pass has weighted its pairs by orbit and counted pairs beyond the
@@ -549,7 +544,8 @@ def m_spectrum_histogram(
     """
     t_cap = fam.n * (fam.n + 1) // _require_positive_slope(fam)
     nu, rows = g.nu, g.rows
-    size = {orbit[0]: len(orbit) for orbit in orbits}  # the rows, with their orbit sizes
+    sweep = list(orbit_rows(nu, orbits))
+    size = {u: weight for u, weight, _ in sweep}
     for u in size:
         g.check_vertex(u)
     full = (1 << nu) - 1
@@ -557,14 +553,13 @@ def m_spectrum_histogram(
     histogram: dict[tuple[int, ...], int] = {}
     passed = set()  # the (counts, degree) that passed the moment checks
     sources = [0] * nu  # sources[c] = rows[c] & outside(u), for c in N(u)
-    skipped = 0  # the rows before u
     try:
-        for u, weight in size.items():
+        for u, weight, earlier in sweep:
             row_u = rows[u]
             outside_u = full & ~(row_u | (1 << u))
             for c in bits(row_u):
                 sources[c] = rows[c] & outside_u
-            for v in bits(outside_u & ~skipped):
+            for v in bits(outside_u & ~earlier):
                 row_v = rows[v]
                 outside = outside_u & ~(row_v | (1 << v))
                 equals = _spectrum_masks(sources, row_u & row_v, outside, t_cap, u, v)
@@ -575,10 +570,9 @@ def m_spectrum_histogram(
                         _check_moments(counts, nu, degrees[x], fam, u, v)
                         passed.add((counts, degrees[x]))
                 histogram[counts] = histogram.get(counts, 0) + weight + other
-            skipped |= 1 << u
     except LocalStatsError:
         histogram = {}
-        for u in sorted(x for orbit in orbits for x in orbit):
+        for u in sorted(chain.from_iterable(orbits)):
             for v in bits(full & ~(rows[u] | (1 << u))):
                 try:
                     counts = m_spectrum(g, fam, u, v).counts
@@ -591,29 +585,23 @@ def m_spectrum_histogram(
 def check_condition_con(g: Graph, orbits: Sequence[Sequence[int]]) -> CheckReport:
     """m_0(u, v) >= 1 for every non-adjacent pair, with the min/max recorded.
 
-    orbits keep graphcore.is_srg_report's orbit contract.  m_0 is the same
-    on a pair and on its image under an automorphism, so only the pairs at
-    the least vertex r of each orbit are computed: r with every
-    non-neighbour v, except the least vertices of the orbits before r's,
-    whose pairs with r were computed in their own rows.  Every
-    non-adjacent pair is the image of one of these, and the first vertex in
-    a pair with m_0 = 0, which the witness names with its least such
-    partner, is the least of its orbit.
+    orbits keep graphcore.orbit_rows' contract.  m_0 is the same on a pair
+    and on its image under an automorphism, so only the rows of orbit_rows
+    are computed, each with its non-neighbours outside earlier: by its
+    Lemma 2 they cover every non-adjacent pair, and the first with m_0 = 0
+    is the witness of the u < v loop.
     """
     m0_min: Optional[int] = None
     m0_max: Optional[int] = None
     witness = None
-    skipped = 0  # the least vertices of the orbits before u's
-    for orbit in orbits:
-        u = orbit[0]
+    for u, _, earlier in orbit_rows(g.nu, orbits):
         frame = _frame(g, u)
-        for v, mask in _m0_masks(frame, frame.outside & ~skipped).items():
+        for v, mask in _m0_masks(frame, frame.outside & ~earlier).items():
             m0 = mask.bit_count()
             m0_min = m0 if m0_min is None else min(m0_min, m0)
             m0_max = m0 if m0_max is None else max(m0_max, m0)
             if m0 == 0 and witness is None:
                 witness = {"u": u, "v": v}
-        skipped |= 1 << u
     pairs = sum(g.nu - 1 - row.bit_count() for row in g.rows) // 2
     passed = witness is None and pairs > 0
     return CheckReport(
@@ -633,12 +621,16 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
     cell has M_0(u, w) equal to the rest of that cell, so no later cell
     through w passes the mutual check.
 
-    Every M_0(u, v) comes from the union tables of the frame at u, once.
+    The M_0(u, v) come from the union tables of the frame at u, once, unless
+    _m0_mask fails the first cell, at the least non-neighbour, without them.
     """
     frame = _frame(g, u)
-    if frame.m0 is None:
-        frame.m0 = _m0_masks(frame, frame.outside)
     m0_of = frame.m0
+    if m0_of is None:
+        v0 = next(bits(frame.outside), None)
+        m0_of = {} if v0 is None else {v0: _m0_mask(g, u, v0)}
+        if v0 is None or m0_of[v0].bit_count() == 2:  # else the loop raises at v0
+            m0_of = frame.m0 = _m0_masks(frame, frame.outside)
     placed = 0
     cells = []
     for v in bits(frame.outside):

@@ -193,8 +193,9 @@ def test_check_star_command(capsys, tmp_path):
 
 
 def test_check_star_finds_the_cliques_of_each_neighbourhood_once_per_frame(capsys, tmp_path, monkeypatch):
-    # the sigma builds at 1, 4, 16 and 0 each find them for phi_partition and
-    # for the frame; inv-formula and star then share one frame at 0
+    # the sigma builds at 0, 1, 4 and 16 each find them once, for the frame
+    # that gives both the phi cells and the psi masks; inv-formula and star
+    # then share one frame at 0
     calls = collections.Counter()
     kernel = srgpq.graphcore._clique_masks
 
@@ -207,7 +208,7 @@ def test_check_star_finds_the_cliques_of_each_neighbourhood_once_per_frame(capsy
     monkeypatch.setattr("srgpq.localstats._clique_masks", counted)
     code, _, _ = _run_json(capsys, ["check-star", _graph_file(tmp_path, build_gq35())])
     assert code == 0
-    assert calls == {0: 3, 1: 2, 4: 2, 16: 2}
+    assert calls == {0: 2, 1: 1, 4: 1, 16: 1}
 
 
 def test_local_stats_command(capsys, tmp_path):
@@ -303,7 +304,7 @@ def test_related_reruns_the_ordered_loop_after_a_failing_orbit_pass(monkeypatch)
     assert precondition.passed and context == srgpq.cli.FamilyContext(family, two_orbits, {})
     checks, results = srgpq.cli._related(None, gq35, context)
     assert (checks, results) == oracles.related(gq35, family)
-    orbit_kinds, orbit_witness = srgpq.cli._related_rows(gq35, family, [0, 10])
+    orbit_kinds, orbit_witness = srgpq.cli._related_rows(gq35, family, two_orbits)
     assert orbit_witness == checks[0].witness and orbit_kinds != results["by_kind"]
 
 

@@ -399,6 +399,18 @@ def _clebsch():
     return Graph.from_edges(16, edges)
 
 
+def test_psi_partition_fails_at_the_least_non_neighbour_before_the_tables(monkeypatch):
+    # lam = 0 is outside the independent-triple regime: _m0_mask at the least
+    # non-neighbour 3 raises the loop's message, with no union table built
+    def refused(*args):
+        raise AssertionError("the union tables were built")
+
+    monkeypatch.setattr(localstats._Frame, "tables", refused)
+    with pytest.raises(PartitionError) as failure:
+        psi_partition(_clebsch(), FamilyInfo.from_n_lam(1, 0), 0)
+    assert str(failure.value) == "m_0(0, 3) = 0, need exactly 2 for an independent-triple cell"
+
+
 def test_nondegenerate_identities_on_clebsch():
     # lam <= n-1 genuinely holds here, so the identities are asserted and the
     # resolvent scalar n(n+1)^2(n-lam) = 4 is nonzero (invertible case)

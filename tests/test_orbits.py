@@ -1,4 +1,4 @@
-"""Orbit reduction: verified_sigmas, the sweeps that visit one vertex per orbit, and the family.
+"""Orbit reduction: orbit_rows, verified_sigmas, the sweeps that visit one vertex per orbit, and the family.
 
 The driver builds the verified sigmas of the member proposed at row 0 once
 per call, before the preconditions.  is_srg_report and is_diamond_free must
@@ -49,7 +49,7 @@ from srgpq.automorphism import (
 )
 from srgpq.cli import FamilyContext, _check_psi, _check_star, serialize_graph6
 from srgpq.geometry import build_gq35, build_ovoid256, build_rook4, build_shrikhande
-from srgpq.graphcore import Graph, is_diamond_free, is_srg_report
+from srgpq.graphcore import Graph, is_diamond_free, is_srg_report, orbit_rows
 from srgpq.localstats import check_condition_con, m_spectrum_histogram, verify_eq_pq
 from srgpq.params import FamilyInfo
 from tests import oracles
@@ -135,6 +135,20 @@ def _sigma_0_mutant(rows: list[int], fam: FamilyInfo, seed: int) -> list[int]:
         mutant[b] ^= 1 << a
         a, b = sigma(a), sigma(b)
     return mutant
+
+
+def test_orbit_rows_gives_each_least_vertex_its_orbit_size_and_the_earlier_mask():
+    assert list(orbit_rows(4, None)) == [(0, 1, 0b1), (1, 1, 0b11), (2, 1, 0b111), (3, 1, 0b1111)]
+    assert list(orbit_rows(0, None)) == []
+    assert list(orbit_rows(6, ((0, 3), (1, 2, 5), (4,)))) == [(0, 2, 0b1), (1, 3, 0b11), (4, 1, 0b10011)]
+    assert list(orbit_rows(64, ((9,),))) == [(9, 1, 1 << 9)]
+    # the 22 orbits of sigma_0 on GQ(3,5): 0 fixed and 21 3-cycles
+    sigma = build_sigma(build_gq35(), GQ35, 0)
+    least = [x for x in range(64) if x == min(x, sigma(x), sigma(sigma(x)))]
+    rows = list(orbit_rows(64, _cycles(sigma)))
+    assert [r for r, _, _ in rows] == least and len(least) == 22
+    assert [size for _, size, _ in rows] == [1 if sigma(r) == r else 3 for r in least] == [1] + [3] * 21
+    assert [earlier for _, _, earlier in rows] == [sum(1 << x for x in least[:i + 1]) for i in range(22)]
 
 
 def test_vertex_orbits_are_transitive_on_the_witnesses(monkeypatch):

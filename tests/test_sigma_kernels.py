@@ -23,6 +23,7 @@ import dataclasses
 import gzip
 import json
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -509,6 +510,14 @@ def _with_base_vertex(partition_of, index: int):
     return tampered
 
 
+def _frame_with_cells(partition_of):
+    """A stand-in for _clique_frame(g, u, 3) whose cells are those of partition_of(g, u)."""
+    def frame(g, u, size):
+        return types.SimpleNamespace(cells=partition_of(g, u).cells)
+
+    return frame
+
+
 def _reflected_matching(rows: list[int], fam: FamilyInfo, u: int, index: int) -> Graph:
     """rows with one matching at u reflected by a 2-switch: its two cells' orientations conflict."""
     g = Graph(rows)
@@ -533,20 +542,22 @@ def test_build_sigma_matches_the_oracle_on_tampered_inputs(graph, fam, monkeypat
         lambda partition_of: _with_base_vertex(partition_of, 0),
         lambda partition_of: _with_base_vertex(partition_of, 5),
     ]
-    # (graph, vertex, the names build_sigma and the oracle call, their tampered partition)
+    # (graph, vertex, the names build_sigma and the oracle call with their tampered values);
+    # build_sigma reads its triangle cells off the frame of _clique_frame
     cases = [
-        (_reflected_matching(rows, fam, u, index), u, (), None) for u in (0, 9) for index in (0, 7)
+        (_reflected_matching(rows, fam, u, index), u, {}) for u in (0, 9) for index in (0, 7)
     ]
     for tamper in tampers:
-        for names, original in (
-            (("srgpq.automorphism.psi_partition", "tests.oracles._psi_partition"), psi_partition),
-            (("srgpq.automorphism.phi_partition", "tests.oracles.phi_partition"), phi_partition),
+        psi, phi = tamper(psi_partition), tamper(phi_partition)
+        for patches in (
+            {"srgpq.automorphism.psi_partition": psi, "tests.oracles._psi_partition": psi},
+            {"srgpq.automorphism._clique_frame": _frame_with_cells(phi), "tests.oracles.phi_partition": phi},
         ):
-            cases += [(Graph(rows), u, names, tamper(original)) for u in (0, 63)]
+            cases += [(Graph(rows), u, patches) for u in (0, 63)]
     seen = set()
-    for g, u, names, tampered in cases:
+    for g, u, patches in cases:
         with monkeypatch.context() as patch:
-            for name in names:
+            for name, tampered in patches.items():
                 patch.setattr(name, tampered)
             outcome = _outcome(build_sigma, g, fam, u)
             assert outcome == _outcome(oracles.build_sigma, g, fam, u)
