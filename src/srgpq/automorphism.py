@@ -605,36 +605,24 @@ def verified_sigmas(
     build_sigma returns only permutations that pass its automorphism
     check, so these orbits keep graphcore.orbit_rows' contract.
     """
-    orbits, kept, _ = _verified_sigmas(g, fam)
-    return orbits, kept
-
-
-def _verified_sigmas(
-    g: Graph, fam: FamilyInfo
-) -> tuple[tuple[tuple[int, ...], ...], dict[int, Permutation], Optional[Exception]]:
-    """verified_sigmas, and the error its first build, at vertex 0, raised, or None.
-
-    canonical_sigma_family at z = 0 with no kept sigma builds at 0 first,
-    so it would raise that same error again.
-    """
     orbits = tuple((v,) for v in range(g.nu))
     kept: dict[int, Permutation] = {}
     if fam.lam != 2:
-        return orbits, kept, None
+        return orbits, kept
     generators: list[tuple[int, ...]] = []
     while len(orbits) > 1 and len(kept) < g.nu.bit_length():
         u = orbits[1][0] if kept else 0
         try:
             sigma = build_sigma(g, fam, u)
-        except SIGMA_ERRORS as exc:
-            return orbits, kept, None if kept else exc
+        except SIGMA_ERRORS:
+            break
         merged = _orbits(generators + [sigma.images], g.nu)
         if len(merged) == len(orbits):
             break
         generators.append(sigma.images)
         kept[u] = sigma
         orbits = merged
-    return orbits, kept, None
+    return orbits, kept
 
 
 def _orbits(generators: list[tuple[int, ...]], degree: int) -> tuple[tuple[int, ...], ...]:

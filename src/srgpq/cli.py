@@ -30,12 +30,12 @@ from srgpq.automorphism import (
     ClosureCapError,
     Permutation,
     RelatedSetError,
-    _verified_sigmas,
     canonical_sigma_family,
     generate_gamma,
     related_set,
     verify_inverse_law,
     verify_involution_property,
+    verified_sigmas,
 )
 from srgpq.geometry import (
     GeometryError,
@@ -329,15 +329,12 @@ class FamilyContext:
 
     orbits and sigmas are what verified_sigmas returns for the member: the
     vertex orbits of the group the sigmas generate, and each sigma by the
-    vertex it was built at.  failed is the error of its first build, at
-    vertex 0, when that build raised, so that the sigma family at base 0
-    reports it without building there again.
+    vertex it was built at.
     """
 
     family: FamilyInfo
     orbits: tuple[tuple[int, ...], ...]
     sigmas: dict[int, Permutation]
-    failed: Optional[Exception] = None
 
 
 def _proposed_family(g: Graph) -> Optional[FamilyInfo]:
@@ -370,7 +367,7 @@ def _family_context(g: Graph) -> tuple[CheckReport, Optional[FamilyContext]]:
     at row 0, so the member is then the proposal.
     """
     proposal = _proposed_family(g)
-    context = None if proposal is None else FamilyContext(proposal, *_verified_sigmas(g, proposal))
+    context = None if proposal is None else FamilyContext(proposal, *verified_sigmas(g, proposal))
     orbits = None if context is None else context.orbits
     params, witness = is_srg_report(g, orbits)
     passed = False
@@ -525,17 +522,10 @@ GAMMA_RESULTS = ("order", "abelian", "transitive", "orbit_sizes", "element_order
                  "fixed_point_histogram", "order_power_of_two")
 
 
-def _sigma_family(g: Graph, context: FamilyContext, base: int):
-    """canonical_sigma_family at base, or at base 0 the context's failed build's error."""
-    if base == 0 and context.failed is not None:
-        raise context.failed
-    return canonical_sigma_family(g, context.family, context.sigmas, z=base)
-
-
 def _sigma(args, g: Graph, context: FamilyContext):
     asserted = context.family.in_triple_regime
     try:
-        sigma_family = _sigma_family(g, context, args.base)
+        sigma_family = canonical_sigma_family(g, context.family, context.sigmas, z=args.base)
     except SIGMA_ERRORS as exc:
         return [_error_check("sigma-family", asserted, {"base": args.base}, exc)], {}
     orders = sorted({sigma.order() for sigma in sigma_family.values()})
@@ -559,7 +549,7 @@ def _group(args, g: Graph, context: FamilyContext):
     family = context.family
     asserted = family.in_triple_regime
     try:
-        sigma_family = _sigma_family(g, context, args.base)
+        sigma_family = canonical_sigma_family(g, context.family, context.sigmas, z=args.base)
         report = generate_gamma(sigma_family, family, cap=args.cap)
     except SIGMA_ERRORS + (ClosureCapError,) as exc:
         return [_error_check("gamma-closure", asserted, {}, exc)], {}

@@ -18,6 +18,7 @@ from srgpq.graphcore import (
     CliqueClosureError,
     Graph,
     _bit_field_rows,
+    _width,
     bits,
     is_srg_report,
     line_sum_srg_report,
@@ -119,7 +120,7 @@ def _line_sum_witness(
 
     The masks and point degrees are _incidence_masks'; mu is the count
     row_zero_counts reads off coll, None when point 0 is collinear with
-    every other point, which is reported after (iii).  The (iii) witness
+    every other point, which is reported after (iii).  The (iii) verdict
     needs lines of one size s + 1 only; (iv) needs axioms (i) and (ii):
     t + 1 lines through each point as well, and two points on at most one
     line.
@@ -131,9 +132,7 @@ def _line_sum_witness(
     the s other points of L are all of coll[q] & L: no field of S_L
     borrows from the next.
 
-    (iii): the first line L whose S_L has a field of 2 or more names the
-    first offending line, and its lowest such field the least offending
-    point.
+    (iii): a line L fails iff its S_L has a field of 2 or more.
 
     (iv): T_a, the sum of S_L over the lines through a, once every line
     passed (iii).  By (ii) the lines through a less a partition coll[a],
@@ -143,14 +142,19 @@ def _line_sum_witness(
     mu: one comparison of two integers.  By (iii) every field of T_a is at
     most t + 1, and so is mu, the count at a pair (0, b) of them; a field
     of S_L is at most s + 1, so a width holding both keeps every field
-    from carrying into the next.  The count is symmetric in a and b, so at
-    the first failing point a every pair (b, a) with b < a passed in row
-    b, and the lowest differing field is the first failing b of row a.
-    No list of line sums is kept: S_L is added to its points' T_a at once.
+    from carrying into the next.  No list of line sums is kept: S_L is
+    added to its points' T_a at once.
+
+    The witnesses come from the masks: the least point off the first
+    failing line collinear with two of its points, and the first b > a
+    not collinear with the first failing point a whose common count is not
+    mu.  The count is symmetric, so every pair (b, a) with b < a passed in
+    row b.  A failing line or point with no such witness is a fault of
+    this pass, which raises AssertionError.
     """
     count = len(coll)
     s = len(lines[0]) - 1
-    width = 8 * max(1, -(-max([s + 1, *degree]).bit_length() // 8))
+    width = _width(max([s + 1, *degree]))
     fields = _bit_field_rows(coll, count, width)
     fields = [f - (s << p * width) for p, f in enumerate(fields)]  # G_p
     field = (1 << width) - 1
@@ -159,21 +163,24 @@ def _line_sum_witness(
     sums = [0] * count  # per point a, T_a
     for index, line in enumerate(lines):
         line_sum = sum([fields[p] for p in line])
-        over = line_sum & twos
-        if over:
-            p = ((over & -over).bit_length() - 1) // width
-            return "iii", {"point": p, "line": index, "collinear_points": list(bits(coll[p] & line_masks[index]))}
+        if line_sum & twos:
+            mask = line_masks[index]
+            for p in range(count):
+                if not mask >> p & 1 and (coll[p] & mask).bit_count() > 1:
+                    return "iii", {"point": p, "line": index, "collinear_points": list(bits(coll[p] & mask))}
+            raise AssertionError(f"the line sum of line {index} fails, but no point off it does")
         for p in line:
             sums[p] += line_sum
     if mu is None:
         return "degenerate", {"detail": "no non-collinear point pair; mu undefined"}
     for a, row_sum in enumerate(sums):
         apart = ones - fields[a] - (s + 1 << a * width)  # ones - F(coll[a]) - e_a
-        common = row_sum & apart * field
-        if common != mu * apart:
-            differ = common ^ mu * apart
-            b = ((differ & -differ).bit_length() - 1) // width
-            return "iv", {"points": [a, b], "common": common >> b * width & field, "expected": mu}
+        if row_sum & apart * field != mu * apart:
+            for b in bits(((1 << count) - 1) & ~(coll[a] | (2 << a) - 1)):
+                common = (coll[a] & coll[b]).bit_count()
+                if common != mu:
+                    return "iv", {"points": [a, b], "common": common, "expected": mu}
+            raise AssertionError(f"the line sums of point {a} fail, but none of its pairs after it")
     return None
 
 

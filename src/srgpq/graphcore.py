@@ -240,6 +240,11 @@ def _bit_field_rows(masks: Sequence[int], nu: int, width: int) -> list[int]:
     return [int.from_bytes(view[start:start + size], "little") for start in range(0, len(fields), size)]
 
 
+def _width(top: int) -> int:
+    """Bits per field of a field-packed pass: the least multiple of 8 with top < 2**width."""
+    return 8 * max(1, -(-top.bit_length() // 8))
+
+
 _NONZERO_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
 
 
@@ -374,12 +379,19 @@ def _srg_report(
         return None, {"reason": "trivial-parameters", "detail": str(exc)}
 
 
-def _pair_mismatch(rows: Sequence[int], u: int, v: int, lam: int, mu: int) -> dict:
-    """The witness dict of a pair whose common neighbours are not lam or mu as adjacency asks."""
-    count = (rows[u] & rows[v]).bit_count()
-    if rows[u] >> v & 1:
-        return {"reason": "adjacent-pair-mismatch", "pair": [u, v], "common": count, "expected": lam}
-    return {"reason": "nonadjacent-pair-mismatch", "pair": [u, v], "common": count, "expected": mu}
+def _row_mismatch(
+    rows: Sequence[int], u: int, others: Iterable[int], lam: int, mu: int
+) -> Optional[dict]:
+    """The witness dict of the first v of others whose common neighbours with u
+    are not lam or mu as adjacency asks, or None."""
+    row_u = rows[u]
+    for v in others:
+        if (row_u & rows[v]).bit_count() != (lam if row_u >> v & 1 else mu):
+            count = (row_u & rows[v]).bit_count()
+            if row_u >> v & 1:
+                return {"reason": "adjacent-pair-mismatch", "pair": [u, v], "common": count, "expected": lam}
+            return {"reason": "nonadjacent-pair-mismatch", "pair": [u, v], "common": count, "expected": mu}
+    return None
 
 
 def orbit_rows(nu: int, orbits: Optional[Sequence[Sequence[int]]]) -> Iterator[tuple[int, int, int]]:
@@ -434,10 +446,9 @@ def is_srg_report(
         rest = list(range(g.nu))  # the vertices outside earlier: a list iterates faster than bits()
         for u, _, _ in orbit_rows(g.nu, orbits):
             rest.remove(u)
-            row_u = rows[u]
-            for v in rest:
-                if (row_u & rows[v]).bit_count() != (lam if row_u >> v & 1 else mu):
-                    return _pair_mismatch(rows, u, v, lam, mu)
+            witness = _row_mismatch(rows, u, rest, lam, mu)
+            if witness is not None:
+                return witness
         return None
 
     return _srg_report(g, first_mismatch)
@@ -463,17 +474,18 @@ def line_sum_srg_report(
     passes iff T_a equals its expected value, k in field a, lam + d_a in
     the fields of N(a) and mu elsewhere: one integer comparison.
 
-    The witness is that of the u < v loop.  Vertex a fails iff some pair
-    {a, b} fails, as the count is symmetric, so the first failing vertex u
-    is the least vertex of any failing pair, and the lowest differing
-    field of T_u is the least v with {u, v} failing; v > u, since no pair
-    {v, u} with v < u fails.  That is the loop's first failing pair.
+    Vertex a fails iff some pair {a, b} fails, as the count is symmetric,
+    so the first failing vertex u is the least vertex of any failing pair,
+    and the u < v loop's first failing pair is the first failing (u, v),
+    v > u, that _row_mismatch finds in u's row.  A vertex whose sum fails
+    with no such pair is a fault of this pass, which raises
+    AssertionError.
     """
     rows = g.rows
     nu = g.nu
 
     def first_mismatch(k: int, lam: int, mu: int) -> Optional[dict]:
-        width = 8 * -(-(2 * k).bit_length() // 8)
+        width = _width(2 * k)
         fields = _bit_field_rows(rows, nu, width)
         sums = [0] * nu  # per vertex a, T_a
         through = [0] * nu  # per vertex a, d_a
@@ -482,13 +494,13 @@ def line_sum_srg_report(
             for x in line:
                 sums[x] += line_sum
                 through[x] += 1
-        field = (1 << width) - 1
-        base = mu * (((1 << nu * width) - 1) // field)  # mu in every field
+        base = mu * (((1 << nu * width) - 1) // ((1 << width) - 1))  # mu in every field
         for a, total in enumerate(sums):
-            expected = base + (lam + through[a] - mu) * fields[a] + (k - mu << a * width)
-            if total != expected:
-                differ = total ^ expected
-                return _pair_mismatch(rows, a, ((differ & -differ).bit_length() - 1) // width, lam, mu)
+            if total != base + (lam + through[a] - mu) * fields[a] + (k - mu << a * width):
+                witness = _row_mismatch(rows, a, range(a + 1, nu), lam, mu)
+                if witness is None:
+                    raise AssertionError(f"the line sum of vertex {a} fails, but none of its pairs after it")
+                return witness
         return None
 
     return _srg_report(g, first_mismatch)

@@ -30,6 +30,7 @@ from srgpq.graphcore import (
     _bit_field_rows,
     _clique_masks,
     _nonzero_fields,
+    _width,
     bits,
     neighborhood_clique_cells,
     orbit_rows,
@@ -125,7 +126,7 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
     """Check (n-lam+1) p + q over all triples: lam(n+1) if v ~ w, else mu.
 
     Scans every base vertex u and every pair v < w of non-neighbors of u;
-    reports the first counterexample, with p and q as pair_stats gives them.
+    reports the first counterexample, with p and q from pair_stats.
     orbits keep graphcore.orbit_rows' contract, and only its rows are
     scanned: by its Lemma 1 the first failing row is the first failing
     vertex, and triples_checked counts the triples of every vertex before it.
@@ -150,11 +151,12 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
     between 0 and k (slope + depth) + gap on it, with k = |N(u)|, depth
     the most neighbours an x of N(u) has in N(u), p <= k and
     q <= q' <= k depth; the width holds that and mu.  So the integers
-    above bit (v + 1) width are equal iff every w > v is right, and the
-    lowest field where they differ is the first failing w of row v: the
-    (v, w) loop's first failure, as the rows before passed.  Its value is
-    that field less gap [v ~ w], and triples_checked adds the pairs of the
-    rows before v and those of row v up to w.
+    above bit (v + 1) width are equal iff every w > v is right.  The first
+    failing row holds the (v, w) loop's first failure, as the rows before
+    passed, and pair_stats at its w > v names it; triples_checked adds the
+    pairs of the rows before v and those of row v up to w.  A row whose
+    sum fails with no failing w is a fault of this pass, which raises
+    AssertionError.
 
     E_v is 0 unless A_v holds an edge of <N(u)>, so only the rows of
     inner compute it: on a frame of clique cells the rows that meet a
@@ -194,28 +196,23 @@ def verify_eq_pq(g: Graph, fam: FamilyInfo, orbits: Sequence[Sequence[int]]) -> 
             low = (v + 1) * width
             if left >> low == target >> low:
                 continue
-            differ = (left ^ target) >> low
-            w = v + 1 + ((differ & -differ).bit_length() - 1) // width
-            adjacent = rows[v] >> w & 1
-            p = (rows[u] & rows[v] & rows[w]).bit_count()
-            value = (left >> w * width & ((1 << width) - 1)) - gap * adjacent
-            m, before = outside.bit_count(), (outside & ((1 << v) - 1)).bit_count()
-            triples = comb(m, 2) - comb(m - before, 2) + (outside & ((2 << w) - (2 << v))).bit_count()
-            return CheckReport(
-                name="eq-pq",
-                passed=False,
-                asserted=fam.in_resolvent_regime,
-                details={"triples_checked": sum(per_vertex[:u]) + triples},
-                witness={
-                    "u": u,
-                    "v": v,
-                    "w": w,
-                    "p": p,
-                    "q": value - slope * p,
-                    "value": value,
-                    "expected": adjacent_target if adjacent else mu,
-                },
-            )
+            for w in bits(outside & ~((2 << v) - 1)):
+                stats = pair_stats(g, u, v, w)
+                value = slope * stats.p + stats.q
+                expected = adjacent_target if rows[v] >> w & 1 else mu
+                if value == expected:
+                    continue
+                m, before = outside.bit_count(), (outside & ((1 << v) - 1)).bit_count()
+                triples = comb(m, 2) - comb(m - before, 2) + (outside & ((2 << w) - (2 << v))).bit_count()
+                return CheckReport(
+                    name="eq-pq",
+                    passed=False,
+                    asserted=fam.in_resolvent_regime,
+                    details={"triples_checked": sum(per_vertex[:u]) + triples},
+                    witness={"u": u, "v": v, "w": w, "p": stats.p, "q": stats.q, "value": value,
+                             "expected": expected},
+                )
+            raise AssertionError(f"eq-pq's row sum at (u, v) = ({u}, {v}) fails, but none of its triples")
     return CheckReport(
         name="eq-pq",
         passed=True,
@@ -702,9 +699,8 @@ def _psi_regularity(
     the other's field (the edge count then makes both degrees r), so a pair
     is irregular where a member of either cell disagrees with the others.
     r = 3 is a field with both low bits set.  Each irregular pair, each
-    r = 3 and each wrong p is one violation.  The witness comes from the
-    first pair with a fault: its irregularity, else its r = 3, else its
-    first wrong (a, b) in cell order.
+    r = 3 and each wrong p is one violation.  The witness is that of the
+    first cell with a fault, which _psi_witness names from the rows.
 
     The p-values a row at a time.  Give every member b its own field of
     width bits, let F_x be the fields of packed[x] and P_a the sum of F_c
@@ -727,8 +723,6 @@ def _psi_regularity(
     field is right, and the fields where they differ are the wrong b of
     row a, which n + r < 0 makes every non-adjacent b.
     """
-    rows = g.rows
-    row_u = rows[u]
     frame = _frame(g, u)
     packed = frame.member_columns(cells)
     count = len(cells)
@@ -789,32 +783,37 @@ def _psi_regularity(
                 wrong_a = _nonzero_fields((left + lift * checked) ^ (right + lift * checked), size, width)
             violations += wrong_a.bit_count()
             wrong.append(wrong_a)
-        members = wrong[0] | wrong[1] | wrong[2]
-        faults = irregular[j] | out_of_range[j] | (members | members >> 1 | members >> 2) & ones
-        if witness is not None or not faults:
-            continue
-        field = (faults & -faults).bit_length() - 1  # the first faulting pair (j, k)
-        k, r = field // 3, degrees[j][0] >> field & 7
-        pair = [cell, cells[k]]
-        if irregular[j] >> field & 1:
-            ends = [d >> field & 7 for d in degrees[j]] + [d >> 3 * j & 7 for d in degrees[k]]
-            witness = {"reason": "not-regular", "cells": pair, "degrees": ends}
-        elif r == 3:
-            witness = {"reason": "r-out-of-range", "cells": pair, "r": r}
-        else:
-            a, wrong_a = next((a, w >> field & 7) for a, w in zip(cell, wrong) if w >> field & 7)
-            b = cells[k][(wrong_a & -wrong_a).bit_length() - 1]
-            p = (row_u & rows[a] & rows[b]).bit_count()
-            expected = max(0, r - 1) if rows[a] >> b & 1 else n + r
-            witness = {
-                "reason": "p-value-mismatch", "pair": [a, b], "r": r, "p": p, "expected": expected,
-            }
+        if witness is None and irregular[j] | out_of_range[j] | wrong[0] | wrong[1] | wrong[2]:
+            witness = _psi_witness(g.rows, u, n, cells, j)
     return {r: c for r, c in enumerate(r_counts) if c}, violations, witness
 
 
-def _width(top: int) -> int:
-    """Bits per field of a row kernel: the least multiple of 8 with top < 2**width."""
-    return 8 * max(1, -(-top.bit_length() // 8))
+def _psi_witness(rows: Sequence[int], u: int, n: int, cells: Sequence[tuple[int, int, int]], j: int) -> dict:
+    """The first fault of psi cell j with a later cell k, from the rows.
+
+    In cell order of k: the pair (j, k) is not regular, else its r is 3,
+    else its first (a, b), a in j and b in k, whose p_u(a, b) breaks the
+    rule of _psi_regularity.  A cell that _psi_regularity counts a
+    violation at with no such fault is a fault of that pass, which raises
+    AssertionError.
+    """
+    cell, mask_j = cells[j], sum(1 << x for x in cells[j])
+    for other in cells[j + 1:]:
+        mask_k = sum(1 << x for x in other)
+        pair = [cell, other]
+        ends = [(rows[a] & mask_k).bit_count() for a in cell] + [(rows[b] & mask_j).bit_count() for b in other]
+        if len(set(ends)) > 1:
+            return {"reason": "not-regular", "cells": pair, "degrees": ends}
+        r = ends[0]
+        if r == 3:
+            return {"reason": "r-out-of-range", "cells": pair, "r": r}
+        for a in cell:
+            for b in other:
+                p = (rows[u] & rows[a] & rows[b]).bit_count()
+                expected = max(0, r - 1) if rows[a] >> b & 1 else n + r
+                if p != expected:
+                    return {"reason": "p-value-mismatch", "pair": [a, b], "r": r, "p": p, "expected": expected}
+    raise AssertionError(f"psi-regularity counts a fault at cell {cell} of vertex {u}, but its pairs have none")
 
 
 def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
@@ -956,14 +955,14 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     row holds iff sum_{y in A_v} (T_y - D) + scalar X_v == scalar n e_v,
     the identity above less d_v D on both sides.
 
-    The rows are scanned in ascending v.  Both sides of the identity are
-    symmetric, so at the first failing row v every entry (v, w) with w < v
-    in outside equals (w, v), which passed in row w, and the fields of the
-    vertices not in outside are zero on both sides.  The lowest differing
-    field is then the first mismatch of row v, at some w >= v, and no
-    earlier row holds one: it is the first mismatch in row-major order.
-    Its entry's own sides are recovered by taking scalar X_vw + d_v d_w
-    off both fields.
+    The rows are scanned in ascending v.  In the first failing row the
+    entries (v, w), w in outside ascending, are computed from the formula
+    for Y B Y^T above against scalar (n [v = w] - [v ~ w]), and the first
+    that differs is the witness.  Both sides of the identity are
+    symmetric, so every entry (v, w) with w < v equals (w, v), which
+    passed in row w: the witness is the first mismatch in row-major order.
+    A row whose sum fails with no failing entry is a fault of this pass,
+    which raises AssertionError.
 
     Star and eq-pq.  Under the driver's preconditions, a diamond-free SRG
     in the family with n > 0, star holds at u iff verify_eq_pq's identity
@@ -998,22 +997,21 @@ def verify_star(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     witness = None
     diagonal = scalar * n
     for v, x_v in frame.outside_fields(width):
-        key = frame.local[v]
-        left = frame.fold(tables, key) + scalar * x_v
-        if left != diagonal << v * width:
-            d_v = key.bit_count()
-            left += d_v * total
-            right = (diagonal << v * width) + d_v * total
-            differ = left ^ right
-            w = ((differ & -differ).bit_length() - 1) // width
-            ones = (1 << width) - 1
-            shared = scalar * (rows[v] >> w & 1) + d_v * (row_u & rows[w]).bit_count()
-            witness = {
-                "entry": [v, w],
-                "lhs": (right >> w * width & ones) - shared,
-                "rhs": (left >> w * width & ones) - shared,
-            }
-            break
+        if frame.fold(tables, frame.local[v]) + scalar * x_v == diagonal << v * width:
+            continue
+        a_v = row_u & rows[v]
+        cells = [sum(1 << y for y in cell) for cell in frame.cells]
+        for w in bits(frame.outside):
+            a_w = row_u & rows[w]
+            clique_sum = sum((a_v & cell).bit_count() * (a_w & cell).bit_count() for cell in cells)
+            rhs = mu * (n - lam) * (a_v & a_w).bit_count() + mu * clique_sum - a_v.bit_count() * a_w.bit_count()
+            lhs = scalar * (n * (v == w) - (rows[v] >> w & 1))
+            if lhs != rhs:
+                witness = {"entry": [v, w], "lhs": lhs, "rhs": rhs}
+                break
+        else:
+            raise AssertionError(f"the star row sum at (u, v) = ({u}, {v}) fails, but none of its entries")
+        break
     return CheckReport(
         name="star-identity",
         passed=witness is None,

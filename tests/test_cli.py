@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import srgpq.cli
 from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, seeded_permutation, toggle, two_switch
 from srgpq.cli import Graph6Error, _build_parser, parse_graph6, run, serialize_graph6
-from srgpq.geometry import build_gq35, build_rook4, build_shrikhande
+from srgpq import graphcore, localstats
+from srgpq.geometry import build_gq35, build_ovoid256, build_rook4, build_shrikhande, format_incidence, graph_to_pq
 from srgpq.automorphism import RelatedSetError, SigmaConstructionError, verified_sigmas
 from srgpq.graphcore import Graph, GraphError
 from srgpq.localstats import LocalStatsError
@@ -298,7 +299,7 @@ def test_related_reruns_the_ordered_loop_after_a_failing_orbit_pass(monkeypatch)
     monkeypatch.setattr("srgpq.cli.related_set", refusing)
     monkeypatch.setattr("tests.oracles.related_set", refusing)
     two_orbits = (tuple(range(10)), tuple(range(10, 64)))
-    monkeypatch.setattr("srgpq.cli._verified_sigmas", lambda g, fam: (two_orbits, {}, None))
+    monkeypatch.setattr("srgpq.cli.verified_sigmas", lambda g, fam: (two_orbits, {}))
     gq35, family = build_gq35(), FamilyInfo.from_n_lam(2, 2)
     precondition, context = srgpq.cli._family_context(gq35)
     assert precondition.passed and context == srgpq.cli.FamilyContext(family, two_orbits, {})
@@ -686,6 +687,68 @@ def test_local_stats_error_at_the_one_representative_returns_3(capsys, tmp_path,
     code, out, err = _run(capsys, ["check-star", _graph_file(tmp_path, build_gq35())])
     assert code == 3 and out == ""
     assert err == "error: internal: LocalStatsError: stopped at the representative\n"
+
+
+_ROW_TERMS = localstats._row_terms
+
+
+def _perturbed_row_terms(frame, width, slope):
+    """_row_terms with 1 added to the first term in the field of the last vertex, above every other row."""
+    fields, terms = _ROW_TERMS(frame, width, slope)
+    terms[0] += 1 << (len(frame.rows) - 1) * width
+    return fields, terms
+
+
+def _perturbed(kernel, term):
+    """A field conversion whose first converted row has term added."""
+
+    def perturbed(masks, nu, width):
+        converted = kernel(masks, nu, width)
+        converted[0] += term(nu, width)
+        return converted
+
+    return perturbed
+
+
+# (command, input, module, name, stand-in, the pass's message) with a
+# stand-in that shifts one packed sum of a field-packed pass on a graph or
+# incidence that passes it: a row then fails its comparison while every
+# definition holds, and the pass raises
+KERNEL_FAULTS = {
+    "star": ("check-star", "ovoid256", "localstats", "_row_terms", _perturbed_row_terms, "the star row sum"),
+    "eq-pq": ("check-eq-pq", "ovoid256", "localstats", "_row_terms", _perturbed_row_terms, "eq-pq's row sum"),
+    # 1 in every field of the first neighbour's converted row
+    "psi-regularity": ("check-psi", "ovoid256", "localstats", "_bit_field_rows", _perturbed(
+        graphcore._bit_field_rows, lambda nu, width: ((1 << nu * width) - 1) // ((1 << width) - 1)),
+        "psi-regularity counts a fault"),
+    # 1 in vertex 0's own field of F(N(0)), which every line through 0 adds
+    "line-sum-srg": ("graph-to-pq", "gq35", "graphcore", "_bit_field_rows",
+                     _perturbed(graphcore._bit_field_rows, lambda nu, width: 1), "the line sum of vertex 0"),
+    # 2, or 1, in point 0's own field of F(coll[0]): the lines through 0 then
+    # read 2 there, failing (iii), or 1, which (iii) passes and point 0's sum fails (iv)
+    "axiom-iii": ("pq-axioms", "gq35-pq", "geometry", "_bit_field_rows",
+                  _perturbed(graphcore._bit_field_rows, lambda nu, width: 2), "the line sum of line 0"),
+    "axiom-iv": ("pq-axioms", "gq35-pq", "geometry", "_bit_field_rows",
+                 _perturbed(graphcore._bit_field_rows, lambda nu, width: 1), "the line sums of point 0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(KERNEL_FAULTS))
+def test_a_row_that_fails_its_sum_while_its_definitions_hold_returns_3(capsys, tmp_path, monkeypatch, fault):
+    command, source, module, name, stand_in, message = KERNEL_FAULTS[fault]
+    builders = {"ovoid256": build_ovoid256, "gq35": build_gq35}
+    if source == "gq35-pq":
+        path = tmp_path / "gq35.pq"
+        path.write_text(format_incidence(graph_to_pq(build_gq35())))
+        path = str(path)
+    else:
+        path = _graph_file(tmp_path, builders[source]())
+    assert run([command, path]) == 0  # unperturbed, the input passes
+    capsys.readouterr()
+    monkeypatch.setattr(f"srgpq.{module}.{name}", stand_in)
+    code, out, err = _run(capsys, [command, path])
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: internal: AssertionError: {message}")
 
 
 def test_too_small_max_is_a_usage_error(capsys):

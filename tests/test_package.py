@@ -76,7 +76,7 @@ def test_imports_sit_at_module_level_and_form_a_dag():
 
 
 # The one orbit loop, and automorphism's construction of the orbits themselves.
-ORBIT_LOOPS = {"orbit_rows", "_orbits", "_verified_sigmas", "generate_gamma"}
+ORBIT_LOOPS = {"orbit_rows", "_orbits", "verified_sigmas", "generate_gamma"}
 SWEEPS = {
     "graphcore": ("is_srg_report", "is_diamond_free"),
     "localstats": ("check_condition_con", "m_spectrum_histogram", "verify_eq_pq"),
