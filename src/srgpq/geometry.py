@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 from srgpq.graphcore import (
     CliqueClosureError,
     Graph,
-    _bit_field_rows,
-    _width,
+    _line_sum_failure,
     bits,
     is_srg_report,
     line_sum_srg_report,
@@ -109,83 +108,46 @@ def _incidence_masks(inc: IncidenceStructure) -> tuple[list[int], list[int], lis
     return line_masks, degree, coll, repeated
 
 
-def _line_sum_witness(
-    lines: Sequence[Sequence[int]],
-    line_masks: Sequence[int],
-    coll: Sequence[int],
-    degree: Sequence[int],
-    mu: Optional[int],
-) -> Optional[tuple[str, dict]]:
-    """The first violation of axiom (iii), then of (iv), from one pass over the lines, or None.
-
-    The masks and point degrees are _incidence_masks'; mu is the count
-    row_zero_counts reads off coll, None when point 0 is collinear with
-    every other point, which is reported after (iii).  The (iii) verdict
-    needs lines of one size s + 1 only; (iv) needs axioms (i) and (ii):
-    t + 1 lines through each point as well, and two points on at most one
-    line.
-
-    Give every point b its own field of width bits, let F(M) put bit b of
-    a mask M into field b and e_b = F({b}), and let G_p = F(coll[p]) - s e_p.
-    The line sum S_L, the sum of G_p over the points p of L, has field
-    q = |coll[q] & L| for a point q off L and field 0 for q on L, where
-    the s other points of L are all of coll[q] & L: no field of S_L
-    borrows from the next.
-
-    (iii): a line L fails iff its S_L has a field of 2 or more.
-
-    (iv): T_a, the sum of S_L over the lines through a, once every line
-    passed (iii).  By (ii) the lines through a less a partition coll[a],
-    so field b of T_a is |coll[a] & coll[b]| for every b not collinear
-    with a and other than a: each line L through a adds |L & coll[b]|,
-    and a itself is not in coll[b].  The fields of those b must each read
-    mu: one comparison of two integers.  By (iii) every field of T_a is at
-    most t + 1, and so is mu, the count at a pair (0, b) of them; a field
-    of S_L is at most s + 1, so a width holding both keeps every field
-    from carrying into the next.  No list of line sums is kept: S_L is
-    added to its points' T_a at once.
-
-    The witnesses come from the masks: the least point off the first
-    failing line collinear with two of its points, and the first b > a
-    not collinear with the first failing point a whose common count is not
-    mu.  The count is symmetric, so every pair (b, a) with b < a passed in
-    row b.  A failing line or point with no such witness is a fault of
-    this pass, which raises AssertionError.
-    """
-    count = len(coll)
-    s = len(lines[0]) - 1
-    width = _width(max([s + 1, *degree]))
-    fields = _bit_field_rows(coll, count, width)
-    fields = [f - (s << p * width) for p, f in enumerate(fields)]  # G_p
-    field = (1 << width) - 1
-    ones = ((1 << count * width) - 1) // field  # 1 in every field
-    twos = ones * (field - 1)  # every bit of a field but its lowest
-    sums = [0] * count  # per point a, T_a
+def _off_line_witness(
+    lines: Sequence[Sequence[int]], line_masks: Sequence[int], coll: Sequence[int]
+) -> Optional[dict]:
+    """Axiom (iii)'s witness, or None: the first line L with a point off it
+    collinear with two of its points, and the least such point, of the
+    union of coll[x] & coll[y] over x < y on L, less L."""
     for index, line in enumerate(lines):
-        line_sum = sum([fields[p] for p in line])
-        if line_sum & twos:
-            mask = line_masks[index]
-            for p in range(count):
-                if not mask >> p & 1 and (coll[p] & mask).bit_count() > 1:
-                    return "iii", {"point": p, "line": index, "collinear_points": list(bits(coll[p] & mask))}
-            raise AssertionError(f"the line sum of line {index} fails, but no point off it does")
-        for p in line:
-            sums[p] += line_sum
-    if mu is None:
-        return "degenerate", {"detail": "no non-collinear point pair; mu undefined"}
-    for a, row_sum in enumerate(sums):
-        apart = ones - fields[a] - (s + 1 << a * width)  # ones - F(coll[a]) - e_a
-        if row_sum & apart * field != mu * apart:
-            for b in bits(((1 << count) - 1) & ~(coll[a] | (2 << a) - 1)):
-                common = (coll[a] & coll[b]).bit_count()
-                if common != mu:
-                    return "iv", {"points": [a, b], "common": common, "expected": mu}
-            raise AssertionError(f"the line sums of point {a} fail, but none of its pairs after it")
+        mask = line_masks[index]
+        bad = 0
+        for i, x in enumerate(line):
+            for y in line[i + 1:]:
+                bad |= coll[x] & coll[y]
+        bad &= ~mask
+        if bad:
+            p = (bad & -bad).bit_length() - 1
+            return {"point": p, "line": index, "collinear_points": list(bits(coll[p] & mask))}
     return None
 
 
 def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
-    """Check the four PQ axioms; report parameters or the first violation."""
+    """Check the four PQ axioms; report parameters or the first violation.
+
+    After (i) and (ii), one pass of graphcore._line_sum_failure over the
+    collinearity masks, with k = s(t + 1), lam = s - 1 and the mu of
+    row_zero_counts, decides (iii) and (iv) together.  Lemma: under (i)
+    and (ii) the lines through a point a, less a, partition coll[a], so
+    |coll[a]| = s(t + 1).  Two collinear points share the s - 1 other
+    points of their line, and any further common point lies off that line,
+    collinear with two of its points.  So (iii) holds iff every collinear
+    pair has s - 1 common collinear points, (iv) is mu at every
+    non-collinear pair, and both hold iff no point fails.  When mu is None,
+    point 0, and so every point, is collinear with all the others, and mu
+    enters no field.
+
+    The witness comes from the definitions: (iii)'s from the lines, by
+    _off_line_witness; else (iv)'s, the first b > a not collinear with the
+    failing point a whose common count is not mu, the first failing pair
+    in pair order, as the count is symmetric.  A failing point with
+    neither is a fault of the pass, which raises AssertionError.
+    """
     if not inc.lines:
         raise GeometryError("need at least one line")
 
@@ -214,18 +176,24 @@ def verify_pq_axioms(inc: IncidenceStructure) -> PqAxiomReport:
     if repeated is not None:
         return violation("ii", repeated)
 
-    # (iii) a point off a line is collinear with at most one of its points,
-    # and (iv) every non-collinear pair sees exactly mu common collinear
-    # points.  By (i) and (ii) every point is collinear with s(t + 1)
-    # others, so point 0 has a non-collinear point iff some point has, and
-    # mu is read there.
+    # (iii) and (iv): one line-sum pass over the collinearity masks
     _, mu = row_zero_counts(coll)
-    failure = _line_sum_witness(inc.lines, line_masks, coll, degree, mu)
-    if failure is not None:
-        return violation(*failure)
+    s = s_plus_one - 1
+    a = _line_sum_failure(coll, inc.lines, s * t_plus_one, s - 1, 0 if mu is None else mu)
+    if a is not None:
+        witness = _off_line_witness(inc.lines, line_masks, coll)
+        if witness is not None:
+            return violation("iii", witness)
+        for b in bits(((1 << len(coll)) - 1) & ~(coll[a] | (2 << a) - 1)):
+            common = (coll[a] & coll[b]).bit_count()
+            if common != mu:
+                return violation("iv", {"points": [a, b], "common": common, "expected": mu})
+        raise AssertionError(f"the line sum of point {a} fails, but no line and none of its pairs after it")
+    if mu is None:
+        return violation("degenerate", {"detail": "no non-collinear point pair; mu undefined"})
 
     try:
-        params = PqParams(s_plus_one - 1, t_plus_one - 1, mu)
+        params = PqParams(s, t_plus_one - 1, mu)
     except ParameterError as exc:
         return violation("degenerate", {"detail": str(exc)})
     return PqAxiomReport(

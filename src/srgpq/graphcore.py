@@ -454,54 +454,69 @@ def is_srg_report(
     return _srg_report(g, first_mismatch)
 
 
+def _line_sum_failure(
+    rows: Sequence[int], lines: Sequence[Sequence[int]], k: int, lam: int, mu: int
+) -> Optional[int]:
+    """The first vertex a whose line sum T_a is wrong, or None.
+
+    rows are the masks N(a) of a symmetric loop-free relation, each of k
+    vertices, and the lines through each a, less a, partition N(a): the
+    maximal cliques of a graph each of whose <N(a)> is a disjoint union of
+    cliques, or the lines of an incidence structure with PQ axioms (i) and
+    (ii) over its collinearity masks.  Give each vertex b its own field of
+    width bits, and let F(M) put bit b of a mask M into field b.  The line
+    sum S_L is the sum of F(N(x)) over the points x of L, and T_a the sum
+    of S_L over the d_a lines through a.  Then
+        T_a = d_a F(N(a)) + sum of F(N(x)) over x in N(a),
+    so field b of T_a is |N(a) & N(b)|, plus d_a when a ~ b, and field a
+    is k, as a is not in N(a).  T_a is right when it has k in field a,
+    lam + d_a in the fields of N(a) and mu elsewhere: one integer
+    comparison.  A field is at most k + d_a, and so is every value it is
+    compared with, given lam < k and mu <= k; each line through a holds a
+    vertex of N(a) of its own, so d_a <= k (or every line is one point and
+    every sum is 0), and a width holding 2k keeps every field from
+    carrying into the next.
+    """
+    nu = len(rows)
+    width = _width(2 * k)
+    fields = _bit_field_rows(rows, nu, width)
+    sums = [0] * nu  # per vertex a, T_a
+    through = [0] * nu  # per vertex a, d_a
+    for line in lines:
+        line_sum = sum([fields[x] for x in line])
+        for x in line:
+            sums[x] += line_sum
+            through[x] += 1
+    base = mu * (((1 << nu * width) - 1) // ((1 << width) - 1))  # mu in every field
+    for a, total in enumerate(sums):
+        if total != base + (lam + through[a] - mu) * fields[a] + (k - mu << a * width):
+            return a
+    return None
+
+
 def line_sum_srg_report(
     g: Graph, lines: Sequence[Sequence[int]]
 ) -> tuple[Optional[SrgParams], Optional[dict]]:
     """is_srg_report(g), read off lines, the maximal cliques of g that
-    maximal_cliques_via_edges returns, a vertex at a time.
-
-    The lines through a, less a, partition N(a): each is a clique of
-    <N(a)> plus a.  Give each vertex b its own field of width
-    bits, and let F(M) put bit b of a mask M into field b.  The line sum
-    S_L is the sum of F(N(x)) over the points x of L, and T_a the sum of
-    S_L over the d_a lines through a.  Then
-        T_a = d_a F(N(a)) + sum of F(N(x)) over x in N(a),
-    so field b of T_a is |N(a) & N(b)|, plus d_a when a ~ b, and field a
-    is k, as a is not in N(a).  A field is at most k + d_a, and so is
-    every value it is compared with (lam < k and mu <= k); each line
-    through a holds a vertex of N(a) of its own, so d_a <= k and a width
-    holding 2k keeps every field from carrying into the next.  Vertex a
-    passes iff T_a equals its expected value, k in field a, lam + d_a in
-    the fields of N(a) and mu elsewhere: one integer comparison.
+    maximal_cliques_via_edges returns, a vertex at a time by
+    _line_sum_failure.
 
     Vertex a fails iff some pair {a, b} fails, as the count is symmetric,
     so the first failing vertex u is the least vertex of any failing pair,
     and the u < v loop's first failing pair is the first failing (u, v),
     v > u, that _row_mismatch finds in u's row.  A vertex whose sum fails
-    with no such pair is a fault of this pass, which raises
-    AssertionError.
+    with no such pair is a fault of the pass, which raises AssertionError.
     """
     rows = g.rows
-    nu = g.nu
 
     def first_mismatch(k: int, lam: int, mu: int) -> Optional[dict]:
-        width = _width(2 * k)
-        fields = _bit_field_rows(rows, nu, width)
-        sums = [0] * nu  # per vertex a, T_a
-        through = [0] * nu  # per vertex a, d_a
-        for line in lines:
-            line_sum = sum([fields[x] for x in line])
-            for x in line:
-                sums[x] += line_sum
-                through[x] += 1
-        base = mu * (((1 << nu * width) - 1) // ((1 << width) - 1))  # mu in every field
-        for a, total in enumerate(sums):
-            if total != base + (lam + through[a] - mu) * fields[a] + (k - mu << a * width):
-                witness = _row_mismatch(rows, a, range(a + 1, nu), lam, mu)
-                if witness is None:
-                    raise AssertionError(f"the line sum of vertex {a} fails, but none of its pairs after it")
-                return witness
-        return None
+        a = _line_sum_failure(rows, lines, k, lam, mu)
+        if a is None:
+            return None
+        witness = _row_mismatch(rows, a, range(a + 1, g.nu), lam, mu)
+        if witness is None:
+            raise AssertionError(f"the line sum of vertex {a} fails, but none of its pairs after it")
+        return witness
 
     return _srg_report(g, first_mismatch)
 

@@ -724,12 +724,9 @@ KERNEL_FAULTS = {
     # 1 in vertex 0's own field of F(N(0)), which every line through 0 adds
     "line-sum-srg": ("graph-to-pq", "gq35", "graphcore", "_bit_field_rows",
                      _perturbed(graphcore._bit_field_rows, lambda nu, width: 1), "the line sum of vertex 0"),
-    # 2, or 1, in point 0's own field of F(coll[0]): the lines through 0 then
-    # read 2 there, failing (iii), or 1, which (iii) passes and point 0's sum fails (iv)
-    "axiom-iii": ("pq-axioms", "gq35-pq", "geometry", "_bit_field_rows",
-                  _perturbed(graphcore._bit_field_rows, lambda nu, width: 2), "the line sum of line 0"),
-    "axiom-iv": ("pq-axioms", "gq35-pq", "geometry", "_bit_field_rows",
-                 _perturbed(graphcore._bit_field_rows, lambda nu, width: 1), "the line sums of point 0"),
+    # 1 in point 0's own field of F(coll[0]), the same pass on the collinearity masks
+    "pq-axioms": ("pq-axioms", "gq35-pq", "graphcore", "_bit_field_rows",
+                  _perturbed(graphcore._bit_field_rows, lambda nu, width: 1), "the line sum of point 0"),
 }
 
 

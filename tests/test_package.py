@@ -9,7 +9,7 @@ import types
 from pathlib import Path
 
 import srgpq
-from srgpq import automorphism, localstats
+from srgpq import automorphism, geometry, graphcore, localstats
 
 
 def test_all_names_exactly_the_public_attributes():
@@ -28,6 +28,12 @@ def test_only_graphcore_knows_the_packed_bit_matrix_format():
         if info.name != "graphcore":
             module = importlib.import_module(f"srgpq.{info.name}")
             assert not helpers & set(vars(module)), info.name
+
+
+def test_geometry_builds_no_line_sums_of_its_own():
+    # PQ axioms (iii) and (iv) run graphcore's line-sum pass, with its fields and width
+    assert not {"_bit_field_rows", "_width"} & set(vars(geometry))
+    assert geometry._line_sum_failure is graphcore._line_sum_failure
 
 
 def test_build_sigma_runs_the_one_matched_pair_kernel():
