@@ -699,12 +699,17 @@ def _perturbed_row_terms(frame, width, slope):
     return fields, terms
 
 
+def _least(mask):
+    """The least bit set in mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _perturbed(kernel, term):
-    """A field conversion whose first converted row has term added."""
+    """A field conversion whose first converted row has term(masks, nu, width) added."""
 
     def perturbed(masks, nu, width):
         converted = kernel(masks, nu, width)
-        converted[0] += term(nu, width)
+        converted[0] += term(masks, nu, width)
         return converted
 
     return perturbed
@@ -719,14 +724,20 @@ KERNEL_FAULTS = {
     "eq-pq": ("check-eq-pq", "ovoid256", "localstats", "_row_terms", _perturbed_row_terms, "eq-pq's row sum"),
     # 1 in every field of the first neighbour's converted row
     "psi-regularity": ("check-psi", "ovoid256", "localstats", "_bit_field_rows", _perturbed(
-        graphcore._bit_field_rows, lambda nu, width: ((1 << nu * width) - 1) // ((1 << width) - 1)),
+        graphcore._bit_field_rows, lambda masks, nu, width: ((1 << nu * width) - 1) // ((1 << width) - 1)),
         "psi-regularity counts a fault"),
     # 1 in vertex 0's own field of F(N(0)), which every line through 0 adds
     "line-sum-srg": ("graph-to-pq", "gq35", "graphcore", "_bit_field_rows",
-                     _perturbed(graphcore._bit_field_rows, lambda nu, width: 1), "the line sum of vertex 0"),
-    # 1 in point 0's own field of F(coll[0]), the same pass on the collinearity masks
-    "pq-axioms": ("pq-axioms", "gq35-pq", "graphcore", "_bit_field_rows",
-                  _perturbed(graphcore._bit_field_rows, lambda nu, width: 1), "the line sum of point 0"),
+                     _perturbed(graphcore._bit_field_rows, lambda masks, nu, width: 1), "the line sum of vertex 0"),
+    # the same pass on the collinearity masks: 1 in F(coll[0]) at the least
+    # point collinear with 0, a field the (iii) part of T_0 decides, or at
+    # the least other point not collinear with 0, a field (iv) decides
+    "axiom-iii": ("pq-axioms", "gq35-pq", "graphcore", "_bit_field_rows", _perturbed(
+        graphcore._bit_field_rows, lambda masks, nu, width: 1 << _least(masks[0]) * width),
+        "the line sum of point 0"),
+    "axiom-iv": ("pq-axioms", "gq35-pq", "graphcore", "_bit_field_rows", _perturbed(
+        graphcore._bit_field_rows, lambda masks, nu, width: 1 << _least(~masks[0] & ~1) * width),
+        "the line sum of point 0"),
 }
 
 
