@@ -26,7 +26,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from srgpq.graphcore import Graph, GraphError, TriplePartition, bits, transpose_rows
+from srgpq.graphcore import Graph, GraphError, bits, transpose_rows
 from srgpq.localstats import LocalStatsError, _clique_frame, _m0_mask, matched_pairs, psi_partition
 from srgpq.params import FamilyInfo, fixed_point_bound
 from srgpq.reports import CheckReport
@@ -193,11 +193,11 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
     definitions, incomplete propagation, or a final permutation that fails
     the unconditional automorphism check.
     """
-    phi = TriplePartition(base_vertex=u, cells=tuple(_clique_frame(g, u, 3).cells), kind="phi")
-    if not phi.cells:
+    phi = _clique_frame(g, u, 3).cells
+    if not phi:
         raise SigmaSeedError(f"vertex {u} has no neighbours, so no triangle cell to seed")
     psi = psi_partition(g, fam, u)
-    sigma = _sigma_from_masks(g, phi.cells, psi.cells, *matched_pairs(g, u, phi, psi))
+    sigma = _sigma_from_masks(g, phi, psi, *matched_pairs(g, u, phi, psi))
     witness = automorphism_witness(g, sigma)
     if witness is not None:
         raise SigmaAutomorphismError(f"adjacency not preserved at pair {witness}")

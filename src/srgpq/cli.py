@@ -49,6 +49,7 @@ from srgpq.geometry import (
     verify_pq_axioms,
 )
 from srgpq.graphcore import (
+    MAX_VERTICES as MAX_GRAPH6_VERTICES,
     Graph,
     GraphError,
     is_diamond_free,
@@ -82,7 +83,6 @@ from srgpq.certificates import pq_3_35_20_certificate
 from srgpq.reports import ASSERTED_FAIL, CheckReport
 
 GRAPH6_HEADER = ">>graph6<<"
-MAX_GRAPH6_VERTICES = 1 << 14
 
 DIOPHANTINE_REFERENCE = ((1, 1), (2, 3), (3, 4), (10, 7))
 

@@ -15,6 +15,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from srgpq.graphcore import (
+    MAX_VERTICES,
     CliqueClosureError,
     Graph,
     _line_sum_failure,
@@ -314,7 +315,8 @@ def build_ovoid256() -> Graph:
 def parse_incidence(text: str) -> IncidenceStructure:
     """Parse the incidence text format: header "P L", then L lines of point ids.
 
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped.  P must lie in
+    0..graphcore.MAX_VERTICES, the bound of graph6 input.
     """
     rows = []
     for raw in text.splitlines():
@@ -331,6 +333,8 @@ def parse_incidence(text: str) -> IncidenceStructure:
         num_points, num_lines = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GeometryError(f"non-integer header {rows[0]!r}") from exc
+    if not 0 <= num_points <= MAX_VERTICES:
+        raise GeometryError(f"header {rows[0]!r}: point count {num_points} is outside 0..{MAX_VERTICES}")
     if len(rows) - 1 != num_lines:
         raise GeometryError(f"expected {num_lines} lines, found {len(rows) - 1}")
     lines = []

@@ -10,11 +10,15 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import or_, rshift
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from srgpq.params import ParameterError, SrgParams
+
+
+# The most vertices of a graph6 line, or points of an incidence header, that
+# the parsers accept: they refuse a larger count before allocating for it.
+MAX_VERTICES = 1 << 14
 
 
 class GraphError(ValueError):
@@ -305,33 +309,6 @@ def _block_swap_masks(width: int, chunk: int) -> tuple[tuple[int, int], ...]:
     return tuple(masks)
 
 
-@dataclass(frozen=True)
-class TriplePartition:
-    """A partition of a vertex subset into labeled 3-sets around a base vertex.
-
-    kind "phi" partitions the neighborhood of the base vertex into triangles;
-    kind "psi" partitions the non-neighbors into independent triples.
-    """
-
-    base_vertex: int
-    cells: tuple[tuple[int, int, int], ...]
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("phi", "psi"):
-            raise GraphError(f"unknown partition kind {self.kind!r}")
-        seen: set[int] = set()
-        for cell in self.cells:
-            if len(cell) != 3 or len(set(cell)) != 3 or list(cell) != sorted(cell):
-                raise GraphError(f"cell {cell} is not a sorted 3-set")
-            if seen & set(cell):
-                raise GraphError(f"cell {cell} overlaps another cell")
-            seen.update(cell)
-
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for cell in self.cells for v in cell)
-
-
 def row_zero_counts(rows: Sequence[int]) -> tuple[Optional[int], Optional[int]]:
     """Common neighbours of vertex 0 with its least neighbour and with its least non-neighbour.
 
@@ -610,14 +587,13 @@ def neighborhood_clique_cells(g: Graph, u: int, size: int) -> tuple[tuple[int, .
     return tuple(cells)
 
 
-def phi_partition(g: Graph, u: int) -> TriplePartition:
-    """The unique partition of N(u) into triangles, cells in canonical order.
+def phi_partition(g: Graph, u: int) -> tuple[tuple[int, ...], ...]:
+    """The unique partition of N(u) into triangles: its sorted cells, each sorted.
 
     Fails when some component of <N(u)> is not a triangle, i.e. the graph is
     outside the diamond-free lambda=2 regime at u.
     """
-    cells = neighborhood_clique_cells(g, u, 3)
-    return TriplePartition(base_vertex=u, cells=cells, kind="phi")
+    return neighborhood_clique_cells(g, u, 3)
 
 
 def maximal_cliques_via_edges(g: Graph) -> list[tuple[int, ...]]:

@@ -26,7 +26,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from srgpq.graphcore import (
     Graph,
-    TriplePartition,
     _bit_field_rows,
     _clique_masks,
     _nonzero_fields,
@@ -264,7 +263,7 @@ class _Frame:
     The kernels at one u share the frame through _frame.
     """
 
-    __slots__ = ("rows", "u", "outside", "cells", "cliques", "order", "local", "groups", "m0", "members")
+    __slots__ = ("rows", "u", "outside", "cells", "cliques", "order", "local", "groups", "psi", "members")
 
     def __init__(self, g: Graph, u: int):
         g.check_vertex(u)
@@ -272,9 +271,9 @@ class _Frame:
         row_u = rows[u]
         cliques = _clique_masks(rows, u)
         if cliques is None:
-            cells = [(y,) for y in bits(row_u)]
+            cells = tuple((y,) for y in bits(row_u))
         else:
-            cells = sorted(tuple(bits(mask)) for mask in cliques)
+            cells = tuple(sorted(tuple(bits(mask)) for mask in cliques))
         self.rows, self.u, self.cells, self.cliques = rows, u, cells, cliques is not None
         self.outside = ((1 << g.nu) - 1) & ~(row_u | 1 << u)
         self.order = [y for cell in cells for y in cell]
@@ -294,7 +293,7 @@ class _Frame:
                     low += len(cell)
                 self.groups.append((shift, (1 << low) - 1, offsets))
                 shift += low
-        self.m0: Optional[dict[int, int]] = None  # psi_partition's M_0 masks
+        self.psi: Optional[tuple] = None  # psi_partition's cells
         self.members: Optional[tuple] = None  # (psi cells, the transpose of their members' rows)
 
     def member_columns(self, cells: Sequence[tuple[int, ...]]) -> list[int]:
@@ -371,7 +370,7 @@ def _frame(g: Graph, u: int) -> _Frame:
 
     So the kernels run at one u in turn, such as star, psi-regularity with
     its partition and then build_sigma's partition and matched pairs, build
-    it, the M_0 masks and the psi members' columns once.
+    it, the psi cells and their members' columns once.
     """
     frame = g._frame
     if frame is None or frame.u != u:
@@ -610,24 +609,25 @@ def check_condition_con(g: Graph, orbits: Sequence[Sequence[int]]) -> CheckRepor
     )
 
 
-def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
-    """Partition of the non-neighbors of u into cells {v} + M_0(u, v).
+def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> tuple[tuple[int, ...], ...]:
+    """The non-neighbors of u partitioned into cells {v} + M_0(u, v): sorted cells, each sorted.
 
     Requires m_0 = 2 with mutual membership, which makes each cell independent
     with pairwise p_u = 0 and the cells a partition: a member w of an earlier
     cell has M_0(u, w) equal to the rest of that cell, so no later cell
     through w passes the mutual check.
 
-    The M_0(u, v) come from the union tables of the frame at u, once, unless
+    The M_0(u, v) come from the union tables of the frame at u, unless
     _m0_mask fails the first cell, at the least non-neighbour, without them.
+    The frame keeps the cells, so a second call at u returns the same tuple.
     """
     frame = _frame(g, u)
-    m0_of = frame.m0
-    if m0_of is None:
-        v0 = next(bits(frame.outside), None)
-        m0_of = {} if v0 is None else {v0: _m0_mask(g, u, v0)}
-        if v0 is None or m0_of[v0].bit_count() == 2:  # else the loop raises at v0
-            m0_of = frame.m0 = _m0_masks(frame, frame.outside)
+    if frame.psi is not None:
+        return frame.psi
+    v0 = next(bits(frame.outside), None)
+    m0_of = {} if v0 is None else {v0: _m0_mask(g, u, v0)}
+    if v0 is not None and m0_of[v0].bit_count() == 2:  # else the loop raises at v0
+        m0_of = _m0_masks(frame, frame.outside)
     placed = 0
     cells = []
     for v in bits(frame.outside):
@@ -652,15 +652,17 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
         # cell is independent and p_u(a, b) = 0 for each of its pairs
         placed |= cell_mask
         cells.append(cell)
-    return TriplePartition(base_vertex=u, cells=tuple(sorted(cells)), kind="psi")
+    frame.psi = tuple(sorted(cells))
+    return frame.psi
 
 
 def matched_pairs(
-    g: Graph, u: int, phi: TriplePartition, psi: TriplePartition
+    g: Graph, u: int, phi: Sequence[tuple[int, ...]], psi: Sequence[tuple[int, ...]]
 ) -> tuple[list[int], list[int]]:
     """For each phi cell, masks of its one-regular psi cells and of the reflected ones among them.
 
-    Psi cell j is local bits 3j..3j+2, so local[a] is N(a) on the psi cells,
+    phi and psi are the cells of phi_partition and psi_partition at u.  Psi
+    cell j is local bits 3j..3j+2, so local[a] is N(a) on the psi cells,
     and bit 3j of each mask.  The frame at u keeps local, which
     _psi_regularity reads too.  A phi cell (a0, a1, a2) is one-regular to psi
     cell j iff each of its three rows has one bit in field j and together
@@ -668,14 +670,10 @@ def matched_pairs(
     iff a1's bit is a0's bit moved up one place, cyclically; otherwise it
     reflects it, and carrying an orientation across it flips it.
     """
-    if phi.base_vertex != u or psi.base_vertex != u:
-        raise LocalStatsError("partitions built at a different base vertex")
-    if phi.kind != "phi" or psi.kind != "psi":
-        raise LocalStatsError("need a phi partition and a psi partition")
-    local = _frame(g, u).member_columns(psi.cells)
-    ones = ((1 << 3 * len(psi.cells)) - 1) // 7  # bit 3j for every psi cell j
+    local = _frame(g, u).member_columns(psi)
+    ones = ((1 << 3 * len(psi)) - 1) // 7  # bit 3j for every psi cell j
     matched, flips = [], []
-    for a0, a1, a2 in phi.cells:
+    for a0, a1, a2 in phi:
         l0, l1, l2 = local[a0], local[a1], local[a2]
         union = l0 | l1 | l2
         onereg = union & union >> 1 & union >> 2 & ones
@@ -826,8 +824,7 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     One pass over all pairs of cells at once counts every violation and
     names the first.
     """
-    psi = psi_partition(g, fam, u)
-    r_distribution, violations, witness = _psi_regularity(g, fam.n, u, psi.cells)
+    r_distribution, violations, witness = _psi_regularity(g, fam.n, u, psi_partition(g, fam, u))
     return CheckReport(
         name="psi-regularity",
         passed=violations == 0,

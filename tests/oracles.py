@@ -48,7 +48,6 @@ from srgpq.graphcore import (
     CliqueClosureError,
     Graph,
     NeighborhoodStructureError,
-    TriplePartition,
     bits,
     neighborhood_clique_cells as _clique_cells,
     phi_partition,
@@ -172,8 +171,8 @@ def predicted_m_spectrum(fam: FamilyInfo) -> dict[int, int]:
     return {i: solution.get(i, 0) for i in range(n + 3)}
 
 
-def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
-    """Cells {v} + M_0(u, v) from the per-vertex M_0, with p_u from pair_stats."""
+def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> tuple[tuple[int, ...], ...]:
+    """Cells {v} + M_0(u, v), sorted, from the per-vertex M_0, with p_u from pair_stats."""
     full = (1 << g.nu) - 1
     outside = tuple(bits(full & ~(g.row(u) | (1 << u))))
     cell_of: dict[int, tuple[int, int, int]] = {}
@@ -208,7 +207,7 @@ def psi_partition(g: Graph, fam: FamilyInfo, u: int) -> TriplePartition:
         cells.append(cell)
     if len(cell_of) != len(outside):
         raise PartitionError("cells do not cover the non-neighborhood")
-    return TriplePartition(base_vertex=u, cells=tuple(sorted(cells)), kind="psi")
+    return tuple(sorted(cells))
 
 
 def verify_eq_pq(g: Graph, fam: FamilyInfo) -> CheckReport:
@@ -522,18 +521,14 @@ class MatchedPairTable:
 
 
 def matched_pairs(
-    g: Graph, u: int, phi: TriplePartition, psi: TriplePartition
+    g: Graph, u: int, phi: Sequence[tuple[int, ...]], psi: Sequence[tuple[int, ...]]
 ) -> MatchedPairTable:
     """Every (phi cell, psi cell) pair classified by its three rows through Graph.row."""
-    if phi.base_vertex != u or psi.base_vertex != u:
-        raise LocalStatsError("partitions built at a different base vertex")
-    if phi.kind != "phi" or psi.kind != "psi":
-        raise LocalStatsError("need a phi partition and a psi partition")
     kinds = []
     bijections: dict[tuple[int, int], dict[int, int]] = {}
-    for i, phi_cell in enumerate(phi.cells):
+    for i, phi_cell in enumerate(phi):
         row_kinds = []
-        for j, psi_cell in enumerate(psi.cells):
+        for j, psi_cell in enumerate(psi):
             psi_mask = 0
             for b in psi_cell:
                 psi_mask |= 1 << b
@@ -553,8 +548,8 @@ def matched_pairs(
         kinds.append(tuple(row_kinds))
     return MatchedPairTable(
         base_vertex=u,
-        phi_cells=phi.cells,
-        psi_cells=psi.cells,
+        phi_cells=tuple(phi),
+        psi_cells=tuple(psi),
         kinds=tuple(kinds),
         bijections=bijections,
     )
@@ -565,7 +560,7 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
     psi = _psi_partition(g, fam, u)
     rows = g.rows
     row_u = rows[u]
-    masks = [sum(1 << x for x in cell) for cell in psi.cells]
+    masks = [sum(1 << x for x in cell) for cell in psi]
     n = fam.n
     r_distribution: dict[int, int] = {}
     violations = 0
@@ -577,9 +572,9 @@ def verify_psi_regularity(g: Graph, fam: FamilyInfo, u: int) -> CheckReport:
         if witness is None:
             witness = {"reason": reason, **data}
 
-    for j1 in range(len(psi.cells)):
-        for j2 in range(j1 + 1, len(psi.cells)):
-            cell_a, cell_b = psi.cells[j1], psi.cells[j2]
+    for j1 in range(len(psi)):
+        for j2 in range(j1 + 1, len(psi)):
+            cell_a, cell_b = psi[j1], psi[j2]
             mask_a, mask_b = masks[j1], masks[j2]
             degrees = [(rows[a] & mask_b).bit_count() for a in cell_a]
             degrees += [(rows[b] & mask_a).bit_count() for b in cell_b]
@@ -730,15 +725,15 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
     psi = _psi_partition(g, fam, u)
     table = matched_pairs(g, u, phi, psi)  # this module's
 
-    partners_of_phi: dict[int, list[int]] = {i: [] for i in range(len(phi.cells))}
-    partners_of_psi: dict[int, list[int]] = {j: [] for j in range(len(psi.cells))}
+    partners_of_phi: dict[int, list[int]] = {i: [] for i in range(len(phi))}
+    partners_of_psi: dict[int, list[int]] = {j: [] for j in range(len(psi))}
     for (i, j) in table.bijections:
         partners_of_phi[i].append(j)
         partners_of_psi[j].append(i)
 
     defined: dict[tuple[str, int], dict[int, int]] = {}
     seed_key = ("phi", 0)
-    a, b, c = phi.cells[0]
+    a, b, c = phi[0]
     defined[seed_key] = {a: b, b: c, c: a}
     worklist = [seed_key]
 
@@ -767,12 +762,12 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
                 transferred = {inverse[b]: inverse[mapping[b]] for b in inverse}
                 transfer(("phi", i), transferred, ("psi", index))
 
-    expected_cells = len(phi.cells) + len(psi.cells)
+    expected_cells = len(phi) + len(psi)
     if len(defined) != expected_cells:
         missing = [
             (kind, index)
             for kind in ("phi", "psi")
-            for index in range(len(phi.cells) if kind == "phi" else len(psi.cells))
+            for index in range(len(phi) if kind == "phi" else len(psi))
             if (kind, index) not in defined
         ]
         raise SigmaCoverageError(f"propagation left cells undefined: {missing}")

@@ -82,7 +82,7 @@ def test_build_sigma_seed_independence(gq35, fam_gq35):
     # build_sigma seeds, and pulling the result back gives the map seeded there
     u = 0
     results = set()
-    for seed in phi_partition(gq35, u).cells:
+    for seed in phi_partition(gq35, u):
         order = list(seed) + [x for x in range(gq35.nu) if x not in seed]
         label = Permutation(tuple(order)).inverse()
         relabelled = Graph(relabel(list(gq35.rows), list(label.images)))
@@ -97,7 +97,7 @@ def test_build_sigma_seed_independence(gq35, fam_gq35):
 def test_build_sigma_cycles_each_phi_cell(gq35, fam_gq35):
     u = 0
     sigma = build_sigma(gq35, fam_gq35, u)
-    for cell in phi_partition(gq35, u).cells:
+    for cell in phi_partition(gq35, u):
         assert {sigma(x) for x in cell} == set(cell)
         assert all(sigma(x) != x for x in cell)
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import srgpq.cli
 from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, seeded_permutation, toggle, two_switch
-from srgpq.cli import Graph6Error, _build_parser, parse_graph6, run, serialize_graph6
+from srgpq.cli import MAX_GRAPH6_VERTICES, Graph6Error, _build_parser, parse_graph6, run, serialize_graph6
 from srgpq import graphcore, localstats
 from srgpq.geometry import build_gq35, build_ovoid256, build_rook4, build_shrikhande, format_incidence, graph_to_pq
 from srgpq.automorphism import RelatedSetError, SigmaConstructionError, verified_sigmas
@@ -448,6 +448,15 @@ def test_usage_errors_return_2(capsys, tmp_path):
     bad.write_text("not graph6 at all\x01\n")
     code, out, err = _run(capsys, ["check-srg", str(bad)])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("header", [f"{MAX_GRAPH6_VERTICES + 1} 1", "1000000000 1", "-1 1", "-1000000000 1"])
+def test_incidence_header_outside_the_graph6_bound_is_a_usage_error(capsys, monkeypatch, header):
+    # refused at the header, before verify_pq_axioms allocates per point
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\n0 1\n"))
+    code, out, err = _run(capsys, ["pq-axioms", "-"])
+    assert code == 2 and out == ""
+    assert f"header {header!r}: point count" in err and f"outside 0..{MAX_GRAPH6_VERTICES}" in err
 
 
 @pytest.mark.parametrize("builder", [build_gq35, build_shrikhande])

@@ -27,6 +27,7 @@ from srgpq.geometry import (
     verify_pq_axioms,
 )
 from srgpq.graphcore import (
+    MAX_VERTICES,
     CliqueClosureError,
     Graph,
     GraphError,
@@ -434,6 +435,13 @@ def test_parse_incidence_comments_and_errors():
         parse_incidence("3 2\n0 1\n")  # line count mismatch
     with pytest.raises(GeometryError):
         parse_incidence("3 1\n0 x\n")
+
+
+def test_parse_incidence_bounds_the_point_count_as_graph6_does():
+    assert parse_incidence(f"{MAX_VERTICES} 1\n0 {MAX_VERTICES - 1}\n").num_points == MAX_VERTICES
+    for count in (MAX_VERTICES + 1, -1):
+        with pytest.raises(GeometryError, match=f"point count {count} is outside 0..{MAX_VERTICES}"):
+            parse_incidence(f"{count} 1\n0 1\n")
 
 
 def test_builders_are_deterministic():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from srgpq import localstats
 from srgpq.automorphism import verified_sigmas
-from srgpq.graphcore import Graph, TriplePartition, phi_partition
+from srgpq.graphcore import Graph, phi_partition
 from srgpq.localstats import (
     FamilyPreconditionError,
     LocalStatsError,
@@ -180,9 +180,11 @@ def test_check_condition_con_rook(rook, fam_rook):
 
 def test_psi_partition_gq35(gq35, fam_gq35):
     psi = psi_partition(gq35, fam_gq35, 0)
-    assert len(psi.cells) == 15
-    assert psi.covered() == set(_outside(gq35, 0))
-    for cell in psi.cells:
+    assert len(psi) == 15 and list(psi) == sorted(psi)
+    members = [v for cell in psi for v in cell]
+    assert sorted(members) == _outside(gq35, 0)  # each non-neighbour in one cell
+    for cell in psi:
+        assert list(cell) == sorted(cell)
         for a, b in combinations(cell, 2):
             assert not gq35.adjacent(a, b)
             assert pair_stats(gq35, 0, a, b).p == 0
@@ -198,16 +200,17 @@ def test_matched_pairs_gq35(gq35, fam_gq35):
     psi = psi_partition(gq35, fam_gq35, 0)
     matched, flips = matched_pairs(gq35, 0, phi, psi)
     # every one of the 6 phi cells is matched to all 15 psi cells: bit 3j for each j
-    assert len(phi.cells) == 6 and len(psi.cells) == 15
+    assert len(phi) == 6 and len(psi) == 15
     assert matched == [sum(1 << 3 * j for j in range(15))] * 6
     assert len(flips) == 6 and all(flip & ~row == 0 for flip, row in zip(flips, matched))
 
 
-def test_matched_pairs_rejects_foreign_partition(gq35, fam_gq35):
-    phi0 = phi_partition(gq35, 0)
-    psi1 = psi_partition(gq35, fam_gq35, 1)
-    with pytest.raises(LocalStatsError):
-        matched_pairs(gq35, 0, phi0, psi1)
+def test_psi_partition_returns_the_frames_cells_at_a_second_call(gq35, fam_gq35):
+    # as on the probe, build_sigma asks for the cells at u again after
+    # verify_psi_regularity: the frame at u built them once
+    first = psi_partition(gq35, fam_gq35, 5)
+    verify_psi_regularity(gq35, fam_gq35, 5)
+    assert psi_partition(gq35, fam_gq35, 5) is first
 
 
 def test_verify_psi_regularity_gq35(gq35, fam_gq35):
@@ -226,8 +229,7 @@ CELL_GRAPH = Graph.from_edges(10, [(a, b) for a in A for b in B] + [(1, 7), (2, 
 
 
 def _regularity_on_cells(monkeypatch, cells):
-    partition = TriplePartition(base_vertex=0, cells=cells, kind="psi")
-    monkeypatch.setattr(localstats, "psi_partition", lambda g, fam, u: partition)
+    monkeypatch.setattr(localstats, "psi_partition", lambda g, fam, u: cells)
     return verify_psi_regularity(CELL_GRAPH, FamilyInfo.from_n_lam(3, 2), 0)
 
 
@@ -310,9 +312,8 @@ def test_verify_psi_regularity_matches_the_per_pair_loop_on_crafted_cells(case, 
     cells, edges, n, p_of, witness, violations = CRAFTED_CELLS[case]
     g = _cells_graph(cells, edges, p_of)
     fam = FamilyInfo.from_n_lam(n, 2)
-    partition = TriplePartition(base_vertex=0, cells=cells, kind="psi")
-    monkeypatch.setattr(localstats, "psi_partition", lambda g, fam, u: partition)
-    monkeypatch.setattr(oracles, "_psi_partition", lambda g, fam, u: partition)
+    monkeypatch.setattr(localstats, "psi_partition", lambda g, fam, u: cells)
+    monkeypatch.setattr(oracles, "_psi_partition", lambda g, fam, u: cells)
     report = verify_psi_regularity(g, fam, 0)
     assert report == oracles.verify_psi_regularity(g, fam, 0)
     assert (report.passed, report.witness, report.details["violations"]) == (False, witness, violations)
@@ -345,10 +346,9 @@ def test_verify_psi_regularity_matches_the_per_pair_loop_on_random_cells(data):
                     p[(a, b)] = data.draw(st.integers(0, 4)) if noisy else due
     g = _cells_graph(cells, edges, lambda a, b, adjacent: p[(a, b)])
     fam = FamilyInfo.from_n_lam(n, 2)
-    partition = TriplePartition(base_vertex=0, cells=cells, kind="psi")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(localstats, "psi_partition", lambda g, fam, u: partition)
-        patch.setattr(oracles, "_psi_partition", lambda g, fam, u: partition)
+        patch.setattr(localstats, "psi_partition", lambda g, fam, u: cells)
+        patch.setattr(oracles, "_psi_partition", lambda g, fam, u: cells)
         report = verify_psi_regularity(g, fam, 0)
         assert report == oracles.verify_psi_regularity(g, fam, 0)
     event(f"passed: {report.passed}")

@@ -19,7 +19,16 @@ def test_all_names_exactly_the_public_attributes():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(srgpq.__all__) == sorted(public)
-    assert len(srgpq.__all__) == len(public) == 54
+    assert len(srgpq.__all__) == len(public) == 53
+
+
+def test_the_cells_are_plain_tuples():
+    # phi_partition and psi_partition return sorted tuples of sorted cells,
+    # and no module wraps them in a partition class
+    for info in pkgutil.iter_modules(srgpq.__path__):
+        module = importlib.import_module(f"srgpq.{info.name}")
+        assert "TriplePartition" not in vars(module), info.name
+    assert "TriplePartition" not in vars(srgpq)
 
 
 def test_only_graphcore_knows_the_packed_bit_matrix_format():

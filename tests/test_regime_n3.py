@@ -165,7 +165,7 @@ def test_psi_regularity_fails_on_a_toggled_edge(ovoid_rows):
     # the toggle leaves every M_0 at vertex 0 intact, so the psi cells still
     # form, but two of them now induce a bipartite graph that is not regular
     g = Graph(ovoid_rows).toggle_edge(113, 242)
-    assert len(psi_partition(g, FAMILY, 0).cells) == 68
+    assert len(psi_partition(g, FAMILY, 0)) == 68
     report = verify_psi_regularity(g, FAMILY, 0)
     assert report.severity == "asserted-fail"
     assert report.details["violations"] == 1

@@ -489,23 +489,21 @@ def test_build_sigma_lists_stalled_and_unreached_cells_like_the_oracle(graph, fa
 def _swap_members(partition_of, first: int, second: int):
     """partition_of, then its least member of cell first traded for the largest of cell second."""
     def tampered(*args):
-        partition = partition_of(*args)
-        cells = [list(cell) for cell in partition.cells]
+        cells = [list(cell) for cell in partition_of(*args)]
         one, other = cells[first % len(cells)], cells[second % len(cells)]
         one[0], other[2] = other[2], one[0]
-        return dataclasses.replace(partition, cells=tuple(sorted(tuple(sorted(c)) for c in cells)))
+        return tuple(sorted(tuple(sorted(c)) for c in cells))
 
     return tampered
 
 
 def _with_base_vertex(partition_of, index: int):
-    """partition_of, then the least member of cell index replaced by the base vertex: a gap."""
+    """partition_of, then the least member of cell index replaced by its last argument, u: a gap."""
     def tampered(*args):
-        partition = partition_of(*args)
-        cells = list(partition.cells)
+        cells = list(partition_of(*args))
         cell = cells[index % len(cells)]
-        cells[index % len(cells)] = tuple(sorted((partition.base_vertex,) + cell[1:]))
-        return dataclasses.replace(partition, cells=tuple(sorted(cells)))
+        cells[index % len(cells)] = tuple(sorted((args[-1],) + cell[1:]))
+        return tuple(sorted(cells))
 
     return tampered
 
@@ -513,7 +511,7 @@ def _with_base_vertex(partition_of, index: int):
 def _frame_with_cells(partition_of):
     """A stand-in for _clique_frame(g, u, 3) whose cells are those of partition_of(g, u)."""
     def frame(g, u, size):
-        return types.SimpleNamespace(cells=partition_of(g, u).cells)
+        return types.SimpleNamespace(cells=partition_of(g, u))
 
     return frame
 
@@ -524,7 +522,7 @@ def _reflected_matching(rows: list[int], fam: FamilyInfo, u: int, index: int) ->
     phi = phi_partition(g, u)
     table = oracles.matched_pairs(g, u, phi, psi_partition(g, fam, u))
     i, j = list(table.bijections)[index]
-    t0, t1, _ = phi.cells[i]
+    t0, t1, _ = phi[i]
     a0, a1 = table.bijections[(i, j)][t0], table.bijections[(i, j)][t1]
     switched = list(rows)
     for x, y in ((t0, a0), (t1, a1), (t0, a1), (t1, a0)):
@@ -570,17 +568,17 @@ def test_the_masks_decline_a_cell_that_no_matching_reaches(gq35):
 
     def sigma(phi, psi):
         masks = matched_pairs(gq35, 0, phi, psi)
-        return automorphism._sigma_from_masks(gq35, phi.cells, psi.cells, *masks)
+        return automorphism._sigma_from_masks(gq35, phi, psi, *masks)
 
     assert sigma(phi, psi) == build_sigma(gq35, GQ35, 0)
     # a triangle cell as an extra independent cell: its own rows meet it twice, the others never
     with pytest.raises(SigmaCoverageError) as gap:
-        sigma(phi, dataclasses.replace(psi, cells=psi.cells + (phi.cells[1],)))
+        sigma(phi, psi + (phi[1],))
     assert str(gap.value) == "propagation left cells undefined: [('psi', 15)]"
     # an extra triangle cell holding the base vertex, whose row misses every independent cell
-    extra = (0,) + psi.cells[0][1:]
+    extra = (0,) + psi[0][1:]
     with pytest.raises(SigmaCoverageError) as gap:
-        sigma(dataclasses.replace(phi, cells=phi.cells + (extra,)), psi)
+        sigma(phi + (extra,), psi)
     assert str(gap.value) == "propagation left cells undefined: [('phi', 6)]"
 
 
