@@ -4,18 +4,18 @@ For a diamond-free lam = 2 family member, each base vertex u carries a
 candidate automorphism fixing u: seed a 3-cycle on one triangle cell of the
 neighborhood and propagate the index permutation across every one-regular
 (triangle cell, independent cell) matching until all of the vertex set is
-covered.  Definitions are write-once with conflict detection, and the final
-permutation is always re-checked as a graph automorphism: the construction
-must also run (and fail loudly) on inputs outside the proofs' hypotheses.
+covered.  The final permutation is always re-checked as a graph
+automorphism, and that check decides: the construction must also run (and
+fail loudly) on inputs outside the proofs' hypotheses.
 
 Both steps run in bulk on the renumbering of graphcore.transpose_rows.  The
 matchings come from localstats.matched_pairs as masks over one cell-ordered
 transpose, the propagation carries the orientations of all cells over
 them, and the automorphism check compares perm(N(x)) with N(perm(x)) for
-every x from one transpose of the permuted rows.  Each step raises its own
-error: the masks name the cells a gap leaves undefined, and only after
-they meet a conflict does a worklist over them name the conflict that the
-propagation one matched pair at a time would meet first.
+every x from one transpose of the permuted rows.  The masks name the cells
+a gap leaves undefined, and the automorphism check names a witness pair for
+everything else, two matchings that force different orientations on one
+cell among it.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class SigmaConstructionError(ValueError):
 
 class SigmaSeedError(SigmaConstructionError):
     """The base vertex has no triangle cell to seed the 3-cycle on."""
-
-
-class SigmaConflictError(SigmaConstructionError):
-    """Two propagation routes forced different definitions on one cell."""
 
 
 class SigmaCoverageError(SigmaConstructionError):
@@ -189,9 +185,17 @@ def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:
 
     The orientations of all cells propagate at once over the masks of
     localstats.matched_pairs.  Raises as phi_partition does, from the cells
-    of the frame at u that psi_partition reuses, and on conflicting
-    definitions, incomplete propagation, or a final permutation that fails
-    the unconditional automorphism check.
+    of the frame at u that psi_partition reuses, and on incomplete
+    propagation or a final permutation that fails the unconditional
+    automorphism check.
+
+    That check also decides where two matchings force different
+    orientations on one cell.  The permutation P built fixes u and maps
+    each cell onto itself.  Were P an automorphism, then for a one-regular
+    pair (A, B) whose bijection f sends a to its one neighbour in B,
+    P(a) ~ P(f(a)) would force P(f(a)) = f(P(a)): P's orientation on B is
+    A's carried across f, and P meets every constraint of the propagation.
+    Conflicting constraints admit no such P, so the check names a pair.
     """
     phi = _clique_frame(g, u, 3).cells
     if not phi:
@@ -218,16 +222,16 @@ def _sigma_from_masks(
     matched: Sequence[int],
     flips: Sequence[int],
 ) -> Permutation:
-    """The propagation over all cells at once, raising at a conflict or a gap.
+    """The propagation over all cells at once, raising at a gap.
 
     The orientations are bit i of one mask for phi cell i and bit 3j of
     another for psi cell j, as in the masks matched and flips of
     localstats.matched_pairs.  A phi cell is visited once, after one of its
-    psi cells is defined: it is checked against its defined psi cells and
-    defines the others.  So every matched pair of the seed's component is
-    checked when its later end is reached, whether the component has a
-    conflict does not depend on the order of the visits, and without one
-    every orientation in it is forced.
+    psi cells is defined: it takes its orientation from its defined psi
+    cells and defines the others.  Where those cells disagree, the
+    matchings conflict and build_sigma's automorphism check rejects
+    whatever orientation is taken; without a conflict every orientation in
+    the seed's component is forced, whatever the order of the visits.
     """
     ones = ((1 << 3 * len(psi_cells)) - 1) // 7
     phi_turned = 0  # the seed's ascending 3-cycle on phi cell 0
@@ -241,8 +245,6 @@ def _sigma_from_masks(
                 stalled.append(i)
                 continue
             turned = (psi_turned ^ flips[i]) & seen
-            if turned not in (0, seen):
-                raise _first_conflict(matched, flips)
             new = matched[i] & ~psi_defined
             psi_turned |= (flips[i] ^ (ones if turned else 0)) & new
             psi_defined |= new
@@ -258,35 +260,6 @@ def _sigma_from_masks(
         [(cell, phi_turned >> i & 1) for i, cell in enumerate(phi_cells)]
         + [(cell, psi_turned >> 3 * j & 1) for j, cell in enumerate(psi_cells)],
     )
-
-
-def _first_conflict(matched: Sequence[int], flips: Sequence[int]) -> SigmaConflictError:
-    """The conflict that the propagation one matched pair at a time meets first.
-
-    It pops the last defined cell and carries its orientation to its
-    partners in ascending order, each flipped where the matching reflects.
-    Called only once the masks have found a conflict, which it then reaches.
-    """
-    partners: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {}
-    for i, row in enumerate(matched):
-        for x in bits(row):
-            flip = flips[i] >> x & 1
-            partners.setdefault(("phi", i), []).append((("psi", x // 3), flip))
-            partners.setdefault(("psi", x // 3), []).append((("phi", i), flip))
-    defined = {("phi", 0): 0}
-    worklist = [("phi", 0)]
-    while worklist:
-        source = worklist.pop()
-        for key, flip in partners.get(source, ()):
-            orientation = defined[source] ^ flip
-            if key not in defined:
-                defined[key] = orientation
-                worklist.append(key)
-            elif defined[key] != orientation:
-                return SigmaConflictError(
-                    f"conflicting definitions on cell {key} propagated from {source}"
-                )
-    raise AssertionError("the masks found a conflict that the worklist does not reach")
 
 
 def _three_cycles(nu: int, oriented: Sequence[tuple[tuple[int, int, int], int]]) -> Permutation:

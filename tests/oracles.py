@@ -36,7 +36,7 @@ from srgpq.automorphism import (
     Permutation,
     RelatedSetError,
     SigmaAutomorphismError,
-    SigmaConflictError,
+    SigmaConstructionError,
     SigmaCoverageError,
     SigmaNormalizationError,
     build_sigma as _build_sigma,
@@ -717,6 +717,14 @@ def off_line_witness(inc: IncidenceStructure) -> Optional[dict]:
             if hits.bit_count() > 1:
                 return {"point": p, "line": index, "collinear_points": list(bits(hits))}
     return None
+
+
+class SigmaConflictError(SigmaConstructionError):
+    """Two propagation routes forced different definitions on one cell.
+
+    Only the reference propagation names a conflict; srgpq's build_sigma
+    leaves it to the automorphism check.
+    """
 
 
 def build_sigma(g: Graph, fam: FamilyInfo, u: int) -> Permutation:

@@ -6,7 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfbench.inputs import gq35_rows, ovoid256_rows, relabel, rook4_rows, seeded_permutation, toggle, two_switch
@@ -323,8 +323,11 @@ def test_axiom_iii_witness_matches_the_point_loop_on_small_incidences():
     # point loop over every (line, point off it)
     verdicts = set()
 
+    # the four 3-subsets of 4 points: every degree 3, and points 0 and 1 on
+    # two lines; random draws alone fail (ii) in some runs but not all
     @settings(max_examples=300, deadline=None)
     @given(incidences)
+    @example(IncidenceStructure.from_lines(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]))
     def check(inc):
         report = verify_pq_axioms(inc)
         assert report == oracles.verify_pq_axioms(inc)

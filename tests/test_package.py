@@ -31,6 +31,15 @@ def test_the_cells_are_plain_tuples():
     assert "TriplePartition" not in vars(srgpq)
 
 
+def test_build_sigma_keeps_no_conflict_bookkeeping():
+    # a conflict between matchings fails the final automorphism check, so
+    # no module names it on its own or replays the propagation to find it
+    names = ["srgpq"] + [f"srgpq.{info.name}" for info in pkgutil.iter_modules(srgpq.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        assert not {"SigmaConflictError", "_first_conflict"} & set(vars(module)), name
+
+
 def test_only_graphcore_knows_the_packed_bit_matrix_format():
     helpers = {"pack_rows", "transpose_packed", "unpack_row"}
     for info in pkgutil.iter_modules(srgpq.__path__):

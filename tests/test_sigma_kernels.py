@@ -12,9 +12,13 @@ its bit-by-bit reference, on the witnesses, on their mutants, on broken
 permutations and on random graphs.  build_sigma, which carries the
 orientations of all cells over the masks of matched_pairs, must succeed or
 fail as the propagation with one mapping dict a cell does, with the same
-message: also on the masks of tampered tables, which reach its conflict and
-coverage checks, and on tampered partitions.  On the witnesses no conflict
-is ever named.
+message, wherever that propagation names no conflict: also on the masks of
+tampered tables, which reach its coverage check, and on tampered
+partitions.  Where the reference names a conflict, build_sigma leaves it to
+its automorphism check and raises SigmaAutomorphismError, or
+SigmaCoverageError where a cell is also unreached; it never returns a
+permutation.  On the witnesses no conflict is ever named, and build_sigma
+commutes with relabelling up to the seed's orientation.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from srgpq.automorphism import (
     ClosureCapError,
     Permutation,
     SigmaAutomorphismError,
-    SigmaConflictError,
     SigmaCoverageError,
     automorphism_witness,
     build_sigma,
@@ -430,17 +433,28 @@ def _drop_psi_cell(j):
     return _keep(lambda i, k: k != j)
 
 
+def _outcome_and_conflict(g: Graph, fam: FamilyInfo, u: int):
+    """build_sigma's outcome at u, and whether the oracle there names a conflict.
+
+    Where it names none, the two outcomes are equal, message included.  Where
+    it does, build_sigma must raise: a conflict fails its automorphism check.
+    """
+    outcome = _outcome(build_sigma, g, fam, u)
+    reference = _outcome(oracles.build_sigma, g, fam, u)
+    conflict = reference[:2] == ("raised", oracles.SigmaConflictError)
+    if conflict:
+        assert outcome[0] == "raised"
+    else:
+        assert outcome == reference
+    return outcome, conflict
+
+
 def _outcomes_on_tampered_masks(monkeypatch, g: Graph, fam: FamilyInfo, tamper, vertices):
-    """build_sigma on the masks of the tampered table, and the oracle on that table, at each u."""
+    """At each u, build_sigma on the tampered table's masks, and whether the oracle names a conflict."""
     table = _tampered(tamper)
     monkeypatch.setattr("tests.oracles.matched_pairs", table)
     monkeypatch.setattr("srgpq.automorphism.matched_pairs", lambda *args: _masks(table(*args)))
-    outcomes = []
-    for u in vertices:
-        outcome = _outcome(build_sigma, g, fam, u)
-        assert outcome == _outcome(oracles.build_sigma, g, fam, u)
-        outcomes.append(outcome)
-    return outcomes
+    return [_outcome_and_conflict(g, fam, u) for u in vertices]
 
 
 @pytest.mark.parametrize("graph, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
@@ -449,9 +463,11 @@ def test_build_sigma_reports_conflicts_and_gaps_like_the_oracle(graph, fam, monk
     seen = set()
     tampers = [_swap_images(index) for index in (0, 7, 40)] + [_drop_psi_cell(j) for j in (0, 3)]
     for tamper in tampers:
-        for outcome in _outcomes_on_tampered_masks(monkeypatch, g, fam, tamper, (0, 9, 63)):
+        for outcome, conflict in _outcomes_on_tampered_masks(monkeypatch, g, fam, tamper, (0, 9, 63)):
+            if conflict:
+                assert outcome[1] is SigmaAutomorphismError
             seen.add(outcome[1])
-    assert seen == {SigmaConflictError, SigmaCoverageError}
+    assert seen == {SigmaAutomorphismError, SigmaCoverageError}
 
 
 def test_build_sigma_lists_the_undefined_cells_in_table_order(monkeypatch):
@@ -461,18 +477,20 @@ def test_build_sigma_lists_the_undefined_cells_in_table_order(monkeypatch):
     message = "propagation left cells undefined: [('phi', 2), ('psi', 0), ('psi', 3)]"
     g = Graph(gq35_rows())
     outcomes = _outcomes_on_tampered_masks(monkeypatch, g, GQ35, tamper, (0, 9, 63))
-    assert outcomes == [("raised", SigmaCoverageError, message)] * 3
+    assert outcomes == [(("raised", SigmaCoverageError, message), False)] * 3
 
 
 @pytest.mark.parametrize("graph, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
-def test_build_sigma_names_a_conflict_before_a_gap(graph, fam, monkeypatch):
-    # one matching reflected and every matching of independent cell 3 dropped
+def test_build_sigma_names_a_gap_before_a_conflict(graph, fam, monkeypatch):
+    # one matching reflected and every matching of independent cell 3 dropped:
+    # the oracle names the conflict, build_sigma the gap its coverage check meets first
     def tamper(table):
         return _swap_images(0)(_drop_psi_cell(3)(table))
 
     g = Graph(graph())
     outcomes = _outcomes_on_tampered_masks(monkeypatch, g, fam, tamper, (0, 9, 63))
-    assert {outcome[1] for outcome in outcomes} == {SigmaConflictError}
+    message = "propagation left cells undefined: [('psi', 3)]"
+    assert outcomes == [(("raised", SigmaCoverageError, message), True)] * 3
 
 
 @pytest.mark.parametrize("graph, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
@@ -481,8 +499,8 @@ def test_build_sigma_lists_stalled_and_unreached_cells_like_the_oracle(graph, fa
     # the others only the odd ones: two components, the seed's the first
     tamper = _keep(lambda i, j: (i < 3) == (j % 2 == 0))
     g = Graph(graph())
-    for outcome in _outcomes_on_tampered_masks(monkeypatch, g, fam, tamper, (0, 9, 63)):
-        assert outcome[1] is SigmaCoverageError
+    for outcome, conflict in _outcomes_on_tampered_masks(monkeypatch, g, fam, tamper, (0, 9, 63)):
+        assert not conflict and outcome[1] is SigmaCoverageError
         assert "('phi', 3), ('phi', 4)" in outcome[2] and "('psi', 1)" in outcome[2]
 
 
@@ -540,10 +558,11 @@ def test_build_sigma_matches_the_oracle_on_tampered_inputs(graph, fam, monkeypat
         lambda partition_of: _with_base_vertex(partition_of, 0),
         lambda partition_of: _with_base_vertex(partition_of, 5),
     ]
-    # (graph, vertex, the names build_sigma and the oracle call with their tampered values);
-    # build_sigma reads its triangle cells off the frame of _clique_frame
+    # (graph, vertex, the names build_sigma and the oracle call with their tampered values,
+    # whether the case is a reflected matching); build_sigma reads its triangle cells off
+    # the frame of _clique_frame
     cases = [
-        (_reflected_matching(rows, fam, u, index), u, {}) for u in (0, 9) for index in (0, 7)
+        (_reflected_matching(rows, fam, u, index), u, {}, True) for u in (0, 9) for index in (0, 7)
     ]
     for tamper in tampers:
         psi, phi = tamper(psi_partition), tamper(phi_partition)
@@ -551,16 +570,19 @@ def test_build_sigma_matches_the_oracle_on_tampered_inputs(graph, fam, monkeypat
             {"srgpq.automorphism.psi_partition": psi, "tests.oracles._psi_partition": psi},
             {"srgpq.automorphism._clique_frame": _frame_with_cells(phi), "tests.oracles.phi_partition": phi},
         ):
-            cases += [(Graph(rows), u, patches) for u in (0, 63)]
+            cases += [(Graph(rows), u, patches, False) for u in (0, 63)]
     seen = set()
-    for g, u, patches in cases:
+    for g, u, patches, reflected in cases:
         with monkeypatch.context() as patch:
             for name, tampered in patches.items():
                 patch.setattr(name, tampered)
-            outcome = _outcome(build_sigma, g, fam, u)
-            assert outcome == _outcome(oracles.build_sigma, g, fam, u)
+            outcome, conflict = _outcome_and_conflict(g, fam, u)
+        # the reflected matchings are the conflicts; the tampered partitions match the oracle
+        assert conflict == reflected
+        if conflict:
+            assert outcome[1] is SigmaAutomorphismError
         seen.add(outcome[1] if outcome[0] == "raised" else "returned")
-    assert seen == {SigmaConflictError, SigmaCoverageError, SigmaAutomorphismError}
+    assert seen == {SigmaCoverageError, SigmaAutomorphismError}
 
 
 def test_the_masks_decline_a_cell_that_no_matching_reaches(gq35):
@@ -599,11 +621,7 @@ def test_the_trace_books_matched_pairs_under_build_sigma(gq35, tmp_path):
 WITNESSES = ((gq35_rows, GQ35, None), (ovoid256_rows, OVOID, 16))
 
 
-def test_the_bulk_pass_alone_builds_every_sigma_of_the_witnesses(monkeypatch):
-    def refuse(matched, flips):
-        raise AssertionError("build_sigma looked for a conflict")
-
-    monkeypatch.setattr("srgpq.automorphism._first_conflict", refuse)
+def test_the_bulk_pass_alone_builds_every_sigma_of_the_witnesses():
     for rows_of, fam, sample in WITNESSES:
         rows = rows_of()
         images = seeded_permutation(len(rows), random.Random(8))
@@ -617,6 +635,26 @@ def test_the_bulk_pass_alone_builds_every_sigma_of_the_witnesses(monkeypatch):
                 assert sigma.fixed_points() == (u,) and sigma.order() == 3
                 if sample is None or u in vertices[:4]:
                     assert sigma == oracles.build_sigma(g, fam, u)
+
+
+@pytest.mark.parametrize("rows_of, fam, sample", WITNESSES)
+def test_build_sigma_commutes_with_relabelling(rows_of, fam, sample):
+    # the seed is the ascending 3-cycle on the least cell, which a relabelling
+    # may reverse: pi sigma_u pi^-1 up to its inverse
+    rows = rows_of()
+    pi = Permutation(tuple(seeded_permutation(len(rows), random.Random(14))))
+    g, h = Graph(rows), Graph(relabel(rows, list(pi.images)))
+    for u in random.Random(15).sample(range(g.nu), sample or 12):
+        moved = pi.compose(build_sigma(g, fam, u)).compose(pi.inverse())
+        assert build_sigma(h, fam, pi(u)) in (moved, moved.inverse())
+    # a reflected matching is a conflict under any labels, and fails the automorphism check
+    for u in (0, 9):
+        for index in (0, 7):
+            switched = _reflected_matching(rows, fam, u, index)
+            relabelled = Graph(relabel(switched.rows, list(pi.images)))
+            for graph, vertex in ((switched, u), (relabelled, pi(u))):
+                outcome = _outcome(build_sigma, graph, fam, vertex)
+                assert outcome[:2] == ("raised", SigmaAutomorphismError)
 
 
 @pytest.mark.parametrize("rows_of, fam", [(gq35_rows, GQ35), (ovoid256_rows, OVOID)])
